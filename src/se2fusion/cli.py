@@ -20,14 +20,10 @@ from .builders import BuilderConfig, NodeRate, Strategy, build
 from .dataset import ExperimentConfig, export_results, load_dataset, \
     render_metrics_record, run_batch, run_experiment
 from .gnss import reject_outliers
-from .graph import save as save_graph
+from .graph import _fmt, save as save_graph
 from .solver import SolverConfig
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -26,14 +26,10 @@ from .builders import BuilderConfig, NodeRate, Strategy, _node_times, \
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NonMonotonicTimestampsError, ParseError
 from .gnss import GnssReading, latlon_to_utm, reject_outliers
-from .graph import save as save_graph
+from .graph import _fmt, save as save_graph
 from .metrics import MetricsReport, compute_metrics, improvements, match_pps
 from .odometry import OdometryStream
 from .solver import SolveReport, SolverConfig, optimize
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass

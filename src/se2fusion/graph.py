@@ -83,6 +83,8 @@ class PoseGraph:
 
 
 def _fmt(x: float) -> str:
+    # 17 significant digits read back as the same double; every text
+    # output of the package formats its floats here
     return format(float(x), ".17g")
 
 

@@ -40,7 +40,7 @@ def wrap_angle(theta: float) -> float:
     return r - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2:
     """A planar rigid-body pose. The heading is normalized on construction."""
 
@@ -169,3 +169,143 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
     shift = np.array([[1.0, 0.0, -d.y], [0.0, 1.0, d.x], [0.0, 0.0, 1.0]])
     Ji = -(L @ rot_zinv @ shift)
     return Ji, Jj
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels: the formulas above over whole arrays, one row per pose or
+# edge, so a graph linearizes in a fixed number of numpy passes.  Poses are
+# (n, 3) arrays of (x, y, theta).  Every operation mirrors its scalar
+# counterpart step for step, including the heading wrap after each group
+# product and the SMALL_ANGLE Taylor switch; the scalar functions stay the
+# reference the batched ones are tested against.
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Elementwise wrap_angle onto (-pi, pi]."""
+    r = np.fmod(theta + math.pi, TWO_PI)
+    r = np.where(r <= 0.0, r + TWO_PI, r)
+    return r - math.pi
+
+
+def _compose_cols(ax, ay, at, bx, by, bt):
+    c = np.cos(at)
+    s = np.sin(at)
+    return ax + c * bx - s * by, ay + s * bx + c * by, wrap_angles(at + bt)
+
+
+def _inverse_cols(ax, ay, at):
+    c = np.cos(at)
+    s = np.sin(at)
+    return -(c * ax + s * ay), s * ax - c * ay, wrap_angles(-at)
+
+
+def _small_or(t: np.ndarray, taylor, direct) -> np.ndarray:
+    # taylor(t) below SMALL_ANGLE, direct(t) elsewhere; direct never sees
+    # the small arguments, so 0/0 cannot occur
+    small = np.abs(t) < SMALL_ANGLE
+    return np.where(small, taylor(t), direct(np.where(small, 1.0, t)))
+
+
+def _half_cot_taylor(t):
+    t2 = t * t
+    return 1.0 - t2 / 12.0 - t2 * t2 / 720.0
+
+
+def _half_cot_direct(t):
+    return 0.5 * t / np.tan(0.5 * t)
+
+
+def _half_cot_prime_taylor(t):
+    return -t / 6.0 - t * t * t / 180.0
+
+
+def _half_cot_prime_direct(t):
+    hs = np.sin(0.5 * t)
+    return 0.5 / np.tan(0.5 * t) - 0.25 * t / (hs * hs)
+
+
+def _sin_ratio_a_taylor(t):
+    t2 = t * t
+    return 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
+
+
+def _sin_ratio_b_taylor(t):
+    return 0.5 * t * (1.0 - t * t / 12.0)
+
+
+def _residual_group(xi: np.ndarray, xj: np.ndarray, z: np.ndarray):
+    # d = inverse(xi) * xj and e = inverse(z) * d, as column triples
+    d = _compose_cols(*_inverse_cols(xi[:, 0], xi[:, 1], xi[:, 2]),
+                      xj[:, 0], xj[:, 1], xj[:, 2])
+    e = _compose_cols(*_inverse_cols(z[:, 0], z[:, 1], z[:, 2]), *d)
+    return d, e
+
+
+def _log_cols(ex, ey, et, f):
+    h = 0.5 * et
+    return np.stack((f * ex + h * ey, -h * ex + f * ey, et), axis=1)
+
+
+def batch_edge_residual(xi: np.ndarray, xj: np.ndarray,
+                        z: np.ndarray) -> np.ndarray:
+    """edge_residual for every row of the (m, 3) arrays xi, xj, z."""
+    _, (ex, ey, et) = _residual_group(xi, xj, z)
+    return _log_cols(ex, ey, et,
+                     _small_or(et, _half_cot_taylor, _half_cot_direct))
+
+
+def batch_edge_linearization(xi: np.ndarray, xj: np.ndarray, z: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals (m, 3) and both Jacobian stacks (m, 3, 3) in one pass.
+
+    Row k equals edge_residual and edge_jacobians of edge k; the group
+    products are shared between the residual and its derivatives.
+    """
+    (dx, dy, _), (ex, ey, et) = _residual_group(xi, xj, z)
+    f = _small_or(et, _half_cot_taylor, _half_cot_direct)
+    fp = _small_or(et, _half_cot_prime_taylor, _half_cot_prime_direct)
+    m = et.shape[0]
+    L = np.zeros((m, 3, 3))
+    L[:, 0, 0] = f
+    L[:, 0, 1] = 0.5 * et
+    L[:, 0, 2] = fp * ex + 0.5 * ey
+    L[:, 1, 0] = -0.5 * et
+    L[:, 1, 1] = f
+    L[:, 1, 2] = -0.5 * ex + fp * ey
+    L[:, 2, 2] = 1.0
+
+    ce = np.cos(et)
+    se = np.sin(et)
+    rot_e = np.zeros((m, 3, 3))
+    rot_e[:, 0, 0] = ce
+    rot_e[:, 0, 1] = -se
+    rot_e[:, 1, 0] = se
+    rot_e[:, 1, 1] = ce
+    rot_e[:, 2, 2] = 1.0
+    Jj = L @ rot_e
+
+    cz = np.cos(z[:, 2])
+    sz = np.sin(z[:, 2])
+    rot_zinv = np.zeros((m, 3, 3))
+    rot_zinv[:, 0, 0] = cz
+    rot_zinv[:, 0, 1] = sz
+    rot_zinv[:, 1, 0] = -sz
+    rot_zinv[:, 1, 1] = cz
+    rot_zinv[:, 2, 2] = 1.0
+    shift = np.zeros((m, 3, 3))
+    shift[:, 0, 0] = 1.0
+    shift[:, 1, 1] = 1.0
+    shift[:, 2, 2] = 1.0
+    shift[:, 0, 2] = -dy
+    shift[:, 1, 2] = dx
+    Ji = -(L @ rot_zinv @ shift)
+    return _log_cols(ex, ey, et, f), Ji, Jj
+
+
+def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """retract for every row: compose(x[k], exp_map(delta[k]))."""
+    dx, dy, dt = delta[:, 0], delta[:, 1], delta[:, 2]
+    a = _small_or(dt, _sin_ratio_a_taylor, lambda t: np.sin(t) / t)
+    b = _small_or(dt, _sin_ratio_b_taylor, lambda t: (1.0 - np.cos(t)) / t)
+    return np.stack(_compose_cols(x[:, 0], x[:, 1], x[:, 2],
+                                  a * dx - b * dy, b * dx + a * dy,
+                                  wrap_angles(dt)), axis=1)

@@ -2,10 +2,14 @@
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
 one of three step strategies: plain Gauss-Newton, Levenberg-Marquardt, or
-Powell's dogleg (the default).  The normal equations are assembled into a
-scipy sparse matrix whose sparsity pattern is computed once per graph; the
-linear solve uses a SuperLU factorization with a fill-reducing ordering,
-falling back to lambda*diag regularization when factorization fails.
+Powell's dogleg (the default).  optimize() packs the graph into arrays
+once, runs every iteration on them with the batched se2 kernels
+(residuals, Jacobians, chi-square and retraction for all edges or nodes
+in one pass), and writes the free poses back to the graph when it
+returns.  The normal equations are filled into a scipy sparse matrix
+whose sparsity pattern is computed once per graph; the linear solve uses
+a SuperLU factorization with a fill-reducing ordering, falling back to
+lambda*diag regularization when factorization fails.
 
 Updates are applied on the right, pose <- compose(pose, exp_map(delta)),
 matching the Jacobians produced by the se2 module.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +27,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph
-from .se2 import edge_jacobians, edge_residual, retract
+from .se2 import Pose2, batch_edge_linearization, batch_edge_residual, \
+    batch_retract
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -65,86 +70,104 @@ class SolveReport:
     termination: Termination
 
 
-class _Assembler:
-    """Normal-equation assembly with a once-computed sparsity pattern."""
+class _PackedGraph:
+    """The graph packed into arrays, with the normal-equation pattern.
+
+    Poses are an (n, 3) array indexed by node id; edges are the from/to
+    index vectors, the (m, 3) measurements and the (m, 3, 3) information
+    stack.  Free node k owns variables 3k..3k+2 of the reduced system.
+    The sparsity pattern of H and the map from each block entry to its
+    slot in H.data are built once, so linearize() only fills values.
+    """
 
     def __init__(self, graph: PoseGraph):
-        self.free_ids = [n.id for n in graph.nodes if not n.fixed]
-        self.offset = {nid: 3 * k for k, nid in enumerate(self.free_ids)}
-        self.n = 3 * len(self.free_ids)
-        base = np.arange(3)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        self.spans: list[tuple[int, int]] = []
-        nnz = 0
-        for edge in graph.edges:
-            io = self.offset.get(edge.from_id, -1)
-            jo = self.offset.get(edge.to_id, -1)
-            blocks = []
-            if io >= 0:
-                blocks.append((io, io))
-            if jo >= 0:
-                blocks.append((jo, jo))
-            if io >= 0 and jo >= 0:
-                blocks.append((io, jo))
-                blocks.append((jo, io))
-            for r0, c0 in blocks:
-                rows.append(np.repeat(base + r0, 3))
-                cols.append(np.tile(base + c0, 3))
-            self.spans.append((io, jo))
-            nnz += 9 * len(blocks)
-        self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        self.cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-        self.nnz = nnz
+        nodes = graph.nodes
+        edges = graph.edges
+        self.poses = np.array([(n.pose.x, n.pose.y, n.pose.theta)
+                               for n in nodes], dtype=float).reshape(-1, 3)
+        self.i = np.array([e.from_id for e in edges], dtype=np.intp)
+        self.j = np.array([e.to_id for e in edges], dtype=np.intp)
+        self.z = np.array([(e.measurement.x, e.measurement.y,
+                            e.measurement.theta) for e in edges],
+                          dtype=float).reshape(-1, 3)
+        self.omega = np.array([e.information for e in edges],
+                              dtype=float).reshape(-1, 3, 3)
+        self.free = np.flatnonzero([not n.fixed for n in nodes])
+        n = self.n = 3 * self.free.size
 
-    def assemble(self, graph: PoseGraph):
-        """Linearize every edge at the current poses.
+        col = np.full(len(nodes), -1, dtype=np.intp)
+        col[self.free] = 3 * np.arange(self.free.size)
+        io = col[self.i]
+        jo = col[self.j]
+        # four 3x3 blocks per edge, in the order linearize() stacks them:
+        # (i, i), (j, j), (i, j), (j, i); a block on a fixed node is dropped
+        r0 = np.stack((io, jo, io, jo))[..., None]
+        c0 = np.stack((io, jo, jo, io))[..., None]
+        rows = r0 + np.repeat(np.arange(3), 3)
+        cols = c0 + np.tile(np.arange(3), 3)
+        keep = np.broadcast_to((r0 >= 0) & (c0 >= 0), rows.shape)
+        keys, slots = np.unique(cols[keep] * n + rows[keep],
+                                return_inverse=True)
+        self.nnz = keys.size
+        # dropped entries land in one extra bin past the end of H.data
+        h_slot = np.full(rows.shape, self.nnz, dtype=np.intp)
+        h_slot[keep] = slots
+        self.h_slot = h_slot.ravel()
+        self.pattern = sp.csc_matrix(
+            (np.zeros(self.nnz), keys % n,
+             np.searchsorted(keys // n, np.arange(n + 1))),
+            shape=(n, n))
+        offsets = np.arange(3)
+        self.b_slot = np.concatenate(
+            [np.where(o[:, None] >= 0, o[:, None] + offsets, n).ravel()
+             for o in (io, jo)])
+
+    def _weighted(self, e: np.ndarray) -> np.ndarray:
+        # Omega e, edge by edge
+        return (self.omega @ e[:, :, None])[:, :, 0]
+
+    def chi2(self, poses: np.ndarray) -> float:
+        """Total error, the sum of e' Omega e over all edges."""
+        e = batch_edge_residual(poses[self.i], poses[self.j], self.z)
+        return float(np.vdot(e, self._weighted(e)))
+
+    def linearize(self, poses: np.ndarray):
+        """Normal equations at `poses`.
 
         Returns (H, b, chi) where H is csc, b = -sum J'Omega e and chi is
-        the current total error (a free byproduct of the pass).
+        the total error at `poses`.
         """
-        data = np.empty(self.nnz)
-        b = np.zeros(self.n)
-        chi = 0.0
-        pos = 0
-        nodes = graph.nodes
-        for edge, (io, jo) in zip(graph.edges, self.spans):
-            xi = nodes[edge.from_id].pose
-            xj = nodes[edge.to_id].pose
-            omega = edge.information
-            e = edge_residual(xi, xj, edge.measurement)
-            oe = omega @ e
-            chi += float(e @ oe)
-            if io < 0 and jo < 0:
-                continue
-            Ji, Jj = edge_jacobians(xi, xj, edge.measurement)
-            if io >= 0:
-                Wi = omega @ Ji
-                data[pos:pos + 9] = (Ji.T @ Wi).ravel()
-                pos += 9
-                b[io:io + 3] -= Ji.T @ oe
-            if jo >= 0:
-                Wj = omega @ Jj
-                data[pos:pos + 9] = (Jj.T @ Wj).ravel()
-                pos += 9
-                b[jo:jo + 3] -= Jj.T @ oe
-            if io >= 0 and jo >= 0:
-                Hij = Ji.T @ Wj
-                data[pos:pos + 9] = Hij.ravel()
-                data[pos + 9:pos + 18] = Hij.T.ravel()
-                pos += 18
-        H = sp.coo_matrix((data, (self.rows, self.cols)),
-                          shape=(self.n, self.n)).tocsc()
+        e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
+                                             self.z)
+        oe = self._weighted(e)
+        chi = float(np.vdot(e, oe))
+        JiT = Ji.transpose(0, 2, 1)
+        JjT = Jj.transpose(0, 2, 1)
+        Hij = JiT @ (self.omega @ Jj)
+        blocks = np.stack((JiT @ (self.omega @ Ji), JjT @ (self.omega @ Jj),
+                           Hij, Hij.transpose(0, 2, 1)))
+        data = np.bincount(self.h_slot, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:-1]
+        grad = np.concatenate(((JiT @ oe[:, :, None]).ravel(),
+                               (JjT @ oe[:, :, None]).ravel()))
+        b = -np.bincount(self.b_slot, weights=grad,
+                         minlength=self.n + 1)[:-1]
+        H = sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr),
+                          shape=self.pattern.shape)
         return H, b, chi
 
+    def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """A copy of `poses` with the free rows moved by `delta`."""
+        out = poses.copy()
+        out[self.free] = batch_retract(poses[self.free], delta.reshape(-1, 3))
+        return out
 
-def _chi_square(graph: PoseGraph) -> float:
-    chi = 0.0
-    for edge in graph.edges:
-        e = edge_residual(graph.nodes[edge.from_id].pose,
-                          graph.nodes[edge.to_id].pose, edge.measurement)
-        chi += float(e @ (edge.information @ e))
-    return chi
+    def write_back(self, graph: PoseGraph) -> None:
+        """Store the current free poses on the graph's nodes."""
+        nodes = graph.nodes
+        for nid, (x, y, theta) in zip(self.free.tolist(),
+                                      self.poses[self.free].tolist()):
+            nodes[nid].pose = Pose2(x, y, theta)
 
 
 def build_linear_system(graph: PoseGraph):
@@ -153,7 +176,8 @@ def build_linear_system(graph: PoseGraph):
     Rows/columns belonging to fixed nodes are removed; free nodes are
     ordered by node id, three consecutive variables each.
     """
-    H, b, _ = _Assembler(graph).assemble(graph)
+    packed = _PackedGraph(graph)
+    H, b, _ = packed.linearize(packed.poses)
     return H, b
 
 
@@ -230,7 +254,9 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
              trace=None) -> SolveReport:
     """Minimize the graph's total error in place over all non-fixed nodes.
 
-    Fixed node poses are never touched.  When `trace` is given (a callable
+    The iterations run on a packed copy of the poses; the free poses are
+    written back to the graph once, when the solve returns or raises, and
+    fixed node poses are never touched.  When `trace` is given (a callable
     or a writable file-like), one line per iteration is emitted with
     "iteration chi2 step_norm radius"; the last column is the trust-region
     radius for dogleg, lambda for Levenberg-Marquardt and 0 for plain
@@ -242,9 +268,17 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
             "graph has no fixed node; the optimum is gauge-invariant")
     sink = trace.write if hasattr(trace, "write") else trace
 
-    asm = _Assembler(graph)
-    initial = _chi_square(graph)
-    if asm.n == 0:
+    packed = _PackedGraph(graph)
+    try:
+        return _minimize(packed, cfg, sink)
+    finally:
+        packed.write_back(graph)
+
+
+def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
+    # the iteration of optimize(); an accepted step replaces packed.poses
+    initial = packed.chi2(packed.poses)
+    if packed.n == 0:
         return SolveReport(True, 0, initial, initial, Termination.STEP_TOL)
 
     chi = initial
@@ -258,28 +292,15 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
         if sink is not None:
             sink(f"{it} {chi_now:.17g} {step:.17g} {knob:.17g}\n")
 
-    def apply_step(delta: np.ndarray) -> list:
-        saved = []
-        for nid in asm.free_ids:
-            node = graph.nodes[nid]
-            saved.append(node.pose)
-            off = asm.offset[nid]
-            node.pose = retract(node.pose, delta[off:off + 3])
-        return saved
-
-    def revert(saved: list) -> None:
-        for nid, pose in zip(asm.free_ids, saved):
-            graph.nodes[nid].pose = pose
-
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        H, b, chi = asm.assemble(graph)
+        H, b, chi = packed.linearize(packed.poses)
 
         if cfg.method is Method.GAUSS_NEWTON:
             delta = _solve_normal(H, b)
             step_norm = float(np.linalg.norm(delta))
-            apply_step(delta)
-            new_chi = _chi_square(graph)
+            packed.poses = packed.retract(packed.poses, delta)
+            new_chi = packed.chi2(packed.poses)
             knob = 0.0
         elif cfg.method is Method.LEVENBERG_MARQUARDT:
             diag = H.diagonal()
@@ -292,14 +313,13 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
                 if step_norm <= cfg.step_tol:
                     new_chi = chi
                     break
-                saved = apply_step(delta)
-                trial = _chi_square(graph)
+                trial = packed.retract(packed.poses, delta)
+                trial_chi = packed.chi2(trial)
                 pred = _predicted_decrease(H, b, delta)
-                if trial < chi and pred > 0.0:
+                if trial_chi < chi and pred > 0.0:
                     lam = max(lam * 0.1, 1e-15)
-                    new_chi = trial
+                    packed.poses, new_chi = trial, trial_chi
                     break
-                revert(saved)
                 lam *= 10.0
                 if lam > _MAX_LM_LAMBDA:
                     emit(it, chi, step_norm, lam)
@@ -319,18 +339,17 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
                 if step_norm <= cfg.step_tol:
                     new_chi = chi
                     break
-                saved = apply_step(delta)
-                trial = _chi_square(graph)
+                trial = packed.retract(packed.poses, delta)
+                trial_chi = packed.chi2(trial)
                 pred = _predicted_decrease(H, b, delta)
-                if trial < chi and pred > 0.0:
-                    rho = (chi - trial) / pred
+                if trial_chi < chi and pred > 0.0:
+                    rho = (chi - trial_chi) / pred
                     if rho < 0.25:
                         radius *= 0.5
                     elif rho > 0.75:
                         radius *= 2.0
-                    new_chi = trial
+                    packed.poses, new_chi = trial, trial_chi
                     break
-                revert(saved)
                 radius *= 0.5
                 if radius < _MIN_TRUST_RADIUS:
                     emit(it, chi, step_norm, radius)

@@ -1,5 +1,6 @@
 """Planar rigid-body group operations, exp/log maps and residual calculus."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -8,8 +9,10 @@ import pytest
 
 from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
-from se2fusion.se2 import IDENTITY, Pose2, compose, edge_jacobians, \
-    edge_residual, exp_map, inverse, log_map, retract, wrap_angle
+from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
+    batch_edge_linearization, batch_edge_residual, batch_retract, compose, \
+    edge_jacobians, edge_residual, exp_map, inverse, log_map, retract, \
+    wrap_angle, wrap_angles
 
 
 def test_wrap_angle_range():
@@ -259,3 +262,100 @@ def test_operations_never_emit_nan():
         for candidate in (compose(p, q), inverse(p), exp_map(log_map(p))):
             assert np.all(np.isfinite(candidate.as_array()))
         assert np.all(np.isfinite(edge_residual(p, q, random_pose(rng))))
+
+
+def test_pose_is_slotted_frozen_value():
+    p = Pose2(1.0, -2.0, 0.5)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta = 0.0
+    q = Pose2(1, -2, 0.5 + 2.0 * math.pi)
+    assert p == Pose2(1.0, -2.0, 0.5)
+    assert p != Pose2(1.0, -2.0, 0.25)
+    assert hash(p) == hash((p.x, p.y, p.theta))
+    assert (p == q) == ((p.x, p.y, p.theta) == (q.x, q.y, q.theta))
+    assert len({p, Pose2(1.0, -2.0, 0.5)}) == 1
+
+
+# Headings next to the Taylor switch on both sides, and next to +-pi on
+# both sides, so the batched kernels take every branch and every wrap.
+_EDGE_HEADINGS = tuple(sign * h for sign in (1.0, -1.0) for h in (
+    0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, 1.001 * SMALL_ANGLE,
+    2.0 * SMALL_ANGLE, math.pi - 1e-9, math.pi - 1e-3)) + (math.pi,)
+
+
+def _heading(rng):
+    if rng.uniform() < 0.75:
+        return float(rng.choice(_EDGE_HEADINGS))
+    return float(rng.uniform(-math.pi, math.pi))
+
+
+def _rows(poses):
+    return np.array([p.as_array() for p in poses])
+
+
+def _straddling_edges(rng, m=600):
+    """Edges whose poses and residual headings sit on the branch edges.
+
+    The measurement is the exact relative pose times a small error w, so
+    the residual heading is -w.theta up to rounding.
+    """
+    xi, xj, z = [], [], []
+    for _ in range(m):
+        a = Pose2(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
+                  _heading(rng))
+        b = Pose2(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
+                  _heading(rng))
+        w = Pose2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                  _heading(rng))
+        xi.append(a)
+        xj.append(b)
+        z.append(compose(compose(inverse(a), b), w))
+    return xi, xj, z
+
+
+def test_batch_edge_residual_matches_scalar():
+    rng = np.random.default_rng(15)
+    xi, xj, z = _straddling_edges(rng)
+    got = batch_edge_residual(_rows(xi), _rows(xj), _rows(z))
+    want = np.array([edge_residual(a, b, c) for a, b, c in zip(xi, xj, z)])
+    assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
+    assert np.any(np.abs(want[:, 2]) > math.pi - 1e-6)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_edge_linearization_matches_scalar():
+    rng = np.random.default_rng(16)
+    xi, xj, z = _straddling_edges(rng)
+    e, Ji, Jj = batch_edge_linearization(_rows(xi), _rows(xj), _rows(z))
+    for k, (a, b, c) in enumerate(zip(xi, xj, z)):
+        want_i, want_j = edge_jacobians(a, b, c)
+        np.testing.assert_allclose(e[k], edge_residual(a, b, c),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Ji[k], want_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Jj[k], want_j, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_retract_matches_scalar():
+    rng = np.random.default_rng(17)
+    poses = [Pose2(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
+                   _heading(rng)) for _ in range(600)]
+    deltas = np.column_stack((rng.normal(0.0, 1.0, 600),
+                              rng.normal(0.0, 1.0, 600),
+                              [_heading(rng) for _ in range(600)]))
+    got = batch_retract(_rows(poses), deltas)
+    want = _rows([retract(p, d) for p, d in zip(poses, deltas)])
+    crossed = np.abs(want[:, 2] - (_rows(poses)[:, 2] + deltas[:, 2])) > 1.0
+    assert np.any(crossed)
+    assert np.all((-math.pi < got[:, 2]) & (got[:, 2] <= math.pi))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_wrap_angles_is_elementwise_wrap_angle():
+    rng = np.random.default_rng(18)
+    theta = np.concatenate((rng.uniform(-50.0, 50.0, 500),
+                            [math.pi, -math.pi, 3.0 * math.pi, 0.0, -0.0]))
+    want = np.array([wrap_angle(float(t)) for t in theta])
+    assert np.array_equal(wrap_angles(theta), want)

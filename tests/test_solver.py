@@ -11,9 +11,10 @@ from helpers import clone_graph, dense_optimize, dense_system, \
     dogleg_rootfind, random_chain_graph, random_pose
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
-from se2fusion.se2 import IDENTITY, Pose2, compose, exp_map, inverse
+from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, compose, exp_map, \
+    inverse, retract
 from se2fusion.solver import Method, SolveReport, SolverConfig, Termination, \
-    build_linear_system, dogleg_step, optimize
+    _PackedGraph, build_linear_system, dogleg_step, optimize
 
 
 def _two_node_graph():
@@ -325,3 +326,56 @@ def test_report_error_bookkeeping():
     assert report.final_error == pytest.approx(g.total_error(), rel=1e-9,
                                                abs=1e-15)
     assert report.final_error <= report.initial_error
+
+
+def _graph_near_branches(rng):
+    """Random chain whose node headings sit next to +-pi and the Taylor
+    switch, so chi-square and retraction cross every wrap and branch."""
+    g, _ = random_chain_graph(rng, 14, n_absolute=4, perturb=2.0)
+    headings = (math.pi - 1e-9, -math.pi + 1e-9, math.pi,
+                0.999 * SMALL_ANGLE, -1.001 * SMALL_ANGLE)
+    for k, node in enumerate(g.nodes[1::2]):
+        p = node.pose
+        node.pose = Pose2(p.x, p.y, headings[k % len(headings)])
+    return g
+
+
+def test_packed_chi2_matches_total_error():
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        g = _graph_near_branches(rng)
+        packed = _PackedGraph(g)
+        want = g.total_error()
+        assert packed.chi2(packed.poses) == pytest.approx(want, rel=1e-12)
+        _, _, chi = packed.linearize(packed.poses)
+        assert chi == pytest.approx(want, rel=1e-12)
+
+
+def test_packed_retraction_matches_scalar_retract():
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        g = _graph_near_branches(rng)
+        g.nodes[5].fixed = True
+        packed = _PackedGraph(g)
+        free = [n for n in g.nodes if not n.fixed]
+        delta = rng.normal(0.0, 0.5, 3 * len(free))
+        delta[2::6] = 1.001 * SMALL_ANGLE
+        delta[5::6] = 1e-3
+        moved = packed.retract(packed.poses, delta)
+        for k, node in enumerate(free):
+            want = retract(node.pose, delta[3 * k:3 * k + 3]).as_array()
+            np.testing.assert_allclose(moved[node.id], want, rtol=1e-12,
+                                       atol=1e-12)
+        for node in g.nodes:
+            if node.fixed:
+                assert np.array_equal(moved[node.id], node.pose.as_array())
+
+
+def test_optimize_writes_back_pose_objects():
+    rng = np.random.default_rng(46)
+    g, _ = random_chain_graph(rng, 9, n_absolute=3)
+    report = optimize(g)
+    assert all(type(n.pose) is Pose2 for n in g.nodes)
+    assert all(type(v) is float for n in g.nodes
+               for v in (n.pose.x, n.pose.y, n.pose.theta))
+    assert report.final_error == pytest.approx(g.total_error(), rel=1e-12)
