@@ -64,11 +64,6 @@ def _accepted(readings):
     return kept
 
 
-def _as_stream(odo) -> OdometryStream:
-    return odo if isinstance(odo, OdometryStream) \
-        else OdometryStream.from_samples(odo)
-
-
 def _first_heading(readings) -> float:
     d = readings[1].position - readings[0].position
     return math.atan2(d[1], d[0])
@@ -82,7 +77,7 @@ def initialize_from_odometry(readings, odo) -> list[Pose2]:
     odometry of the gap.
     """
     readings = _accepted(readings)
-    stream = _as_stream(odo)
+    stream = OdometryStream.coerce(odo)
     p0 = readings[0].position
     poses = [Pose2(p0[0], p0[1], _first_heading(readings))]
     for prev, cur in zip(readings, readings[1:]):
@@ -113,7 +108,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     """
     cfg = config if config is not None else BuilderConfig()
     readings = _accepted(readings)
-    stream = _as_stream(odo)
+    stream = OdometryStream.coerce(odo)
 
     times = _node_times(readings, stream, cfg.node_rate)
     pres = [preintegrate(stream, a, b) for a, b in zip(times, times[1:])]
@@ -185,7 +180,7 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo):
     readings one to one.
     """
     readings = _accepted(readings)
-    stream = _as_stream(odo)
+    stream = OdometryStream.coerce(odo)
     poses = vehicle_trajectory(graph)
     if len(poses) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")

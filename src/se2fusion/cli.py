@@ -16,12 +16,10 @@ import argparse
 import os
 import sys
 
-from .builders import BuilderConfig, NodeRate, Strategy, build
-from .dataset import ExperimentConfig, export_results, load_dataset, \
-    render_metrics_record, run_batch, run_experiment
-from .gnss import reject_outliers
+from .builders import NodeRate, Strategy
+from .dataset import ExperimentConfig, _screen_and_build, export_results, \
+    load_dataset, render_metrics_record, run_batch, run_experiment
 from .graph import _fmt, save as save_graph
-from .solver import SolverConfig
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
 
@@ -89,11 +87,8 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         strategy=Strategy(args.strategy),
         outlier_rejection=not args.no_outlier_rejection,
-        solver=SolverConfig(),
-        builder=BuilderConfig(strategy=Strategy(args.strategy),
-                              node_rate=NodeRate(args.node_rate),
-                              identity_edge_strength=args.identity_strength),
-        seed=args.seed,
+        node_rate=NodeRate(args.node_rate),
+        identity_edge_strength=args.identity_strength,
         metrics_literal=args.metrics_literal)
 
 
@@ -153,18 +148,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_graph_dump(args) -> int:
     dataset = _dataset_from_args(args)
-    cfg = _experiment_config(args)
-    readings = list(dataset.gnss)
-    for r in readings:
-        r.accepted = True
-    if cfg.outlier_rejection:
-        reject_outliers(readings, dataset.odometry)
-    accepted = [r for r in readings if r.accepted]
-    graph = build(accepted, dataset.odometry,
-                  BuilderConfig(strategy=cfg.strategy,
-                                node_rate=cfg.builder.node_rate,
-                                identity_edge_strength=
-                                cfg.builder.identity_edge_strength))
+    _, _, graph, _ = _screen_and_build(dataset, _experiment_config(args))
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.nodes)} nodes, "
                      f"{len(graph.edges)} edges)\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,11 +53,13 @@ class Dataset:
 
 @dataclass
 class ExperimentConfig:
-    strategy: Strategy = Strategy.G2
+    """One experiment's settings; the graph settings default to
+    BuilderConfig's."""
+    strategy: Strategy = BuilderConfig.strategy
     outlier_rejection: bool = True
+    node_rate: NodeRate = BuilderConfig.node_rate
+    identity_edge_strength: float = BuilderConfig.identity_edge_strength
     solver: SolverConfig = field(default_factory=SolverConfig)
-    builder: BuilderConfig = field(default_factory=BuilderConfig)
-    seed: int = 0
     metrics_literal: bool = False
 
 
@@ -186,6 +188,26 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     return Dataset(name, readings, stream, truth, origin)
 
 
+def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
+    """Screen the fixes (when enabled) and build the unoptimized graph.
+
+    Every reading's accepted flag is reset, then set by the screen.
+    Returns (readings, rejection_rate, graph, node_times).
+    """
+    readings = list(dataset.gnss)
+    for r in readings:
+        r.accepted = True
+    rate = 0.0
+    if cfg.outlier_rejection:
+        rate = reject_outliers(readings, dataset.odometry).rejection_rate
+    accepted = [r for r in readings if r.accepted]
+    graph = build(accepted, dataset.odometry,
+                  BuilderConfig(cfg.strategy, cfg.node_rate,
+                                cfg.identity_edge_strength))
+    times = _node_times(accepted, dataset.odometry, cfg.node_rate)
+    return readings, rate, graph, times
+
+
 def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
                    trace=None, keep_graph: bool = False):
     """Screen, build, optimize and score one dataset.
@@ -198,28 +220,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     keep_graph=True the optimized graph is appended as a fifth element.
     """
     cfg = config if config is not None else ExperimentConfig()
-    readings = list(dataset.gnss)
-    for r in readings:
-        r.accepted = True
-    rate = 0.0
-    if cfg.outlier_rejection:
-        result = reject_outliers(readings, dataset.odometry)
-        rate = result.rejection_rate
-    accepted = [r for r in readings if r.accepted]
-
-    graph = build(accepted, dataset.odometry,
-                  BuilderConfig(strategy=cfg.strategy,
-                                node_rate=cfg.builder.node_rate,
-                                identity_edge_strength=
-                                cfg.builder.identity_edge_strength))
+    readings, rate, graph, times = _screen_and_build(dataset, cfg)
     report = optimize(graph, cfg.solver, trace=trace)
-    poses = vehicle_trajectory(graph)
-    if cfg.builder.node_rate is NodeRate.PER_GNSS_FIX:
-        times = [r.timestamp for r in accepted]
-    else:
-        times = _node_times(accepted, dataset.odometry,
-                            NodeRate.PER_ODOMETRY_SAMPLE)
-    trajectory = list(zip(times, poses))
+    trajectory = list(zip(times, vehicle_trajectory(graph)))
 
     fused_metrics = None
     raw_metrics = None
@@ -345,10 +348,7 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
     tables = []
     for strat in strategies:
         for rej in rejections:
-            cfg = ExperimentConfig(
-                strategy=strat, outlier_rejection=rej, solver=base.solver,
-                builder=base.builder, seed=base.seed,
-                metrics_literal=base.metrics_literal)
+            cfg = replace(base, strategy=strat, outlier_rejection=rej)
             tag = f"{strat.value}.{'on' if rej else 'off'}"
             rows = []
             sums_f = np.zeros(3)

@@ -16,7 +16,7 @@ with the integrated yaw within 1.5 degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,8 +150,7 @@ def reject_outliers(readings, odo,
     same list plus the rejection rate in percent.
     """
     readings = list(readings)
-    stream = odo if isinstance(odo, OdometryStream) \
-        else OdometryStream.from_samples(odo)
+    stream = OdometryStream.coerce(odo)
     ts = [r.timestamp for r in readings]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise NonMonotonicTimestampsError(

@@ -45,13 +45,18 @@ class OdometryStream:
                              "1-d arrays of equal length")
         if t.size == 0:
             raise ValueError("odometry stream is empty")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        dt = np.diff(t)
+        if np.any(dt <= 0.0):
             raise NonMonotonicTimestampsError(
                 "odometry timestamps must be strictly increasing")
         self.timestamps = t
         self.yaw_rates = w
         self.velocities = v
-        self.nominal_period = float(np.median(np.diff(t))) if t.size > 1 else 0.0
+        self.nominal_period = float(np.median(dt)) if t.size > 1 else 0.0
+        self.max_gap = _MAX_GAP_PERIODS * self.nominal_period
+        # sample k starts a recording gap when t[k+1] - t[k] > max_gap
+        self._gaps = np.flatnonzero(dt > self.max_gap)
+        self._gap_ends = t[self._gaps + 1]
 
     @classmethod
     def from_samples(cls, samples) -> "OdometryStream":
@@ -59,6 +64,19 @@ class OdometryStream:
         return cls([s.timestamp for s in samples],
                    [s.yaw_rate for s in samples],
                    [s.velocity for s in samples])
+
+    @classmethod
+    def coerce(cls, odo) -> "OdometryStream":
+        """`odo` itself when it is a stream, else a stream of its samples."""
+        return odo if isinstance(odo, cls) else cls.from_samples(odo)
+
+    def first_gap(self, t_start: float, t_end: float) -> int | None:
+        """Sample index k of the first gap (t[k], t[k+1]) that overlaps
+        the window (t_start, t_end), or None."""
+        g = int(np.searchsorted(self._gap_ends, t_start, side="right"))
+        if g < self._gaps.size and self.timestamps[self._gaps[g]] < t_end:
+            return int(self._gaps[g])
+        return None
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -88,24 +106,20 @@ def preintegrate(samples, t_start: float, t_end: float,
     periods outside the recorded span, or any recording gap longer than
     two nominal periods overlapping the window.
     """
-    stream = samples if isinstance(samples, OdometryStream) \
-        else OdometryStream.from_samples(samples)
+    stream = OdometryStream.coerce(samples)
     if not t_end > t_start:
         raise ValueError("need t_start < t_end")
     t = stream.timestamps
-    margin = _MAX_GAP_PERIODS * stream.nominal_period
+    margin = stream.max_gap
     if t_start < t[0] - margin or t_end > t[-1] + margin:
         raise InsufficientCoverageError(
             f"window [{t_start:g}, {t_end:g}] extends past recorded "
             f"odometry [{t[0]:g}, {t[-1]:g}] by more than {margin:g} s")
-    if t.size > 1:
-        gaps = np.diff(t)
-        bad = (gaps > margin) & (t[:-1] < t_end) & (t[1:] > t_start)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise InsufficientCoverageError(
-                f"odometry gap of {gaps[k]:g} s at t={t[k]:g} overlaps "
-                "the requested window")
+    k = stream.first_gap(t_start, t_end)
+    if k is not None:
+        raise InsufficientCoverageError(
+            f"odometry gap of {t[k + 1] - t[k]:g} s at t={t[k]:g} overlaps "
+            "the requested window")
 
     lo = int(np.searchsorted(t, t_start, side="right"))
     hi = int(np.searchsorted(t, t_end, side="left"))

@@ -2,7 +2,10 @@
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
 one of three step strategies: plain Gauss-Newton, Levenberg-Marquardt, or
-Powell's dogleg (the default).  optimize() packs the graph into arrays
+Powell's dogleg (the default).  The three share one iteration: linearize,
+propose a step for the method's knob (trust radius, lambda, or none for
+Gauss-Newton), test the trial's gain ratio, and accept it or shrink the
+knob and propose again.  optimize() packs the graph into arrays
 once, runs every iteration on them with the batched se2 kernels
 (residuals, Jacobians, chi-square and retraction for all edges or nodes
 in one pass), and writes the free poses back to the graph when it
@@ -32,7 +35,11 @@ from .se2 import Pose2, batch_edge_linearization, batch_edge_residual, \
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+# initial knobs and the limits at which the trust region has collapsed
+_TRUST_RADIUS_INIT = 1e4
 _MIN_TRUST_RADIUS = 1e-12
+_LM_LAMBDA_INIT = 1e-4
+_MIN_LM_LAMBDA = 1e-15
 _MAX_LM_LAMBDA = 1e12
 
 
@@ -57,8 +64,6 @@ class SolverConfig:
     abs_error_tol: float = 1e-9
     rel_error_tol: float = 1e-9
     step_tol: float = 1e-9
-    trust_region_init: float = 1e4
-    lm_lambda_init: float = 1e-4
 
 
 @dataclass
@@ -210,24 +215,48 @@ def _solve_normal(H: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
 
 
-def _dogleg_combine(gn: np.ndarray, cauchy: np.ndarray, b: np.ndarray,
-                    bnorm: float, radius: float) -> np.ndarray:
+def _gauss_newton_steps(H, b: np.ndarray):
+    gn = _solve_normal(H, b)
+    return lambda knob: gn
+
+
+def _levenberg_marquardt_steps(H, b: np.ndarray):
+    diag = H.diagonal()
+    damp = np.where(diag > 0.0, diag, 1.0)
+    return lambda lam: _solve_normal((H + sp.diags(lam * damp)).tocsc(), b)
+
+
+def _dogleg_steps(H, b: np.ndarray):
+    """Solve once; return the dogleg step as a function of the radius.
+
+    The Gauss-Newton point, the Cauchy point and their norms do not
+    depend on the radius, so every trial radius only combines them.
+    """
+    gn = _solve_normal(H, b)
     gn_norm = float(np.linalg.norm(gn))
-    if gn_norm <= radius:
-        return gn
+    bb = float(b @ b)
+    bHb = float(b @ (H @ b))
+    cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
     c_norm = float(np.linalg.norm(cauchy))
-    if c_norm >= radius:
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        return (radius / bnorm) * b
-    # walk from the Cauchy point toward the Gauss-Newton point until the
-    # trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius
-    d = gn - cauchy
-    a = float(d @ d)
-    bq = 2.0 * float(cauchy @ d)
-    c = c_norm * c_norm - radius * radius
-    tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
-    return cauchy + tau * d
+    bnorm = math.sqrt(bb)
+
+    def step(radius: float) -> np.ndarray:
+        if gn_norm <= radius:
+            return gn
+        if c_norm >= radius:
+            if bnorm == 0.0:
+                return np.zeros_like(b)
+            return (radius / bnorm) * b
+        # walk from the Cauchy point toward the Gauss-Newton point until
+        # the trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius
+        d = gn - cauchy
+        a = float(d @ d)
+        bq = 2.0 * float(cauchy @ d)
+        c = c_norm * c_norm - radius * radius
+        tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
+        return cauchy + tau * d
+
+    return step
 
 
 def dogleg_step(H, b: np.ndarray, trust_radius: float) -> np.ndarray:
@@ -237,17 +266,30 @@ def dogleg_step(H, b: np.ndarray, trust_radius: float) -> np.ndarray:
     the scaled steepest-descent step when even the Cauchy point does not,
     and the boundary interpolation point otherwise.
     """
-    Hs = sp.csc_matrix(H)
-    gn = _solve_normal(Hs, b)
-    bHb = float(b @ (Hs @ b))
-    bb = float(b @ b)
-    cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
-    return _dogleg_combine(gn, cauchy, b, math.sqrt(bb), trust_radius)
+    return _dogleg_steps(sp.csc_matrix(H), b)(trust_radius)
 
 
-def _predicted_decrease(H, b: np.ndarray, delta: np.ndarray) -> float:
-    # chi(x (+) d) ~ chi - 2 b'd + d'Hd for the residual convention used here
-    return 2.0 * float(b @ delta) - float(delta @ (H @ delta))
+# What each method brings to the step loop of _minimize(), in this order:
+# steps(H, b) does the work of one linearization once and returns the
+# step as a function of the method's knob (trust radius or lambda); the
+# knob's initial value; accept(knob, rho), the knob after a step with
+# gain ratio rho is accepted; reject(knob), the knob after a step is
+# rejected; collapsed(knob), whether the solve has to stop.  Gauss-Newton
+# has no accept rule: it takes every step.
+_RULES = {
+    Method.GAUSS_NEWTON: (_gauss_newton_steps, 0.0, None, None, None),
+    Method.LEVENBERG_MARQUARDT: (
+        _levenberg_marquardt_steps, _LM_LAMBDA_INIT,
+        lambda lam, rho: max(lam * 0.1, _MIN_LM_LAMBDA),
+        lambda lam: lam * 10.0,
+        lambda lam: lam > _MAX_LM_LAMBDA),
+    Method.DOGLEG: (
+        _dogleg_steps, _TRUST_RADIUS_INIT,
+        lambda radius, rho: radius * 0.5 if rho < 0.25
+        else radius * 2.0 if rho > 0.75 else radius,
+        lambda radius: radius * 0.5,
+        lambda radius: radius < _MIN_TRUST_RADIUS),
+}
 
 
 def optimize(graph: PoseGraph, config: SolverConfig | None = None,
@@ -281,9 +323,8 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     if packed.n == 0:
         return SolveReport(True, 0, initial, initial, Termination.STEP_TOL)
 
+    steps, knob, accept, reject, collapsed = _RULES[cfg.method]
     chi = initial
-    radius = cfg.trust_region_init
-    lam = cfg.lm_lambda_init
     converged = False
     termination = Termination.MAX_ITER
     iterations = 0
@@ -295,67 +336,29 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         H, b, chi = packed.linearize(packed.poses)
-
-        if cfg.method is Method.GAUSS_NEWTON:
-            delta = _solve_normal(H, b)
+        step = steps(H, b)
+        while True:
+            delta = step(knob)
             step_norm = float(np.linalg.norm(delta))
-            packed.poses = packed.retract(packed.poses, delta)
-            new_chi = packed.chi2(packed.poses)
-            knob = 0.0
-        elif cfg.method is Method.LEVENBERG_MARQUARDT:
-            diag = H.diagonal()
-            damp = np.where(diag > 0.0, diag, 1.0)
-            new_chi = None
-            while True:
-                M = (H + sp.diags(lam * damp)).tocsc()
-                delta = _solve_normal(M, b)
-                step_norm = float(np.linalg.norm(delta))
-                if step_norm <= cfg.step_tol:
-                    new_chi = chi
-                    break
-                trial = packed.retract(packed.poses, delta)
-                trial_chi = packed.chi2(trial)
-                pred = _predicted_decrease(H, b, delta)
-                if trial_chi < chi and pred > 0.0:
-                    lam = max(lam * 0.1, 1e-15)
-                    packed.poses, new_chi = trial, trial_chi
-                    break
-                lam *= 10.0
-                if lam > _MAX_LM_LAMBDA:
-                    emit(it, chi, step_norm, lam)
-                    return SolveReport(False, it, initial, chi,
-                                       Termination.TRUST_REGION_COLLAPSE)
-            knob = lam
-        else:  # dogleg
-            gn = _solve_normal(H, b)
-            bb = float(b @ b)
-            bHb = float(b @ (H @ b))
-            cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
-            bnorm = math.sqrt(bb)
-            new_chi = None
-            while True:
-                delta = _dogleg_combine(gn, cauchy, b, bnorm, radius)
-                step_norm = float(np.linalg.norm(delta))
-                if step_norm <= cfg.step_tol:
-                    new_chi = chi
-                    break
-                trial = packed.retract(packed.poses, delta)
-                trial_chi = packed.chi2(trial)
-                pred = _predicted_decrease(H, b, delta)
-                if trial_chi < chi and pred > 0.0:
-                    rho = (chi - trial_chi) / pred
-                    if rho < 0.25:
-                        radius *= 0.5
-                    elif rho > 0.75:
-                        radius *= 2.0
-                    packed.poses, new_chi = trial, trial_chi
-                    break
-                radius *= 0.5
-                if radius < _MIN_TRUST_RADIUS:
-                    emit(it, chi, step_norm, radius)
-                    return SolveReport(False, it, initial, chi,
-                                       Termination.TRUST_REGION_COLLAPSE)
-            knob = radius
+            if accept is not None and step_norm <= cfg.step_tol:
+                new_chi = chi
+                break
+            trial = packed.retract(packed.poses, delta)
+            trial_chi = packed.chi2(trial)
+            if accept is None:
+                packed.poses, new_chi = trial, trial_chi
+                break
+            # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
+            pred = 2.0 * float(b @ delta) - float(delta @ (H @ delta))
+            if trial_chi < chi and pred > 0.0:
+                knob = accept(knob, (chi - trial_chi) / pred)
+                packed.poses, new_chi = trial, trial_chi
+                break
+            knob = reject(knob)
+            if collapsed(knob):
+                emit(it, chi, step_norm, knob)
+                return SolveReport(False, it, initial, chi,
+                                   Termination.TRUST_REGION_COLLAPSE)
 
         emit(it, new_chi, step_norm, knob)
         decrease = chi - new_chi

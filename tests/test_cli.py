@@ -4,11 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import se2fusion
+from se2fusion.builders import Strategy
 from se2fusion.cli import main
-from se2fusion.dataset import load_dataset
+from se2fusion.dataset import ExperimentConfig, load_dataset, run_experiment
 from se2fusion.graph import load as load_graph
+from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
+    TrajectoryProfile, generate_synthetic
 
 
 def _record_value(out, key):
@@ -143,6 +148,40 @@ def test_graph_dump_variants(tmp_path, capsys):
     assert ties[0].information[0, 0] == 123.0
 
 
+def test_graph_dump_writes_the_graph_the_experiment_solves(tmp_path,
+                                                           capsys):
+    flags = ["--synth", "straight", "--duration", "60", "--seed", "5",
+             "--strategy", "g2", "--ar1-sigma", "1.0", "--ar1-rho", "0.9",
+             "--outlier-rate", "0.1", "--outlier-magnitude", "50"]
+    ds = generate_synthetic(
+        5, TrajectoryProfile.STRAIGHT,
+        GnssErrorModel(ar1_rho=0.9, ar1_sigma=1.0, outlier_rate=0.1,
+                       outlier_magnitude=50.0),
+        OdoErrorModel(), duration=60.0)
+    sizes = []
+    for screen in (True, False):
+        out = tmp_path / f"screen-{screen}.graph"
+        extra = [] if screen else ["--no-outlier-rejection"]
+        assert main(["graph-dump", *flags, *extra, "--out", str(out)]) == 0
+        dumped = load_graph(str(out))
+        *_, solved = run_experiment(
+            ds, ExperimentConfig(strategy=Strategy.G2,
+                                 outlier_rejection=screen),
+            keep_graph=True)
+        assert [n.fixed for n in dumped.nodes] == \
+            [n.fixed for n in solved.nodes]
+        assert len(dumped.edges) == len(solved.edges)
+        for a, b in zip(dumped.edges, solved.edges):
+            assert (a.from_id, a.to_id, a.kind) == (b.from_id, b.to_id,
+                                                     b.kind)
+            assert a.measurement == b.measurement
+            assert np.array_equal(a.information, b.information)
+        sizes.append(len(solved.nodes))
+    capsys.readouterr()
+    # the outliers make the screen drop fixes, so the two graphs differ
+    assert sizes[0] < sizes[1]
+
+
 def test_metrics_literal_flag(capsys):
     base = ["run", "--synth", "straight", "--duration", "40",
             "--ar1-sigma", "1.0", "--ar1-rho", "0.9", "--strategy", "g1"]
@@ -154,10 +193,15 @@ def test_metrics_literal_flag(capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same se2fusion as this test, installed or not
+    src = os.path.dirname(os.path.dirname(se2fusion.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "from se2fusion.cli import main; raise SystemExit(main("
          "['run', '--synth', 'straight', '--duration', '30']))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "dataset: straight-s0" in proc.stdout

@@ -187,3 +187,24 @@ def test_covariance_follows_drift_model():
     sig = 0.011 * pre.arc_length
     want = np.diag([sig ** 2, sig ** 2, (sig / 2.7) ** 2])
     assert np.allclose(pre.covariance, want, rtol=1e-12)
+
+
+def test_gap_check_names_the_first_gap_overlapping_the_window():
+    t = np.concatenate([np.arange(0.0, 1.0, 0.04),
+                        np.arange(2.0, 3.0, 0.04),
+                        np.arange(5.0, 6.0, 0.04)])
+    stream = OdometryStream(t, np.zeros_like(t), np.full_like(t, 5.0))
+    first = "gap of 1.04 s at t=0.96 overlaps"
+    second = "gap of 2.04 s at t=2.96 overlaps"
+    with pytest.raises(InsufficientCoverageError, match=first):
+        preintegrate(stream, 0.5, 5.5)
+    with pytest.raises(InsufficientCoverageError, match=first):
+        preintegrate(stream, 1.5, 1.7)
+    with pytest.raises(InsufficientCoverageError, match=second):
+        preintegrate(stream, 2.5, 5.5)
+    with pytest.raises(InsufficientCoverageError, match=second):
+        preintegrate(stream, 2.96, 3.5)
+    # windows clear of both gaps are covered
+    preintegrate(stream, 2.0, 2.9)
+    preintegrate(stream, 5.0, 5.9)
+    preintegrate(stream, 0.0, 0.9)

@@ -379,3 +379,92 @@ def test_optimize_writes_back_pose_objects():
     assert all(type(v) is float for n in g.nodes
                for v in (n.pose.x, n.pose.y, n.pose.theta))
     assert report.final_error == pytest.approx(g.total_error(), rel=1e-12)
+
+
+def _collapse_config(method):
+    # no tolerance can stop the solve, so it runs until the knob gives out
+    return SolverConfig(method=method, abs_error_tol=0.0, step_tol=0.0,
+                        rel_error_tol=-1.0)
+
+
+def test_lm_and_dogleg_report_trust_region_collapse():
+    for method, limit in ((Method.LEVENBERG_MARQUARDT, 1e12),
+                          (Method.DOGLEG, 1e-12)):
+        g, _ = random_chain_graph(np.random.default_rng(47), 9,
+                                  n_absolute=3)
+        lines = []
+        report = optimize(g, _collapse_config(method), trace=lines.append)
+        assert report.termination is Termination.TRUST_REGION_COLLAPSE
+        assert not report.converged
+        assert report.iterations == len(lines) < 20
+        knob = float(lines[-1].split()[3])
+        if method is Method.LEVENBERG_MARQUARDT:
+            assert limit < knob <= 10.0 * limit
+        else:
+            assert 0.5 * limit <= knob < limit
+        assert report.final_error == pytest.approx(g.total_error(),
+                                                   rel=1e-12)
+        assert report.final_error <= report.initial_error
+
+
+def _trace_with_trials(monkeypatch, graph, config):
+    """Solve with a trace; return the report and, per trace line, its
+    knob and the number of trial steps its iteration evaluated."""
+    chi2 = _PackedGraph.chi2
+    calls = []
+
+    def counted(self, poses):
+        calls.append(None)
+        return chi2(self, poses)
+
+    monkeypatch.setattr(_PackedGraph, "chi2", counted)
+    marks = []
+    report = optimize(graph, config, trace=lambda line: marks.append(
+        (float(line.split()[3]), len(calls))))
+    # the first chi2 call is the initial error, then one per trial step
+    counts = np.diff([1] + [n for _, n in marks])
+    return report, [k for k, _ in marks], counts.tolist()
+
+
+def test_trace_knob_follows_each_method_update_rule(monkeypatch):
+    base, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
+    report, knobs, trials = _trace_with_trials(
+        monkeypatch, clone_graph(base),
+        _collapse_config(Method.LEVENBERG_MARQUARDT))
+    assert report.termination is Termination.TRUST_REGION_COLLAPSE
+    assert max(trials[:-1]) > 1
+    lam = 1e-4
+    for k, (knob, n) in enumerate(zip(knobs, trials)):
+        last = k == len(knobs) - 1
+        # every rejected trial multiplies lambda by 10, an accepted one
+        # by 0.1; only the collapsing iteration accepts none
+        for _ in range(n if last else n - 1):
+            lam *= 10.0
+        if not last:
+            lam = max(lam * 0.1, 1e-15)
+        assert knob == lam
+
+    report, knobs, trials = _trace_with_trials(
+        monkeypatch, clone_graph(base), _collapse_config(Method.DOGLEG))
+    assert report.termination is Termination.TRUST_REGION_COLLAPSE
+    assert max(trials) > 1
+    radius = 1e4
+    for k, (knob, n) in enumerate(zip(knobs, trials)):
+        last = k == len(knobs) - 1
+        # a rejected trial halves the radius; an accepted one halves,
+        # keeps or doubles it by its gain ratio
+        for _ in range(n if last else n - 1):
+            radius *= 0.5
+        if last:
+            assert knob == radius
+        else:
+            assert knob / radius in (0.5, 1.0, 2.0)
+        radius = knob
+
+    # Gauss-Newton has no knob and takes every step
+    report, knobs, trials = _trace_with_trials(
+        monkeypatch, clone_graph(base),
+        SolverConfig(method=Method.GAUSS_NEWTON, max_iterations=5,
+                     abs_error_tol=0.0, step_tol=0.0, rel_error_tol=-1.0))
+    assert knobs == [0.0] * 5
+    assert trials == [1] * 5
