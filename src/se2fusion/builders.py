@@ -30,8 +30,9 @@ import numpy as np
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import Edge, EdgeKind, NodeKind, PoseGraph
-from .odometry import OdometryStream, odometry_information, preintegrate
-from .se2 import Pose2, compose
+from .odometry import OdometryStream, odometry_information, preintegrate, \
+    window_increments
+from .se2 import Pose2, compose, wrap_angle
 
 
 class Strategy(enum.Enum):
@@ -69,7 +70,18 @@ def _first_heading(readings) -> float:
     return math.atan2(d[1], d[0])
 
 
-def initialize_from_odometry(readings, odo) -> list[Pose2]:
+def _dead_reckon(readings, stream: OdometryStream, times):
+    """Preintegrated windows between consecutive times, and the poses
+    chained through them from the first accepted reading."""
+    pres = [preintegrate(stream, a, b) for a, b in zip(times, times[1:])]
+    p0 = readings[0].position
+    poses = [Pose2(p0[0], p0[1], _first_heading(readings))]
+    for pre in pres:
+        poses.append(compose(poses[-1], pre.delta))
+    return pres, poses
+
+
+def initialize_from_odometry(readings, odo: OdometryStream) -> list[Pose2]:
     """Dead-reckoned seed pose per accepted reading.
 
     The first pose sits at the first accepted fix, heading along the
@@ -77,13 +89,7 @@ def initialize_from_odometry(readings, odo) -> list[Pose2]:
     odometry of the gap.
     """
     readings = _accepted(readings)
-    stream = OdometryStream.coerce(odo)
-    p0 = readings[0].position
-    poses = [Pose2(p0[0], p0[1], _first_heading(readings))]
-    for prev, cur in zip(readings, readings[1:]):
-        pre = preintegrate(stream, prev.timestamp, cur.timestamp)
-        poses.append(compose(poses[-1], pre.delta))
-    return poses
+    return _dead_reckon(readings, odo, [r.timestamp for r in readings])[1]
 
 
 def _node_times(readings, stream: OdometryStream, rate: NodeRate):
@@ -108,25 +114,15 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     """
     cfg = config if config is not None else BuilderConfig()
     readings = _accepted(readings)
-    stream = OdometryStream.coerce(odo)
-
-    times = _node_times(readings, stream, cfg.node_rate)
-    pres = [preintegrate(stream, a, b) for a, b in zip(times, times[1:])]
+    times = _node_times(readings, odo, cfg.node_rate)
+    pres, poses = _dead_reckon(readings, odo, times)
 
     graph = PoseGraph()
     graph.add_node(Pose2(0.0, 0.0, 0.0), fixed=True, kind=NodeKind.UTM_ORIGIN)
+    vehicle_ids = [graph.add_node(p, kind=NodeKind.VEHICLE_POSE)
+                   for p in poses]
 
-    p0 = readings[0].position
-    pose = Pose2(p0[0], p0[1], _first_heading(readings))
-    vehicle_ids = [graph.add_node(pose, kind=NodeKind.VEHICLE_POSE)]
-    for pre in pres:
-        pose = compose(pose, pre.delta)
-        vehicle_ids.append(graph.add_node(pose, kind=NodeKind.VEHICLE_POSE))
-
-    fix_node = {}
-    time_to_id = dict(zip(times, vehicle_ids))
-    for r in readings:
-        fix_node[id(r)] = time_to_id[r.timestamp]
+    fix_node = dict(zip(times, vehicle_ids))
 
     for k, pre in enumerate(pres):
         graph.add_edge(Edge(vehicle_ids[k], vehicle_ids[k + 1], pre.delta,
@@ -135,7 +131,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     if cfg.strategy is Strategy.G1:
         for r in readings:
             meas = Pose2(r.position[0], r.position[1], 0.0)
-            graph.add_edge(Edge(0, fix_node[id(r)], meas,
+            graph.add_edge(Edge(0, fix_node[r.timestamp], meas,
                                 gnss_information(r), EdgeKind.GNSS_ABSOLUTE))
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
@@ -150,7 +146,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
             graph.add_edge(Edge(0, gid, meas, gnss_information(r),
                                 EdgeKind.GNSS_ABSOLUTE))
         for r, gid in zip(readings, gnss_ids):
-            graph.add_edge(Edge(gid, fix_node[id(r)], Pose2(0.0, 0.0, 0.0),
+            graph.add_edge(Edge(gid, fix_node[r.timestamp], Pose2(0.0, 0.0, 0.0),
                                 tie, EdgeKind.VIRTUAL_IDENTITY))
     else:
         gnss_ids = []
@@ -159,7 +155,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
                 Pose2(r.position[0], r.position[1], 0.0),
                 fixed=True, kind=NodeKind.GNSS_POSE))
         for r, gid in zip(readings, gnss_ids):
-            graph.add_edge(Edge(gid, fix_node[id(r)], Pose2(0.0, 0.0, 0.0),
+            graph.add_edge(Edge(gid, fix_node[r.timestamp], Pose2(0.0, 0.0, 0.0),
                                 gnss_information(r),
                                 EdgeKind.VIRTUAL_IDENTITY))
     return graph
@@ -170,30 +166,35 @@ def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:
     return [n.pose for n in graph.nodes if n.kind is NodeKind.VEHICLE_POSE]
 
 
-def full_rate_trajectory(graph: PoseGraph, readings, odo):
+def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     """Re-chain odometry between optimized nodes for a dense trajectory.
 
-    For each odometry sample time between consecutive accepted fixes the
-    pose is the optimized earlier node composed with the preintegrated
-    delta up to that time.  Returns (timestamps, poses).  Assumes the
-    graph was built per GNSS fix, so vehicle nodes pair up with accepted
+    Each odometry sample between consecutive accepted fixes gets the
+    optimized earlier node composed with the odometry integrated up to
+    the sample, from running sums over one window per fix gap (equal to
+    `preintegrate` up to summation order).  Node poses appear unchanged
+    at the fix times.  Returns (timestamps, poses).  Assumes the graph
+    was built per GNSS fix, so vehicle nodes pair up with accepted
     readings one to one.
     """
     readings = _accepted(readings)
-    stream = OdometryStream.coerce(odo)
     poses = vehicle_trajectory(graph)
     if len(poses) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
-    t = stream.timestamps
-    out_t = [readings[0].timestamp]
-    out_p = [poses[0]]
+    t = odo.timestamps
+    out_t, out_p = [readings[0].timestamp], [poses[0]]
     for k in range(len(readings) - 1):
         ta = readings[k].timestamp
         tb = readings[k + 1].timestamp
-        for tau in t[(t > ta) & (t < tb)]:
-            pre = preintegrate(stream, ta, float(tau))
-            out_t.append(float(tau))
-            out_p.append(compose(poses[k], pre.delta))
+        seg, theta_mid, theta_end = window_increments(odo, ta, tb)
+        # every interval but the last ends at a raw sample inside the gap
+        n = seg.size - 1
+        dx = np.cumsum(seg[:n] * np.cos(theta_mid[:n])).tolist()
+        dy = np.cumsum(seg[:n] * np.sin(theta_mid[:n])).tolist()
+        lo = int(np.searchsorted(t, ta, side="right"))
+        out_t.extend(t[lo:lo + n].tolist())
+        out_p.extend(compose(poses[k], Pose2(x, y, wrap_angle(th)))
+                     for x, y, th in zip(dx, dy, theta_end[:n].tolist()))
         out_t.append(tb)
         out_p.append(poses[k + 1])
     return out_t, out_p

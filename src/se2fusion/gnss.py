@@ -132,7 +132,7 @@ class RejectionResult:
     uncovered: int
 
 
-def reject_outliers(readings, odo,
+def reject_outliers(readings, odo: OdometryStream,
                     heading_tol_deg: float = HEADING_TOLERANCE_DEG,
                     displacement_tol_m: float = DISPLACEMENT_TOLERANCE_M
                     ) -> RejectionResult:
@@ -150,7 +150,6 @@ def reject_outliers(readings, odo,
     same list plus the rejection rate in percent.
     """
     readings = list(readings)
-    stream = OdometryStream.coerce(odo)
     ts = [r.timestamp for r in readings]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise NonMonotonicTimestampsError(
@@ -167,7 +166,7 @@ def reject_outliers(readings, odo,
             prev = reading
             continue
         try:
-            pre = preintegrate(stream, prev.timestamp, reading.timestamp)
+            pre = preintegrate(odo, prev.timestamp, reading.timestamp)
         except InsufficientCoverageError:
             reading.accepted = False
             rejected += 1

@@ -7,7 +7,9 @@ interpolated onto the window knots (window ends plus every raw sample
 inside); each inter-knot interval advances heading by half its increment,
 translates along that midpoint heading, then advances the rest.  Splitting
 a window at a raw sample timestamp and composing the two halves therefore
-reproduces the full-window transform.
+reproduces the full-window transform, and the running sums of one
+window's interval terms (`window_increments`) give the transform up to
+each raw sample inside it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from .se2 import Pose2, wrap_angle
 _MAX_GAP_PERIODS = 2.0
 # information put on all three axes when no distance was traveled
 ZERO_ARC_INFORMATION = 1e5
-
-
-@dataclass(frozen=True)
-class OdometrySample:
-    timestamp: float
-    yaw_rate: float
-    velocity: float
+# positional standard deviation per meter traveled, per axis
+DRIFT_FRACTION = 0.011
+# wheelbase-like length turning the positional into a heading deviation
+LENGTH_SCALE = 2.7
 
 
 class OdometryStream:
@@ -54,29 +53,10 @@ class OdometryStream:
         self.velocities = v
         self.nominal_period = float(np.median(dt)) if t.size > 1 else 0.0
         self.max_gap = _MAX_GAP_PERIODS * self.nominal_period
-        # sample k starts a recording gap when t[k+1] - t[k] > max_gap
-        self._gaps = np.flatnonzero(dt > self.max_gap)
-        self._gap_ends = t[self._gaps + 1]
-
-    @classmethod
-    def from_samples(cls, samples) -> "OdometryStream":
-        samples = list(samples)
-        return cls([s.timestamp for s in samples],
-                   [s.yaw_rate for s in samples],
-                   [s.velocity for s in samples])
-
-    @classmethod
-    def coerce(cls, odo) -> "OdometryStream":
-        """`odo` itself when it is a stream, else a stream of its samples."""
-        return odo if isinstance(odo, cls) else cls.from_samples(odo)
-
-    def first_gap(self, t_start: float, t_end: float) -> int | None:
-        """Sample index k of the first gap (t[k], t[k+1]) that overlaps
-        the window (t_start, t_end), or None."""
-        g = int(np.searchsorted(self._gap_ends, t_start, side="right"))
-        if g < self._gaps.size and self.timestamps[self._gaps[g]] < t_end:
-            return int(self._gaps[g])
-        return None
+        # recording gaps (t[k], t[k+1]) with t[k+1] - t[k] > max_gap
+        gaps = np.flatnonzero(dt > self.max_gap)
+        self._gap_starts = t[gaps]
+        self._gap_ends = t[gaps + 1]
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -92,21 +72,16 @@ class PreintegratedOdometry:
     covariance: np.ndarray
 
 
-def preintegrate(samples, t_start: float, t_end: float,
-                 drift_fraction: float = 0.011,
-                 length_scale: float = 2.7) -> PreintegratedOdometry:
-    """Integrate the stream over [t_start, t_end] into one relative pose.
+def window_increments(stream: OdometryStream, t_start: float, t_end: float):
+    """Per-interval terms (seg, theta_mid, theta_end) of [t_start, t_end].
 
-    The positional standard deviation is drift_fraction * arc_length per
-    axis and the heading standard deviation is that divided by
-    length_scale (a wheelbase-like length).  Zero traveled distance gets a
-    covariance floor whose inverse is 1e5 on all axes, locking the pose
-    down during standstill.  Windows not covered by the stream raise
-    InsufficientCoverageError: endpoints further than two nominal sample
-    periods outside the recorded span, or any recording gap longer than
-    two nominal periods overlapping the window.
+    One entry per inter-knot interval: the distance traveled, the heading
+    it is traveled along and the heading at its end, relative to t_start.
+    Interval i ends at the i-th raw sample inside the window, the last at
+    t_end.  Raises InsufficientCoverageError when an endpoint lies more
+    than two nominal sample periods outside the recorded span, or a
+    recording gap longer than that overlaps the window.
     """
-    stream = OdometryStream.coerce(samples)
     if not t_end > t_start:
         raise ValueError("need t_start < t_end")
     t = stream.timestamps
@@ -115,11 +90,13 @@ def preintegrate(samples, t_start: float, t_end: float,
         raise InsufficientCoverageError(
             f"window [{t_start:g}, {t_end:g}] extends past recorded "
             f"odometry [{t[0]:g}, {t[-1]:g}] by more than {margin:g} s")
-    k = stream.first_gap(t_start, t_end)
-    if k is not None:
+    # the first gap ending after t_start is the first one that can overlap
+    g = int(np.searchsorted(stream._gap_ends, t_start, side="right"))
+    if g < stream._gap_ends.size and stream._gap_starts[g] < t_end:
+        a, b = stream._gap_starts[g], stream._gap_ends[g]
         raise InsufficientCoverageError(
-            f"odometry gap of {t[k + 1] - t[k]:g} s at t={t[k]:g} overlaps "
-            "the requested window")
+            f"odometry gap of {b - a:g} s at t={a:g} overlaps the requested "
+            "window")
 
     lo = int(np.searchsorted(t, t_start, side="right"))
     hi = int(np.searchsorted(t, t_end, side="left"))
@@ -128,21 +105,31 @@ def preintegrate(samples, t_start: float, t_end: float,
     v = np.interp(knots, t, stream.velocities)
 
     dt = np.diff(knots)
-    vbar = 0.5 * (v[:-1] + v[1:])
-    wbar = 0.5 * (w[:-1] + w[1:])
-    dtheta = wbar * dt
+    dtheta = 0.5 * (w[:-1] + w[1:]) * dt
     theta_end = np.cumsum(dtheta)
-    theta_mid = theta_end - 0.5 * dtheta
-    seg = vbar * dt
+    return 0.5 * (v[:-1] + v[1:]) * dt, theta_end - 0.5 * dtheta, theta_end
+
+
+def preintegrate(stream: OdometryStream, t_start: float,
+                 t_end: float) -> PreintegratedOdometry:
+    """Integrate the stream over [t_start, t_end] into one relative pose.
+
+    The positional standard deviation is DRIFT_FRACTION * arc_length per
+    axis and the heading standard deviation is that divided by
+    LENGTH_SCALE.  Zero traveled distance gets a covariance floor whose
+    inverse is 1e5 on all axes, locking the pose down during standstill.
+    Coverage is checked as in `window_increments`.
+    """
+    seg, theta_mid, theta_end = window_increments(stream, t_start, t_end)
     dx = float(np.sum(seg * np.cos(theta_mid)))
     dy = float(np.sum(seg * np.sin(theta_mid)))
-    heading_change = float(theta_end[-1]) if dtheta.size else 0.0
+    heading_change = float(theta_end[-1])
     arc = float(np.sum(np.abs(seg)))
 
     if arc > 0.0:
-        sig_pos = drift_fraction * arc
-        sig_theta = sig_pos / length_scale
-        cov = np.diag([sig_pos ** 2, sig_pos ** 2, sig_theta ** 2])
+        sig_pos = DRIFT_FRACTION * arc
+        cov = np.diag([sig_pos ** 2, sig_pos ** 2,
+                       (sig_pos / LENGTH_SCALE) ** 2])
     else:
         cov = np.diag([1.0 / ZERO_ARC_INFORMATION] * 3)
     return PreintegratedOdometry(

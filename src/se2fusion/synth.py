@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import lfilter
 
 from .dataset import Dataset, TruthTrack
 from .gnss import GnssReading
@@ -108,6 +106,20 @@ def _profile_rates(profile: TrajectoryProfile, t: np.ndarray,
     return v, w, theta
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _ar1(drive: np.ndarray, rho: float) -> np.ndarray:
+    """AR(1) recursion y[k] = drive[k] + rho * y[k-1], with y[0] = drive[0]."""
+    y = drive.copy()
+    for k in range(1, y.size):
+        y[k] += rho * y[k - 1]
+    return y
+
+
 def _standstill_gate(t: np.ndarray, start: float, duration: float,
                      ramp: float = 1.0) -> np.ndarray:
     """Speed envelope: exactly zero inside the hold, cosine ramps outside."""
@@ -165,8 +177,8 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
     v_f, _, th_f = _profile_rates(profile, fine_t, speed)
     if standstill is not None:
         v_f = v_f * _standstill_gate(fine_t, ss_start, ss_dur)
-    x_f = cumulative_trapezoid(v_f * np.cos(th_f), fine_t, initial=0.0)
-    y_f = cumulative_trapezoid(v_f * np.sin(th_f), fine_t, initial=0.0)
+    x_f = _cumulative_trapezoid(v_f * np.cos(th_f), fine_t)
+    y_f = _cumulative_trapezoid(v_f * np.sin(th_f), fine_t)
 
     truth_x = np.interp(fix_t, fine_t, x_f)
     truth_y = np.interp(fix_t, fine_t, y_f)
@@ -193,7 +205,7 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
             raw = rng.standard_normal(n_fix)
             drive = raw * innov_scale
             drive[0] = raw[0] * sigma_axis
-            noise[:, axis] = lfilter([1.0], [1.0, -rho], drive)
+            noise[:, axis] = _ar1(drive, rho)
     jumps = np.zeros((n_fix, 2))
     if gerr.outlier_rate > 0.0:
         mask = rng.random(n_fix) < gerr.outlier_rate

@@ -9,8 +9,8 @@ from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build, \
 from se2fusion.errors import TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
 from se2fusion.graph import EdgeKind, NodeKind
-from se2fusion.odometry import OdometryStream
-from se2fusion.se2 import edge_residual
+from se2fusion.odometry import OdometryStream, preintegrate
+from se2fusion.se2 import compose, edge_residual
 from se2fusion.solver import SolverConfig, optimize
 
 DEEP = SolverConfig(max_iterations=200, abs_error_tol=1e-18,
@@ -238,6 +238,39 @@ def test_full_rate_trajectory_interpolates():
         else:
             assert out_p[k].x == pytest.approx(10.0 * t, abs=1e-6)
             assert out_p[k].y == pytest.approx(0.0, abs=1e-6)
+
+
+def test_full_rate_trajectory_equals_per_sample_preintegration():
+    # curved drive with fixes between odometry samples, two of them
+    # rejected before the graph is built
+    t = np.arange(0.0, 12.0, 0.04)
+    stream = OdometryStream(t, 0.2 * np.sin(0.5 * t),
+                            6.0 + np.cos(0.3 * t))
+    fix_t = 0.013 + 0.97 * np.arange(12)
+    readings = [GnssReading(float(tk), [6.0 * tk, 0.3 * tk * tk], 2.0, 2.0)
+                for tk in fix_t]
+    for k in (3, 7):
+        readings[k].position = readings[k].position + 40.0
+        readings[k].accepted = False
+    kept = [r for r in readings if r.accepted]
+    graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
+    optimize(graph, DEEP)
+    nodes = vehicle_trajectory(graph)
+
+    out_t, out_p = full_rate_trajectory(graph, readings, stream)
+    assert all(b > a for a, b in zip(out_t, out_t[1:]))
+    inside = t[(t > kept[0].timestamp) & (t < kept[-1].timestamp)]
+    assert len(out_t) == inside.size + len(kept)
+    k = -1
+    for tau, pose in zip(out_t, out_p):
+        if k + 1 < len(kept) and tau == kept[k + 1].timestamp:
+            k += 1
+            assert pose == nodes[k]
+            continue
+        want = compose(nodes[k],
+                       preintegrate(stream, kept[k].timestamp, tau).delta)
+        assert np.max(np.abs(pose.as_array() - want.as_array())) <= 1e-12
+    assert k == len(kept) - 1
 
 
 def test_full_rate_trajectory_wants_matching_graph():

@@ -8,7 +8,7 @@ import pytest
 from helpers import integrate_fine
 from se2fusion.errors import InsufficientCoverageError, \
     NonMonotonicTimestampsError
-from se2fusion.odometry import OdometrySample, OdometryStream, \
+from se2fusion.odometry import OdometryStream, \
     ZERO_ARC_INFORMATION, odometry_information, preintegrate
 from se2fusion.se2 import compose
 
@@ -97,14 +97,6 @@ def test_information_scales_with_arc_length():
     assert info[2, 2] == pytest.approx((sig / 2.7) ** -2, rel=1e-9)
 
 
-def test_drift_and_length_scale_are_parameters():
-    pre = preintegrate(_stream(t_end=10.0), 0.0, 10.0, drift_fraction=0.02,
-                       length_scale=1.0)
-    info = odometry_information(pre)
-    assert info[0, 0] == pytest.approx(2.0 ** -2, rel=1e-9)
-    assert info[2, 2] == pytest.approx(2.0 ** -2, rel=1e-9)
-
-
 def test_covariance_symmetric_psd_for_random_windows():
     rng = np.random.default_rng(50)
     t = np.arange(0.0, 30.0, 0.04)
@@ -169,17 +161,6 @@ def test_stream_validation():
         OdometryStream([], [], [])
     with pytest.raises(ValueError):
         OdometryStream([0.0, 0.1], [0.0], [1.0, 1.0])
-
-
-def test_from_samples_equals_array_construction():
-    samples = [OdometrySample(0.04 * k, 0.01 * k, 5.0) for k in range(50)]
-    via_samples = preintegrate(samples, 0.2, 1.8)
-    stream = OdometryStream([s.timestamp for s in samples],
-                            [s.yaw_rate for s in samples],
-                            [s.velocity for s in samples])
-    via_stream = preintegrate(stream, 0.2, 1.8)
-    assert via_samples.delta == via_stream.delta
-    assert via_samples.arc_length == via_stream.arc_length
 
 
 def test_covariance_follows_drift_model():

@@ -1,8 +1,14 @@
 """Synthetic dataset generator: determinism, error models, profiles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import se2fusion
+from se2fusion import synth
 from helpers import literal_precision
 from se2fusion.gnss import reject_outliers
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
@@ -170,3 +176,54 @@ def test_drift_is_one_scale_factor_per_run():
     nz = clean.odometry.yaw_rates != 0.0
     rw = ds.odometry.yaw_rates[nz] / clean.odometry.yaw_rates[nz]
     assert np.allclose(rw, rw[0], rtol=1e-9)
+
+
+def test_ar1_and_trapezoid_match_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.signal import lfilter
+    rng = np.random.default_rng(3)
+    drive = rng.standard_normal(500)
+    for rho in (0.0, 0.5, 0.9, 0.99, -0.3):
+        want = lfilter([1.0], [1.0, -rho], drive)
+        assert synth._ar1(drive, rho).tobytes() == want.tobytes()
+    x = np.linspace(0.0, 7.0, 1751)
+    y = np.cos(x) * (3.0 + rng.standard_normal(x.size))
+    want = cumulative_trapezoid(y, x, initial=0.0)
+    assert synth._cumulative_trapezoid(y, x).tobytes() == want.tobytes()
+
+
+def test_datasets_match_the_scipy_generator_bit_for_bit(monkeypatch):
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.signal import lfilter
+    cases = [(seed, profile, GnssErrorModel((0.3, 0.2), rho, 1.2, 0.1, 50.0))
+             for seed in (1, 9) for profile in TrajectoryProfile
+             for rho in (0.0, 0.9)]
+
+    def arrays():
+        out = []
+        for seed, profile, gerr in cases:
+            ds = generate_synthetic(seed, profile, gerr, duration=60.0)
+            out.append(np.array([r.position for r in ds.gnss]).tobytes()
+                       + ds.truth.positions.tobytes())
+        return out
+
+    ours = arrays()
+    monkeypatch.setattr(synth, "_ar1", lambda drive, rho: lfilter(
+        [1.0], [1.0, -rho], drive))
+    monkeypatch.setattr(synth, "_cumulative_trapezoid",
+                        lambda y, x: cumulative_trapezoid(y, x, initial=0.0))
+    assert arrays() == ours
+
+
+def test_import_loads_no_scipy_signal_or_integrate():
+    src = os.path.dirname(os.path.dirname(se2fusion.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, se2fusion; print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.signal', 'scipy.integrate'))))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
