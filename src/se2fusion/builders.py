@@ -30,9 +30,8 @@ import numpy as np
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import Edge, EdgeKind, NodeKind, PoseGraph
-from .odometry import OdometryStream, odometry_information, preintegrate, \
-    window_increments
-from .se2 import Pose2, compose, wrap_angle
+from .odometry import OdometryStream, arc_information, integrate_windows
+from .se2 import Pose2, compose, wrap_angle, wrap_angles
 
 
 class Strategy(enum.Enum):
@@ -71,14 +70,17 @@ def _first_heading(readings) -> float:
 
 
 def _dead_reckon(readings, stream: OdometryStream, times):
-    """Preintegrated windows between consecutive times, and the poses
-    chained through them from the first accepted reading."""
-    pres = [preintegrate(stream, a, b) for a, b in zip(times, times[1:])]
+    """Odometry deltas and arc lengths between consecutive times, and the
+    poses chained through them from the first accepted reading."""
+    times = np.asarray(times, dtype=float)
+    dx, dy, heading, arcs = integrate_windows(stream, times[:-1], times[1:])
+    deltas = [Pose2(x, y, wrap_angle(th)) for x, y, th in
+              zip(dx.tolist(), dy.tolist(), heading.tolist())]
     p0 = readings[0].position
     poses = [Pose2(p0[0], p0[1], _first_heading(readings))]
-    for pre in pres:
-        poses.append(compose(poses[-1], pre.delta))
-    return pres, poses
+    for delta in deltas:
+        poses.append(compose(poses[-1], delta))
+    return deltas, arcs, poses
 
 
 def initialize_from_odometry(readings, odo: OdometryStream) -> list[Pose2]:
@@ -89,7 +91,7 @@ def initialize_from_odometry(readings, odo: OdometryStream) -> list[Pose2]:
     odometry of the gap.
     """
     readings = _accepted(readings)
-    return _dead_reckon(readings, odo, [r.timestamp for r in readings])[1]
+    return _dead_reckon(readings, odo, [r.timestamp for r in readings])[2]
 
 
 def _node_times(readings, stream: OdometryStream, rate: NodeRate):
@@ -115,7 +117,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     cfg = config if config is not None else BuilderConfig()
     readings = _accepted(readings)
     times = _node_times(readings, odo, cfg.node_rate)
-    pres, poses = _dead_reckon(readings, odo, times)
+    deltas, arcs, poses = _dead_reckon(readings, odo, times)
 
     graph = PoseGraph()
     graph.add_node(Pose2(0.0, 0.0, 0.0), fixed=True, kind=NodeKind.UTM_ORIGIN)
@@ -124,9 +126,9 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
 
     fix_node = dict(zip(times, vehicle_ids))
 
-    for k, pre in enumerate(pres):
-        graph.add_edge(Edge(vehicle_ids[k], vehicle_ids[k + 1], pre.delta,
-                            odometry_information(pre), EdgeKind.ODOMETRY))
+    for k, (delta, info) in enumerate(zip(deltas, arc_information(arcs))):
+        graph.add_edge(Edge(vehicle_ids[k], vehicle_ids[k + 1], delta, info,
+                            EdgeKind.ODOMETRY))
 
     if cfg.strategy is Strategy.G1:
         for r in readings:
@@ -171,30 +173,32 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
 
     Each odometry sample between consecutive accepted fixes gets the
     optimized earlier node composed with the odometry integrated up to
-    the sample, from running sums over one window per fix gap (equal to
-    `preintegrate` up to summation order).  Node poses appear unchanged
-    at the fix times.  Returns (timestamps, poses).  Assumes the graph
-    was built per GNSS fix, so vehicle nodes pair up with accepted
-    readings one to one.
+    the sample, read from the stream's running integrals for every
+    sample of every fix gap in one pass (equal to `preintegrate` up to
+    rounding).  Node poses appear unchanged at the fix times.  Returns
+    (timestamps, poses).  Assumes the graph was built per GNSS fix, so
+    vehicle nodes pair up with accepted readings one to one.
     """
     readings = _accepted(readings)
     poses = vehicle_trajectory(graph)
     if len(poses) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
+    fix_t = np.array([r.timestamp for r in readings], dtype=float)
+    odo.check_windows(fix_t[:-1], fix_t[1:])
+    # every raw sample strictly inside a fix gap, and the gap it lies in
     t = odo.timestamps
-    out_t, out_p = [readings[0].timestamp], [poses[0]]
-    for k in range(len(readings) - 1):
-        ta = readings[k].timestamp
-        tb = readings[k + 1].timestamp
-        seg, theta_mid, theta_end = window_increments(odo, ta, tb)
-        # every interval but the last ends at a raw sample inside the gap
-        n = seg.size - 1
-        dx = np.cumsum(seg[:n] * np.cos(theta_mid[:n])).tolist()
-        dy = np.cumsum(seg[:n] * np.sin(theta_mid[:n])).tolist()
-        lo = int(np.searchsorted(t, ta, side="right"))
-        out_t.extend(t[lo:lo + n].tolist())
-        out_p.extend(compose(poses[k], Pose2(x, y, wrap_angle(th)))
-                     for x, y, th in zip(dx, dy, theta_end[:n].tolist()))
-        out_t.append(tb)
-        out_p.append(poses[k + 1])
-    return out_t, out_p
+    sample_t = t[(t > fix_t[0]) & (t < fix_t[-1]) & ~np.isin(t, fix_t)]
+    gap = np.searchsorted(fix_t, sample_t) - 1
+    dx, dy, heading, _ = integrate_windows(odo, fix_t[gap], sample_t)
+    node = np.array([(p.x, p.y, p.theta) for p in poses])[gap]
+    c = np.cos(node[:, 2])
+    s = np.sin(node[:, 2])
+    placed = [Pose2(x, y, th) for x, y, th in
+              zip((node[:, 0] + c * dx - s * dy).tolist(),
+                  (node[:, 1] + s * dx + c * dy).tolist(),
+                  (node[:, 2] + wrap_angles(heading)).tolist())]
+    # node poses and placed samples merged in time order
+    times = np.concatenate((fix_t, sample_t))
+    order = np.argsort(times, kind="stable")
+    every = poses + placed
+    return times[order].tolist(), [every[k] for k in order.tolist()]

@@ -10,7 +10,9 @@ about orientation.
 Screening compares each candidate fix against the last accepted one: the
 GNSS displacement must agree with the odometry arc length within 15 m and
 the GNSS bearing change (needing two prior accepted fixes) must agree
-with the integrated yaw within 1.5 degrees.
+with the integrated yaw within 1.5 degrees.  The odometry of every fix
+is looked up once, so a candidate costs the same however far back the
+last accepted fix lies.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCoverageError, NonMonotonicTimestampsError, \
-    OutOfUtmDomainError
-from .odometry import OdometryStream, preintegrate
+from .errors import NonMonotonicTimestampsError, OutOfUtmDomainError
+from .odometry import OdometryStream, WindowEnds
 from .se2 import wrap_angle
 
 HEADING_TOLERANCE_DEG = 1.5
@@ -156,38 +157,40 @@ def reject_outliers(readings, odo: OdometryStream,
             "GNSS timestamps must be strictly increasing")
 
     heading_tol = math.radians(heading_tol_deg)
+    # every fix as a window end once; a candidate window is then O(1)
+    ends = WindowEnds(odo, ts)
+    reach = odo.reach(ts).tolist()
     prev = None
     prevprev = None
     rejected = 0
     uncovered = 0
-    for reading in readings:
+    for k, reading in enumerate(readings):
         if prev is None:
             reading.accepted = True
-            prev = reading
+            prev = k
             continue
-        try:
-            pre = preintegrate(odo, prev.timestamp, reading.timestamp)
-        except InsufficientCoverageError:
+        if not ts[k] <= reach[prev]:
             reading.accepted = False
             rejected += 1
             uncovered += 1
             continue
-        leg = reading.position - prev.position
+        heading_change, arc_length = ends.heading_and_arc(prev, k)
+        leg = reading.position - readings[prev].position
         disp = float(np.hypot(leg[0], leg[1]))
-        ok = abs(disp - pre.arc_length) < displacement_tol_m
+        ok = abs(disp - arc_length) < displacement_tol_m
         if ok and prevprev is not None:
-            prior = prev.position - prevprev.position
+            prior = readings[prev].position - readings[prevprev].position
             prior_disp = float(np.hypot(prior[0], prior[1]))
             if prior_disp >= STANDSTILL_DISPLACEMENT_M \
                     and disp >= STANDSTILL_DISPLACEMENT_M:
                 bearing_change = math.atan2(leg[1], leg[0]) \
                     - math.atan2(prior[1], prior[0])
-                err = wrap_angle(bearing_change - pre.heading_change)
+                err = wrap_angle(bearing_change - heading_change)
                 ok = abs(err) < heading_tol
         reading.accepted = ok
         if ok:
             prevprev = prev
-            prev = reading
+            prev = k
         else:
             rejected += 1
     rate = 100.0 * rejected / len(readings) if readings else 0.0

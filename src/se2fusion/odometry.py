@@ -5,11 +5,19 @@ single relative SE(2) transform plus a diagonal covariance that scales
 with traveled arc length.  Integration rule: rates are linearly
 interpolated onto the window knots (window ends plus every raw sample
 inside); each inter-knot interval advances heading by half its increment,
-translates along that midpoint heading, then advances the rest.  Splitting
-a window at a raw sample timestamp and composing the two halves therefore
-reproduces the full-window transform, and the running sums of one
-window's interval terms (`window_increments`) give the transform up to
-each raw sample inside it.
+translates along that midpoint heading, then advances the rest.
+
+A stream integrates itself once, when it is built: heading, arc length
+and dead-reckoned position running from its first sample to every raw
+sample, in the stream's own frame.  A window with raw samples inside is
+then its two partial end intervals, integrated directly, plus the
+difference of the running integrals between its first and last inside
+sample, rotated into the frame of the window's start heading; a window
+with no raw sample inside is one interval.  Every window costs two
+binary searches and a fixed number of operations whatever its length,
+and `WindowEnds` prices any window between two of a set of times with
+no search at all.  Splitting a window at a raw sample timestamp and
+composing the two halves reproduces the full-window transform.
 """
 
 from __future__ import annotations
@@ -30,6 +38,18 @@ ZERO_ARC_INFORMATION = 1e5
 DRIFT_FRACTION = 0.011
 # wheelbase-like length turning the positional into a heading deviation
 LENGTH_SCALE = 2.7
+
+
+def _interval(w0, v0, w1, v1, dt):
+    """Distance and heading change over dt, with the rates linear across it."""
+    return 0.5 * (v0 + v1) * dt, 0.5 * (w0 + w1) * dt
+
+
+def _running(terms: np.ndarray) -> np.ndarray:
+    """Running sum with a leading zero: entry k sums terms[:k]."""
+    out = np.zeros(terms.size + 1)
+    np.cumsum(terms, out=out[1:])
+    return out
 
 
 class OdometryStream:
@@ -57,9 +77,153 @@ class OdometryStream:
         gaps = np.flatnonzero(dt > self.max_gap)
         self._gap_starts = t[gaps]
         self._gap_ends = t[gaps + 1]
+        # heading, arc length and position at every raw sample, integrated
+        # from the first one in the stream's own frame
+        seg, dtheta = _interval(w[:-1], v[:-1], w[1:], v[1:], dt)
+        self._theta = _running(dtheta)
+        self._arc = _running(np.abs(seg))
+        mid = self._theta[:-1] + 0.5 * dtheta
+        self._x = _running(seg * np.cos(mid))
+        self._y = _running(seg * np.sin(mid))
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
+
+    def reach(self, t_start) -> np.ndarray:
+        """Latest covered window end for each window start.
+
+        A window [a, b] is covered when b <= reach(a): neither end lies
+        more than two nominal sample periods outside the recorded span and
+        no recording gap longer than that overlaps it.  A start outside
+        the span reaches -inf.
+        """
+        a = np.asarray(t_start, dtype=float)
+        t = self.timestamps
+        # the first gap ending after a is the first one a window can overlap
+        g = np.searchsorted(self._gap_ends, a, side="right")
+        first_gap = np.append(self._gap_starts, np.inf)[g]
+        reach = np.minimum(first_gap, t[-1] + self.max_gap)
+        return np.where(a < t[0] - self.max_gap, -np.inf, reach)
+
+    def check_windows(self, t_start, t_end) -> None:
+        """Raise for the first window [t_start[k], t_end[k]] that is empty
+        (ValueError) or not covered (InsufficientCoverageError)."""
+        a = np.atleast_1d(np.asarray(t_start, dtype=float))
+        b = np.atleast_1d(np.asarray(t_end, dtype=float))
+        bad = ~(b > a) | (b > self.reach(a))
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        a, b = float(a[k]), float(b[k])
+        if not b > a:
+            raise ValueError("need t_start < t_end")
+        t = self.timestamps
+        margin = self.max_gap
+        if a < t[0] - margin or b > t[-1] + margin:
+            raise InsufficientCoverageError(
+                f"window [{a:g}, {b:g}] extends past recorded "
+                f"odometry [{t[0]:g}, {t[-1]:g}] by more than {margin:g} s")
+        g = int(np.searchsorted(self._gap_ends, a, side="right"))
+        gap_start, gap_end = self._gap_starts[g], self._gap_ends[g]
+        raise InsufficientCoverageError(
+            f"odometry gap of {gap_end - gap_start:g} s at t={gap_start:g} "
+            "overlaps the requested window")
+
+
+class WindowEnds:
+    """A set of times as window ends; any window between two costs O(1).
+
+    For every time the stream's running integrals are carried to it
+    twice, as rows (heading, arc, x, y) in the stream's frame: back from
+    the first raw sample after it, for a window that starts there
+    (`start`), and on from the last raw sample before it, for a window
+    that ends there (`end`).  Coverage is not checked here.
+    """
+
+    def __init__(self, stream: OdometryStream, times):
+        t = stream.timestamps
+        w, v = stream.yaw_rates, stream.velocities
+        tau = self.times = np.asarray(times, dtype=float)
+        # first raw sample after each time, and first one at or after it
+        self.lo = np.searchsorted(t, tau, side="right")
+        self.hi = np.searchsorted(t, tau, side="left")
+        self.w = np.interp(tau, t, w)
+        self.v = np.interp(tau, t, v)
+        # head interval [tau, t[lo]]
+        k = np.minimum(self.lo, t.size - 1)
+        seg, dth = _interval(self.w, self.v, w[k], v[k], t[k] - tau)
+        theta = stream._theta[k] - dth
+        mid = theta + 0.5 * dth
+        self.start = np.stack((theta, stream._arc[k] - np.abs(seg),
+                               stream._x[k] - seg * np.cos(mid),
+                               stream._y[k] - seg * np.sin(mid)))
+        # tail interval [t[hi - 1], tau]
+        k = np.maximum(self.hi - 1, 0)
+        seg, dth = _interval(w[k], v[k], self.w, self.v, tau - t[k])
+        mid = stream._theta[k] + 0.5 * dth
+        self.end = np.stack((stream._theta[k] + dth,
+                             stream._arc[k] + np.abs(seg),
+                             stream._x[k] + seg * np.cos(mid),
+                             stream._y[k] + seg * np.sin(mid)))
+
+    def windows(self, i, j):
+        """(dx, dy, heading_change, arc_length) from times[i] to times[j].
+
+        Elementwise over index arrays i and j; each window as
+        `preintegrate` integrates it.
+        """
+        heading, arc, px, py = self.end[:, j] - self.start[:, i]
+        c = np.cos(self.start[0, i])
+        s = np.sin(self.start[0, i])
+        dx = c * px + s * py
+        dy = c * py - s * px
+        # no raw sample inside: the window is one interval
+        single = self.lo[i] >= self.hi[j]
+        seg, dth = _interval(self.w[i], self.v[i], self.w[j], self.v[j],
+                             self.times[j] - self.times[i])
+        return (np.where(single, seg * np.cos(0.5 * dth), dx),
+                np.where(single, seg * np.sin(0.5 * dth), dy),
+                np.where(single, dth, heading),
+                np.where(single, np.abs(seg), arc))
+
+    def heading_and_arc(self, i: int, j: int):
+        """Heading change and arc length from times[i] to times[j]."""
+        if self.lo[i] < self.hi[j]:
+            return (float(self.end[0, j] - self.start[0, i]),
+                    float(self.end[1, j] - self.start[1, i]))
+        _, _, heading, arc = self.windows(i, j)
+        return float(heading), float(arc)
+
+
+def integrate_windows(stream: OdometryStream, t_start, t_end):
+    """(dx, dy, heading_change, arc_length) arrays of the windows
+    [t_start[k], t_end[k]], each as `preintegrate` integrates it.
+
+    Raises as `OdometryStream.check_windows` for the first window that
+    is empty or not covered.
+    """
+    a = np.atleast_1d(np.asarray(t_start, dtype=float))
+    b = np.atleast_1d(np.asarray(t_end, dtype=float))
+    stream.check_windows(a, b)
+    k = np.arange(a.size)
+    return WindowEnds(stream, np.concatenate((a, b))).windows(k, k + a.size)
+
+
+def _drift_variances(arc: np.ndarray) -> np.ndarray:
+    # diagonal covariance, one (x, y, theta) row per arc length
+    sig = DRIFT_FRACTION * arc
+    var = np.stack((sig ** 2, sig ** 2, (sig / LENGTH_SCALE) ** 2), axis=-1)
+    return np.where(arc[..., None] > 0.0, var, 1.0 / ZERO_ARC_INFORMATION)
+
+
+def arc_information(arc) -> np.ndarray:
+    """Information matrices (m, 3, 3) of windows with these arc lengths;
+    entry k equals odometry_information of a window with arc[k]."""
+    arc = np.asarray(arc, dtype=float)
+    info = np.zeros(arc.shape + (3, 3))
+    axes = np.arange(3)
+    info[..., axes, axes] = 1.0 / _drift_variances(arc)
+    return info
 
 
 @dataclass(frozen=True)
@@ -72,44 +236,6 @@ class PreintegratedOdometry:
     covariance: np.ndarray
 
 
-def window_increments(stream: OdometryStream, t_start: float, t_end: float):
-    """Per-interval terms (seg, theta_mid, theta_end) of [t_start, t_end].
-
-    One entry per inter-knot interval: the distance traveled, the heading
-    it is traveled along and the heading at its end, relative to t_start.
-    Interval i ends at the i-th raw sample inside the window, the last at
-    t_end.  Raises InsufficientCoverageError when an endpoint lies more
-    than two nominal sample periods outside the recorded span, or a
-    recording gap longer than that overlaps the window.
-    """
-    if not t_end > t_start:
-        raise ValueError("need t_start < t_end")
-    t = stream.timestamps
-    margin = stream.max_gap
-    if t_start < t[0] - margin or t_end > t[-1] + margin:
-        raise InsufficientCoverageError(
-            f"window [{t_start:g}, {t_end:g}] extends past recorded "
-            f"odometry [{t[0]:g}, {t[-1]:g}] by more than {margin:g} s")
-    # the first gap ending after t_start is the first one that can overlap
-    g = int(np.searchsorted(stream._gap_ends, t_start, side="right"))
-    if g < stream._gap_ends.size and stream._gap_starts[g] < t_end:
-        a, b = stream._gap_starts[g], stream._gap_ends[g]
-        raise InsufficientCoverageError(
-            f"odometry gap of {b - a:g} s at t={a:g} overlaps the requested "
-            "window")
-
-    lo = int(np.searchsorted(t, t_start, side="right"))
-    hi = int(np.searchsorted(t, t_end, side="left"))
-    knots = np.concatenate(([t_start], t[lo:hi], [t_end]))
-    w = np.interp(knots, t, stream.yaw_rates)
-    v = np.interp(knots, t, stream.velocities)
-
-    dt = np.diff(knots)
-    dtheta = 0.5 * (w[:-1] + w[1:]) * dt
-    theta_end = np.cumsum(dtheta)
-    return 0.5 * (v[:-1] + v[1:]) * dt, theta_end - 0.5 * dtheta, theta_end
-
-
 def preintegrate(stream: OdometryStream, t_start: float,
                  t_end: float) -> PreintegratedOdometry:
     """Integrate the stream over [t_start, t_end] into one relative pose.
@@ -118,24 +244,18 @@ def preintegrate(stream: OdometryStream, t_start: float,
     axis and the heading standard deviation is that divided by
     LENGTH_SCALE.  Zero traveled distance gets a covariance floor whose
     inverse is 1e5 on all axes, locking the pose down during standstill.
-    Coverage is checked as in `window_increments`.
+    Raises ValueError unless t_start < t_end, and
+    InsufficientCoverageError when an endpoint lies more than two nominal
+    sample periods outside the recorded span, or a recording gap longer
+    than that overlaps the window.
     """
-    seg, theta_mid, theta_end = window_increments(stream, t_start, t_end)
-    dx = float(np.sum(seg * np.cos(theta_mid)))
-    dy = float(np.sum(seg * np.sin(theta_mid)))
-    heading_change = float(theta_end[-1])
-    arc = float(np.sum(np.abs(seg)))
-
-    if arc > 0.0:
-        sig_pos = DRIFT_FRACTION * arc
-        cov = np.diag([sig_pos ** 2, sig_pos ** 2,
-                       (sig_pos / LENGTH_SCALE) ** 2])
-    else:
-        cov = np.diag([1.0 / ZERO_ARC_INFORMATION] * 3)
+    dx, dy, heading, arc = (float(x[0]) for x in
+                            integrate_windows(stream, t_start, t_end))
     return PreintegratedOdometry(
         t_start=float(t_start), t_end=float(t_end),
-        delta=Pose2(dx, dy, wrap_angle(heading_change)),
-        heading_change=heading_change, arc_length=arc, covariance=cov)
+        delta=Pose2(dx, dy, wrap_angle(heading)),
+        heading_change=heading, arc_length=arc,
+        covariance=np.diag(_drift_variances(np.array(arc))))
 
 
 def odometry_information(pre: PreintegratedOdometry) -> np.ndarray:

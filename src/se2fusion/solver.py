@@ -43,6 +43,19 @@ _MIN_LM_LAMBDA = 1e-15
 _MAX_LM_LAMBDA = 1e12
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of the elementwise product, reduced by numpy rather than BLAS.
+
+    BLAS splits long dot products across its threads, so their rounding
+    would depend on the thread count; this reduction does not.
+    """
+    return float(np.sum(a * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 class Method(enum.Enum):
     GAUSS_NEWTON = "gauss_newton"
     LEVENBERG_MARQUARDT = "levenberg_marquardt"
@@ -134,7 +147,7 @@ class _PackedGraph:
     def chi2(self, poses: np.ndarray) -> float:
         """Total error, the sum of e' Omega e over all edges."""
         e = batch_edge_residual(poses[self.i], poses[self.j], self.z)
-        return float(np.vdot(e, self._weighted(e)))
+        return _dot(e, self._weighted(e))
 
     def linearize(self, poses: np.ndarray):
         """Normal equations at `poses`.
@@ -145,7 +158,7 @@ class _PackedGraph:
         e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
                                              self.z)
         oe = self._weighted(e)
-        chi = float(np.vdot(e, oe))
+        chi = _dot(e, oe)
         JiT = Ji.transpose(0, 2, 1)
         JjT = Jj.transpose(0, 2, 1)
         Hij = JiT @ (self.omega @ Jj)
@@ -195,7 +208,7 @@ def _solve_normal(H: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     # zero diagonal entries get unit damping, otherwise lambda*diag would
     # leave an exactly singular row singular
     damp = np.where(diag > 0.0, diag, 1.0)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     for lam in (0.0,) + _LAMBDA_LADDER:
         M = H if lam == 0.0 else (H + sp.diags(lam * damp)).tocsc()
         try:
@@ -207,7 +220,7 @@ def _solve_normal(H: sp.spmatrix, b: np.ndarray) -> np.ndarray:
             continue
         if not np.all(np.isfinite(x)):
             continue
-        resid = float(np.linalg.norm(M @ x - b))
+        resid = _norm(M @ x - b)
         if resid <= 1e-6 * (bnorm + 1.0):
             return x
     raise SingularSystemError(
@@ -233,11 +246,11 @@ def _dogleg_steps(H, b: np.ndarray):
     depend on the radius, so every trial radius only combines them.
     """
     gn = _solve_normal(H, b)
-    gn_norm = float(np.linalg.norm(gn))
-    bb = float(b @ b)
-    bHb = float(b @ (H @ b))
+    gn_norm = _norm(gn)
+    bb = _dot(b, b)
+    bHb = _dot(b, H @ b)
     cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
-    c_norm = float(np.linalg.norm(cauchy))
+    c_norm = _norm(cauchy)
     bnorm = math.sqrt(bb)
 
     def step(radius: float) -> np.ndarray:
@@ -250,8 +263,8 @@ def _dogleg_steps(H, b: np.ndarray):
         # walk from the Cauchy point toward the Gauss-Newton point until
         # the trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius
         d = gn - cauchy
-        a = float(d @ d)
-        bq = 2.0 * float(cauchy @ d)
+        a = _dot(d, d)
+        bq = 2.0 * _dot(cauchy, d)
         c = c_norm * c_norm - radius * radius
         tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
         return cauchy + tau * d
@@ -339,7 +352,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
         step = steps(H, b)
         while True:
             delta = step(knob)
-            step_norm = float(np.linalg.norm(delta))
+            step_norm = _norm(delta)
             if accept is not None and step_norm <= cfg.step_tol:
                 new_chi = chi
                 break
@@ -349,7 +362,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                 packed.poses, new_chi = trial, trial_chi
                 break
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
-            pred = 2.0 * float(b @ delta) - float(delta @ (H @ delta))
+            pred = 2.0 * _dot(b, delta) - _dot(delta, H @ delta)
             if trial_chi < chi and pred > 0.0:
                 knob = accept(knob, (chi - trial_chi) / pred)
                 packed.poses, new_chi = trial, trial_chi

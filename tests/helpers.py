@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from se2fusion.errors import InsufficientCoverageError
 from se2fusion.se2 import Pose2, compose, exp_map, inverse, edge_residual
 
 
@@ -219,6 +220,99 @@ def integrate_fine(times, yaw_rates, velocities, t0, t1, n=100001):
     dy = float(np.sum(0.5 * (cy[1:] + cy[:-1]) * dt))
     arc = float(np.sum(0.5 * (np.abs(v[1:]) + np.abs(v[:-1])) * dt))
     return dx, dy, float(theta[-1]), arc
+
+
+# ---------------------------------------------------------------------------
+# Per-window knot integrator: the odometry rule evaluated window by window
+# (oracle for the running-integral window query and for the screen)
+
+def knot_increments(stream, t_start, t_end):
+    """Per-interval terms (seg, theta_mid, theta_end) of [t_start, t_end].
+
+    Knots are the window ends plus every raw sample inside, rates are
+    interpolated onto them and each interval is integrated from the
+    window start.  Coverage is checked by scanning every recording gap,
+    with the package's error messages.
+    """
+    if not t_end > t_start:
+        raise ValueError("need t_start < t_end")
+    t = stream.timestamps
+    dt_all = np.diff(t)
+    margin = 2.0 * float(np.median(dt_all)) if t.size > 1 else 0.0
+    if t_start < t[0] - margin or t_end > t[-1] + margin:
+        raise InsufficientCoverageError(
+            f"window [{t_start:g}, {t_end:g}] extends past recorded "
+            f"odometry [{t[0]:g}, {t[-1]:g}] by more than {margin:g} s")
+    for k in np.flatnonzero(dt_all > margin):
+        a, b = t[k], t[k + 1]
+        if b > t_start and a < t_end:
+            raise InsufficientCoverageError(
+                f"odometry gap of {b - a:g} s at t={a:g} overlaps the "
+                "requested window")
+    inside = t[(t > t_start) & (t < t_end)]
+    knots = np.concatenate(([t_start], inside, [t_end]))
+    w = np.interp(knots, t, stream.yaw_rates)
+    v = np.interp(knots, t, stream.velocities)
+    dt = np.diff(knots)
+    dtheta = 0.5 * (w[:-1] + w[1:]) * dt
+    theta_end = np.cumsum(dtheta)
+    return 0.5 * (v[:-1] + v[1:]) * dt, theta_end - 0.5 * dtheta, theta_end
+
+
+def knot_preintegrate(stream, t_start, t_end):
+    """(dx, dy, heading_change, arc_length) of one window by the knot rule."""
+    seg, theta_mid, theta_end = knot_increments(stream, t_start, t_end)
+    return (float(np.sum(seg * np.cos(theta_mid))),
+            float(np.sum(seg * np.sin(theta_mid))),
+            float(theta_end[-1]), float(np.sum(np.abs(seg))))
+
+
+def knot_information(arc):
+    """Odometry information matrix of a window with this arc length."""
+    if arc > 0.0:
+        sig = 0.011 * arc
+        return np.diag([sig ** -2, sig ** -2, (sig / 2.7) ** -2])
+    return np.diag([1e5] * 3)
+
+
+def knot_screen(readings, stream, heading_tol_deg=1.5,
+                displacement_tol_m=15.0, standstill_m=0.5):
+    """The outlier gate transcribed over knot_preintegrate.
+
+    Returns (flags, rejection rate in percent, uncovered count) and leaves
+    the readings untouched.
+    """
+    heading_tol = math.radians(heading_tol_deg)
+    flags = []
+    prev = prevprev = None
+    uncovered = 0
+    for r in readings:
+        if prev is None:
+            flags.append(True)
+            prev = r
+            continue
+        try:
+            _, _, heading, arc = knot_preintegrate(stream, prev.timestamp,
+                                                   r.timestamp)
+        except InsufficientCoverageError:
+            flags.append(False)
+            uncovered += 1
+            continue
+        leg = r.position - prev.position
+        disp = math.hypot(leg[0], leg[1])
+        ok = abs(disp - arc) < displacement_tol_m
+        if ok and prevprev is not None:
+            prior = prev.position - prevprev.position
+            if math.hypot(prior[0], prior[1]) >= standstill_m \
+                    and disp >= standstill_m:
+                turn = math.atan2(leg[1], leg[0]) \
+                    - math.atan2(prior[1], prior[0]) - heading
+                ok = abs(math.remainder(turn, 2.0 * math.pi)) < heading_tol
+        flags.append(ok)
+        if ok:
+            prev, prevprev = r, prev
+    rate = 100.0 * flags.count(False) / len(flags) if flags else 0.0
+    return flags, rate, uncovered
 
 
 # ---------------------------------------------------------------------------

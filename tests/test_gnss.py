@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import utm_krueger
+from helpers import knot_screen, utm_krueger
 from se2fusion.errors import NonMonotonicTimestampsError, OutOfUtmDomainError
 from se2fusion.gnss import GnssReading, gnss_information, latlon_to_utm, \
     reject_outliers
 from se2fusion.odometry import OdometryStream
+from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
+    TrajectoryProfile, generate_synthetic
 
 
 def test_zone31_equator_central_meridian():
@@ -230,3 +232,80 @@ def test_rejection_is_deterministic():
     first = run()
     second = run()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the screen against the gate transcribed over the per-window knot oracle
+
+def _assert_screen_matches_knots(readings, stream):
+    flags, rate, uncovered = knot_screen(readings, stream)
+    result = reject_outliers(readings, stream)
+    assert [r.accepted for r in result.readings] == flags
+    assert result.rejection_rate == rate
+    assert result.uncovered == uncovered
+    return result
+
+
+def test_screen_matches_knots_on_a_locked_out_urban_loop():
+    ds = generate_synthetic(2, TrajectoryProfile.URBAN_LOOP, duration=300.0)
+    result = _assert_screen_matches_knots(ds.gnss, ds.odometry)
+    # the gate locks out the rest of the run after the first turn
+    assert result.rejection_rate > 50.0
+
+
+def test_screen_matches_knots_with_jump_outliers():
+    gnss_error = GnssErrorModel((0.2, 0.1), 0.95, 0.3, 0.1, 50.0)
+    ds = generate_synthetic(7, TrajectoryProfile.STRAIGHT, gnss_error,
+                            OdoErrorModel(0.011), duration=300.0)
+    result = _assert_screen_matches_knots(ds.gnss, ds.odometry)
+    assert 5.0 < result.rejection_rate < 50.0
+
+
+def test_screen_matches_knots_through_a_standstill():
+    ds = generate_synthetic(4, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel((0.0, 0.0), 0.9, 0.2),
+                            OdoErrorModel(0.011), duration=200.0,
+                            standstill=(60.0, 40.0))
+    _assert_screen_matches_knots(ds.gnss, ds.odometry)
+
+
+def test_screen_matches_knots_across_recording_gaps():
+    ds = generate_synthetic(5, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel((0.0, 0.0), 0.9, 0.2),
+                            duration=120.0)
+    odo = ds.odometry
+    t = odo.timestamps
+    # a 3 s hole in the recording and a recording that stops 10 s early
+    keep = ((t < 40.0) | (t > 43.0)) & (t < t[-1] - 10.0)
+    holed = OdometryStream(t[keep], odo.yaw_rates[keep],
+                           odo.velocities[keep])
+    result = _assert_screen_matches_knots(ds.gnss, holed)
+    assert result.uncovered > 10
+
+
+def test_screen_cost_does_not_grow_with_the_rejected_stretch(monkeypatch):
+    # GNSS reports twice the odometry speed: every fix after the second
+    # misses the displacement gate against fix 1, so each candidate window
+    # reaches back to t = 1 s
+    n_fixes = 200
+    t = np.arange(0.0, float(n_fixes), 0.04)
+    stream = OdometryStream(t, np.zeros_like(t), np.full_like(t, 10.0))
+    readings = [GnssReading(float(k), (10.0 * k if k < 2 else 20.0 * k, 0.0),
+                            2.0, 2.0) for k in range(n_fixes)]
+    # count every point the screen interpolates or looks up in the stream
+    touched = []
+    for name, query in (("interp", 0), ("searchsorted", 1)):
+        fn = getattr(np, name)
+
+        def counted(*args, fn=fn, query=query, **kwargs):
+            touched.append(np.size(args[query]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    result = reject_outliers(readings, stream)
+    monkeypatch.undo()
+    assert [r.accepted for r in result.readings] == \
+        [True, True] + [False] * (n_fixes - 2)
+    # a per-window integrator interpolates every sample of every
+    # candidate window: about a million points here
+    assert sum(touched) <= 2 * (n_fixes + t.size)

@@ -1,15 +1,17 @@
 """Yaw-rate/velocity preintegration and the distance-scaled uncertainty."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import integrate_fine
+from helpers import integrate_fine, knot_information, knot_preintegrate
 from se2fusion.errors import InsufficientCoverageError, \
     NonMonotonicTimestampsError
-from se2fusion.odometry import OdometryStream, \
-    ZERO_ARC_INFORMATION, odometry_information, preintegrate
+from se2fusion.odometry import OdometryStream, WindowEnds, \
+    ZERO_ARC_INFORMATION, arc_information, integrate_windows, \
+    odometry_information, preintegrate
 from se2fusion.se2 import compose
 
 
@@ -189,3 +191,146 @@ def test_gap_check_names_the_first_gap_overlapping_the_window():
     preintegrate(stream, 2.0, 2.9)
     preintegrate(stream, 5.0, 5.9)
     preintegrate(stream, 0.0, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# the running-integral window query against the per-window knot integrator
+
+def _assert_matches_knots(stream, windows):
+    """preintegrate, integrate_windows and WindowEnds all equal the knot
+    oracle to 1e-12 on every window."""
+    starts = np.array([a for a, _ in windows])
+    ends = np.array([b for _, b in windows])
+    batch = np.stack(integrate_windows(stream, starts, ends), axis=1)
+    times = np.concatenate((starts, ends))
+    table = WindowEnds(stream, times)
+    k = np.arange(len(windows))
+    paired = np.stack(table.windows(k, k + len(windows)), axis=1)
+    for n, (a, b) in enumerate(windows):
+        want = np.array(knot_preintegrate(stream, a, b))
+        pre = preintegrate(stream, a, b)
+        got = np.array([pre.delta.x, pre.delta.y, pre.heading_change,
+                        pre.arc_length])
+        assert np.max(np.abs(got - want)) <= 1e-12, (a, b, got - want)
+        assert np.max(np.abs(batch[n] - want)) <= 1e-12, (a, b)
+        assert np.max(np.abs(paired[n] - want)) <= 1e-12, (a, b)
+        heading, arc = table.heading_and_arc(n, n + len(windows))
+        assert abs(heading - want[2]) <= 1e-12
+        assert abs(arc - want[3]) <= 1e-12
+        assert pre.delta.theta == pytest.approx(math.remainder(
+            want[2], 2.0 * math.pi), abs=1e-12)
+        np.testing.assert_allclose(odometry_information(pre),
+                                   knot_information(want[3]), rtol=1e-10)
+
+
+def _turning_stream(t_end=40.0, hz=25.0):
+    # a long curved drive, so the running integrals are far from zero
+    t = np.arange(0.0, t_end, 1.0 / hz)
+    return OdometryStream(t, 0.4 * np.sin(0.7 * t) + 0.05,
+                          6.0 + 2.0 * np.cos(0.3 * t))
+
+
+def test_window_query_matches_knots_on_random_windows():
+    stream = _turning_stream()
+    rng = np.random.default_rng(11)
+    starts = rng.uniform(0.0, 35.0, size=40)
+    windows = [(a, a + rng.uniform(0.01, 4.0)) for a in starts]
+    _assert_matches_knots(stream, windows)
+
+
+def test_window_query_without_raw_sample_inside():
+    stream = _turning_stream()
+    t = stream.timestamps
+    _assert_matches_knots(stream, [
+        (t[100] + 0.005, t[100] + 0.03),   # strictly between two samples
+        (t[100], t[100] + 0.02),           # from a sample to mid-interval
+        (t[100] + 0.02, t[101]),           # from mid-interval to a sample
+        (t[100], t[101]),                  # exactly one raw interval
+    ])
+
+
+def test_window_query_ends_on_raw_timestamps():
+    stream = _turning_stream()
+    t = stream.timestamps
+    _assert_matches_knots(stream, [(t[0], t[-1]), (t[3], t[4]),
+                                   (t[10], t[250]), (t[10], t[250] + 0.013),
+                                   (t[10] - 0.013, t[250])])
+
+
+def test_window_query_inside_the_margin_beyond_the_span():
+    stream = _turning_stream()
+    t = stream.timestamps
+    margin = stream.max_gap
+    _assert_matches_knots(stream, [
+        (t[0] - 0.9 * margin, t[30]), (t[-30], t[-1] + 0.9 * margin),
+        (t[0] - margin, t[-1] + margin), (t[-1], t[-1] + margin),
+        (t[-1] + 0.2 * margin, t[-1] + 0.7 * margin),
+        (t[0] - margin, t[0] - 0.1 * margin)])
+
+
+def test_window_query_with_velocity_changing_sign_at_the_ends():
+    t = np.arange(0.0, 4.0, 0.04)
+    v = 3.0 * np.cos(2.0 * t + 0.3)
+    stream = OdometryStream(t, 0.3 * np.sin(2.0 * t), v)
+    # the raw intervals the velocity crosses zero in, and where it does
+    k = np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))
+    zero = t[k] + v[k] / (v[k] - v[k + 1]) * 0.04
+    before = t[k] + 0.3 * (zero - t[k])
+    after = zero + 0.6 * (t[k + 1] - zero)
+    windows = [(before[0], after[1]), (before[1], after[2]),
+               (before[0], t[k[2]]), (t[k[0]], after[1]),
+               (before[1], after[1]), (before[2], zero[2] + 1e-4)]
+    for a, b in windows:
+        # a head [a, first sample after a] or a tail [last sample before b,
+        # b] over which the interpolated velocity changes sign, or both
+        lo = np.searchsorted(t, a, side="right")
+        hi = np.searchsorted(t, b, side="left")
+        ends = np.interp([a, b], t, v)
+        if lo < hi:
+            straddles = ends[0] * v[lo] < 0.0 or v[hi - 1] * ends[1] < 0.0
+        else:
+            straddles = ends[0] * ends[1] < 0.0
+        assert straddles, (a, b)
+    _assert_matches_knots(stream, windows)
+
+
+def test_window_query_through_a_standstill_locks_the_pose():
+    t = np.arange(0.0, 12.0, 0.04)
+    v = np.where((t > 4.0) & (t < 8.0), 0.0, 5.0 + np.sin(t))
+    stream = OdometryStream(t, 0.2 * np.cos(t), v)
+    _assert_matches_knots(stream, [(4.5, 7.5), (4.52, 4.53), (3.0, 9.0)])
+    pre = preintegrate(stream, 4.5, 7.5)
+    assert pre.arc_length == 0.0
+    np.testing.assert_allclose(odometry_information(pre),
+                               np.diag([ZERO_ARC_INFORMATION] * 3),
+                               rtol=1e-12)
+
+
+def test_window_query_raises_the_knot_integrators_coverage_errors():
+    t = np.concatenate([np.arange(0.0, 1.0, 0.04),
+                        np.arange(2.0, 3.0, 0.04),
+                        np.arange(5.0, 6.0, 0.04)])
+    stream = OdometryStream(t, np.zeros_like(t), np.full_like(t, 5.0))
+    bad = [(0.5, 5.5), (1.5, 1.7), (2.5, 5.5), (2.96, 3.5), (-1.0, 0.5),
+           (5.5, 7.0), (0.5, 0.5), (0.8, 0.2)]
+    for a, b in bad:
+        with pytest.raises((InsufficientCoverageError, ValueError)) as want:
+            knot_preintegrate(stream, a, b)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            preintegrate(stream, a, b)
+        # a batch raises for its first bad window
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            integrate_windows(stream, [0.1, a, 5.1], [0.9, b, 0.2])
+    _assert_matches_knots(stream, [(0.0, 0.9), (2.0, 2.96), (5.0, 5.9)])
+
+
+def test_arc_information_is_the_factor_information():
+    stream = _turning_stream()
+    arcs = np.array([0.0, 1e-3, 2.5, 40.0])
+    info = arc_information(arcs)
+    for k, arc in enumerate(arcs):
+        np.testing.assert_allclose(info[k], knot_information(arc),
+                                   rtol=1e-12)
+    pre = preintegrate(stream, 3.0, 7.0)
+    np.testing.assert_array_equal(arc_information([pre.arc_length])[0],
+                                  odometry_information(pre))

@@ -2,10 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import se2fusion
 
 from helpers import clone_graph, dense_optimize, dense_system, \
     dogleg_rootfind, random_chain_graph, random_pose
@@ -468,3 +473,34 @@ def test_trace_knob_follows_each_method_update_rule(monkeypatch):
                      abs_error_tol=0.0, step_tol=0.0, rel_error_tol=-1.0))
     assert knobs == [0.0] * 5
     assert trials == [1] * 5
+
+
+# one G2 solve of a 1200 s urban loop: 3.6k edges, so the solver's vector
+# reductions are long enough for OpenBLAS to split them across threads
+_THREADED_SOLVE = """
+from se2fusion import ExperimentConfig, GnssErrorModel, OdoErrorModel, \\
+    TrajectoryProfile, generate_synthetic, run_experiment
+ds = generate_synthetic(3, TrajectoryProfile.URBAN_LOOP,
+                        GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                        OdoErrorModel(0.011), 1200.0)
+lines = []
+trajectory = run_experiment(ds, ExperimentConfig(outlier_rejection=False),
+                            lines.append)[0]
+print("".join(lines))
+print([(t, p.x, p.y, p.theta) for t, p in trajectory])
+"""
+
+
+def test_solve_is_independent_of_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(se2fusion.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_SOLVE],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") > 10
+    assert outputs[0] == outputs[1]
