@@ -11,7 +11,9 @@ Three ways to wire the same information into a graph:
 
 All three share the odometry chain between consecutive vehicle nodes and
 are initialized by dead reckoning from the first fix, so odometry-edge
-residuals start at exactly zero.
+residuals start at exactly zero.  build() adds whole blocks to the graph
+(vehicle nodes, odometry edges, GNSS nodes and edges), so the number of
+graph calls it makes does not depend on the length of the drive.
 
 The G2 identity edges weight heading as well as position.  With a free
 heading the auxiliary nodes could rotate to wherever their absolute edge
@@ -29,9 +31,9 @@ import numpy as np
 
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
-from .graph import Edge, EdgeKind, NodeKind, PoseGraph
+from .graph import NODE_KINDS, EdgeKind, NodeKind, PoseGraph
 from .odometry import OdometryStream, arc_information, integrate_windows
-from .se2 import Pose2, compose, wrap_angle, wrap_angles
+from .se2 import Pose2, wrap_angle, wrap_angles
 
 
 class Strategy(enum.Enum):
@@ -64,22 +66,24 @@ def _accepted(readings):
     return kept
 
 
-def _first_heading(readings) -> float:
-    d = readings[1].position - readings[0].position
-    return math.atan2(d[1], d[0])
-
-
 def _dead_reckon(readings, stream: OdometryStream, times):
-    """Odometry deltas and arc lengths between consecutive times, and the
-    poses chained through them from the first accepted reading."""
+    """Odometry deltas (k, 3) and arc lengths between consecutive times,
+    and the (x, y, theta) poses chained through them from the first
+    accepted reading, as `compose` chains them."""
     times = np.asarray(times, dtype=float)
     dx, dy, heading, arcs = integrate_windows(stream, times[:-1], times[1:])
-    deltas = [Pose2(x, y, wrap_angle(th)) for x, y, th in
-              zip(dx.tolist(), dy.tolist(), heading.tolist())]
-    p0 = readings[0].position
-    poses = [Pose2(p0[0], p0[1], _first_heading(readings))]
-    for delta in deltas:
-        poses.append(compose(poses[-1], delta))
+    deltas = np.stack((dx, dy, wrap_angles(heading)), axis=1)
+    # the first pose heads along the bearing to the second fix
+    (x, y), (x1, y1) = readings[0].position.tolist(), \
+        readings[1].position.tolist()
+    theta = wrap_angle(math.atan2(y1 - y, x1 - x))
+    poses = [(x, y, theta)]
+    for ddx, ddy, dtheta in deltas.tolist():
+        c = math.cos(theta)
+        s = math.sin(theta)
+        x, y, theta = (x + c * ddx - s * ddy, y + s * ddx + c * ddy,
+                       wrap_angle(theta + dtheta))
+        poses.append((x, y, theta))
     return deltas, arcs, poses
 
 
@@ -91,7 +95,8 @@ def initialize_from_odometry(readings, odo: OdometryStream) -> list[Pose2]:
     odometry of the gap.
     """
     readings = _accepted(readings)
-    return _dead_reckon(readings, odo, [r.timestamp for r in readings])[2]
+    poses = _dead_reckon(readings, odo, [r.timestamp for r in readings])[2]
+    return [Pose2(*p) for p in poses]
 
 
 def _node_times(readings, stream: OdometryStream, rate: NodeRate):
@@ -120,52 +125,44 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     deltas, arcs, poses = _dead_reckon(readings, odo, times)
 
     graph = PoseGraph()
-    graph.add_node(Pose2(0.0, 0.0, 0.0), fixed=True, kind=NodeKind.UTM_ORIGIN)
-    vehicle_ids = [graph.add_node(p, kind=NodeKind.VEHICLE_POSE)
-                   for p in poses]
+    graph.add_nodes([(0.0, 0.0, 0.0)], fixed=True, kind=NodeKind.UTM_ORIGIN)
+    vehicle = graph.add_nodes(poses, kind=NodeKind.VEHICLE_POSE)
+    graph.add_edges(vehicle[:-1], vehicle[1:], deltas, arc_information(arcs),
+                    EdgeKind.ODOMETRY)
 
-    fix_node = dict(zip(times, vehicle_ids))
-
-    for k, (delta, info) in enumerate(zip(deltas, arc_information(arcs))):
-        graph.add_edge(Edge(vehicle_ids[k], vehicle_ids[k + 1], delta, info,
-                            EdgeKind.ODOMETRY))
-
+    # every fix time is a node time, so its node is found exactly
+    fix_node = vehicle.start + np.searchsorted(
+        times, [r.timestamp for r in readings])
+    fixes = np.array([(r.position[0], r.position[1], 0.0) for r in readings])
+    info = gnss_information(readings)
+    origin = np.zeros(len(readings), dtype=np.intp)
+    identity = np.zeros_like(fixes)
     if cfg.strategy is Strategy.G1:
-        for r in readings:
-            meas = Pose2(r.position[0], r.position[1], 0.0)
-            graph.add_edge(Edge(0, fix_node[r.timestamp], meas,
-                                gnss_information(r), EdgeKind.GNSS_ABSOLUTE))
+        graph.add_edges(origin, fix_node, fixes, info, EdgeKind.GNSS_ABSOLUTE)
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
-        tie = np.diag([s, s, s])
-        gnss_ids = []
-        for r in readings:
-            gnss_ids.append(graph.add_node(
-                Pose2(r.position[0], r.position[1], 0.0),
-                kind=NodeKind.GNSS_POSE))
-        for r, gid in zip(readings, gnss_ids):
-            meas = Pose2(r.position[0], r.position[1], 0.0)
-            graph.add_edge(Edge(0, gid, meas, gnss_information(r),
-                                EdgeKind.GNSS_ABSOLUTE))
-        for r, gid in zip(readings, gnss_ids):
-            graph.add_edge(Edge(gid, fix_node[r.timestamp], Pose2(0.0, 0.0, 0.0),
-                                tie, EdgeKind.VIRTUAL_IDENTITY))
+        tie = np.broadcast_to(np.diag([s, s, s]), info.shape)
+        gnss = graph.add_nodes(fixes, kind=NodeKind.GNSS_POSE)
+        graph.add_edges(origin, gnss, fixes, info, EdgeKind.GNSS_ABSOLUTE)
+        graph.add_edges(gnss, fix_node, identity, tie,
+                        EdgeKind.VIRTUAL_IDENTITY)
     else:
-        gnss_ids = []
-        for r in readings:
-            gnss_ids.append(graph.add_node(
-                Pose2(r.position[0], r.position[1], 0.0),
-                fixed=True, kind=NodeKind.GNSS_POSE))
-        for r, gid in zip(readings, gnss_ids):
-            graph.add_edge(Edge(gid, fix_node[r.timestamp], Pose2(0.0, 0.0, 0.0),
-                                gnss_information(r),
-                                EdgeKind.VIRTUAL_IDENTITY))
+        gnss = graph.add_nodes(fixes, fixed=True, kind=NodeKind.GNSS_POSE)
+        graph.add_edges(gnss, fix_node, identity, info,
+                        EdgeKind.VIRTUAL_IDENTITY)
     return graph
+
+
+def _vehicle_poses(graph: PoseGraph) -> np.ndarray:
+    # (k, 3) vehicle-node rows in id (time) order
+    vehicle = NODE_KINDS.index(NodeKind.VEHICLE_POSE)
+    return graph.poses[graph.node_kinds == vehicle]
 
 
 def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:
     """Vehicle-node poses in id (time) order."""
-    return [n.pose for n in graph.nodes if n.kind is NodeKind.VEHICLE_POSE]
+    return [Pose2(x, y, th) for x, y, th in
+            zip(*_vehicle_poses(graph).T.tolist())]
 
 
 def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
@@ -180,8 +177,8 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     vehicle nodes pair up with accepted readings one to one.
     """
     readings = _accepted(readings)
-    poses = vehicle_trajectory(graph)
-    if len(poses) != len(readings):
+    nodes = _vehicle_poses(graph)
+    if len(nodes) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
     fix_t = np.array([r.timestamp for r in readings], dtype=float)
     odo.check_windows(fix_t[:-1], fix_t[1:])
@@ -190,15 +187,15 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     sample_t = t[(t > fix_t[0]) & (t < fix_t[-1]) & ~np.isin(t, fix_t)]
     gap = np.searchsorted(fix_t, sample_t) - 1
     dx, dy, heading, _ = integrate_windows(odo, fix_t[gap], sample_t)
-    node = np.array([(p.x, p.y, p.theta) for p in poses])[gap]
+    node = nodes[gap]
     c = np.cos(node[:, 2])
     s = np.sin(node[:, 2])
-    placed = [Pose2(x, y, th) for x, y, th in
-              zip((node[:, 0] + c * dx - s * dy).tolist(),
-                  (node[:, 1] + s * dx + c * dy).tolist(),
-                  (node[:, 2] + wrap_angles(heading)).tolist())]
+    placed = np.stack((node[:, 0] + c * dx - s * dy,
+                       node[:, 1] + s * dx + c * dy,
+                       node[:, 2] + wrap_angles(heading)), axis=1)
     # node poses and placed samples merged in time order
     times = np.concatenate((fix_t, sample_t))
     order = np.argsort(times, kind="stable")
-    every = poses + placed
-    return times[order].tolist(), [every[k] for k in order.tolist()]
+    every = np.concatenate((nodes, placed))[order]
+    return times[order].tolist(), [Pose2(x, y, th) for x, y, th in
+                                   zip(*every.T.tolist())]

@@ -224,24 +224,18 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     report = optimize(graph, cfg.solver, trace=trace)
     trajectory = list(zip(times, vehicle_trajectory(graph)))
 
-    fused_metrics = None
-    raw_metrics = None
+    fused_metrics = raw_metrics = None
     if dataset.truth is not None:
-        est_t = [t for t, _ in trajectory]
-        est_xy = [(p.x, p.y) for _, p in trajectory]
-        pairs, _ = match_pps(est_t, est_xy,
-                             dataset.truth.timestamps,
-                             dataset.truth.positions)
-        fused_metrics = compute_metrics(pairs, literal=cfg.metrics_literal,
-                                        rejection_rate=rate)
-        raw_t = [r.timestamp for r in readings]
-        raw_xy = [tuple(r.position) for r in readings]
-        raw_pairs, _ = match_pps(raw_t, raw_xy,
-                                 dataset.truth.timestamps,
+        def score(est_t, est_xy, rejection_rate):
+            pairs, _ = match_pps(est_t, est_xy, dataset.truth.timestamps,
                                  dataset.truth.positions)
-        raw_metrics = compute_metrics(raw_pairs,
-                                      literal=cfg.metrics_literal,
-                                      rejection_rate=0.0)
+            return compute_metrics(pairs, literal=cfg.metrics_literal,
+                                   rejection_rate=rejection_rate)
+
+        fused_metrics = score(times, [(p.x, p.y) for _, p in trajectory],
+                              rate)
+        raw_metrics = score([r.timestamp for r in readings],
+                            [r.position for r in readings], 0.0)
         try:
             fused_metrics.improvement_vs_gnss = improvements(fused_metrics,
                                                              raw_metrics)
@@ -280,10 +274,9 @@ def export_results(trajectory, fused: MetricsReport | None,
 
     if fused is not None and dataset.truth is not None:
         scatter_path = os.path.join(out_dir, f"{dataset.name}_scatter.csv")
-        est_t = [t for t, _ in trajectory]
-        est_xy = [(p.x, p.y) for _, p in trajectory]
-        prs, _ = match_pps(est_t, est_xy, dataset.truth.timestamps,
-                           dataset.truth.positions)
+        prs, _ = match_pps([t for t, _ in trajectory],
+                           [(p.x, p.y) for _, p in trajectory],
+                           dataset.truth.timestamps, dataset.truth.positions)
         with open(scatter_path, "w", newline="") as fh:
             fh.write("t,err_x,err_y\n")
             for p in prs:

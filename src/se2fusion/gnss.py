@@ -5,7 +5,7 @@ A fix carries receiver-reported 95% accuracy bounds epx/epy (and epv,
 stored but unused in this planar system).  Its information matrix is
 diag((epx/2)^-2, (epy/2)^-2, 0): position rows weighted by the implied
 standard deviation, heading row zero because a position fix says nothing
-about orientation.
+about orientation.  gnss_information() stacks them for a set of fixes.
 
 Screening compares each candidate fix against the last accepted one: the
 GNSS displacement must agree with the odometry arc length within 15 m and
@@ -120,10 +120,15 @@ def latlon_to_utm(latitude: float, longitude: float):
     return easting, northing, f"{zone}{hemisphere}"
 
 
-def gnss_information(reading: GnssReading) -> np.ndarray:
-    """Information matrix of one fix: diag((epx/2)^-2, (epy/2)^-2, 0)."""
-    return np.diag([(reading.epx / 2.0) ** -2.0,
-                    (reading.epy / 2.0) ** -2.0, 0.0])
+def gnss_information(readings) -> np.ndarray:
+    """Information matrices (m, 3, 3) of fixes, diag((epx/2)^-2,
+    (epy/2)^-2, 0) each."""
+    half = np.reshape([(r.epx / 2.0, r.epy / 2.0) for r in readings], (-1, 2))
+    info = np.zeros((len(half), 3, 3))
+    # float_power rounds as the C pow behind a scalar `**`; np.power's
+    # vectorized loop can differ in the last bit
+    info[:, [0, 1], [0, 1]] = np.float_power(half, -2.0)
+    return info
 
 
 @dataclass

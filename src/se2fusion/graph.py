@@ -1,14 +1,25 @@
-"""Pose-graph container: typed nodes and edges, chi-square, text dump/load."""
+"""Pose-graph container: node and edge arrays, read-only object views,
+text dump/load.
+
+Nodes are `poses` (n, 3), the `fixed` mask and `node_kinds`; edges are
+`from_ids`/`to_ids`, `measurements` (m, 3), `information` (m, 3, 3) and
+`edge_kinds`.  Kinds are codes into NODE_KINDS and EDGE_KINDS.  Each is
+a writable view of the live rows, taken after building, since an add may
+move the storage.  add_nodes() and add_edges() validate, copy and append
+whole blocks, wrapping headings; add_node() and add_edge() are one-row
+calls of them.  `nodes` and `edges` make Node and Edge objects on access.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadInformationError, ParseError, UnknownNodeError
-from .se2 import Pose2, edge_residual
+from .se2 import Pose2, wrap_angles
 
 
 class NodeKind(enum.Enum):
@@ -23,7 +34,11 @@ class EdgeKind(enum.Enum):
     VIRTUAL_IDENTITY = "VIRTUAL_IDENTITY"
 
 
-@dataclass
+NODE_KINDS = tuple(NodeKind)
+EDGE_KINDS = tuple(EdgeKind)
+
+
+@dataclass(frozen=True)
 class Node:
     id: int
     pose: Pose2
@@ -31,7 +46,7 @@ class Node:
     kind: NodeKind = NodeKind.VEHICLE_POSE
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
     from_id: int
     to_id: int
@@ -40,46 +55,148 @@ class Edge:
     kind: EdgeKind = EdgeKind.ODOMETRY
 
 
-@dataclass
+class _Table:
+    """Equal-length columns in buffers that grow by doubling."""
+
+    def __init__(self, **columns):
+        # name -> (row shape, dtype)
+        self.size = 0
+        self._buf = {name: np.empty((0,) + shape, dtype)
+                     for name, (shape, dtype) in columns.items()}
+
+    def rows(self, name: str) -> np.ndarray:
+        return self._buf[name][:self.size]
+
+    def append(self, count: int, **blocks) -> range:
+        start, end = self.size, self.size + count
+        for name, block in blocks.items():
+            buf = self._buf[name]
+            if end > len(buf):
+                self._buf[name] = np.empty(
+                    (max(end, 2 * len(buf)),) + buf.shape[1:], buf.dtype)
+                self._buf[name][:start] = buf[:start]
+            self._buf[name][start:end] = block
+        self.size = end
+        return range(start, end)
+
+
+def _column(table: str, name: str) -> property:
+    return property(lambda graph: getattr(graph, table).rows(name))
+
+
+class _View(Sequence):
+    """Read-only sequence of objects made from table rows on access."""
+
+    def __init__(self, table: _Table, make):
+        self._table = table
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._table.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._make(i) for i in range(*k.indices(len(self)))]
+        return self._make(range(len(self))[k])
+
+
 class PoseGraph:
     """Nodes with dense ids plus typed edges, in insertion order."""
 
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    poses = _column("_nodes", "poses")
+    fixed = _column("_nodes", "fixed")
+    node_kinds = _column("_nodes", "node_kinds")
+    from_ids = _column("_edges", "from_ids")
+    to_ids = _column("_edges", "to_ids")
+    measurements = _column("_edges", "measurements")
+    information = _column("_edges", "information")
+    edge_kinds = _column("_edges", "edge_kinds")
+
+    def __init__(self):
+        self._nodes = _Table(poses=((3,), float), fixed=((), bool),
+                             node_kinds=((), np.int8))
+        self._edges = _Table(from_ids=((), np.intp), to_ids=((), np.intp),
+                             measurements=((3,), float),
+                             information=((3, 3), float),
+                             edge_kinds=((), np.int8))
+
+    @property
+    def nodes(self) -> _View:
+        return _View(self._nodes, lambda k: Node(
+            k, Pose2(*self.poses[k].tolist()), bool(self.fixed[k]),
+            NODE_KINDS[self.node_kinds[k]]))
+
+    @property
+    def edges(self) -> _View:
+        return _View(self._edges, self._edge)
+
+    def _edge(self, k: int) -> Edge:
+        info = self.information[k]
+        info.flags.writeable = False
+        return Edge(int(self.from_ids[k]), int(self.to_ids[k]),
+                    Pose2(*self.measurements[k].tolist()), info,
+                    EDGE_KINDS[self.edge_kinds[k]])
+
+    def add_nodes(self, poses, fixed=False,
+                  kind: NodeKind = NodeKind.VEHICLE_POSE) -> range:
+        """Append (x, y, theta) rows as nodes of one kind; return their ids.
+
+        `fixed` is one flag for the block or one per node.
+        """
+        poses = np.array(poses, dtype=float)
+        if poses.ndim != 2 or poses.shape[1] != 3:
+            raise ValueError(f"poses shape {poses.shape}, expected (n, 3)")
+        poses[:, 2] = wrap_angles(poses[:, 2])
+        return self._nodes.append(len(poses), poses=poses, fixed=fixed,
+                                  node_kinds=NODE_KINDS.index(kind))
 
     def add_node(self, pose: Pose2, fixed: bool = False,
                  kind: NodeKind = NodeKind.VEHICLE_POSE) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, pose, fixed, kind))
-        return node_id
+        return self.add_nodes([(pose.x, pose.y, pose.theta)], fixed, kind)[0]
+
+    def add_edges(self, from_ids, to_ids, measurements, information,
+                  kind: EdgeKind = EdgeKind.ODOMETRY) -> range:
+        """Append a block of edges of one kind; return their ordinals.
+
+        Endpoints must be existing, distinct nodes; each information
+        matrix must be 3x3, symmetric to 1e-9 and have a non-negative
+        diagonal.  Nothing is added when any edge of the block fails.
+        """
+        i = np.asarray(from_ids, dtype=np.intp)
+        j = np.asarray(to_ids, dtype=np.intp)
+        z = np.array(measurements, dtype=float)
+        info = np.asarray(information, dtype=float)
+        m = len(i)
+        if i.shape != (m,) or j.shape != (m,) or z.shape != (m, 3) \
+                or len(info) != m:
+            raise ValueError(f"edge block of {m} from ids needs as many to "
+                             "ids, measurement rows and information matrices")
+        n = self._nodes.size
+        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise UnknownNodeError(f"edge endpoints ({i[k]}, {j[k]}) with "
+                                   f"{n} nodes in the graph")
+        if (i == j).any():
+            raise ValueError(f"self edge on node {i[np.argmax(i == j)]}")
+        if info.shape[1:] != (3, 3):
+            raise BadInformationError(f"information shape {info.shape[1:]}")
+        asym = np.abs(info - info.transpose(0, 2, 1))
+        if (asym.max(axis=(1, 2), initial=0.0) > 1e-9).any():
+            raise BadInformationError("information matrix not symmetric")
+        if (np.diagonal(info, axis1=1, axis2=2) < 0.0).any():
+            raise BadInformationError("negative diagonal information entry")
+        z[:, 2] = wrap_angles(z[:, 2])
+        return self._edges.append(m, from_ids=i, to_ids=j, measurements=z,
+                                  information=info,
+                                  edge_kinds=EDGE_KINDS.index(kind))
 
     def add_edge(self, edge: Edge) -> int:
-        n = len(self.nodes)
-        if not (0 <= edge.from_id < n) or not (0 <= edge.to_id < n):
-            raise UnknownNodeError(
-                f"edge endpoints ({edge.from_id}, {edge.to_id}) with "
-                f"{n} nodes in the graph")
-        if edge.from_id == edge.to_id:
-            raise ValueError(f"self edge on node {edge.from_id}")
-        info = np.asarray(edge.information, dtype=float)
-        if info.shape != (3, 3):
-            raise BadInformationError(f"information shape {info.shape}")
-        if np.abs(info - info.T).max() > 1e-9:
-            raise BadInformationError("information matrix not symmetric")
-        if np.diag(info).min() < 0.0:
-            raise BadInformationError("negative diagonal information entry")
-        edge.information = info.copy()
-        self.edges.append(edge)
-        return len(self.edges) - 1
-
-    def total_error(self) -> float:
-        """Sum of e' Omega e over all edges at the current node poses."""
-        chi = 0.0
-        for edge in self.edges:
-            e = edge_residual(self.nodes[edge.from_id].pose,
-                              self.nodes[edge.to_id].pose, edge.measurement)
-            chi += float(e @ edge.information @ e)
-        return chi
+        z = edge.measurement
+        return self.add_edges([edge.from_id], [edge.to_id],
+                              [(z.x, z.y, z.theta)],
+                              np.asarray(edge.information, dtype=float)[None],
+                              edge.kind)[0]
 
 
 def _fmt(x: float) -> str:
@@ -91,20 +208,22 @@ def _fmt(x: float) -> str:
 def save(graph: PoseGraph, path) -> None:
     """Write the graph as plain text, one VERTEX_SE2/EDGE_SE2 record per line."""
     lines = []
-    for node in graph.nodes:
-        p = node.pose
-        rec = f"VERTEX_SE2 {node.id} {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.theta)}"
-        if node.fixed:
+    for k, ((x, y, theta), fixed) in enumerate(
+            zip(graph.poses.tolist(), graph.fixed.tolist())):
+        rec = f"VERTEX_SE2 {k} {_fmt(x)} {_fmt(y)} {_fmt(theta)}"
+        if fixed:
             rec += " FIXED"
         lines.append(rec)
-    for edge in graph.edges:
-        z = edge.measurement
-        i = edge.information
+    for i, j, z, info, kind in zip(
+            graph.from_ids.tolist(), graph.to_ids.tolist(),
+            graph.measurements.tolist(), graph.information.tolist(),
+            graph.edge_kinds.tolist()):
         lines.append(
             "EDGE_SE2 "
-            f"{edge.from_id} {edge.to_id} {_fmt(z.x)} {_fmt(z.y)} {_fmt(z.theta)} "
-            f"{_fmt(i[0, 0])} {_fmt(i[0, 1])} {_fmt(i[0, 2])} "
-            f"{_fmt(i[1, 1])} {_fmt(i[1, 2])} {_fmt(i[2, 2])} {edge.kind.value}")
+            f"{i} {j} {_fmt(z[0])} {_fmt(z[1])} {_fmt(z[2])} "
+            f"{_fmt(info[0][0])} {_fmt(info[0][1])} {_fmt(info[0][2])} "
+            f"{_fmt(info[1][1])} {_fmt(info[1][2])} {_fmt(info[2][2])} "
+            f"{EDGE_KINDS[kind].value}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -118,7 +237,7 @@ def load(path) -> PoseGraph:
     """
     graph = PoseGraph()
     id_map: dict[int, int] = {}
-    pending: list[tuple[int, Edge]] = []
+    pending = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             tokens = raw.split()
@@ -148,20 +267,16 @@ def load(path) -> PoseGraph:
                     info = np.array([[i11, i12, i13],
                                      [i12, i22, i23],
                                      [i13, i23, i33]])
-                    kind = EdgeKind(tokens[12])
-                    pending.append((lineno, Edge(int(tokens[1]),
-                                                 int(tokens[2]), z, info,
-                                                 kind)))
+                    pending.append((lineno, int(tokens[1]), int(tokens[2]),
+                                    z, info, EdgeKind(tokens[12])))
                 else:
                     raise ValueError(f"unknown record tag {tag!r}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    for lineno, edge in pending:
+    for lineno, i, j, z, info, kind in pending:
         try:
-            edge.from_id = id_map[edge.from_id]
-            edge.to_id = id_map[edge.to_id]
+            graph.add_edge(Edge(id_map[i], id_map[j], z, info, kind))
         except KeyError as exc:
             raise ParseError(
                 f"{path}:{lineno}: edge references unknown vertex {exc}") from exc
-        graph.add_edge(edge)
     return graph

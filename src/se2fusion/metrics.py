@@ -110,33 +110,33 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
     """Pair estimates with the nearest ground-truth sample in time.
 
     Returns (pairs, dropped): PpsPose list for estimates having a truth
-    sample within the tolerance, and the count of estimates that had
-    none.
+    sample within the tolerance (inclusive; on equal distance the earlier
+    truth sample wins), and the count of estimates that had none.
     """
     est_times = np.asarray(est_times, dtype=float)
-    est_positions = np.asarray(est_positions, dtype=float)
     truth_times = np.asarray(truth_times, dtype=float)
+    if est_times.size == 0 or truth_times.size == 0:
+        return [], int(est_times.size)
+    est_positions = np.asarray(est_positions, dtype=float)
     truth_positions = np.asarray(truth_positions, dtype=float)
-    pairs = []
-    dropped = 0
-    idx = np.searchsorted(truth_times, est_times)
-    for k, t in enumerate(est_times):
-        best = None
-        for j in (idx[k] - 1, idx[k]):
-            if 0 <= j < truth_times.size:
-                dt = abs(float(truth_times[j] - t))
-                if best is None or dt < best[0]:
-                    best = (dt, j)
-        if best is None or best[0] > tolerance:
-            dropped += 1
-            continue
-        j = best[1]
-        pairs.append(PpsPose(float(t),
-                             (float(est_positions[k, 0]),
-                              float(est_positions[k, 1])),
-                             (float(truth_positions[j, 0]),
-                              float(truth_positions[j, 1]))))
-    return pairs, dropped
+    # the truth samples either side of each estimate; a side past the
+    # end of the truth track is infinitely far
+    after = np.searchsorted(truth_times, est_times)
+    before = after - 1
+    last = truth_times.size - 1
+    dt_before = np.where(before >= 0, np.abs(
+        truth_times[np.maximum(before, 0)] - est_times), np.inf)
+    dt_after = np.where(after <= last, np.abs(
+        truth_times[np.minimum(after, last)] - est_times), np.inf)
+    later = dt_after < dt_before
+    nearest = np.where(later, after, before)
+    keep = ~(np.where(later, dt_after, dt_before) > tolerance)
+    j = nearest[keep]
+    pairs = [PpsPose(t, (ex, ey), (tx, ty)) for t, ex, ey, tx, ty in zip(
+        est_times[keep].tolist(), est_positions[keep, 0].tolist(),
+        est_positions[keep, 1].tolist(), truth_positions[j, 0].tolist(),
+        truth_positions[j, 1].tolist())]
+    return pairs, int(est_times.size - len(pairs))
 
 
 def compute_metrics(poses, literal: bool = False,

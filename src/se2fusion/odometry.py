@@ -32,7 +32,7 @@ from .se2 import Pose2, wrap_angle
 # endpoints may stick out past the raw samples by at most this many
 # nominal sample periods before the window is considered uncovered
 _MAX_GAP_PERIODS = 2.0
-# information put on all three axes when no distance was traveled
+# information on each axis when no distance was traveled, and its cap
 ZERO_ARC_INFORMATION = 1e5
 # positional standard deviation per meter traveled, per axis
 DRIFT_FRACTION = 0.011
@@ -210,10 +210,11 @@ def integrate_windows(stream: OdometryStream, t_start, t_end):
 
 
 def _drift_variances(arc: np.ndarray) -> np.ndarray:
-    # diagonal covariance, one (x, y, theta) row per arc length
+    # diagonal covariance, one (x, y, theta) row per arc length, floored
+    # so that no window is locked harder than a standstill
     sig = DRIFT_FRACTION * arc
     var = np.stack((sig ** 2, sig ** 2, (sig / LENGTH_SCALE) ** 2), axis=-1)
-    return np.where(arc[..., None] > 0.0, var, 1.0 / ZERO_ARC_INFORMATION)
+    return np.maximum(var, 1.0 / ZERO_ARC_INFORMATION)
 
 
 def arc_information(arc) -> np.ndarray:
@@ -242,8 +243,9 @@ def preintegrate(stream: OdometryStream, t_start: float,
 
     The positional standard deviation is DRIFT_FRACTION * arc_length per
     axis and the heading standard deviation is that divided by
-    LENGTH_SCALE.  Zero traveled distance gets a covariance floor whose
-    inverse is 1e5 on all axes, locking the pose down during standstill.
+    LENGTH_SCALE.  Each variance is floored at 1 / ZERO_ARC_INFORMATION:
+    a standstill gets information 1e5 on all axes, locking the pose down,
+    and no window gets more (the floor binds below about 0.78 m of arc).
     Raises ValueError unless t_start < t_end, and
     InsufficientCoverageError when an endpoint lies more than two nominal
     sample periods outside the recorded span, or a recording gap longer

@@ -5,10 +5,11 @@ one of three step strategies: plain Gauss-Newton, Levenberg-Marquardt, or
 Powell's dogleg (the default).  The three share one iteration: linearize,
 propose a step for the method's knob (trust radius, lambda, or none for
 Gauss-Newton), test the trial's gain ratio, and accept it or shrink the
-knob and propose again.  optimize() packs the graph into arrays
-once, runs every iteration on them with the batched se2 kernels
-(residuals, Jacobians, chi-square and retraction for all edges or nodes
-in one pass), and writes the free poses back to the graph when it
+knob and propose again.  optimize() views the graph's edge arrays in
+place and works on one copy of its pose array, runs every iteration on
+them with the batched se2 kernels (residuals, Jacobians, chi-square and
+retraction for all edges or nodes in one pass), and writes the free
+poses back into the graph's pose array, in one assignment, when it
 returns.  The normal equations are filled into a scipy sparse matrix
 whose sparsity pattern is computed once per graph; the linear solve uses
 a SuperLU factorization with a fill-reducing ordering, falling back to
@@ -30,7 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph
-from .se2 import Pose2, batch_edge_linearization, batch_edge_residual, \
+from .se2 import batch_edge_linearization, batch_edge_residual, \
     batch_retract
 
 # regularization ladder for near-singular normal equations
@@ -89,31 +90,26 @@ class SolveReport:
 
 
 class _PackedGraph:
-    """The graph packed into arrays, with the normal-equation pattern.
+    """A view of the graph's arrays, with the normal-equation pattern.
 
-    Poses are an (n, 3) array indexed by node id; edges are the from/to
-    index vectors, the (m, 3) measurements and the (m, 3, 3) information
-    stack.  Free node k owns variables 3k..3k+2 of the reduced system.
-    The sparsity pattern of H and the map from each block entry to its
-    slot in H.data are built once, so linearize() only fills values.
+    The edge arrays (from/to index vectors, (m, 3) measurements, (m, 3, 3)
+    information stack) are the graph's own; only the (n, 3) poses are a
+    working copy, indexed by node id.  Free node k owns variables
+    3k..3k+2 of the reduced system.  The sparsity pattern of H and the
+    map from each block entry to its slot in H.data are built once, so
+    linearize() only fills values.
     """
 
     def __init__(self, graph: PoseGraph):
-        nodes = graph.nodes
-        edges = graph.edges
-        self.poses = np.array([(n.pose.x, n.pose.y, n.pose.theta)
-                               for n in nodes], dtype=float).reshape(-1, 3)
-        self.i = np.array([e.from_id for e in edges], dtype=np.intp)
-        self.j = np.array([e.to_id for e in edges], dtype=np.intp)
-        self.z = np.array([(e.measurement.x, e.measurement.y,
-                            e.measurement.theta) for e in edges],
-                          dtype=float).reshape(-1, 3)
-        self.omega = np.array([e.information for e in edges],
-                              dtype=float).reshape(-1, 3, 3)
-        self.free = np.flatnonzero([not n.fixed for n in nodes])
+        self.poses = graph.poses.copy()
+        self.i = graph.from_ids
+        self.j = graph.to_ids
+        self.z = graph.measurements
+        self.omega = graph.information
+        self.free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * self.free.size
 
-        col = np.full(len(nodes), -1, dtype=np.intp)
+        col = np.full(len(self.poses), -1, dtype=np.intp)
         col[self.free] = 3 * np.arange(self.free.size)
         io = col[self.i]
         jo = col[self.j]
@@ -181,11 +177,8 @@ class _PackedGraph:
         return out
 
     def write_back(self, graph: PoseGraph) -> None:
-        """Store the current free poses on the graph's nodes."""
-        nodes = graph.nodes
-        for nid, (x, y, theta) in zip(self.free.tolist(),
-                                      self.poses[self.free].tolist()):
-            nodes[nid].pose = Pose2(x, y, theta)
+        """Store the current free poses in the graph's pose array."""
+        graph.poses[self.free] = self.poses[self.free]
 
 
 def build_linear_system(graph: PoseGraph):
@@ -309,8 +302,8 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
              trace=None) -> SolveReport:
     """Minimize the graph's total error in place over all non-fixed nodes.
 
-    The iterations run on a packed copy of the poses; the free poses are
-    written back to the graph once, when the solve returns or raises, and
+    The iterations run on a copy of the graph's pose array; the free rows
+    are written back into it once, when the solve returns or raises, and
     fixed node poses are never touched.  When `trace` is given (a callable
     or a writable file-like), one line per iteration is emitted with
     "iteration chi2 step_norm radius"; the last column is the trust-region
@@ -318,7 +311,7 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
     Gauss-Newton.
     """
     cfg = config if config is not None else SolverConfig()
-    if not any(n.fixed for n in graph.nodes):
+    if not graph.fixed.any():
         raise GaugeUnderconstrainedError(
             "graph has no fixed node; the optimum is gauge-invariant")
     sink = trace.write if hasattr(trace, "write") else trace

@@ -48,6 +48,25 @@ def fd_edge_jacobians(xi, xj, zij, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Chi-square edge by edge, and single-pose writes into the graph arrays
+
+def total_error(graph):
+    """Sum of e' Omega e over all edges, one scalar residual per edge
+    (oracle for the solver's batched chi-square)."""
+    chi = 0.0
+    for edge in graph.edges:
+        e = edge_residual(graph.nodes[edge.from_id].pose,
+                          graph.nodes[edge.to_id].pose, edge.measurement)
+        chi += float(e @ edge.information @ e)
+    return chi
+
+
+def set_pose(graph, node_id, pose):
+    """Overwrite one node's pose in the graph's pose array."""
+    graph.poses[node_id] = (pose.x, pose.y, pose.theta)
+
+
+# ---------------------------------------------------------------------------
 # Dense brute-force solver (same update rules, dense algebra, no sparsity)
 
 def dense_system(graph):
@@ -141,8 +160,8 @@ def _apply(graph, free, delta):
     saved = []
     for k, nid in enumerate(free):
         saved.append(graph.nodes[nid].pose)
-        graph.nodes[nid].pose = compose(graph.nodes[nid].pose,
-                                        exp_map(delta[3 * k:3 * k + 3]))
+        set_pose(graph, nid, compose(graph.nodes[nid].pose,
+                                     exp_map(delta[3 * k:3 * k + 3])))
     return saved
 
 
@@ -186,7 +205,7 @@ def dense_optimize(graph, max_iterations=100, radius=1e4,
                 new_chi = trial
                 break
             for k, nid in enumerate(free):
-                graph.nodes[nid].pose = saved[k]
+                set_pose(graph, nid, saved[k])
             radius *= 0.5
             if radius < 1e-12:
                 return False
@@ -268,10 +287,12 @@ def knot_preintegrate(stream, t_start, t_end):
 
 
 def knot_information(arc):
-    """Odometry information matrix of a window with this arc length."""
+    """Odometry information matrix of a window with this arc length:
+    the drift model, capped per axis at the standstill value 1e5."""
     if arc > 0.0:
         sig = 0.011 * arc
-        return np.diag([sig ** -2, sig ** -2, (sig / 2.7) ** -2])
+        return np.diag([min(sig ** -2, 1e5), min(sig ** -2, 1e5),
+                        min((sig / 2.7) ** -2, 1e5)])
     return np.diag([1e5] * 3)
 
 
@@ -429,6 +450,45 @@ def literal_precision_printed(pairs):
 
 def literal_improvement(gnss_value, fused_value):
     return 100.0 * (gnss_value - fused_value) / gnss_value
+
+
+# ---------------------------------------------------------------------------
+# PPS matching one estimate at a time (oracle for the vectorized match)
+
+def loop_match_pps(est_times, est_positions, truth_times, truth_positions,
+                   tolerance=0.05):
+    """PPS matching one estimate at a time (oracle for match_pps).
+
+    Looks at the truth samples either side of each estimate, keeps the
+    strictly nearer one (the earlier on a tie) and drops the estimate
+    when that one lies farther than the tolerance.
+    """
+    from se2fusion.metrics import PpsPose
+
+    est_times = np.asarray(est_times, dtype=float)
+    est_positions = np.asarray(est_positions, dtype=float)
+    truth_times = np.asarray(truth_times, dtype=float)
+    truth_positions = np.asarray(truth_positions, dtype=float)
+    pairs = []
+    dropped = 0
+    idx = np.searchsorted(truth_times, est_times)
+    for k, t in enumerate(est_times):
+        best = None
+        for j in (idx[k] - 1, idx[k]):
+            if 0 <= j < truth_times.size:
+                dt = abs(float(truth_times[j] - t))
+                if best is None or dt < best[0]:
+                    best = (dt, j)
+        if best is None or best[0] > tolerance:
+            dropped += 1
+            continue
+        j = best[1]
+        pairs.append(PpsPose(float(t),
+                             (float(est_positions[k, 0]),
+                              float(est_positions[k, 1])),
+                             (float(truth_positions[j, 0]),
+                              float(truth_positions[j, 1]))))
+    return pairs, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import clone_graph, dense_optimize, fd_edge_jacobians, \
     literal_accuracy, literal_max_offset, literal_precision, \
-    literal_precision_printed, random_chain_graph, random_pose
+    literal_precision_printed, random_chain_graph, random_pose, set_pose
 from se2fusion.builders import BuilderConfig, Strategy, build, \
     full_rate_trajectory, vehicle_trajectory
 from se2fusion.dataset import ExperimentConfig, run_experiment
@@ -118,7 +118,7 @@ def test_criterion_04_noise_free_recovery():
                 bump = np.array([rng.uniform(-10.0, 10.0),
                                  rng.uniform(-10.0, 10.0),
                                  rng.uniform(-0.5, 0.5)])
-                node.pose = compose(node.pose, exp_map(bump))
+                set_pose(g, node.id, compose(node.pose, exp_map(bump)))
             report = optimize(g, DEEP)
             assert report.converged
             for node, want in zip(g.nodes, truth):

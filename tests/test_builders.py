@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import integrate_fine
+from helpers import integrate_fine, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build, \
     full_rate_trajectory, initialize_from_odometry, vehicle_trajectory
 from se2fusion.errors import TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
-from se2fusion.graph import EdgeKind, NodeKind
+from se2fusion.graph import EdgeKind, NodeKind, PoseGraph
 from se2fusion.odometry import OdometryStream, preintegrate
-from se2fusion.se2 import compose, edge_residual
+from se2fusion.se2 import Pose2, compose, edge_residual
 from se2fusion.solver import SolverConfig, optimize
 
 DEEP = SolverConfig(max_iterations=200, abs_error_tol=1e-18,
@@ -119,7 +119,7 @@ def test_strategies_share_the_optimum():
     for strat in (Strategy.G1, Strategy.G2, Strategy.G3):
         graph = build(readings, stream, BuilderConfig(strategy=strat))
         report = optimize(graph, DEEP)
-        results[strat] = (graph.total_error(), vehicle_trajectory(graph))
+        results[strat] = (total_error(graph), vehicle_trajectory(graph))
         assert report.final_error <= report.initial_error
     err_ref, traj_ref = results[Strategy.G1]
     for strat in (Strategy.G2, Strategy.G3):
@@ -193,7 +193,7 @@ def test_g1_absolute_edge_payload():
         assert e.measurement.x == r.position[0]
         assert e.measurement.y == r.position[1]
         assert e.measurement.theta == 0.0
-        assert np.array_equal(e.information, gnss_information(r))
+        assert np.array_equal(e.information, gnss_information([r])[0])
 
 
 def test_g3_identity_edges_carry_fix_information():
@@ -278,3 +278,35 @@ def test_full_rate_trajectory_wants_matching_graph():
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
     with pytest.raises(ValueError):
         full_rate_trajectory(graph, readings[:3], stream)
+
+
+def test_build_work_does_not_grow_with_the_drive(monkeypatch):
+    """Clock-free cost check: graph insertion calls and pose objects made
+    by build are the same for a 3600-fix drive as for a 60-fix one."""
+    calls = []
+    for name in ("add_node", "add_nodes", "add_edge", "add_edges"):
+        method = getattr(PoseGraph, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoseGraph, name, counted)
+    post_init = Pose2.__post_init__
+
+    def made(self):
+        calls.append("Pose2")
+        post_init(self)
+
+    monkeypatch.setattr(Pose2, "__post_init__", made)
+    long_drive = _drive(3600)
+    short_drive = _drive(60)
+    for strat in Strategy:
+        counts = []
+        for readings, stream in (long_drive, short_drive):
+            calls.clear()
+            graph = build(readings, stream, BuilderConfig(strategy=strat))
+            counts.append(sorted(calls))
+            assert len(vehicle_trajectory(graph)) == len(readings)
+        assert counts[0] == counts[1], strat
+        assert len(counts[0]) <= 6, strat

@@ -69,11 +69,11 @@ def test_southern_hemisphere_false_northing():
 
 def test_information_from_reported_accuracy():
     r = GnssReading(0.0, (0.0, 0.0), epx=2.0, epy=2.0)
-    assert np.allclose(gnss_information(r), np.diag([1.0, 1.0, 0.0]))
+    assert np.allclose(gnss_information([r])[0], np.diag([1.0, 1.0, 0.0]))
     r = GnssReading(0.0, (0.0, 0.0), epx=4.0, epy=2.0)
-    assert gnss_information(r)[0, 0] == pytest.approx(0.25)
+    assert gnss_information([r])[0][0, 0] == pytest.approx(0.25)
     r = GnssReading(0.0, (0.0, 0.0), epx=1.0, epy=3.0)
-    assert np.allclose(gnss_information(r),
+    assert np.allclose(gnss_information([r])[0],
                        np.diag([4.0, 4.0 / 9.0, 0.0]))
 
 
@@ -82,9 +82,23 @@ def test_information_never_constrains_heading():
     for _ in range(100):
         r = GnssReading(0.0, (0.0, 0.0), epx=rng.uniform(0.1, 30.0),
                         epy=rng.uniform(0.1, 30.0))
-        info = gnss_information(r)
+        info = gnss_information([r])[0]
         assert info[2, 2] == 0.0
         assert info[0, 0] > 0.0 and info[1, 1] > 0.0
+
+
+def test_information_stack_is_one_row_per_fix():
+    rng = np.random.default_rng(8)
+    readings = [GnssReading(float(k), (0.0, 0.0), epx=rng.uniform(0.1, 30.0),
+                            epy=rng.uniform(0.1, 30.0)) for k in range(500)]
+    info = gnss_information(readings)
+    assert info.shape == (500, 3, 3)
+    for r, row in zip(readings, info):
+        # bit for bit the scalar formula
+        want = np.diag([(r.epx / 2.0) ** -2.0, (r.epy / 2.0) ** -2.0, 0.0])
+        assert np.array_equal(row, want)
+        assert np.array_equal(gnss_information([r])[0], want)
+    assert gnss_information([]).shape == (0, 3, 3)
 
 
 def test_reading_validation():

@@ -1,12 +1,14 @@
 """Pose-graph container: nodes, typed edges, chi-square, text round trips."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import from_homogeneous, homogeneous, random_chain_graph, \
-    random_pose
+    random_pose, total_error
 from se2fusion.errors import BadInformationError, ParseError, UnknownNodeError
 from se2fusion.graph import Edge, EdgeKind, Node, NodeKind, PoseGraph, load, \
     save
@@ -111,7 +113,7 @@ def test_total_error_zero_when_measurements_satisfied():
     g.add_node(Pose2(1.0, 2.0, 0.3))
     z = compose(Pose2(0.0, 0.0, 0.0), Pose2(1.0, 2.0, 0.3))
     g.add_edge(Edge(0, 1, z, _unit_info()))
-    assert g.total_error() < 1e-24
+    assert total_error(g) < 1e-24
 
 
 def test_total_error_single_unit_edge():
@@ -119,7 +121,7 @@ def test_total_error_single_unit_edge():
     g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
     g.add_node(Pose2(2.0, 0.0, 0.0))
     g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), _unit_info()))
-    assert g.total_error() == pytest.approx(1.0, abs=1e-12)
+    assert total_error(g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_error_matches_homogeneous_matrix_oracle():
@@ -136,7 +138,7 @@ def test_total_error_matches_homogeneous_matrix_oracle():
         err = from_homogeneous(np.linalg.inv(Tz) @ np.linalg.inv(Ti) @ Tj)
         v = log_map(err)
         total += float(v @ e.information @ v)
-    assert g.total_error() == pytest.approx(total, rel=1e-9)
+    assert total_error(g) == pytest.approx(total, rel=1e-9)
 
 
 def test_total_error_invariant_under_insertion_order():
@@ -156,14 +158,14 @@ def test_total_error_invariant_under_insertion_order():
     b.add_node(poses[1])
     b.add_edge(Edge(2, 0, z12, np.diag([2.0, 1.0, 0.5])))
     b.add_edge(Edge(1, 2, z01, np.diag([1.0, 2.0, 3.0])))
-    assert a.total_error() == pytest.approx(b.total_error(), rel=1e-12)
+    assert total_error(a) == pytest.approx(total_error(b), rel=1e-12)
 
 
 def test_total_error_nonnegative():
     rng = np.random.default_rng(22)
     for _ in range(20):
         g, _ = random_chain_graph(rng, int(rng.integers(3, 10)))
-        assert g.total_error() >= 0.0
+        assert total_error(g) >= 0.0
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -174,7 +176,7 @@ def test_save_load_roundtrip(tmp_path):
     h = load(path)
     assert len(h.nodes) == len(g.nodes)
     assert len(h.edges) == len(g.edges)
-    assert h.total_error() == pytest.approx(g.total_error(), rel=1e-12)
+    assert total_error(h) == pytest.approx(total_error(g), rel=1e-12)
     for a, b in zip(g.nodes, h.nodes):
         assert a.fixed == b.fixed
         assert b.kind is NodeKind.VEHICLE_POSE
@@ -228,7 +230,7 @@ def test_load_remaps_arbitrary_vertex_ids(tmp_path):
     assert g.nodes[0].pose.x == 0.0 and g.nodes[2].pose.x == 2.0
     assert (g.edges[0].from_id, g.edges[0].to_id) == (0, 1)
     assert (g.edges[1].from_id, g.edges[1].to_id) == (1, 2)
-    assert g.total_error() < 1e-24
+    assert total_error(g) < 1e-24
 
 
 def test_load_reports_path_and_line_on_parse_error(tmp_path):
@@ -269,3 +271,137 @@ def test_load_rejects_unknown_edge_kind(tmp_path):
                     "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 1 TELEPATHY\n")
     with pytest.raises(ParseError, match=":3:"):
         load(path)
+
+
+def _block_graph():
+    g = PoseGraph()
+    g.add_nodes([(0.0, 0.0, 0.0)], fixed=True, kind=NodeKind.UTM_ORIGIN)
+    g.add_nodes([(1.0, 2.0, 0.5), (3.0, -1.0, 7.0), (4.0, 0.5, -math.pi)])
+    g.add_edges([0, 1, 2], [1, 2, 3],
+                [(1.0, 2.0, 0.5), (2.0, -3.0, 6.5), (1.0, 1.5, -4.0)],
+                np.stack([np.diag([1.0, 2.0, 3.0])] * 3))
+    return g
+
+
+def test_block_adders_equal_one_row_adders():
+    rng = np.random.default_rng(24)
+    poses = rng.uniform(-20.0, 20.0, (30, 3))
+    fixed = rng.random(30) < 0.3
+    z = rng.uniform(-20.0, 20.0, (29, 3))
+    info = np.stack([np.diag(d) for d in rng.uniform(0.0, 5.0, (29, 3))])
+    info[:, 0, 1] = info[:, 1, 0] = 0.25
+    block = PoseGraph()
+    assert block.add_nodes(poses, fixed, NodeKind.GNSS_POSE) == range(30)
+    assert block.add_edges(range(29), range(1, 30), z, info,
+                           EdgeKind.GNSS_ABSOLUTE) == range(29)
+    rows = PoseGraph()
+    for p, f in zip(poses, fixed):
+        rows.add_node(Pose2(*p), bool(f), NodeKind.GNSS_POSE)
+    for k in range(29):
+        rows.add_edge(Edge(k, k + 1, Pose2(*z[k]), info[k],
+                           EdgeKind.GNSS_ABSOLUTE))
+    for name in ("poses", "fixed", "node_kinds", "from_ids", "to_ids",
+                 "measurements", "information", "edge_kinds"):
+        assert np.array_equal(getattr(block, name), getattr(rows, name)), \
+            name
+    # headings are wrapped as Pose2 wraps them
+    assert block.poses[:, 2].tolist() == [Pose2(*p).theta for p in poses]
+    assert block.measurements[:, 2].tolist() == [Pose2(*r).theta for r in z]
+
+
+def test_block_adders_copy_their_inputs():
+    poses = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    info = np.eye(3)[None].copy()
+    z = np.array([[1.0, 0.0, 0.0]])
+    g = PoseGraph()
+    g.add_nodes(poses, fixed=[True, False])
+    g.add_edges([0], [1], z, info)
+    poses[1, 0] = info[0, 0, 0] = z[0, 0] = 777.0
+    assert g.poses[1, 0] == 1.0
+    assert g.information[0, 0, 0] == 1.0
+    assert g.measurements[0, 0] == 1.0
+
+
+def test_block_validation_matches_one_row_validation():
+    """A bad row anywhere in a block raises what add_edge raises for it,
+    and the block adds nothing."""
+    good = np.eye(3)
+    asym = np.eye(3)
+    asym[0, 1] = 1e-6
+    negative = np.diag([1.0, -1.0, 1.0])
+    cases = [((0, 9), good), ((-1, 1), good), ((2, 2), good),
+             ((0, 1), np.eye(2)), ((0, 1), asym), ((0, 1), negative)]
+    for (i, j), bad in cases:
+        one = _block_graph()
+        with pytest.raises(ValueError) as want:
+            one.add_edge(Edge(i, j, Pose2(0.0, 0.0, 0.0), bad))
+        # a stack of 3x3 matrices cannot hold one 2x2: all three are bad
+        info = np.stack([good, good, bad] if bad.shape == (3, 3)
+                        else [bad] * 3)
+        g = _block_graph()
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            g.add_edges([0, 1, i], [1, 2, j], np.zeros((3, 3)), info)
+        assert len(g.edges) == len(one.edges) == 3
+    # asymmetry below the tolerance is accepted, as one row and in a block
+    near = np.eye(3)
+    near[0, 1] = 1e-12
+    g = _block_graph()
+    g.add_edges([0, 1], [1, 2], np.zeros((2, 3)), np.stack([good, near]))
+    with pytest.raises(ValueError):
+        g.add_edges([0, 1], [1], np.zeros((2, 3)), np.stack([good] * 2))
+    with pytest.raises(ValueError):
+        g.add_nodes([(1.0, 2.0)])
+
+
+def test_views_index_slice_and_iterate():
+    g = _block_graph()
+    assert len(g.nodes) == 4 and len(g.edges) == 3
+    assert g.nodes[-1].id == 3 and g.nodes[-1] == g.nodes[3]
+    assert g.nodes[0].fixed and g.nodes[0].kind is NodeKind.UTM_ORIGIN
+    assert [n.id for n in g.nodes[1:]] == [1, 2, 3]
+    assert [n.id for n in g.nodes[::-2]] == [3, 1]
+    assert [n.id for n in g.nodes] == [0, 1, 2, 3]
+    assert g.nodes[2].pose == Pose2(3.0, -1.0, 7.0)
+    assert type(g.nodes[2].pose.x) is float
+    e = g.edges[-2]
+    assert (e.from_id, e.to_id, e.kind) == (1, 2, EdgeKind.ODOMETRY)
+    assert e.measurement == Pose2(2.0, -3.0, 6.5)
+    assert [e.to_id for e in g.edges[:2]] == [1, 2]
+    with pytest.raises(IndexError):
+        g.nodes[4]
+    with pytest.raises(IndexError):
+        g.edges[-4]
+    # views follow the graph as it grows
+    nodes = g.nodes
+    g.add_node(Pose2(9.0, 9.0, 0.0))
+    assert len(nodes) == 5 and nodes[-1].pose.x == 9.0
+
+
+def test_writes_through_views_raise():
+    g = _block_graph()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes[1].pose = Pose2(5.0, 5.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes[1].fixed = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges[0].measurement = Pose2(5.0, 5.0, 0.0)
+    with pytest.raises(ValueError):
+        g.edges[0].information[0, 0] = 5.0
+    with pytest.raises(TypeError):
+        g.nodes[1] = g.nodes[2]
+    with pytest.raises(AttributeError):
+        g.nodes = []
+    with pytest.raises(AttributeError):
+        g.poses = np.zeros((4, 3))
+    assert g.nodes[1].pose == Pose2(1.0, 2.0, 0.5) and not g.nodes[1].fixed
+    assert g.information[0, 0, 0] == 1.0
+
+
+def test_array_writes_show_in_the_views():
+    g = _block_graph()
+    g.poses[1] = (5.0, 6.0, 0.25)
+    g.fixed[2] = True
+    g.information[1, 2, 2] = 9.0
+    assert g.nodes[1].pose == Pose2(5.0, 6.0, 0.25)
+    assert g.nodes[2].fixed
+    assert g.edges[1].information[2, 2] == 9.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import literal_accuracy, literal_improvement, \
-    literal_max_offset, literal_precision, literal_precision_printed
+    literal_max_offset, literal_precision, literal_precision_printed, \
+    loop_match_pps
 from se2fusion.errors import DivisionByZeroMetricError, EmptyInputError, \
     NeedTwoPosesError
 from se2fusion.metrics import MetricsReport, PpsPose, accuracy, \
@@ -174,6 +175,65 @@ def test_match_pps_picks_closer_neighbor():
                                [0.97, 1.02], [(0.0, 0.0), (9.0, 9.0)])
     assert dropped == 0
     assert pairs[0].truth == (9.0, 9.0)
+
+
+def _assert_matches_loop(est_t, est_p, tru_t, tru_p, **kw):
+    got = match_pps(est_t, est_p, tru_t, tru_p, **kw)
+    assert got == loop_match_pps(est_t, est_p, tru_t, tru_p, **kw)
+    return got
+
+
+def test_match_pps_ties_go_to_the_earlier_truth_sample():
+    tru_t = [0.75, 1.25, 2.0]
+    tru_p = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+    pairs, dropped = _assert_matches_loop([1.0, 1.625], [(5.0, 5.0)] * 2,
+                                          tru_t, tru_p, tolerance=0.5)
+    assert dropped == 0
+    assert [p.truth for p in pairs] == [(0.0, 0.0), (1.0, 1.0)]
+
+
+def test_match_pps_keeps_a_pair_at_exactly_the_tolerance():
+    tru_t = [0.0, 1.0]
+    tru_p = [(0.0, 0.0), (1.0, 1.0)]
+    est_t = [0.25, 0.5, 1.25]
+    est_p = [(0.0, 0.0)] * 3
+    pairs, dropped = _assert_matches_loop(est_t, est_p, tru_t, tru_p,
+                                          tolerance=0.25)
+    assert [p.timestamp for p in pairs] == [0.25, 1.25] and dropped == 1
+    pairs, dropped = _assert_matches_loop(est_t, est_p, tru_t, tru_p,
+                                          tolerance=np.nextafter(0.25, 0.0))
+    assert pairs == [] and dropped == 3
+
+
+def test_match_pps_empty_inputs_and_estimates_off_the_truth_span():
+    tru_t = np.arange(0.0, 10.5, 1.0)
+    tru_p = np.stack((tru_t, -tru_t), axis=1)
+    assert _assert_matches_loop([0.5, 3.0], [(1.0, 1.0)] * 2, [],
+                                np.zeros((0, 2))) == ([], 2)
+    assert _assert_matches_loop([], np.zeros((0, 2)), tru_t, tru_p) == ([], 0)
+    est_t = [-5.0, -0.04, 10.03, 100.0]
+    pairs, dropped = _assert_matches_loop(est_t, [(7.0, 8.0)] * 4, tru_t,
+                                          tru_p)
+    assert dropped == 2
+    assert [(p.timestamp, p.truth) for p in pairs] == [
+        (-0.04, (0.0, 0.0)), (10.03, (10.0, -10.0))]
+
+
+def test_match_pps_equals_the_loop_on_random_tracks():
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        tru_t = np.cumsum(rng.uniform(0.01, 0.2, int(rng.integers(1, 60))))
+        est_t = np.sort(rng.uniform(tru_t[0] - 0.3, tru_t[-1] + 0.3,
+                                    int(rng.integers(1, 80))))
+        # some estimates exactly on truth samples and half way between
+        k = rng.integers(0, len(tru_t), 5)
+        est_t = np.sort(np.concatenate((est_t, tru_t[k],
+                                        (tru_t[k] + tru_t[k - 1]) / 2.0)))
+        est_p = rng.normal(size=(len(est_t), 2))
+        tru_p = rng.normal(size=(len(tru_t), 2))
+        pairs, dropped = _assert_matches_loop(
+            est_t, est_p, tru_t, tru_p, tolerance=rng.uniform(0.0, 0.1))
+        assert len(pairs) + dropped == len(est_t)
 
 
 def test_compute_metrics_bundle():

@@ -324,6 +324,30 @@ def test_window_query_raises_the_knot_integrators_coverage_errors():
     _assert_matches_knots(stream, [(0.0, 0.9), (2.0, 2.96), (5.0, 5.9)])
 
 
+def test_information_is_capped_at_the_standstill_value():
+    arcs = np.concatenate(([0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 3.0,
+                                                                 300)))
+    info = np.diagonal(arc_information(arcs), axis1=1, axis2=2)
+    standstill = info[0]
+    np.testing.assert_allclose(standstill, ZERO_ARC_INFORMATION, rtol=1e-15)
+    assert np.all(info <= standstill)
+    # longer windows never get more information, on any axis
+    assert np.all(np.diff(info, axis=0) <= 0.0)
+    # the cap only binds below about 0.29 m (position) and 0.78 m (heading)
+    long_arc = arcs > 0.78
+    sig = 0.011 * arcs[long_arc]
+    np.testing.assert_array_equal(info[long_arc, 0], 1.0 / sig ** 2)
+    np.testing.assert_array_equal(info[long_arc, 2], 1.0 / (sig / 2.7) ** 2)
+    assert np.all(info[arcs < 0.28] == standstill)
+    # a creeping window gets no more than a standstill
+    t = np.arange(0.0, 4.0, 0.04)
+    creep = OdometryStream(t, np.zeros_like(t), np.full_like(t, 1e-6))
+    pre = preintegrate(creep, 1.0, 2.0)
+    assert 0.0 < pre.arc_length < 1e-5
+    np.testing.assert_array_equal(odometry_information(pre),
+                                  np.diag(standstill))
+
+
 def test_arc_information_is_the_factor_information():
     stream = _turning_stream()
     arcs = np.array([0.0, 1e-3, 2.5, 40.0])

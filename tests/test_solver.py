@@ -11,9 +11,10 @@ import pytest
 import scipy.sparse as sp
 
 import se2fusion
+from se2fusion import solver
 
 from helpers import clone_graph, dense_optimize, dense_system, \
-    dogleg_rootfind, random_chain_graph, random_pose
+    dogleg_rootfind, random_chain_graph, random_pose, set_pose, total_error
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, compose, exp_map, \
@@ -77,7 +78,7 @@ def test_optimize_requires_a_fixed_node():
 def test_fixed_nodes_bit_exact_after_optimization():
     rng = np.random.default_rng(31)
     g, _ = random_chain_graph(rng, 10, n_absolute=3)
-    g.nodes[4].fixed = True
+    g.fixed[4] = True
     frozen = [(n.id, n.pose.x, n.pose.y, n.pose.theta)
               for n in g.nodes if n.fixed]
     optimize(g)
@@ -168,11 +169,12 @@ def test_linear_model_predicts_small_step_decrease():
         H, b = build_linear_system(g)
         delta = 1e-4 * spsolve(H.tocsc(), b)
         predicted = 2.0 * float(b @ delta) - float(delta @ (H @ delta))
-        chi0 = g.total_error()
+        chi0 = total_error(g)
         free = [n for n in g.nodes if not n.fixed]
         for k, node in enumerate(free):
-            node.pose = compose(node.pose, exp_map(delta[3 * k:3 * k + 3]))
-        actual = chi0 - g.total_error()
+            set_pose(g, node.id,
+                     compose(node.pose, exp_map(delta[3 * k:3 * k + 3])))
+        actual = chi0 - total_error(g)
         assert predicted > 0.0
         assert actual == pytest.approx(predicted, rel=1e-2)
 
@@ -273,7 +275,7 @@ def test_noise_free_graph_recovers_ground_truth():
             bump = np.array([rng.uniform(-10.0, 10.0),
                              rng.uniform(-10.0, 10.0),
                              rng.uniform(-0.5, 0.5)])
-            node.pose = compose(node.pose, exp_map(bump))
+            set_pose(g, node.id, compose(node.pose, exp_map(bump)))
         report = optimize(g, SolverConfig(max_iterations=200,
                                           abs_error_tol=1e-18,
                                           rel_error_tol=1e-14,
@@ -325,10 +327,10 @@ def test_max_iterations_is_reported_not_raised():
 def test_report_error_bookkeeping():
     rng = np.random.default_rng(43)
     g, _ = random_chain_graph(rng, 9)
-    before = g.total_error()
+    before = total_error(g)
     report = optimize(g)
     assert report.initial_error == pytest.approx(before, rel=1e-12)
-    assert report.final_error == pytest.approx(g.total_error(), rel=1e-9,
+    assert report.final_error == pytest.approx(total_error(g), rel=1e-9,
                                                abs=1e-15)
     assert report.final_error <= report.initial_error
 
@@ -341,7 +343,8 @@ def _graph_near_branches(rng):
                 0.999 * SMALL_ANGLE, -1.001 * SMALL_ANGLE)
     for k, node in enumerate(g.nodes[1::2]):
         p = node.pose
-        node.pose = Pose2(p.x, p.y, headings[k % len(headings)])
+        set_pose(g, node.id,
+                 Pose2(p.x, p.y, headings[k % len(headings)]))
     return g
 
 
@@ -350,7 +353,7 @@ def test_packed_chi2_matches_total_error():
     for _ in range(10):
         g = _graph_near_branches(rng)
         packed = _PackedGraph(g)
-        want = g.total_error()
+        want = total_error(g)
         assert packed.chi2(packed.poses) == pytest.approx(want, rel=1e-12)
         _, _, chi = packed.linearize(packed.poses)
         assert chi == pytest.approx(want, rel=1e-12)
@@ -360,7 +363,7 @@ def test_packed_retraction_matches_scalar_retract():
     rng = np.random.default_rng(45)
     for _ in range(10):
         g = _graph_near_branches(rng)
-        g.nodes[5].fixed = True
+        g.fixed[5] = True
         packed = _PackedGraph(g)
         free = [n for n in g.nodes if not n.fixed]
         delta = rng.normal(0.0, 0.5, 3 * len(free))
@@ -376,6 +379,50 @@ def test_packed_retraction_matches_scalar_retract():
                 assert np.array_equal(moved[node.id], node.pose.as_array())
 
 
+def test_a_raised_solve_leaves_the_last_accepted_iterate(monkeypatch):
+    rng = np.random.default_rng(49)
+    g, _ = random_chain_graph(rng, 12, n_absolute=4, perturb=3.0)
+    g.fixed[6] = True
+    want = clone_graph(g)
+    report = optimize(want, SolverConfig(max_iterations=2))
+    assert report.iterations == 2 and not report.converged
+    solve = solver._solve_normal
+    calls = []
+
+    def third_fails(H, b):
+        # dogleg factors once per iteration
+        calls.append(None)
+        if len(calls) == 3:
+            raise SingularSystemError("injected")
+        return solve(H, b)
+
+    monkeypatch.setattr(solver, "_solve_normal", third_fails)
+    before = g.poses.copy()
+    with pytest.raises(SingularSystemError, match="injected"):
+        optimize(g)
+    assert np.array_equal(g.poses, want.poses)
+    assert not np.array_equal(g.poses, before)
+    assert np.array_equal(g.poses[g.fixed], before[g.fixed])
+
+
+def test_optimize_constructs_no_pose_objects(monkeypatch):
+    rng = np.random.default_rng(50)
+    g, _ = random_chain_graph(rng, 40, n_absolute=8)
+    before = [n.pose for n in g.nodes]
+    made = []
+    post_init = Pose2.__post_init__
+
+    def counted(self):
+        made.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(Pose2, "__post_init__", counted)
+    report = optimize(g)
+    assert made == []
+    monkeypatch.undo()
+    assert report.converged and [n.pose for n in g.nodes] != before
+
+
 def test_optimize_writes_back_pose_objects():
     rng = np.random.default_rng(46)
     g, _ = random_chain_graph(rng, 9, n_absolute=3)
@@ -383,7 +430,7 @@ def test_optimize_writes_back_pose_objects():
     assert all(type(n.pose) is Pose2 for n in g.nodes)
     assert all(type(v) is float for n in g.nodes
                for v in (n.pose.x, n.pose.y, n.pose.theta))
-    assert report.final_error == pytest.approx(g.total_error(), rel=1e-12)
+    assert report.final_error == pytest.approx(total_error(g), rel=1e-12)
 
 
 def _collapse_config(method):
@@ -407,7 +454,7 @@ def test_lm_and_dogleg_report_trust_region_collapse():
             assert limit < knob <= 10.0 * limit
         else:
             assert 0.5 * limit <= knob < limit
-        assert report.final_error == pytest.approx(g.total_error(),
+        assert report.final_error == pytest.approx(total_error(g),
                                                    rel=1e-12)
         assert report.final_error <= report.initial_error
 
