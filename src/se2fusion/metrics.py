@@ -45,27 +45,39 @@ class MetricsReport:
     improvement_vs_gnss: tuple | None = None
 
 
-def _offsets(poses) -> np.ndarray:
+def _estimates_and_offsets(poses):
+    # (n, 2) estimate coordinates and estimate-minus-truth offsets
     est = np.array([p.estimate for p in poses], dtype=float)
     tru = np.array([p.truth for p in poses], dtype=float)
-    return est - tru
+    return est, est - tru
+
+
+def _max_offset(off: np.ndarray) -> float:
+    return float(np.max(np.hypot(off[:, 0], off[:, 1])))
+
+
+def _accuracy(mu: np.ndarray):
+    return float(np.hypot(mu[0], mu[1])), (float(mu[0]), float(mu[1]))
+
+
+def _precision(est: np.ndarray, off: np.ndarray, mu: np.ndarray,
+               literal: bool) -> float:
+    d = (est if literal else off) - mu
+    return float(math.sqrt(np.sum(d * d) / (len(off) - 1)))
 
 
 def max_offset(poses) -> float:
     """Largest Euclidean estimate-truth distance over the set."""
     if not poses:
         raise EmptyInputError("no poses to evaluate")
-    off = _offsets(poses)
-    return float(np.max(np.hypot(off[:, 0], off[:, 1])))
+    return _max_offset(_estimates_and_offsets(poses)[1])
 
 
 def accuracy(poses):
     """Norm of the signed mean offset; returns (value, (mu_x, mu_y))."""
     if not poses:
         raise EmptyInputError("no poses to evaluate")
-    off = _offsets(poses)
-    mu = off.mean(axis=0)
-    return float(np.hypot(mu[0], mu[1])), (float(mu[0]), float(mu[1]))
+    return _accuracy(_estimates_and_offsets(poses)[1].mean(axis=0))
 
 
 def precision(poses, literal: bool = False) -> float:
@@ -78,14 +90,8 @@ def precision(poses, literal: bool = False) -> float:
     """
     if len(poses) < 2:
         raise NeedTwoPosesError("precision needs at least two poses")
-    off = _offsets(poses)
-    mu = off.mean(axis=0)
-    if literal:
-        est = np.array([p.estimate for p in poses], dtype=float)
-        d = est - mu
-    else:
-        d = off - mu
-    return float(math.sqrt(np.sum(d * d) / (len(poses) - 1)))
+    est, off = _estimates_and_offsets(poses)
+    return _precision(est, off, off.mean(axis=0), literal)
 
 
 def improvements(fused: MetricsReport, gnss: MetricsReport):
@@ -141,9 +147,20 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
 
 def compute_metrics(poses, literal: bool = False,
                     rejection_rate: float | None = None) -> MetricsReport:
-    """Bundle the three metrics over one matched pose set."""
-    acc, mu = accuracy(poses)
+    """Bundle the three metrics over one matched pose set.
+
+    The offsets are built once and shared by the three metrics, which
+    raise as max_offset(), accuracy() and precision() do.
+    """
+    if not poses:
+        raise EmptyInputError("no poses to evaluate")
+    if len(poses) < 2:
+        raise NeedTwoPosesError("precision needs at least two poses")
+    est, off = _estimates_and_offsets(poses)
+    mu = off.mean(axis=0)
+    acc, mean_offset = _accuracy(mu)
     return MetricsReport(
-        max_offset=max_offset(poses), accuracy=acc,
-        precision=precision(poses, literal=literal), mean_offset=mu,
-        n=len(poses), rejection_rate=rejection_rate)
+        max_offset=_max_offset(off), accuracy=acc,
+        precision=_precision(est, off, mu, literal),
+        mean_offset=mean_offset, n=len(poses),
+        rejection_rate=rejection_rate)

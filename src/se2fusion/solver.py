@@ -1,19 +1,36 @@
 """Sparse nonlinear least-squares over pose graphs.
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
-one of three step strategies: plain Gauss-Newton, Levenberg-Marquardt, or
-Powell's dogleg (the default).  The three share one iteration: linearize,
-propose a step for the method's knob (trust radius, lambda, or none for
-Gauss-Newton), test the trial's gain ratio, and accept it or shrink the
-knob and propose again.  optimize() views the graph's edge arrays in
-place and works on one copy of its pose array, runs every iteration on
-them with the batched se2 kernels (residuals, Jacobians, chi-square and
+Powell's dogleg (the default) or Levenberg-Marquardt.  The two share one
+iteration: linearize, propose a step for the method's knob (trust radius
+or lambda), test the trial's gain ratio, and accept it or move the knob
+and propose again.  optimize() views the graph's edge arrays in place
+and works on one copy of its pose array, runs every iteration on them
+with the batched se2 kernels (residuals, Jacobians, chi-square and
 retraction for all edges or nodes in one pass), and writes the free
 poses back into the graph's pose array, in one assignment, when it
-returns.  The normal equations are filled into a scipy sparse matrix
-whose sparsity pattern is computed once per graph; the linear solve uses
-a SuperLU factorization with a fill-reducing ordering, falling back to
-lambda*diag regularization when factorization fails.
+returns.
+
+The reduced normal equations are a symmetric band.  Once per graph the
+free nodes are put in Cuthill-McKee order: breadth first from the first
+free node, each node's neighbours in ascending degree.  On the chains
+that builders.build() makes this gives a half-bandwidth of 5 (G1, G3)
+or 8 (G2, where each GNSS node lands next to its vehicle node).  Each
+linearization scatters the upper blocks of H straight into LAPACK's
+upper band storage, and the step is solved by a banded Cholesky
+factorization.  It is exact at any bandwidth u and costs O(n u^2), so a
+graph with loop closures solves too, only more slowly.  A solve whose
+factorization finds the matrix not positive definite, whose input is
+not finite, or whose solution is not finite or leaves a residual above
+1e-6 (|b| + 1), is retried with lambda*diag added to the diagonal, for
+lambda from 1e-9 to 1e-3, before SingularSystemError is raised.
+Products with H are numpy band products, not BLAS calls, so a solve
+gives the same bits whatever the BLAS thread count.
+
+build_linear_system() and dogleg_step() are the only places where the
+band meets other matrix types: the first returns H as a scipy sparse
+matrix with the free nodes in id order, the second reads the upper
+triangle of a dense or scipy sparse H into a band.
 
 Updates are applied on the right, pose <- compose(pose, exp_map(delta)),
 matching the Jacobians produced by the se2 module.
@@ -27,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph
@@ -57,8 +74,67 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _band_mul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for a symmetric H in upper band storage.
+
+    Row u - k of the (u + 1, n) band holds the k-th superdiagonal,
+    band[u - k, j] = H[j - k, j], so row u is the diagonal.
+    """
+    u = band.shape[0] - 1
+    y = band[u] * x
+    for k in range(1, u + 1):
+        d = band[u - k, k:]
+        y[:-k] += d * x[k:]
+        y[k:] += d * x[:-k]
+    return y
+
+
+def _with_diagonal(band: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """A copy of the band with `add` added to its diagonal."""
+    out = band.copy()
+    out[-1] += add
+    return out
+
+
+def _damping(band: np.ndarray) -> np.ndarray:
+    # zero diagonal entries get unit damping, otherwise lambda*diag would
+    # leave an exactly singular row singular
+    diag = band[-1]
+    return np.where(diag > 0.0, diag, 1.0)
+
+
+def _chain_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cuthill-McKee order of nodes 0..n-1 joined by the pairs (a, b).
+
+    Breadth first from the lowest unvisited node, each node's neighbours
+    taken in ascending degree (then index); a node with no path to the
+    earlier ones starts the next search.
+    """
+    pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
+    src, dst = np.divmod(pairs, n)
+    degree = np.bincount(src, minlength=n)
+    by = np.lexsort((dst, degree[dst], src))
+    neighbours = dst[by].tolist()
+    start = np.searchsorted(src[by], np.arange(n + 1)).tolist()
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in neighbours[start[v]:start[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+    return np.array(order, dtype=np.intp)
+
+
 class Method(enum.Enum):
-    GAUSS_NEWTON = "gauss_newton"
     LEVENBERG_MARQUARDT = "levenberg_marquardt"
     DOGLEG = "dogleg"
 
@@ -90,14 +166,15 @@ class SolveReport:
 
 
 class _PackedGraph:
-    """A view of the graph's arrays, with the normal-equation pattern.
+    """A view of the graph's arrays, with the band layout of H.
 
     The edge arrays (from/to index vectors, (m, 3) measurements, (m, 3, 3)
     information stack) are the graph's own; only the (n, 3) poses are a
-    working copy, indexed by node id.  Free node k owns variables
-    3k..3k+2 of the reduced system.  The sparsity pattern of H and the
-    map from each block entry to its slot in H.data are built once, so
-    linearize() only fills values.
+    working copy, indexed by node id.  `free` lists the free node ids in
+    chain (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of
+    the reduced system.  The map from each block entry to its slot in
+    the (u + 1, n) upper band is built once, so linearize() only fills
+    values.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -106,31 +183,39 @@ class _PackedGraph:
         self.j = graph.to_ids
         self.z = graph.measurements
         self.omega = graph.information
-        self.free = np.flatnonzero(~graph.fixed)
-        n = self.n = 3 * self.free.size
+        free = np.flatnonzero(~graph.fixed)
+        n = self.n = 3 * free.size
 
-        col = np.full(len(self.poses), -1, dtype=np.intp)
-        col[self.free] = 3 * np.arange(self.free.size)
-        io = col[self.i]
-        jo = col[self.j]
-        # four 3x3 blocks per edge, in the order linearize() stacks them:
-        # (i, i), (j, j), (i, j), (j, i); a block on a fixed node is dropped
-        r0 = np.stack((io, jo, io, jo))[..., None]
-        c0 = np.stack((io, jo, jo, io))[..., None]
+        rank = np.full(len(self.poses), -1, dtype=np.intp)
+        rank[free] = np.arange(free.size)
+        ri = rank[self.i]
+        rj = rank[self.j]
+        both = (ri >= 0) & (rj >= 0)
+        order = _chain_order(free.size, ri[both], rj[both])
+        self.free = free[order]
+        rank[self.free] = np.arange(free.size)
+        # first variable of each endpoint, negative on a fixed node
+        io = 3 * rank[self.i]
+        jo = 3 * rank[self.j]
+        # half-bandwidth: the full 3x3 diagonal blocks, widened by the
+        # farthest pair of free nodes that share an edge
+        u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
+
+        # three 3x3 blocks per edge, in the order linearize() stacks them:
+        # (i, i), (j, j), (i, j).  Each entry goes to its upper-triangle
+        # slot, band[u + r - c, c] for r <= c; the lower half of a diagonal
+        # block and any block on a fixed node are dropped.
+        r0 = np.stack((io, jo, io))[..., None]
+        c0 = np.stack((io, jo, jo))[..., None]
         rows = r0 + np.repeat(np.arange(3), 3)
         cols = c0 + np.tile(np.arange(3), 3)
-        keep = np.broadcast_to((r0 >= 0) & (c0 >= 0), rows.shape)
-        keys, slots = np.unique(cols[keep] * n + rows[keep],
-                                return_inverse=True)
-        self.nnz = keys.size
-        # dropped entries land in one extra bin past the end of H.data
-        h_slot = np.full(rows.shape, self.nnz, dtype=np.intp)
-        h_slot[keep] = slots
-        self.h_slot = h_slot.ravel()
-        self.pattern = sp.csc_matrix(
-            (np.zeros(self.nnz), keys % n,
-             np.searchsorted(keys // n, np.arange(n + 1))),
-            shape=(n, n))
+        r = np.minimum(rows, cols)
+        c = np.maximum(rows, cols)
+        keep = (r0 >= 0) & (c0 >= 0) & ((rows <= cols) | (r0 != c0))
+        # dropped entries land in one extra bin past the end of the band
+        self.h_size = (u + 1) * n
+        self.h_slot = np.where(keep, (u + r - c) * n + c,
+                               self.h_size).ravel()
         offsets = np.arange(3)
         self.b_slot = np.concatenate(
             [np.where(o[:, None] >= 0, o[:, None] + offsets, n).ravel()
@@ -148,8 +233,9 @@ class _PackedGraph:
     def linearize(self, poses: np.ndarray):
         """Normal equations at `poses`.
 
-        Returns (H, b, chi) where H is csc, b = -sum J'Omega e and chi is
-        the total error at `poses`.
+        Returns (H, b, chi) where H is the (u + 1, n) upper band,
+        b = -sum J'Omega e, both in chain order, and chi is the total
+        error at `poses`.
         """
         e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
                                              self.z)
@@ -157,21 +243,19 @@ class _PackedGraph:
         chi = _dot(e, oe)
         JiT = Ji.transpose(0, 2, 1)
         JjT = Jj.transpose(0, 2, 1)
-        Hij = JiT @ (self.omega @ Jj)
         blocks = np.stack((JiT @ (self.omega @ Ji), JjT @ (self.omega @ Jj),
-                           Hij, Hij.transpose(0, 2, 1)))
-        data = np.bincount(self.h_slot, weights=blocks.ravel(),
-                           minlength=self.nnz + 1)[:-1]
+                           JiT @ (self.omega @ Jj)))
+        H = np.bincount(self.h_slot, weights=blocks.ravel(),
+                        minlength=self.h_size + 1)[:-1]
         grad = np.concatenate(((JiT @ oe[:, :, None]).ravel(),
                                (JjT @ oe[:, :, None]).ravel()))
         b = -np.bincount(self.b_slot, weights=grad,
                          minlength=self.n + 1)[:-1]
-        H = sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr),
-                          shape=self.pattern.shape)
-        return H, b, chi
+        return H.reshape(self.u + 1, self.n), b, chi
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """A copy of `poses` with the free rows moved by `delta`."""
+        """A copy of `poses` with the free rows moved by `delta`, which is
+        in chain order."""
         out = poses.copy()
         out[self.free] = batch_retract(poses[self.free], delta.reshape(-1, 3))
         return out
@@ -185,35 +269,38 @@ def build_linear_system(graph: PoseGraph):
     """Return (H, b) of the reduced normal equations at the current poses.
 
     Rows/columns belonging to fixed nodes are removed; free nodes are
-    ordered by node id, three consecutive variables each.
+    ordered by node id, three consecutive variables each.  H is a scipy
+    sparse matrix.
     """
     packed = _PackedGraph(graph)
-    H, b, _ = packed.linearize(packed.poses)
-    return H, b
+    band, b, _ = packed.linearize(packed.poses)
+    u = packed.u
+    upper = sp.dia_matrix((band, np.arange(u, -1, -1)),
+                          shape=(packed.n, packed.n))
+    H = (upper + sp.triu(upper, k=1).T).tocsr()
+    # variable v of the id-ordered system sits at by_id[v] in chain order
+    by_id = (3 * np.argsort(packed.free)[:, None] + np.arange(3)).ravel()
+    return H[by_id][:, by_id].tocsc(), b[by_id]
 
 
-def _solve_normal(H: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Factor-and-solve with escalating diagonal regularization on failure."""
-    n = H.shape[0]
-    if n == 0:
+def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b for H in upper band storage, by banded Cholesky with
+    escalating diagonal regularization on failure."""
+    if b.size == 0:
         return np.zeros(0)
-    diag = H.diagonal()
-    # zero diagonal entries get unit damping, otherwise lambda*diag would
-    # leave an exactly singular row singular
-    damp = np.where(diag > 0.0, diag, 1.0)
+    damp = _damping(H)
     bnorm = _norm(b)
     for lam in (0.0,) + _LAMBDA_LADDER:
-        M = H if lam == 0.0 else (H + sp.diags(lam * damp)).tocsc()
+        M = H if lam == 0.0 else _with_diagonal(H, lam * damp)
         try:
-            lu = splu(M, permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.001,
-                      options={"SymmetricMode": True})
-            x = lu.solve(b)
-        except RuntimeError:
+            factor = cholesky_banded(M, lower=False)
+        except (LinAlgError, ValueError):
+            # not positive definite, or not finite
             continue
+        x = cho_solve_banded((factor, False), b, check_finite=False)
         if not np.all(np.isfinite(x)):
             continue
-        resid = _norm(M @ x - b)
+        resid = _norm(_band_mul(M, x) - b)
         if resid <= 1e-6 * (bnorm + 1.0):
             return x
     raise SingularSystemError(
@@ -221,18 +308,12 @@ def _solve_normal(H: sp.spmatrix, b: np.ndarray) -> np.ndarray:
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
 
 
-def _gauss_newton_steps(H, b: np.ndarray):
-    gn = _solve_normal(H, b)
-    return lambda knob: gn
+def _levenberg_marquardt_steps(H: np.ndarray, b: np.ndarray):
+    damp = _damping(H)
+    return lambda lam: _solve_normal(_with_diagonal(H, lam * damp), b)
 
 
-def _levenberg_marquardt_steps(H, b: np.ndarray):
-    diag = H.diagonal()
-    damp = np.where(diag > 0.0, diag, 1.0)
-    return lambda lam: _solve_normal((H + sp.diags(lam * damp)).tocsc(), b)
-
-
-def _dogleg_steps(H, b: np.ndarray):
+def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     """Solve once; return the dogleg step as a function of the radius.
 
     The Gauss-Newton point, the Cauchy point and their norms do not
@@ -241,7 +322,7 @@ def _dogleg_steps(H, b: np.ndarray):
     gn = _solve_normal(H, b)
     gn_norm = _norm(gn)
     bb = _dot(b, b)
-    bHb = _dot(b, H @ b)
+    bHb = _dot(b, _band_mul(H, b))
     cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
     c_norm = _norm(cauchy)
     bnorm = math.sqrt(bb)
@@ -268,11 +349,16 @@ def _dogleg_steps(H, b: np.ndarray):
 def dogleg_step(H, b: np.ndarray, trust_radius: float) -> np.ndarray:
     """Classical Powell dogleg increment for the model 0.5 d'Hd - b'd.
 
+    H is symmetric, dense or scipy sparse; its upper triangle is read.
     Returns the Gauss-Newton step when it fits inside the trust region,
     the scaled steepest-descent step when even the Cauchy point does not,
     and the boundary interpolation point otherwise.
     """
-    return _dogleg_steps(sp.csc_matrix(H), b)(trust_radius)
+    upper = sp.triu(sp.coo_matrix(H))
+    u = int(np.max(upper.col - upper.row, initial=0))
+    band = np.zeros((u + 1, upper.shape[0]))
+    np.add.at(band, (u + upper.row - upper.col, upper.col), upper.data)
+    return _dogleg_steps(band, np.asarray(b, dtype=float))(trust_radius)
 
 
 # What each method brings to the step loop of _minimize(), in this order:
@@ -280,10 +366,8 @@ def dogleg_step(H, b: np.ndarray, trust_radius: float) -> np.ndarray:
 # step as a function of the method's knob (trust radius or lambda); the
 # knob's initial value; accept(knob, rho), the knob after a step with
 # gain ratio rho is accepted; reject(knob), the knob after a step is
-# rejected; collapsed(knob), whether the solve has to stop.  Gauss-Newton
-# has no accept rule: it takes every step.
+# rejected; collapsed(knob), whether the solve has to stop.
 _RULES = {
-    Method.GAUSS_NEWTON: (_gauss_newton_steps, 0.0, None, None, None),
     Method.LEVENBERG_MARQUARDT: (
         _levenberg_marquardt_steps, _LM_LAMBDA_INIT,
         lambda lam, rho: max(lam * 0.1, _MIN_LM_LAMBDA),
@@ -307,8 +391,7 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
     fixed node poses are never touched.  When `trace` is given (a callable
     or a writable file-like), one line per iteration is emitted with
     "iteration chi2 step_norm radius"; the last column is the trust-region
-    radius for dogleg, lambda for Levenberg-Marquardt and 0 for plain
-    Gauss-Newton.
+    radius for dogleg and lambda for Levenberg-Marquardt.
     """
     cfg = config if config is not None else SolverConfig()
     if not graph.fixed.any():
@@ -346,16 +429,13 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
         while True:
             delta = step(knob)
             step_norm = _norm(delta)
-            if accept is not None and step_norm <= cfg.step_tol:
+            if step_norm <= cfg.step_tol:
                 new_chi = chi
                 break
             trial = packed.retract(packed.poses, delta)
             trial_chi = packed.chi2(trial)
-            if accept is None:
-                packed.poses, new_chi = trial, trial_chi
-                break
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
-            pred = 2.0 * _dot(b, delta) - _dot(delta, H @ delta)
+            pred = 2.0 * _dot(b, delta) - _dot(delta, _band_mul(H, delta))
             if trial_chi < chi and pred > 0.0:
                 knob = accept(knob, (chi - trial_chi) / pred)
                 packed.poses, new_chi = trial, trial_chi

@@ -250,6 +250,29 @@ def test_compute_metrics_bundle():
     assert lit.precision == precision(poses, literal=True)
 
 
+def test_compute_metrics_builds_the_offsets_once(monkeypatch):
+    from se2fusion import metrics
+
+    poses = _poses(_random_pairs(np.random.default_rng(30), 25))
+    build = metrics._estimates_and_offsets
+    calls = []
+
+    def counted(p):
+        calls.append(None)
+        return build(p)
+
+    monkeypatch.setattr(metrics, "_estimates_and_offsets", counted)
+    for literal in (False, True):
+        report = compute_metrics(poses, literal=literal)
+        assert report.mean_offset == accuracy(poses)[1]
+        assert report.precision == precision(poses, literal=literal)
+    assert len(calls) == 2 + 2 * 2
+    with pytest.raises(EmptyInputError):
+        compute_metrics([])
+    with pytest.raises(NeedTwoPosesError):
+        compute_metrics(poses[:1])
+
+
 def test_degenerate_inputs_raise():
     with pytest.raises(EmptyInputError):
         max_offset([])

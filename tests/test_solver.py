@@ -13,14 +13,18 @@ import scipy.sparse as sp
 import se2fusion
 from se2fusion import solver
 
-from helpers import clone_graph, dense_optimize, dense_system, \
-    dogleg_rootfind, random_chain_graph, random_pose, set_pose, total_error
+from helpers import _dense_solve, clone_graph, dense_optimize, \
+    dense_system, dogleg_rootfind, random_chain_graph, random_pose, \
+    set_pose, total_error
+from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, compose, exp_map, \
     inverse, retract
 from se2fusion.solver import Method, SolveReport, SolverConfig, Termination, \
     _PackedGraph, build_linear_system, dogleg_step, optimize
+from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
+    TrajectoryProfile, generate_synthetic
 
 
 def _two_node_graph():
@@ -513,13 +517,72 @@ def test_trace_knob_follows_each_method_update_rule(monkeypatch):
             assert knob / radius in (0.5, 1.0, 2.0)
         radius = knob
 
-    # Gauss-Newton has no knob and takes every step
-    report, knobs, trials = _trace_with_trials(
-        monkeypatch, clone_graph(base),
-        SolverConfig(method=Method.GAUSS_NEWTON, max_iterations=5,
-                     abs_error_tol=0.0, step_tol=0.0, rel_error_tol=-1.0))
-    assert knobs == [0.0] * 5
-    assert trials == [1] * 5
+
+def _in_chain_order(packed, free):
+    # indices into an id-ordered vector, in the packed chain order
+    return (3 * np.searchsorted(free, packed.free)[:, None]
+            + np.arange(3)).ravel()
+
+
+@pytest.mark.parametrize("rate", list(NodeRate))
+@pytest.mark.parametrize("strategy, width", [(Strategy.G1, 5),
+                                             (Strategy.G2, 8),
+                                             (Strategy.G3, 5)])
+def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
+    """build() makes chains: in Cuthill-McKee order the half-bandwidth is
+    one node's neighbour (G1, G3) or two, with each GNSS node between two
+    vehicle nodes (G2), and the banded step is the dense one."""
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                            OdoErrorModel(0.011), 12.0)
+    g = build(ds.gnss, ds.odometry,
+              BuilderConfig(strategy=strategy, node_rate=rate))
+    packed = _PackedGraph(g)
+    assert packed.u == width
+    H, b, _ = packed.linearize(packed.poses)
+    step = solver._solve_normal(H, b)
+    Hd, bd, _, free = dense_system(g)
+    assert sorted(packed.free.tolist()) == free
+    want = _dense_solve(Hd, bd)[_in_chain_order(packed, free)]
+    assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def _loop_closed_chain(seed):
+    """A random chain plus one edge from node 2 to node 11, so the free
+    nodes form a cycle and the chain order is not the id order."""
+    rng = np.random.default_rng(seed)
+    g, truth = random_chain_graph(rng, 14, n_absolute=3)
+    g.add_edge(Edge(2, 11, compose(inverse(truth[2]), truth[11]),
+                    np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
+    return g
+
+
+def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
+    g = _loop_closed_chain(51)
+    packed = _PackedGraph(g)
+    assert packed.u > 5
+    assert packed.free.tolist() != sorted(packed.free.tolist())
+    h = clone_graph(g)
+    report = optimize(g)
+    assert report.converged
+    assert dense_optimize(h)
+    assert np.max(np.abs(g.poses - h.poses)) < 1e-8
+
+
+def test_linear_system_is_in_id_order_whatever_the_chain_order():
+    g = _loop_closed_chain(52)
+    packed = _PackedGraph(g)
+    band, b_chain, _ = packed.linearize(packed.poses)
+    H, b = build_linear_system(g)
+    Hd, bd, _, free = dense_system(g)
+    assert np.allclose(H.toarray(), Hd, atol=1e-10)
+    assert np.allclose(b, bd, atol=1e-10)
+    # the band and its product are the same matrix in chain order
+    at = _in_chain_order(packed, free)
+    x = np.random.default_rng(53).normal(size=b.size)
+    assert np.allclose(solver._band_mul(band, x[at]), (Hd @ x)[at],
+                       atol=1e-9)
+    assert np.array_equal(b_chain, b[at])
 
 
 # one G2 solve of a 1200 s urban loop: 3.6k edges, so the solver's vector
