@@ -2,7 +2,7 @@
 odometry on SE(2)."""
 
 from .builders import BuilderConfig, NodeRate, Strategy, build, \
-    full_rate_trajectory, initialize_from_odometry, vehicle_trajectory
+    full_rate_trajectory, vehicle_trajectory
 from .dataset import Dataset, ExperimentConfig, TruthTrack, export_results, \
     load_dataset, run_batch, run_experiment
 from .errors import BadInformationError, DivisionByZeroMetricError, \
@@ -21,8 +21,7 @@ from .odometry import OdometryStream, PreintegratedOdometry, \
     odometry_information, preintegrate
 from .se2 import Pose2, compose, edge_jacobians, edge_residual, exp_map, \
     inverse, log_map, retract, wrap_angle
-from .solver import Method, SolveReport, SolverConfig, Termination, \
-    build_linear_system, dogleg_step, optimize
+from .solver import SolveReport, SolverConfig, Termination, optimize
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
 

@@ -87,18 +87,6 @@ def _dead_reckon(readings, stream: OdometryStream, times):
     return deltas, arcs, poses
 
 
-def initialize_from_odometry(readings, odo: OdometryStream) -> list[Pose2]:
-    """Dead-reckoned seed pose per accepted reading.
-
-    The first pose sits at the first accepted fix, heading along the
-    bearing to the second; each following pose chains the preintegrated
-    odometry of the gap.
-    """
-    readings = _accepted(readings)
-    poses = _dead_reckon(readings, odo, [r.timestamp for r in readings])[2]
-    return [Pose2(*p) for p in poses]
-
-
 def _node_times(readings, stream: OdometryStream, rate: NodeRate):
     """Vehicle-node timestamps; always includes every reading timestamp."""
     fix_times = [r.timestamp for r in readings]

@@ -64,6 +64,8 @@ class ExperimentConfig:
 
 
 def _read_rows(path, expected_header):
+    """The data rows of a CSV file as (fields, line number) pairs, the
+    fields as raw strings; blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -83,12 +85,18 @@ def _read_rows(path, expected_header):
                 raise ParseError(
                     f"{path}:{lineno}: expected {len(expected_header)} "
                     f"fields, got {len(row)}")
-            try:
-                rows.append(([float(v) for v in row], lineno))
-            except ValueError:
-                # keep the raw strings for schemas with a text column
-                rows.append((row, lineno))
+            rows.append((row, lineno))
         return rows
+
+
+def _check_increasing(path, times, linenos):
+    """Raise on the first row whose timestamp does not increase, naming
+    that row's line in the file."""
+    bad = np.flatnonzero(np.diff(times) <= 0.0)
+    if bad.size:
+        raise NonMonotonicTimestampsError(
+            f"{path}: timestamp at data line {linenos[bad[0] + 1]} "
+            "not increasing")
 
 
 def _sniff_gnss_header(path):
@@ -111,7 +119,7 @@ def _load_gnss(path):
         for row, lineno in rows:
             try:
                 t, lat, lon, epx, epy, epv = [float(v) for v in row]
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") \
                     from None
             e, n, zone = latlon_to_utm(lat, lon)
@@ -125,10 +133,10 @@ def _load_gnss(path):
                 t = float(row[0])
                 x = float(row[1])
                 y = float(row[2])
-                zone = str(row[3]).strip()
+                zone = row[3].strip()
                 epx, epy, epv = (float(row[4]), float(row[5]),
                                  float(row[6]))
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") \
                     from None
             zones.add(zone)
@@ -136,23 +144,23 @@ def _load_gnss(path):
     if len(zones) > 1:
         raise MixedUtmZonesError(
             f"{path}: readings span UTM zones {sorted(zones)}")
-    ts = [r.timestamp for r in readings]
-    for k, (a, b) in enumerate(zip(ts, ts[1:])):
-        if b <= a:
-            raise NonMonotonicTimestampsError(
-                f"{path}: timestamp at data line {k + 3} not increasing")
+    _check_increasing(path, [r.timestamp for r in readings],
+                      [lineno for _, lineno in rows])
     return readings
 
 
 def _load_numeric(path, header):
+    """The file's rows as an (n, len(header)) float array, and the line
+    number of each row."""
     rows = _read_rows(path, header)
     out = []
     for row, lineno in rows:
         try:
             out.append([float(v) for v in row])
-        except (TypeError, ValueError):
+        except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-    return np.array(out, dtype=float).reshape(len(out), len(header))
+    values = np.array(out, dtype=float).reshape(len(out), len(header))
+    return values, [lineno for _, lineno in rows]
 
 
 def load_dataset(gnss_path, odo_path, truth_path=None,
@@ -165,20 +173,17 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     readings = _load_gnss(gnss_path)
     if not readings:
         raise ParseError(f"{gnss_path}: no GNSS readings")
-    odo = _load_numeric(odo_path, ["t", "yaw_rate", "velocity"])
+    odo, odo_lines = _load_numeric(odo_path, ["t", "yaw_rate", "velocity"])
     if odo.shape[0] == 0:
         raise ParseError(f"{odo_path}: no odometry samples")
-    if np.any(np.diff(odo[:, 0]) <= 0.0):
-        k = int(np.argmax(np.diff(odo[:, 0]) <= 0.0))
-        raise NonMonotonicTimestampsError(
-            f"{odo_path}: timestamp at data line {k + 3} not increasing")
+    _check_increasing(odo_path, odo[:, 0], odo_lines)
     origin = (float(readings[0].position[0]), float(readings[0].position[1]))
     for r in readings:
         r.position = r.position - np.asarray(origin)
     stream = OdometryStream(odo[:, 0], odo[:, 1], odo[:, 2])
     truth = None
     if truth_path is not None:
-        tr = _load_numeric(truth_path, ["t", "utm_x", "utm_y"])
+        tr, _ = _load_numeric(truth_path, ["t", "utm_x", "utm_y"])
         if np.any(np.diff(tr[:, 0]) <= 0.0):
             raise NonMonotonicTimestampsError(
                 f"{truth_path}: timestamps not strictly increasing")

@@ -138,15 +138,13 @@ class RejectionResult:
     uncovered: int
 
 
-def reject_outliers(readings, odo: OdometryStream,
-                    heading_tol_deg: float = HEADING_TOLERANCE_DEG,
-                    displacement_tol_m: float = DISPLACEMENT_TOLERANCE_M
-                    ) -> RejectionResult:
+def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
     """Flag fixes whose motion disagrees with the integrated odometry.
 
     Each candidate is compared against the last accepted fix: both the
-    displacement test (GNSS distance vs odometry arc length, 15 m) and
-    the bearing-change test (vs integrated yaw, 1.5 deg) must pass.  The
+    displacement test (GNSS distance vs odometry arc length,
+    DISPLACEMENT_TOLERANCE_M) and the bearing-change test (vs integrated
+    yaw, HEADING_TOLERANCE_DEG) must pass; both are read at call time.  The
     bearing test needs two prior accepted fixes and legs of at least
     0.5 m on both sides, otherwise it is skipped.  The first reading is
     accepted by default.  Fixes whose window the odometry does not cover
@@ -161,7 +159,7 @@ def reject_outliers(readings, odo: OdometryStream,
         raise NonMonotonicTimestampsError(
             "GNSS timestamps must be strictly increasing")
 
-    heading_tol = math.radians(heading_tol_deg)
+    heading_tol = math.radians(HEADING_TOLERANCE_DEG)
     # every fix as a window end once; a candidate window is then O(1)
     ends = WindowEnds(odo, ts)
     reach = odo.reach(ts).tolist()
@@ -182,7 +180,7 @@ def reject_outliers(readings, odo: OdometryStream,
         heading_change, arc_length = ends.heading_and_arc(prev, k)
         leg = reading.position - readings[prev].position
         disp = float(np.hypot(leg[0], leg[1]))
-        ok = abs(disp - arc_length) < displacement_tol_m
+        ok = abs(disp - arc_length) < DISPLACEMENT_TOLERANCE_M
         if ok and prevprev is not None:
             prior = readings[prev].position - readings[prevprev].position
             prior_disp = float(np.hypot(prior[0], prior[1]))

@@ -1,15 +1,14 @@
 """Sparse nonlinear least-squares over pose graphs.
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
-Powell's dogleg (the default) or Levenberg-Marquardt.  The two share one
-iteration: linearize, propose a step for the method's knob (trust radius
-or lambda), test the trial's gain ratio, and accept it or move the knob
-and propose again.  optimize() views the graph's edge arrays in place
-and works on one copy of its pose array, runs every iteration on them
-with the batched se2 kernels (residuals, Jacobians, chi-square and
-retraction for all edges or nodes in one pass), and writes the free
-poses back into the graph's pose array, in one assignment, when it
-returns.
+Powell's dogleg.  Each iteration linearizes once, proposes a step for the
+current trust radius, tests the trial's gain ratio, and accepts it or
+halves the radius and proposes again.  optimize() views the graph's edge
+arrays in place and works on one copy of its pose array, runs every
+iteration on them with the batched se2 kernels (residuals, Jacobians,
+chi-square and retraction for all edges or nodes in one pass), and
+writes the free poses back into the graph's pose array, in one
+assignment, when it returns.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -27,11 +26,6 @@ lambda from 1e-9 to 1e-3, before SingularSystemError is raised.
 Products with H are numpy band products, not BLAS calls, so a solve
 gives the same bits whatever the BLAS thread count.
 
-build_linear_system() and dogleg_step() are the only places where the
-band meets other matrix types: the first returns H as a scipy sparse
-matrix with the free nodes in id order, the second reads the upper
-triangle of a dense or scipy sparse H into a band.
-
 Updates are applied on the right, pose <- compose(pose, exp_map(delta)),
 matching the Jacobians produced by the se2 module.
 """
@@ -43,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
@@ -53,12 +46,10 @@ from .se2 import batch_edge_linearization, batch_edge_residual, \
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-# initial knobs and the limits at which the trust region has collapsed
+# initial trust radius, and the radius at which the trust region has
+# collapsed
 _TRUST_RADIUS_INIT = 1e4
 _MIN_TRUST_RADIUS = 1e-12
-_LM_LAMBDA_INIT = 1e-4
-_MIN_LM_LAMBDA = 1e-15
-_MAX_LM_LAMBDA = 1e12
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,20 +78,6 @@ def _band_mul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[:-k] += d * x[k:]
         y[k:] += d * x[:-k]
     return y
-
-
-def _with_diagonal(band: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """A copy of the band with `add` added to its diagonal."""
-    out = band.copy()
-    out[-1] += add
-    return out
-
-
-def _damping(band: np.ndarray) -> np.ndarray:
-    # zero diagonal entries get unit damping, otherwise lambda*diag would
-    # leave an exactly singular row singular
-    diag = band[-1]
-    return np.where(diag > 0.0, diag, 1.0)
 
 
 def _chain_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,11 +111,6 @@ def _chain_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(order, dtype=np.intp)
 
 
-class Method(enum.Enum):
-    LEVENBERG_MARQUARDT = "levenberg_marquardt"
-    DOGLEG = "dogleg"
-
-
 class Termination(enum.Enum):
     ABS_TOL = "abs_tol"
     REL_TOL = "rel_tol"
@@ -149,7 +121,6 @@ class Termination(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    method: Method = Method.DOGLEG
     max_iterations: int = 100
     abs_error_tol: float = 1e-9
     rel_error_tol: float = 1e-9
@@ -265,33 +236,21 @@ class _PackedGraph:
         graph.poses[self.free] = self.poses[self.free]
 
 
-def build_linear_system(graph: PoseGraph):
-    """Return (H, b) of the reduced normal equations at the current poses.
-
-    Rows/columns belonging to fixed nodes are removed; free nodes are
-    ordered by node id, three consecutive variables each.  H is a scipy
-    sparse matrix.
-    """
-    packed = _PackedGraph(graph)
-    band, b, _ = packed.linearize(packed.poses)
-    u = packed.u
-    upper = sp.dia_matrix((band, np.arange(u, -1, -1)),
-                          shape=(packed.n, packed.n))
-    H = (upper + sp.triu(upper, k=1).T).tocsr()
-    # variable v of the id-ordered system sits at by_id[v] in chain order
-    by_id = (3 * np.argsort(packed.free)[:, None] + np.arange(3)).ravel()
-    return H[by_id][:, by_id].tocsc(), b[by_id]
-
-
 def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure."""
     if b.size == 0:
         return np.zeros(0)
-    damp = _damping(H)
+    # zero diagonal entries get unit damping, otherwise lambda*diag would
+    # leave an exactly singular row singular
+    damp = np.where(H[-1] > 0.0, H[-1], 1.0)
     bnorm = _norm(b)
     for lam in (0.0,) + _LAMBDA_LADDER:
-        M = H if lam == 0.0 else _with_diagonal(H, lam * damp)
+        M = H
+        if lam > 0.0:
+            # the diagonal is the band's last row
+            M = H.copy()
+            M[-1] += lam * damp
         try:
             factor = cholesky_banded(M, lower=False)
         except (LinAlgError, ValueError):
@@ -306,11 +265,6 @@ def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise SingularSystemError(
         "normal equations could not be factorized even with "
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
-
-
-def _levenberg_marquardt_steps(H: np.ndarray, b: np.ndarray):
-    damp = _damping(H)
-    return lambda lam: _solve_normal(_with_diagonal(H, lam * damp), b)
 
 
 def _dogleg_steps(H: np.ndarray, b: np.ndarray):
@@ -346,42 +300,6 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     return step
 
 
-def dogleg_step(H, b: np.ndarray, trust_radius: float) -> np.ndarray:
-    """Classical Powell dogleg increment for the model 0.5 d'Hd - b'd.
-
-    H is symmetric, dense or scipy sparse; its upper triangle is read.
-    Returns the Gauss-Newton step when it fits inside the trust region,
-    the scaled steepest-descent step when even the Cauchy point does not,
-    and the boundary interpolation point otherwise.
-    """
-    upper = sp.triu(sp.coo_matrix(H))
-    u = int(np.max(upper.col - upper.row, initial=0))
-    band = np.zeros((u + 1, upper.shape[0]))
-    np.add.at(band, (u + upper.row - upper.col, upper.col), upper.data)
-    return _dogleg_steps(band, np.asarray(b, dtype=float))(trust_radius)
-
-
-# What each method brings to the step loop of _minimize(), in this order:
-# steps(H, b) does the work of one linearization once and returns the
-# step as a function of the method's knob (trust radius or lambda); the
-# knob's initial value; accept(knob, rho), the knob after a step with
-# gain ratio rho is accepted; reject(knob), the knob after a step is
-# rejected; collapsed(knob), whether the solve has to stop.
-_RULES = {
-    Method.LEVENBERG_MARQUARDT: (
-        _levenberg_marquardt_steps, _LM_LAMBDA_INIT,
-        lambda lam, rho: max(lam * 0.1, _MIN_LM_LAMBDA),
-        lambda lam: lam * 10.0,
-        lambda lam: lam > _MAX_LM_LAMBDA),
-    Method.DOGLEG: (
-        _dogleg_steps, _TRUST_RADIUS_INIT,
-        lambda radius, rho: radius * 0.5 if rho < 0.25
-        else radius * 2.0 if rho > 0.75 else radius,
-        lambda radius: radius * 0.5,
-        lambda radius: radius < _MIN_TRUST_RADIUS),
-}
-
-
 def optimize(graph: PoseGraph, config: SolverConfig | None = None,
              trace=None) -> SolveReport:
     """Minimize the graph's total error in place over all non-fixed nodes.
@@ -390,8 +308,8 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
     are written back into it once, when the solve returns or raises, and
     fixed node poses are never touched.  When `trace` is given (a callable
     or a writable file-like), one line per iteration is emitted with
-    "iteration chi2 step_norm radius"; the last column is the trust-region
-    radius for dogleg and lambda for Levenberg-Marquardt.
+    "iteration chi2 step_norm radius", the radius being the trust radius
+    after the iteration's last trial.
     """
     cfg = config if config is not None else SolverConfig()
     if not graph.fixed.any():
@@ -412,22 +330,22 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     if packed.n == 0:
         return SolveReport(True, 0, initial, initial, Termination.STEP_TOL)
 
-    steps, knob, accept, reject, collapsed = _RULES[cfg.method]
+    radius = _TRUST_RADIUS_INIT
     chi = initial
     converged = False
     termination = Termination.MAX_ITER
     iterations = 0
 
-    def emit(it: int, chi_now: float, step: float, knob: float) -> None:
+    def emit(it: int, chi_now: float, step: float, radius: float) -> None:
         if sink is not None:
-            sink(f"{it} {chi_now:.17g} {step:.17g} {knob:.17g}\n")
+            sink(f"{it} {chi_now:.17g} {step:.17g} {radius:.17g}\n")
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         H, b, chi = packed.linearize(packed.poses)
-        step = steps(H, b)
+        step = _dogleg_steps(H, b)
         while True:
-            delta = step(knob)
+            delta = step(radius)
             step_norm = _norm(delta)
             if step_norm <= cfg.step_tol:
                 new_chi = chi
@@ -437,16 +355,20 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
             pred = 2.0 * _dot(b, delta) - _dot(delta, _band_mul(H, delta))
             if trial_chi < chi and pred > 0.0:
-                knob = accept(knob, (chi - trial_chi) / pred)
+                rho = (chi - trial_chi) / pred
+                if rho < 0.25:
+                    radius *= 0.5
+                elif rho > 0.75:
+                    radius *= 2.0
                 packed.poses, new_chi = trial, trial_chi
                 break
-            knob = reject(knob)
-            if collapsed(knob):
-                emit(it, chi, step_norm, knob)
+            radius *= 0.5
+            if radius < _MIN_TRUST_RADIUS:
+                emit(it, chi, step_norm, radius)
                 return SolveReport(False, it, initial, chi,
                                    Termination.TRUST_REGION_COLLAPSE)
 
-        emit(it, new_chi, step_norm, knob)
+        emit(it, new_chi, step_norm, radius)
         decrease = chi - new_chi
         if new_chi <= cfg.abs_error_tol:
             converged, termination = True, Termination.ABS_TOL

@@ -98,6 +98,27 @@ def dense_system(graph):
     return H, b, chi, free
 
 
+def band_to_dense(band):
+    """The symmetric matrix whose upper triangle is held in the (u + 1, n)
+    band, LAPACK's upper band storage: band[u - k, j] = H[j - k, j]."""
+    u = band.shape[0] - 1
+    H = np.diag(band[u])
+    for k in range(1, u + 1):
+        H += np.diag(band[u - k, k:], k) + np.diag(band[u - k, k:], -k)
+    return H
+
+
+def dense_to_band(H):
+    """The upper band storage of a symmetric matrix, as wide as the
+    farthest nonzero entry of its upper triangle from the diagonal."""
+    rows, cols = np.nonzero(np.triu(H))
+    u = int(np.max(cols - rows, initial=0))
+    band = np.zeros((u + 1, H.shape[0]))
+    for k in range(u + 1):
+        band[u - k, k:] = np.diagonal(H, k)
+    return band
+
+
 def _dense_solve(H, b):
     lam = 0.0
     damp = np.where(np.diag(H) > 0.0, np.diag(H), 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import integrate_fine, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build, \
-    full_rate_trajectory, initialize_from_odometry, vehicle_trajectory
+    full_rate_trajectory, vehicle_trajectory
 from se2fusion.errors import TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
 from se2fusion.graph import EdgeKind, NodeKind, PoseGraph
@@ -67,9 +67,14 @@ def test_g3_structure():
     assert all(n.fixed for n in graph.nodes if n.kind is NodeKind.GNSS_POSE)
 
 
+def _seeds(readings, stream):
+    # the dead-reckoned vehicle poses of a freshly built graph
+    return vehicle_trajectory(build(readings, stream))
+
+
 def test_straight_drive_seeds():
     readings, stream = _drive(3)
-    seeds = initialize_from_odometry(readings, stream)
+    seeds = _seeds(readings, stream)
     assert [s.x for s in seeds] == pytest.approx([0.0, 10.0, 20.0],
                                                  abs=1e-9)
     assert [s.y for s in seeds] == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
@@ -79,7 +84,7 @@ def test_standstill_seeds_all_equal():
     readings, stream = _drive(4, speed=0.0)
     for k, r in enumerate(readings):
         r.position = np.array([float(k), 0.0])  # bearings need motion
-    seeds = initialize_from_odometry(readings, stream)
+    seeds = _seeds(readings, stream)
     first = seeds[0].as_array()
     for s in seeds[1:]:
         assert np.allclose(s.as_array(), first, atol=1e-12)
@@ -92,7 +97,7 @@ def test_curved_seeds_match_fine_integrator():
     stream = OdometryStream(t, w, v)
     readings = [GnssReading(float(k), (10.0 * k, 0.0), 2.0, 2.0)
                 for k in range(61)]
-    seeds = initialize_from_odometry(readings, stream)
+    seeds = _seeds(readings, stream)
     for k in (10, 30, 60):
         dx, dy, _, _ = integrate_fine(t, w, v, 0.0, float(k))
         assert seeds[k].x == pytest.approx(dx, abs=1e-3)
@@ -160,8 +165,6 @@ def test_too_few_accepted_readings():
     readings[2].accepted = False
     with pytest.raises(TooFewReadingsError):
         build(readings, stream)
-    with pytest.raises(TooFewReadingsError):
-        initialize_from_odometry(readings, stream)
 
 
 def test_identity_strength_must_be_positive():

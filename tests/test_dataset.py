@@ -78,6 +78,24 @@ def test_gnss_out_of_order_names_the_line(tmp_path):
     with pytest.raises(NonMonotonicTimestampsError, match="line 4"):
         load_dataset(gnss, _odo_csv(tmp_path))
 
+    # blank lines 2 and 3 push the rows to lines 4-6; the repeat on line 6
+    # is named by its own line, not by its place among the rows
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("t,utm_x,utm_y,zone,epx,epy,epv\n\n\n"
+                      "0.0,0.0,0.0,32N,2.0,2.0,2.0\n"
+                      "1.0,1.0,0.0,32N,2.0,2.0,2.0\n"
+                      "1.0,2.0,0.0,32N,2.0,2.0,2.0\n")
+    with pytest.raises(NonMonotonicTimestampsError, match=r"line 6\b"):
+        load_dataset(str(spaced), _odo_csv(tmp_path))
+    good = _write(tmp_path / "good.csv", "t,utm_x,utm_y,zone,epx,epy,epv",
+                  [(0.0, 0.0, 0.0, "32N", 2.0, 2.0, 2.0),
+                   (1.0, 1.0, 0.0, "32N", 2.0, 2.0, 2.0)])
+    odo = tmp_path / "spaced_odo.csv"
+    odo.write_text("t,yaw_rate,velocity\n\n\n"
+                   "0.0,0.0,1.0\n0.04,0.0,1.0\n0.04,0.0,1.0\n")
+    with pytest.raises(NonMonotonicTimestampsError, match=r"line 6\b"):
+        load_dataset(good, str(odo))
+
 
 def test_parse_errors_carry_position(tmp_path):
     p = _write(tmp_path / "short.csv", "t,yaw_rate,velocity",

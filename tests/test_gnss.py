@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import knot_screen, utm_krueger
+from se2fusion import gnss
 from se2fusion.errors import NonMonotonicTimestampsError, OutOfUtmDomainError
 from se2fusion.gnss import GnssReading, gnss_information, latlon_to_utm, \
     reject_outliers
@@ -218,13 +219,15 @@ def test_flags_are_set_in_place():
     assert result.readings[3] is readings[3]
 
 
-def test_threshold_overrides():
+def test_threshold_overrides(monkeypatch):
     readings, stream = _straight_drive(6)
     readings[3] = GnssReading(3.0, (30.0 + 5.0, 0.0), 2.0, 2.0)
     assert reject_outliers(readings, stream).readings[3].accepted
     for r in readings:
         r.accepted = True
-    result = reject_outliers(readings, stream, displacement_tol_m=4.0)
+    # the gate is read when the screen runs, not when it is defined
+    monkeypatch.setattr(gnss, "DISPLACEMENT_TOLERANCE_M", 4.0)
+    result = reject_outliers(readings, stream)
     assert not result.readings[3].accepted
 
 

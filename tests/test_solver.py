@@ -1,4 +1,4 @@
-"""Sparse nonlinear least-squares: step strategies, linear system, dogleg."""
+"""Sparse nonlinear least-squares: the banded linear system and dogleg."""
 
 import io
 import math
@@ -8,21 +8,20 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import se2fusion
 from se2fusion import solver
 
-from helpers import _dense_solve, clone_graph, dense_optimize, \
-    dense_system, dogleg_rootfind, random_chain_graph, random_pose, \
-    set_pose, total_error
+from helpers import _dense_solve, band_to_dense, clone_graph, \
+    dense_optimize, dense_system, dense_to_band, dogleg_rootfind, \
+    random_chain_graph, random_pose, set_pose, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, compose, exp_map, \
     inverse, retract
-from se2fusion.solver import Method, SolveReport, SolverConfig, Termination, \
-    _PackedGraph, build_linear_system, dogleg_step, optimize
+from se2fusion.solver import SolveReport, SolverConfig, Termination, \
+    _PackedGraph, optimize
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
 
@@ -95,16 +94,14 @@ def _chi_column(lines):
     return [float(line.split()[1]) for line in lines]
 
 
-def test_accepted_error_sequence_monotone_for_dogleg_and_lm():
-    rng = np.random.default_rng(32)
-    for method in (Method.DOGLEG, Method.LEVENBERG_MARQUARDT):
-        g, _ = random_chain_graph(rng, 12, n_absolute=4)
-        lines = []
-        report = optimize(g, SolverConfig(method=method), trace=lines.append)
-        chis = _chi_column(lines)
-        assert report.converged
-        assert all(b <= a + 1e-12 for a, b in zip(chis, chis[1:]))
-        assert chis[-1] == pytest.approx(report.final_error, rel=1e-12)
+def test_accepted_error_sequence_is_monotone():
+    g, _ = random_chain_graph(np.random.default_rng(32), 12, n_absolute=4)
+    lines = []
+    report = optimize(g, trace=lines.append)
+    chis = _chi_column(lines)
+    assert report.converged
+    assert all(b <= a + 1e-12 for a, b in zip(chis, chis[1:]))
+    assert chis[-1] == pytest.approx(report.final_error, rel=1e-12)
 
 
 def test_trace_lines_carry_iteration_chi_step_and_radius():
@@ -121,16 +118,19 @@ def test_trace_lines_carry_iteration_chi_step_and_radius():
         assert chi >= 0.0 and step >= 0.0 and radius > 0.0
 
 
-def test_all_three_methods_reach_the_same_optimum():
-    rng = np.random.default_rng(33)
-    base, _ = random_chain_graph(rng, 9, n_absolute=3)
-    finals = []
-    for method in Method:
-        g = clone_graph(base)
-        report = optimize(g, SolverConfig(method=method))
-        assert report.converged, method
-        finals.append(report.final_error)
-    assert max(finals) <= min(finals) * (1.0 + 1e-6) + 1e-12
+def _in_chain_order(packed, free):
+    # indices into an id-ordered vector, in the packed chain order
+    return (3 * np.searchsorted(free, packed.free)[:, None]
+            + np.arange(3)).ravel()
+
+
+def _linear_system(g):
+    """(H, b) of the normal equations the solver assembles at the graph's
+    poses, H dense, with the free nodes in id order."""
+    packed = _PackedGraph(g)
+    band, b, _ = packed.linearize(packed.poses)
+    by_id = np.argsort(_in_chain_order(packed, sorted(packed.free.tolist())))
+    return band_to_dense(band)[np.ix_(by_id, by_id)], b[by_id]
 
 
 def test_linear_system_zero_residual_gives_zero_gradient():
@@ -138,27 +138,32 @@ def test_linear_system_zero_residual_gives_zero_gradient():
     g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
     g.add_node(Pose2(1.0, 0.0, 0.0))
     g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
-    H, b = build_linear_system(g)
+    H, b = _linear_system(g)
     assert H.shape == (3, 3)
     assert np.allclose(b, 0.0, atol=1e-15)
-    assert np.linalg.norm(H.toarray()) > 0.0
+    assert np.linalg.norm(H) > 0.0
 
 
 def test_linear_system_is_symmetric():
+    """The band holds one triangle; the solver's product with it is the
+    product with a symmetric matrix, x'(Hy) = y'(Hx)."""
     rng = np.random.default_rng(34)
     for _ in range(10):
         g, _ = random_chain_graph(rng, int(rng.integers(4, 12)))
-        H, _ = build_linear_system(g)
-        D = H.toarray()
-        assert np.max(np.abs(D - D.T)) < 1e-12
+        packed = _PackedGraph(g)
+        band, _, _ = packed.linearize(packed.poses)
+        x, y = rng.normal(size=(2, packed.n))
+        xHy = float(x @ solver._band_mul(band, y))
+        yHx = float(y @ solver._band_mul(band, x))
+        assert xHy == pytest.approx(yHx, rel=1e-12, abs=1e-12)
 
 
 def test_linear_system_matches_dense_assembly():
     rng = np.random.default_rng(35)
     g, _ = random_chain_graph(rng, 10, n_absolute=4)
-    H, b = build_linear_system(g)
+    H, b = _linear_system(g)
     Hd, bd, _, _ = dense_system(g)
-    assert np.allclose(H.toarray(), Hd, atol=1e-10)
+    assert np.allclose(H, Hd, atol=1e-10)
     assert np.allclose(b, bd, atol=1e-10)
 
 
@@ -166,12 +171,10 @@ def test_linear_model_predicts_small_step_decrease():
     """First-order Taylor check: scale the full step down by 1e-4 and the
     modeled decrease must match the measured one."""
     rng = np.random.default_rng(36)
-    from scipy.sparse.linalg import spsolve
-
     for _ in range(5):
         g, _ = random_chain_graph(rng, 8, n_absolute=3)
-        H, b = build_linear_system(g)
-        delta = 1e-4 * spsolve(H.tocsc(), b)
+        H, b = _linear_system(g)
+        delta = 1e-4 * np.linalg.solve(H, b)
         predicted = 2.0 * float(b @ delta) - float(delta @ (H @ delta))
         chi0 = total_error(g)
         free = [n for n in g.nodes if not n.fixed]
@@ -194,7 +197,7 @@ def test_dogleg_step_large_radius_equals_gauss_newton():
         H = _random_spd(rng, 6)
         b = rng.normal(size=6)
         gn = np.linalg.solve(H, b)
-        step = dogleg_step(sp.csc_matrix(H), b, 1e12)
+        step = solver._dogleg_steps(dense_to_band(H), b)(1e12)
         assert np.allclose(step, gn, atol=1e-12)
 
 
@@ -204,7 +207,7 @@ def test_dogleg_step_tiny_radius_is_scaled_gradient():
         H = _random_spd(rng, 5)
         b = rng.normal(size=5)
         radius = 1e-6
-        step = dogleg_step(sp.csc_matrix(H), b, radius)
+        step = solver._dogleg_steps(dense_to_band(H), b)(radius)
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-12)
         cosine = float(step @ b) / (np.linalg.norm(step) * np.linalg.norm(b))
         assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +225,7 @@ def test_dogleg_step_intermediate_matches_rootfind_oracle():
         if not hi > lo * 1.01:
             continue
         radius = 0.5 * (lo + hi)
-        step = dogleg_step(sp.csc_matrix(H), b, radius)
+        step = solver._dogleg_steps(dense_to_band(H), b)(radius)
         oracle = dogleg_rootfind(H, b, radius)
         assert np.allclose(step, oracle, atol=1e-10)
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-9)
@@ -234,20 +237,20 @@ def test_dogleg_step_reports_unsolvable_system():
     """A system the regularization ladder cannot repair is reported, not
     papered over.  Plain rank deficiency stays consistent under the
     diagonal damping, so an unfactorizable matrix is the trigger."""
-    H = sp.csc_matrix(np.array([[np.nan, 0.0, 0.0],
-                                [0.0, 1.0, 0.0],
-                                [0.0, 0.0, 1.0]]))
+    H = np.array([[np.nan, 0.0, 0.0],
+                  [0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0]])
     b = np.ones(3)
     with pytest.raises(SingularSystemError):
-        dogleg_step(H, b, 1.0)
+        solver._dogleg_steps(dense_to_band(H), b)(1.0)
 
 
 def test_dogleg_step_regularizes_plain_rank_deficiency():
     """A zero block with a matching gradient entry is handled by the
     ladder: the step stays finite and inside the trust region."""
-    H = sp.csc_matrix(np.diag([1.0, 1.0, 0.0]))
+    H = np.diag([1.0, 1.0, 0.0])
     b = np.array([1.0, 1.0, 1.0])
-    step = dogleg_step(H, b, 10.0)
+    step = solver._dogleg_steps(dense_to_band(H), b)(10.0)
     assert np.all(np.isfinite(step))
     assert np.linalg.norm(step) <= 10.0 + 1e-9
 
@@ -437,35 +440,26 @@ def test_optimize_writes_back_pose_objects():
     assert report.final_error == pytest.approx(total_error(g), rel=1e-12)
 
 
-def _collapse_config(method):
-    # no tolerance can stop the solve, so it runs until the knob gives out
-    return SolverConfig(method=method, abs_error_tol=0.0, step_tol=0.0,
-                        rel_error_tol=-1.0)
+# no tolerance can stop the solve, so it runs until the radius gives out
+_COLLAPSE = SolverConfig(abs_error_tol=0.0, step_tol=0.0, rel_error_tol=-1.0)
 
 
-def test_lm_and_dogleg_report_trust_region_collapse():
-    for method, limit in ((Method.LEVENBERG_MARQUARDT, 1e12),
-                          (Method.DOGLEG, 1e-12)):
-        g, _ = random_chain_graph(np.random.default_rng(47), 9,
-                                  n_absolute=3)
-        lines = []
-        report = optimize(g, _collapse_config(method), trace=lines.append)
-        assert report.termination is Termination.TRUST_REGION_COLLAPSE
-        assert not report.converged
-        assert report.iterations == len(lines) < 20
-        knob = float(lines[-1].split()[3])
-        if method is Method.LEVENBERG_MARQUARDT:
-            assert limit < knob <= 10.0 * limit
-        else:
-            assert 0.5 * limit <= knob < limit
-        assert report.final_error == pytest.approx(total_error(g),
-                                                   rel=1e-12)
-        assert report.final_error <= report.initial_error
+def test_dogleg_reports_trust_region_collapse():
+    g, _ = random_chain_graph(np.random.default_rng(47), 9, n_absolute=3)
+    lines = []
+    report = optimize(g, _COLLAPSE, trace=lines.append)
+    assert report.termination is Termination.TRUST_REGION_COLLAPSE
+    assert not report.converged
+    assert report.iterations == len(lines) < 20
+    radius = float(lines[-1].split()[3])
+    assert 0.5e-12 <= radius < 1e-12
+    assert report.final_error == pytest.approx(total_error(g), rel=1e-12)
+    assert report.final_error <= report.initial_error
 
 
 def _trace_with_trials(monkeypatch, graph, config):
     """Solve with a trace; return the report and, per trace line, its
-    knob and the number of trial steps its iteration evaluated."""
+    radius and the number of trial steps its iteration evaluated."""
     chi2 = _PackedGraph.chi2
     calls = []
 
@@ -482,46 +476,23 @@ def _trace_with_trials(monkeypatch, graph, config):
     return report, [k for k, _ in marks], counts.tolist()
 
 
-def test_trace_knob_follows_each_method_update_rule(monkeypatch):
-    base, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
-    report, knobs, trials = _trace_with_trials(
-        monkeypatch, clone_graph(base),
-        _collapse_config(Method.LEVENBERG_MARQUARDT))
-    assert report.termination is Termination.TRUST_REGION_COLLAPSE
-    assert max(trials[:-1]) > 1
-    lam = 1e-4
-    for k, (knob, n) in enumerate(zip(knobs, trials)):
-        last = k == len(knobs) - 1
-        # every rejected trial multiplies lambda by 10, an accepted one
-        # by 0.1; only the collapsing iteration accepts none
-        for _ in range(n if last else n - 1):
-            lam *= 10.0
-        if not last:
-            lam = max(lam * 0.1, 1e-15)
-        assert knob == lam
-
-    report, knobs, trials = _trace_with_trials(
-        monkeypatch, clone_graph(base), _collapse_config(Method.DOGLEG))
+def test_trace_radius_follows_the_dogleg_update_rule(monkeypatch):
+    g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
+    report, radii, trials = _trace_with_trials(monkeypatch, g, _COLLAPSE)
     assert report.termination is Termination.TRUST_REGION_COLLAPSE
     assert max(trials) > 1
     radius = 1e4
-    for k, (knob, n) in enumerate(zip(knobs, trials)):
-        last = k == len(knobs) - 1
+    for k, (traced, n) in enumerate(zip(radii, trials)):
+        last = k == len(radii) - 1
         # a rejected trial halves the radius; an accepted one halves,
         # keeps or doubles it by its gain ratio
         for _ in range(n if last else n - 1):
             radius *= 0.5
         if last:
-            assert knob == radius
+            assert traced == radius
         else:
-            assert knob / radius in (0.5, 1.0, 2.0)
-        radius = knob
-
-
-def _in_chain_order(packed, free):
-    # indices into an id-ordered vector, in the packed chain order
-    return (3 * np.searchsorted(free, packed.free)[:, None]
-            + np.arange(3)).ravel()
+            assert traced / radius in (0.5, 1.0, 2.0)
+        radius = traced
 
 
 @pytest.mark.parametrize("rate", list(NodeRate))
@@ -573,9 +544,9 @@ def test_linear_system_is_in_id_order_whatever_the_chain_order():
     g = _loop_closed_chain(52)
     packed = _PackedGraph(g)
     band, b_chain, _ = packed.linearize(packed.poses)
-    H, b = build_linear_system(g)
+    H, b = _linear_system(g)
     Hd, bd, _, free = dense_system(g)
-    assert np.allclose(H.toarray(), Hd, atol=1e-10)
+    assert np.allclose(H, Hd, atol=1e-10)
     assert np.allclose(b, bd, atol=1e-10)
     # the band and its product are the same matrix in chain order
     at = _in_chain_order(packed, free)

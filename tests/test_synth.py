@@ -216,6 +216,8 @@ def test_datasets_match_the_scipy_generator_bit_for_bit(monkeypatch):
 
 
 def test_import_loads_no_scipy_signal_or_integrate():
+    """A fresh import loads neither scipy.signal and scipy.integrate nor
+    any scipy.sparse module."""
     src = os.path.dirname(os.path.dirname(se2fusion.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -223,7 +225,8 @@ def test_import_loads_no_scipy_signal_or_integrate():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, se2fusion; print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.signal', 'scipy.integrate'))))"],
+         "if m.startswith(('scipy.signal', 'scipy.integrate', "
+         "'scipy.sparse'))))"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
