@@ -13,49 +13,17 @@ synthetic generator (--synth PROFILE with --seed and error-model flags).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
 from .builders import NodeRate, Strategy
-from .dataset import ExperimentConfig, _screen_and_build, export_results, \
-    load_dataset, render_metrics_record, run_batch, run_experiment
+from .dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
+    ExperimentConfig, _screen_and_build, export_results, load_dataset, \
+    render_metrics_record, run_batch, run_experiment
 from .graph import _fmt, save as save_graph
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
-
-
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gnss", help="GNSS CSV path")
-    p.add_argument("--odo", help="odometry CSV path")
-    p.add_argument("--truth", help="ground-truth CSV path")
-    p.add_argument("--synth", choices=[x.value for x in TrajectoryProfile],
-                   help="generate the dataset instead of loading files")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=600.0,
-                   help="synthetic duration in seconds")
-    p.add_argument("--bias", default="0,0",
-                   help="synthetic GNSS bias as 'x,y' meters")
-    p.add_argument("--ar1-rho", type=float, default=0.0)
-    p.add_argument("--ar1-sigma", type=float, default=0.0,
-                   help="stationary planar noise dispersion in meters")
-    p.add_argument("--outlier-rate", type=float, default=0.0)
-    p.add_argument("--outlier-magnitude", type=float, default=0.0)
-    p.add_argument("--drift", type=float, default=0.0,
-                   help="odometry multiplicative drift fraction")
-    p.add_argument("--standstill", default=None,
-                   help="synthetic standstill as 'start,duration' seconds")
-
-
-def _add_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=["g1", "g2", "g3"], default="g2")
-    p.add_argument("--no-outlier-rejection", action="store_true")
-    p.add_argument("--metrics-literal", action="store_true")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per solver iteration")
-    p.add_argument("--identity-strength", type=float, default=1e6)
-    p.add_argument("--node-rate",
-                   choices=[x.value for x in NodeRate],
-                   default=NodeRate.PER_GNSS_FIX.value)
 
 
 def _pair(text, what):
@@ -66,35 +34,79 @@ def _pair(text, what):
         raise SystemExit(f"bad {what}: expected 'a,b', got {text!r}")
 
 
+def _add_dataset_args(p: argparse.ArgumentParser) -> None:
+    gnss, odo = GnssErrorModel(), OdoErrorModel()
+    duration = inspect.signature(generate_synthetic).parameters["duration"]
+    p.add_argument("--gnss", help="GNSS CSV path")
+    p.add_argument("--odo", help="odometry CSV path")
+    p.add_argument("--truth", help="ground-truth CSV path")
+    p.add_argument("--synth", choices=[x.value for x in TrajectoryProfile],
+                   help="generate the dataset instead of loading files")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=float, default=duration.default,
+                   help="synthetic duration in seconds")
+    p.add_argument("--bias", type=lambda s: _pair(s, "--bias"),
+                   default=gnss.bias,
+                   help="synthetic GNSS bias as 'x,y' meters")
+    p.add_argument("--ar1-rho", type=float, default=gnss.ar1_rho)
+    p.add_argument("--ar1-sigma", type=float, default=gnss.ar1_sigma,
+                   help="stationary planar noise dispersion in meters")
+    p.add_argument("--outlier-rate", type=float, default=gnss.outlier_rate)
+    p.add_argument("--outlier-magnitude", type=float,
+                   default=gnss.outlier_magnitude)
+    p.add_argument("--drift", type=float, default=odo.drift_fraction,
+                   help="odometry multiplicative drift fraction")
+    p.add_argument("--standstill", type=lambda s: _pair(s, "--standstill"),
+                   help="synthetic standstill as 'start,duration' seconds")
+
+
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", choices=[x.value for x in Strategy],
+                   default=ExperimentConfig.strategy.value)
+    p.add_argument("--no-outlier-rejection", action="store_true")
+    p.add_argument("--metrics-literal", action="store_true")
+    p.add_argument("--trace", action="store_true",
+                   help="print one line per solver iteration")
+    p.add_argument("--identity-strength", type=float,
+                   default=ExperimentConfig.identity_edge_strength)
+    p.add_argument("--node-rate",
+                   choices=[x.value for x in NodeRate],
+                   default=ExperimentConfig.node_rate.value)
+
+
 def _dataset_from_args(args):
     if args.synth is not None:
-        standstill = _pair(args.standstill, "--standstill") \
-            if args.standstill else None
         return generate_synthetic(
             args.seed, TrajectoryProfile(args.synth),
-            GnssErrorModel(bias=_pair(args.bias, "--bias"),
-                           ar1_rho=args.ar1_rho, ar1_sigma=args.ar1_sigma,
+            GnssErrorModel(bias=args.bias, ar1_rho=args.ar1_rho,
+                           ar1_sigma=args.ar1_sigma,
                            outlier_rate=args.outlier_rate,
                            outlier_magnitude=args.outlier_magnitude),
             OdoErrorModel(drift_fraction=args.drift),
-            duration=args.duration, standstill=standstill)
+            duration=args.duration, standstill=args.standstill)
     if not args.gnss or not args.odo:
         raise SystemExit("need --gnss and --odo (or --synth PROFILE)")
     return load_dataset(args.gnss, args.odo, args.truth)
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        strategy=Strategy(args.strategy),
-        outlier_rejection=not args.no_outlier_rejection,
-        node_rate=NodeRate(args.node_rate),
-        identity_edge_strength=args.identity_strength,
-        metrics_literal=args.metrics_literal)
+    """The verb's config, built before its dataset so that a bad value
+    stops the run before any work."""
+    try:
+        return ExperimentConfig(
+            strategy=Strategy(args.strategy),
+            outlier_rejection=not args.no_outlier_rejection,
+            node_rate=NodeRate(args.node_rate),
+            identity_edge_strength=args.identity_strength,
+            metrics_literal=args.metrics_literal)
+    except ValueError as exc:
+        # the only value the config checks is the identity stiffness
+        raise SystemExit(f"bad --identity-strength: {exc}") from None
 
 
 def _cmd_run(args) -> int:
-    dataset = _dataset_from_args(args)
     cfg = _experiment_config(args)
+    dataset = _dataset_from_args(args)
     trace = sys.stdout.write if args.trace else None
     trajectory, fused, raw, solve, graph = run_experiment(
         dataset, cfg, trace=trace, keep_graph=True)
@@ -106,8 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    dataset = _dataset_from_args(args)
     base = _experiment_config(args)
+    dataset = _dataset_from_args(args)
     record, table = run_batch([dataset], base)
     os.makedirs(args.out, exist_ok=True)
     rec_path = os.path.join(args.out, "batch_record.txt")
@@ -127,18 +139,18 @@ def _cmd_synth(args) -> int:
     odo_path = os.path.join(args.out, f"{dataset.name}_odo.csv")
     truth_path = os.path.join(args.out, f"{dataset.name}_truth.csv")
     with open(gnss_path, "w", newline="") as fh:
-        fh.write("t,utm_x,utm_y,zone,epx,epy,epv\n")
+        fh.write(",".join(GNSS_UTM_HEADER) + "\n")
         for r in dataset.gnss:
             fh.write(f"{_fmt(r.timestamp)},{_fmt(r.position[0])},"
                      f"{_fmt(r.position[1])},local,{_fmt(r.epx)},"
                      f"{_fmt(r.epy)},{_fmt(r.epv)}\n")
     with open(odo_path, "w", newline="") as fh:
-        fh.write("t,yaw_rate,velocity\n")
+        fh.write(",".join(ODO_HEADER) + "\n")
         s = dataset.odometry
         for t, w, v in zip(s.timestamps, s.yaw_rates, s.velocities):
             fh.write(f"{_fmt(t)},{_fmt(w)},{_fmt(v)}\n")
     with open(truth_path, "w", newline="") as fh:
-        fh.write("t,utm_x,utm_y\n")
+        fh.write(",".join(TRUTH_HEADER) + "\n")
         for t, p in zip(dataset.truth.timestamps, dataset.truth.positions):
             fh.write(f"{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])}\n")
     sys.stdout.write(f"wrote {gnss_path}\nwrote {odo_path}\n"
@@ -147,8 +159,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_graph_dump(args) -> int:
+    cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
-    _, _, graph, _ = _screen_and_build(dataset, _experiment_config(args))
+    _, _, graph, _ = _screen_and_build(dataset, cfg)
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.nodes)} nodes, "
                      f"{len(graph.edges)} edges)\n")

@@ -1,11 +1,15 @@
 """Dataset ingestion, experiment orchestration and result export.
 
-CSV schemas (headers mandatory):
+CSV schemas (headers mandatory; the *_HEADER constants are the one
+definition, shared by the loader and the CLI's writer):
 
-* GNSS, geographic:   t,lat,lon,epx,epy,epv
-* GNSS, pre-projected: t,utm_x,utm_y,zone,epx,epy,epv
-* odometry:           t,yaw_rate,velocity
-* ground truth:       t,utm_x,utm_y
+* GNSS, geographic:   t,lat,lon,epx,epy,epv           (GNSS_GEO_HEADER)
+* GNSS, pre-projected: t,utm_x,utm_y,zone,epx,epy,epv (GNSS_UTM_HEADER)
+* odometry:           t,yaw_rate,velocity             (ODO_HEADER)
+* ground truth:       t,utm_x,utm_y                   (TRUTH_HEADER)
+
+A GNSS file's header picks its schema.  ExperimentConfig extends
+BuilderConfig, which owns the graph settings, their defaults and checks.
 
 On load the first GNSS fix becomes the frame origin and is subtracted
 from every absolute coordinate (GNSS and truth), which keeps the floats
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .builders import BuilderConfig, NodeRate, Strategy, _node_times, \
-    build, vehicle_trajectory
+from .builders import BuilderConfig, Strategy, _node_times, build, \
+    vehicle_trajectory
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NonMonotonicTimestampsError, ParseError
 from .gnss import GnssReading, latlon_to_utm, reject_outliers
@@ -52,41 +56,45 @@ class Dataset:
 
 
 @dataclass
-class ExperimentConfig:
-    """One experiment's settings; the graph settings default to
-    BuilderConfig's."""
-    strategy: Strategy = BuilderConfig.strategy
+class ExperimentConfig(BuilderConfig):
+    """One experiment's settings: the graph settings of BuilderConfig,
+    plus the screen switch, the solver settings and the metric variant."""
     outlier_rejection: bool = True
-    node_rate: NodeRate = BuilderConfig.node_rate
-    identity_edge_strength: float = BuilderConfig.identity_edge_strength
     solver: SolverConfig = field(default_factory=SolverConfig)
     metrics_literal: bool = False
 
 
-def _read_rows(path, expected_header):
-    """The data rows of a CSV file as (fields, line number) pairs, the
-    fields as raw strings; blank lines are skipped."""
+GNSS_GEO_HEADER = ("t", "lat", "lon", "epx", "epy", "epv")
+GNSS_UTM_HEADER = ("t", "utm_x", "utm_y", "zone", "epx", "epy", "epv")
+ODO_HEADER = ("t", "yaw_rate", "velocity")
+TRUTH_HEADER = ("t", "utm_x", "utm_y")
+
+
+def _read_rows(path, *headers):
+    """The file's header, which must be one of `headers`, and its data
+    rows as (fields, line number) pairs, the fields as raw strings; blank
+    lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = tuple(h.strip() for h in next(reader))
         except StopIteration:
             raise ParseError(f"{path}:1: empty file") from None
-        header = [h.strip() for h in header]
-        if header != expected_header:
+        if header not in headers:
             raise ParseError(
-                f"{path}:1: expected header {','.join(expected_header)}, "
+                f"{path}:1: expected header "
+                f"{' or '.join(','.join(h) for h in headers)}, "
                 f"got {','.join(header)}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise ParseError(
-                    f"{path}:{lineno}: expected {len(expected_header)} "
+                    f"{path}:{lineno}: expected {len(header)} "
                     f"fields, got {len(row)}")
             rows.append((row, lineno))
-        return rows
+        return header, rows
 
 
 def _check_increasing(path, times, linenos):
@@ -99,48 +107,23 @@ def _check_increasing(path, times, linenos):
             "not increasing")
 
 
-def _sniff_gnss_header(path):
-    with open(path, newline="") as fh:
-        first = fh.readline()
-    names = [h.strip() for h in first.strip().split(",")]
-    if names == ["t", "lat", "lon", "epx", "epy", "epv"]:
-        return "geo"
-    if names == ["t", "utm_x", "utm_y", "zone", "epx", "epy", "epv"]:
-        return "utm"
-    raise ParseError(f"{path}:1: unrecognized GNSS header {first.strip()!r}")
-
-
 def _load_gnss(path):
-    kind = _sniff_gnss_header(path)
+    header, rows = _read_rows(path, GNSS_GEO_HEADER, GNSS_UTM_HEADER)
     readings = []
     zones = set()
-    if kind == "geo":
-        rows = _read_rows(path, ["t", "lat", "lon", "epx", "epy", "epv"])
-        for row, lineno in rows:
-            try:
-                t, lat, lon, epx, epy, epv = [float(v) for v in row]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") \
-                    from None
-            e, n, zone = latlon_to_utm(lat, lon)
-            zones.add(zone)
-            readings.append(GnssReading(t, (e, n), epx, epy, epv))
-    else:
-        rows = _read_rows(path, ["t", "utm_x", "utm_y", "zone",
-                                 "epx", "epy", "epv"])
-        for row, lineno in rows:
-            try:
-                t = float(row[0])
-                x = float(row[1])
-                y = float(row[2])
-                zone = row[3].strip()
-                epx, epy, epv = (float(row[4]), float(row[5]),
-                                 float(row[6]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") \
-                    from None
-            zones.add(zone)
-            readings.append(GnssReading(t, (x, y), epx, epy, epv))
+    for row, lineno in rows:
+        # both schemas: t, two coordinates, ..., epx, epy, epv
+        try:
+            t, a, b = float(row[0]), float(row[1]), float(row[2])
+            epx, epy, epv = float(row[-3]), float(row[-2]), float(row[-1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+        if header == GNSS_GEO_HEADER:
+            a, b, zone = latlon_to_utm(a, b)
+        else:
+            zone = row[3].strip()
+        zones.add(zone)
+        readings.append(GnssReading(t, (a, b), epx, epy, epv))
     if len(zones) > 1:
         raise MixedUtmZonesError(
             f"{path}: readings span UTM zones {sorted(zones)}")
@@ -152,7 +135,7 @@ def _load_gnss(path):
 def _load_numeric(path, header):
     """The file's rows as an (n, len(header)) float array, and the line
     number of each row."""
-    rows = _read_rows(path, header)
+    _, rows = _read_rows(path, header)
     out = []
     for row, lineno in rows:
         try:
@@ -173,7 +156,7 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     readings = _load_gnss(gnss_path)
     if not readings:
         raise ParseError(f"{gnss_path}: no GNSS readings")
-    odo, odo_lines = _load_numeric(odo_path, ["t", "yaw_rate", "velocity"])
+    odo, odo_lines = _load_numeric(odo_path, ODO_HEADER)
     if odo.shape[0] == 0:
         raise ParseError(f"{odo_path}: no odometry samples")
     _check_increasing(odo_path, odo[:, 0], odo_lines)
@@ -183,10 +166,8 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     stream = OdometryStream(odo[:, 0], odo[:, 1], odo[:, 2])
     truth = None
     if truth_path is not None:
-        tr, _ = _load_numeric(truth_path, ["t", "utm_x", "utm_y"])
-        if np.any(np.diff(tr[:, 0]) <= 0.0):
-            raise NonMonotonicTimestampsError(
-                f"{truth_path}: timestamps not strictly increasing")
+        tr, truth_lines = _load_numeric(truth_path, TRUTH_HEADER)
+        _check_increasing(truth_path, tr[:, 0], truth_lines)
         truth = TruthTrack(tr[:, 0], tr[:, 1:] - np.asarray(origin))
     if name is None:
         name = os.path.splitext(os.path.basename(gnss_path))[0]
@@ -206,9 +187,7 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
     if cfg.outlier_rejection:
         rate = reject_outliers(readings, dataset.odometry).rejection_rate
     accepted = [r for r in readings if r.accepted]
-    graph = build(accepted, dataset.odometry,
-                  BuilderConfig(cfg.strategy, cfg.node_rate,
-                                cfg.identity_edge_strength))
+    graph = build(accepted, dataset.odometry, cfg)
     times = _node_times(accepted, dataset.odometry, cfg.node_rate)
     return readings, rate, graph, times
 
@@ -331,7 +310,7 @@ def render_metrics_record(name, fused, raw, solve) -> str:
 
 
 def run_batch(datasets, config: ExperimentConfig | None = None,
-              strategies=(Strategy.G1, Strategy.G2, Strategy.G3),
+              strategies=tuple(Strategy),
               rejections=(True, False)):
     """Run every strategy x rejection combination over the datasets.
 

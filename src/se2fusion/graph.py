@@ -279,4 +279,7 @@ def load(path) -> PoseGraph:
         except KeyError as exc:
             raise ParseError(
                 f"{path}:{lineno}: edge references unknown vertex {exc}") from exc
+        except ValueError as exc:
+            # add_edge's validation: self edge, bad information matrix
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return graph

@@ -239,8 +239,6 @@ class _PackedGraph:
 def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure."""
-    if b.size == 0:
-        return np.zeros(0)
     # zero diagonal entries get unit damping, otherwise lambda*diag would
     # leave an exactly singular row singular
     damp = np.where(H[-1] > 0.0, H[-1], 1.0)
@@ -285,8 +283,6 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
         if gn_norm <= radius:
             return gn
         if c_norm >= radius:
-            if bnorm == 0.0:
-                return np.zeros_like(b)
             return (radius / bnorm) * b
         # walk from the Cauchy point toward the Gauss-Newton point until
         # the trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius

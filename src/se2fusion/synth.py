@@ -19,13 +19,18 @@ first two would be undetectable by construction.
 
 Everything derives from one seeded generator, so a (seed, parameters)
 pair yields a bit-identical dataset every time.
+
+generate_synthetic's defaults (a 600 s drive, no standstill, nominal
+speed) and the error models' field defaults (all zero) are the only
+definition of those settings: the CLI reads them as its flag defaults,
+and injected_outlier_indices forwards its arguments unchanged.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,23 +232,21 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
 
 
 def injected_outlier_indices(seed: int, profile: TrajectoryProfile,
-                             gnss_error: GnssErrorModel,
-                             odo_error: OdoErrorModel | None = None,
-                             duration: float = 600.0,
-                             standstill: tuple | None = None,
-                             speed: float | None = None) -> list:
+                             gnss_error: GnssErrorModel, *args,
+                             **kwargs) -> list:
     """Fix indices that received a jump for this exact configuration.
 
-    Replays the generator's draw sequence without building the dataset;
-    used to check that screening removes precisely the corrupted fixes.
+    Takes generate_synthetic's arguments and forwards them, generating
+    the drive twice: as given, and with the outliers switched off.  The
+    jumps are drawn last, so both drives share every other draw and
+    differ exactly at the corrupted fixes.  Used to check that
+    screening removes precisely those fixes.
     """
-    ds = generate_synthetic(seed, profile, gnss_error, odo_error,
-                            duration, standstill, speed)
+    ds = generate_synthetic(seed, profile, gnss_error, *args, **kwargs)
     clean = generate_synthetic(
         seed, profile,
-        GnssErrorModel(gnss_error.bias, gnss_error.ar1_rho,
-                       gnss_error.ar1_sigma, 0.0, 0.0),
-        odo_error, duration, standstill, speed)
+        replace(gnss_error, outlier_rate=0.0, outlier_magnitude=0.0),
+        *args, **kwargs)
     out = []
     for k, (a, b) in enumerate(zip(ds.gnss, clean.gnss)):
         if not np.array_equal(a.position, b.position):

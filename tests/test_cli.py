@@ -1,5 +1,6 @@
 """Command-line surface: verbs, flags, file outputs."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 import se2fusion
+from se2fusion import cli
 from se2fusion.builders import Strategy
 from se2fusion.cli import main
-from se2fusion.dataset import ExperimentConfig, load_dataset, run_experiment
+from se2fusion.dataset import ExperimentConfig, load_dataset, \
+    render_metrics_record, run_experiment
 from se2fusion.graph import load as load_graph
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
@@ -96,6 +99,33 @@ def test_bad_pair_flag_message():
     with pytest.raises(SystemExit, match="bad --bias"):
         main(["run", "--synth", "straight", "--duration", "30",
               "--bias", "1"])
+
+
+def test_cli_defaults_are_the_config_defaults(capsys):
+    """With no experiment flag the CLI runs ExperimentConfig() itself, and
+    the config rejects a non-positive identity stiffness however it is
+    built."""
+    assert main(["run", "--synth", "straight", "--duration", "30"]) == 0
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=30.0)
+    _, fused, raw, solve = run_experiment(ds, ExperimentConfig())
+    assert capsys.readouterr().out == \
+        render_metrics_record(ds.name, fused, raw, solve)
+    with pytest.raises(ValueError, match="identity_edge_strength"):
+        ExperimentConfig(identity_edge_strength=0.0)
+    with pytest.raises(ValueError, match="identity_edge_strength"):
+        dataclasses.replace(ExperimentConfig(), identity_edge_strength=-1.0)
+
+
+def test_bad_identity_strength_stops_before_any_work(tmp_path, monkeypatch):
+    def no_dataset(args):
+        raise AssertionError("the dataset was built before the config")
+
+    monkeypatch.setattr(cli, "_dataset_from_args", no_dataset)
+    out = tmp_path / "g.txt"
+    with pytest.raises(SystemExit, match="bad --identity-strength"):
+        main(["graph-dump", "--synth", "straight", "--duration", "20",
+              "--identity-strength", "-1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_trace_prints_solver_iterations(capsys):

@@ -95,6 +95,12 @@ def test_gnss_out_of_order_names_the_line(tmp_path):
                    "0.0,0.0,1.0\n0.04,0.0,1.0\n0.04,0.0,1.0\n")
     with pytest.raises(NonMonotonicTimestampsError, match=r"line 6\b"):
         load_dataset(good, str(odo))
+    truth = tmp_path / "spaced_truth.csv"
+    truth.write_text("t,utm_x,utm_y\n\n\n0.0,0.0,0.0\n1.0,1.0,0.0\n"
+                     "1.0,2.0,0.0\n")
+    with pytest.raises(NonMonotonicTimestampsError,
+                       match=r"spaced_truth\.csv: .*line 6\b"):
+        load_dataset(good, _odo_csv(tmp_path), str(truth))
 
 
 def test_parse_errors_carry_position(tmp_path):
@@ -108,7 +114,10 @@ def test_parse_errors_carry_position(tmp_path):
 
     bad_header = _write(tmp_path / "h.csv", "time,lat,lon,epx,epy,epv",
                         [(0.0, 48.0, 11.0, 2.0, 2.0, 2.0)])
-    with pytest.raises(ParseError, match=r"h\.csv:1:"):
+    with pytest.raises(ParseError,
+                       match=r"h\.csv:1: expected header t,lat,lon,epx,epy,"
+                             r"epv or t,utm_x,utm_y,zone,epx,epy,epv, got "
+                             r"time,lat,lon"):
         load_dataset(bad_header, _odo_csv(tmp_path))
 
     nonnum = _write(tmp_path / "n.csv", "t,yaw_rate,velocity",

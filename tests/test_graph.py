@@ -264,6 +264,21 @@ def test_load_rejects_edge_to_undeclared_vertex(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("edge, why", [
+    ("EDGE_SE2 0 0 1 0 0 1 0 0 1 0 1 ODOMETRY", "self edge on node 0"),
+    ("EDGE_SE2 0 1 1 0 0 1 0 0 -1 0 1 ODOMETRY", "negative diagonal"),
+])
+def test_load_names_the_line_of_an_invalid_edge(tmp_path, edge, why):
+    path = tmp_path / "bad.txt"
+    path.write_text("VERTEX_SE2 0 0 0 0 FIXED\n"
+                    "VERTEX_SE2 1 1 0 0\n"
+                    "\n"
+                    f"{edge}\n")
+    with pytest.raises(ParseError, match=rf"bad\.txt:4: {why}") as err:
+        load(path)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
 def test_load_rejects_unknown_edge_kind(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("VERTEX_SE2 0 0 0 0\n"
