@@ -76,14 +76,17 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
 
 def _dataset_from_args(args):
     if args.synth is not None:
-        return generate_synthetic(
-            args.seed, TrajectoryProfile(args.synth),
-            GnssErrorModel(bias=args.bias, ar1_rho=args.ar1_rho,
-                           ar1_sigma=args.ar1_sigma,
-                           outlier_rate=args.outlier_rate,
-                           outlier_magnitude=args.outlier_magnitude),
-            OdoErrorModel(drift_fraction=args.drift),
-            duration=args.duration, standstill=args.standstill)
+        try:
+            return generate_synthetic(
+                args.seed, TrajectoryProfile(args.synth),
+                GnssErrorModel(bias=args.bias, ar1_rho=args.ar1_rho,
+                               ar1_sigma=args.ar1_sigma,
+                               outlier_rate=args.outlier_rate,
+                               outlier_magnitude=args.outlier_magnitude),
+                OdoErrorModel(drift_fraction=args.drift),
+                duration=args.duration, standstill=args.standstill)
+        except ValueError as exc:
+            raise SystemExit(f"bad synthetic dataset: {exc}") from None
     if not args.gnss or not args.odo:
         raise SystemExit("need --gnss and --odo (or --synth PROFILE)")
     return load_dataset(args.gnss, args.odo, args.truth)

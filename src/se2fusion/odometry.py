@@ -86,9 +86,6 @@ class OdometryStream:
         self._x = _running(seg * np.cos(mid))
         self._y = _running(seg * np.sin(mid))
 
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
-
     def reach(self, t_start) -> np.ndarray:
         """Latest covered window end for each window start.
 

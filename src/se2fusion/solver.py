@@ -3,12 +3,12 @@
 Minimizes the weighted squared residual sum over all non-fixed nodes with
 Powell's dogleg.  Each iteration linearizes once, proposes a step for the
 current trust radius, tests the trial's gain ratio, and accepts it or
-halves the radius and proposes again.  optimize() views the graph's edge
-arrays in place and works on one copy of its pose array, runs every
-iteration on them with the batched se2 kernels (residuals, Jacobians,
-chi-square and retraction for all edges or nodes in one pass), and
-writes the free poses back into the graph's pose array, in one
-assignment, when it returns.
+halves the radius and proposes again.  optimize() views the graph's
+node and edge arrays in place and runs every iteration on them with the
+batched se2 kernels (residuals, Jacobians, chi-square and retraction
+for all edges or nodes in one pass); an accepted trial writes its free
+rows into the graph's pose array, so fixed poses are never touched and
+the graph always holds the last accepted iterate.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -129,27 +129,31 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    converged: bool
     iterations: int
     initial_error: float
     final_error: float
     termination: Termination
 
+    @property
+    def converged(self) -> bool:
+        return self.termination in (Termination.ABS_TOL, Termination.REL_TOL,
+                                    Termination.STEP_TOL)
+
 
 class _PackedGraph:
     """A view of the graph's arrays, with the band layout of H.
 
-    The edge arrays (from/to index vectors, (m, 3) measurements, (m, 3, 3)
-    information stack) are the graph's own; only the (n, 3) poses are a
-    working copy, indexed by node id.  `free` lists the free node ids in
-    chain (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of
-    the reduced system.  The map from each block entry to its slot in
-    the (u + 1, n) upper band is built once, so linearize() only fills
+    The (n, 3) poses, indexed by node id, and the edge arrays (from/to
+    index vectors, (m, 3) measurements, (m, 3, 3) information stack) are
+    the graph's own.  `free` lists the free node ids in chain
+    (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
+    reduced system.  The map from each block entry to its slot in the
+    (u + 1, n) upper band is built once, so linearize() only fills
     values.
     """
 
     def __init__(self, graph: PoseGraph):
-        self.poses = graph.poses.copy()
+        self.poses = graph.poses
         self.i = graph.from_ids
         self.j = graph.to_ids
         self.z = graph.measurements
@@ -231,10 +235,6 @@ class _PackedGraph:
         out[self.free] = batch_retract(poses[self.free], delta.reshape(-1, 3))
         return out
 
-    def write_back(self, graph: PoseGraph) -> None:
-        """Store the current free poses in the graph's pose array."""
-        graph.poses[self.free] = self.poses[self.free]
-
 
 def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H x = b for H in upper band storage, by banded Cholesky with
@@ -300,10 +300,10 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
              trace=None) -> SolveReport:
     """Minimize the graph's total error in place over all non-fixed nodes.
 
-    The iterations run on a copy of the graph's pose array; the free rows
-    are written back into it once, when the solve returns or raises, and
-    fixed node poses are never touched.  When `trace` is given (a callable
-    or a writable file-like), one line per iteration is emitted with
+    Each accepted step moves the free rows of the graph's pose array, so
+    the graph holds the last accepted iterate when the solve returns or
+    raises; fixed node poses are never touched.  When `trace` is given (a
+    callable taking a string), one line per iteration is emitted with
     "iteration chi2 step_norm radius", the radius being the trust radius
     after the iteration's last trial.
     """
@@ -311,41 +311,31 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
     if not graph.fixed.any():
         raise GaugeUnderconstrainedError(
             "graph has no fixed node; the optimum is gauge-invariant")
-    sink = trace.write if hasattr(trace, "write") else trace
-
-    packed = _PackedGraph(graph)
-    try:
-        return _minimize(packed, cfg, sink)
-    finally:
-        packed.write_back(graph)
+    return _minimize(_PackedGraph(graph), cfg, trace)
 
 
 def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
-    # the iteration of optimize(); an accepted step replaces packed.poses
-    initial = packed.chi2(packed.poses)
+    # the iteration of optimize(); each outcome returns where it is decided
+    initial = chi = packed.chi2(packed.poses)
     if packed.n == 0:
-        return SolveReport(True, 0, initial, initial, Termination.STEP_TOL)
-
+        return SolveReport(0, initial, initial, Termination.STEP_TOL)
     radius = _TRUST_RADIUS_INIT
-    chi = initial
-    converged = False
-    termination = Termination.MAX_ITER
-    iterations = 0
 
-    def emit(it: int, chi_now: float, step: float, radius: float) -> None:
+    def emit(it: int, chi_now: float, step: float) -> None:
         if sink is not None:
             sink(f"{it} {chi_now:.17g} {step:.17g} {radius:.17g}\n")
 
     for it in range(1, cfg.max_iterations + 1):
-        iterations = it
         H, b, chi = packed.linearize(packed.poses)
         step = _dogleg_steps(H, b)
         while True:
             delta = step(radius)
             step_norm = _norm(delta)
             if step_norm <= cfg.step_tol:
-                new_chi = chi
-                break
+                emit(it, chi, step_norm)
+                done = (Termination.ABS_TOL if chi <= cfg.abs_error_tol
+                        else Termination.STEP_TOL)
+                return SolveReport(it, initial, chi, done)
             trial = packed.retract(packed.poses, delta)
             trial_chi = packed.chi2(trial)
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
@@ -356,24 +346,20 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                     radius *= 0.5
                 elif rho > 0.75:
                     radius *= 2.0
-                packed.poses, new_chi = trial, trial_chi
                 break
             radius *= 0.5
             if radius < _MIN_TRUST_RADIUS:
-                emit(it, chi, step_norm, radius)
-                return SolveReport(False, it, initial, chi,
+                emit(it, chi, step_norm)
+                return SolveReport(it, initial, chi,
                                    Termination.TRUST_REGION_COLLAPSE)
 
-        emit(it, new_chi, step_norm, radius)
-        decrease = chi - new_chi
-        if new_chi <= cfg.abs_error_tol:
-            converged, termination = True, Termination.ABS_TOL
-        elif 0.0 <= decrease <= cfg.rel_error_tol * chi:
-            converged, termination = True, Termination.REL_TOL
-        elif step_norm <= cfg.step_tol:
-            converged, termination = True, Termination.STEP_TOL
-        chi = new_chi
-        if converged:
-            break
+        packed.poses[packed.free] = trial[packed.free]
+        emit(it, trial_chi, step_norm)
+        if trial_chi <= cfg.abs_error_tol:
+            return SolveReport(it, initial, trial_chi, Termination.ABS_TOL)
+        if chi - trial_chi <= cfg.rel_error_tol * chi:
+            return SolveReport(it, initial, trial_chi, Termination.REL_TOL)
+        chi = trial_chi
 
-    return SolveReport(converged, iterations, initial, chi, termination)
+    return SolveReport(max(cfg.max_iterations, 0), initial, chi,
+                       Termination.MAX_ITER)

@@ -57,6 +57,12 @@ class GnssErrorModel:
     outlier_rate: float = 0.0
     outlier_magnitude: float = 0.0
 
+    def __post_init__(self):
+        # |rho| = 1 is a constant or alternating offset, still bounded
+        if not -1.0 <= self.ar1_rho <= 1.0:
+            raise ValueError(
+                f"ar1_rho must lie in [-1, 1], got {self.ar1_rho}")
+
 
 @dataclass(frozen=True)
 class OdoErrorModel:
@@ -205,7 +211,7 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
     noise = np.zeros((n_fix, 2))
     if sigma_axis > 0.0:
         rho = gerr.ar1_rho
-        innov_scale = sigma_axis * math.sqrt(max(1.0 - rho * rho, 0.0))
+        innov_scale = sigma_axis * math.sqrt(1.0 - rho * rho)
         for axis in range(2):
             raw = rng.standard_normal(n_fix)
             drive = raw * innov_scale

@@ -101,6 +101,20 @@ def test_bad_pair_flag_message():
               "--bias", "1"])
 
 
+@pytest.mark.parametrize("flags, why", [
+    (["--synth", "straight", "--duration", "1"], "at least 2 GNSS fixes"),
+    (["--synth", "urban_loop", "--duration", "60", "--standstill", "21,2"],
+     "straight segment"),
+    (["--synth", "straight", "--duration", "30", "--ar1-rho", "1.5",
+      "--ar1-sigma", "1"], "ar1_rho"),
+])
+def test_bad_synthetic_dataset_is_a_one_line_exit(flags, why):
+    """A value the generator or an error model rejects ends the verb with
+    a message, not a traceback."""
+    with pytest.raises(SystemExit, match=f"bad synthetic dataset: .*{why}"):
+        main(["run"] + flags)
+
+
 def test_cli_defaults_are_the_config_defaults(capsys):
     """With no experiment flag the CLI runs ExperimentConfig() itself, and
     the config rejects a non-positive identity stiffness however it is

@@ -131,6 +131,26 @@ def test_parse_errors_carry_position(tmp_path):
         load_dataset(gnss, empty)
 
 
+def test_header_only_files_rejected(tmp_path):
+    gnss = _write(tmp_path / "g.csv", "t,utm_x,utm_y,zone,epx,epy,epv",
+                  [(0.0, 0.0, 0.0, "32N", 2.0, 2.0, 2.0)])
+    no_fixes = _write(tmp_path / "hg.csv", "t,utm_x,utm_y,zone,epx,epy,epv",
+                      [])
+    with pytest.raises(ParseError, match=r"hg\.csv: no GNSS readings"):
+        load_dataset(no_fixes, _odo_csv(tmp_path))
+    no_samples = _write(tmp_path / "ho.csv", "t,yaw_rate,velocity", [])
+    with pytest.raises(ParseError, match=r"ho\.csv: no odometry samples"):
+        load_dataset(gnss, no_samples)
+
+
+def test_non_numeric_gnss_field_names_the_line(tmp_path):
+    gnss = _write(tmp_path / "ng.csv", "t,utm_x,utm_y,zone,epx,epy,epv",
+                  [(0.0, 0.0, 0.0, "32N", 2.0, 2.0, 2.0),
+                   (1.0, "east", 0.0, "32N", 2.0, 2.0, 2.0)])
+    with pytest.raises(ParseError, match=r"ng\.csv:3: non-numeric field"):
+        load_dataset(gnss, _odo_csv(tmp_path))
+
+
 def test_mixed_zones_rejected(tmp_path):
     gnss = _write(tmp_path / "mz.csv", "t,utm_x,utm_y,zone,epx,epy,epv",
                   [(0.0, 0.0, 0.0, "32N", 2.0, 2.0, 2.0),

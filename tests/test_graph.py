@@ -264,6 +264,15 @@ def test_load_rejects_edge_to_undeclared_vertex(tmp_path):
         load(path)
 
 
+def test_load_rejects_an_edge_with_the_wrong_field_count(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("VERTEX_SE2 0 0 0 0\n"
+                    "VERTEX_SE2 1 1 0 0\n"
+                    "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:3: bad field count"):
+        load(path)
+
+
 @pytest.mark.parametrize("edge, why", [
     ("EDGE_SE2 0 0 1 0 0 1 0 0 1 0 1 ODOMETRY", "self edge on node 0"),
     ("EDGE_SE2 0 1 1 0 0 1 0 0 -1 0 1 ODOMETRY", "negative diagonal"),

@@ -1,5 +1,6 @@
 """Sparse nonlinear least-squares: the banded linear system and dogleg."""
 
+import dataclasses
 import io
 import math
 import os
@@ -78,6 +79,50 @@ def test_optimize_requires_a_fixed_node():
         optimize(g)
 
 
+def test_graph_with_no_free_node_is_left_untouched():
+    g = PoseGraph()
+    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
+    g.add_node(Pose2(1.5, 0.5, 0.25), fixed=True)
+    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    before = g.poses.copy()
+    lines = []
+    report = optimize(g, trace=lines.append)
+    assert report.iterations == 0
+    assert report.termination is Termination.STEP_TOL
+    assert report.converged
+    assert report.final_error == report.initial_error > 0.0
+    assert lines == []
+    assert np.array_equal(g.poses, before)
+
+
+def test_a_step_below_step_tol_ends_the_solve_as_step_tol():
+    """The free node sits 1e-10 m from its measurement: the first proposed
+    step is below step_tol, so the solve ends there without taking it."""
+    g = PoseGraph()
+    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
+    g.add_node(Pose2(1.0 + 1e-10, 0.0, 0.0))
+    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    before = g.poses.copy()
+    lines = []
+    report = optimize(g, SolverConfig(abs_error_tol=0.0), trace=lines.append)
+    assert report.termination is Termination.STEP_TOL
+    assert report.converged
+    assert report.iterations == 1
+    assert len(lines) == 1
+    assert 0.0 < float(lines[0].split()[2]) <= SolverConfig().step_tol
+    assert report.final_error == report.initial_error > 0.0
+    assert np.array_equal(g.poses, before)
+
+
+def test_converged_follows_from_the_termination():
+    assert [f.name for f in dataclasses.fields(SolveReport)] == \
+        ["iterations", "initial_error", "final_error", "termination"]
+    stopped = {Termination.ABS_TOL, Termination.REL_TOL, Termination.STEP_TOL}
+    for termination in Termination:
+        report = SolveReport(1, 1.0, 0.5, termination)
+        assert report.converged == (termination in stopped)
+
+
 def test_fixed_nodes_bit_exact_after_optimization():
     rng = np.random.default_rng(31)
     g, _ = random_chain_graph(rng, 10, n_absolute=3)
@@ -107,7 +152,7 @@ def test_accepted_error_sequence_is_monotone():
 def test_trace_lines_carry_iteration_chi_step_and_radius():
     g = _two_node_graph()
     sink = io.StringIO()
-    optimize(g, SolverConfig(), trace=sink)
+    optimize(g, SolverConfig(), trace=sink.write)
     lines = sink.getvalue().splitlines()
     assert len(lines) >= 1
     for k, line in enumerate(lines, start=1):

@@ -158,6 +158,26 @@ def test_too_short_duration_rejected():
         generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=1.5)
 
 
+def test_explosive_ar1_coefficient_rejected():
+    for rho in (1.5, -1.0001, float("nan")):
+        with pytest.raises(ValueError, match="ar1_rho"):
+            GnssErrorModel(ar1_rho=rho, ar1_sigma=1.0)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_unit_ar1_coefficient_is_a_bounded_offset(rho):
+    """At |rho| = 1 the innovations vanish: the noise is the first draw,
+    held (rho = 1) or alternating in sign (rho = -1)."""
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel(ar1_rho=rho, ar1_sigma=1.0),
+                            duration=30.0)
+    noise = np.array([r.position for r in ds.gnss]) - ds.truth.positions
+    signs = rho ** np.arange(len(noise))
+    assert np.abs(noise[0]).max() > 0.0
+    assert np.allclose(noise, signs[:, None] * noise[0], rtol=0.0,
+                       atol=1e-9)
+
+
 def test_odometry_covers_the_fix_span():
     ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=60.0)
     assert ds.odometry.timestamps[0] == 0.0
