@@ -17,8 +17,7 @@ from .graph import load as load_graph
 from .graph import save as save_graph
 from .metrics import MetricsReport, PpsPose, accuracy, compute_metrics, \
     improvements, match_pps, max_offset, precision
-from .odometry import OdometryStream, PreintegratedOdometry, \
-    odometry_information, preintegrate
+from .odometry import OdometryStream
 from .se2 import Pose2, compose, edge_jacobians, edge_residual, exp_map, \
     inverse, log_map, retract, wrap_angle
 from .solver import SolveReport, SolverConfig, Termination, optimize

@@ -159,10 +159,11 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     Each odometry sample between consecutive accepted fixes gets the
     optimized earlier node composed with the odometry integrated up to
     the sample, read from the stream's running integrals for every
-    sample of every fix gap in one pass (equal to `preintegrate` up to
-    rounding).  Node poses appear unchanged at the fix times.  Returns
-    (timestamps, poses).  Assumes the graph was built per GNSS fix, so
-    vehicle nodes pair up with accepted readings one to one.
+    sample of every fix gap in one pass (equal to `integrate_windows`
+    from the fix to the sample, up to rounding).  Node poses appear
+    unchanged at the fix times.  Returns (timestamps, poses).  Assumes
+    the graph was built per GNSS fix, so vehicle nodes pair up with
+    accepted readings one to one.
     """
     readings = _accepted(readings)
     nodes = _vehicle_poses(graph)

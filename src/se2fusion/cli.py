@@ -166,8 +166,8 @@ def _cmd_graph_dump(args) -> int:
     dataset = _dataset_from_args(args)
     _, _, graph, _ = _screen_and_build(dataset, cfg)
     save_graph(graph, args.out)
-    sys.stdout.write(f"wrote {args.out} ({len(graph.nodes)} nodes, "
-                     f"{len(graph.edges)} edges)\n")
+    sys.stdout.write(f"wrote {args.out} ({len(graph.poses)} nodes, "
+                     f"{len(graph.from_ids)} edges)\n")
     return 0
 
 

@@ -107,23 +107,41 @@ def _check_increasing(path, times, linenos):
             "not increasing")
 
 
+def _numbers(path, rows, names):
+    """The (fields, line number) rows as a (len(rows), len(names)) float
+    array; raise ParseError naming the line of the first row with a
+    non-numeric or non-finite field."""
+    out = []
+    for row, lineno in rows:
+        try:
+            out.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+    values = np.array(out, dtype=float).reshape(len(out), len(names))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k, col = np.argwhere(bad)[0]
+        raise ParseError(f"{path}:{rows[k][1]}: non-finite {names[col]}")
+    return values
+
+
 def _load_gnss(path):
     header, rows = _read_rows(path, GNSS_GEO_HEADER, GNSS_UTM_HEADER)
+    # both schemas: t, two coordinates, ..., epx, epy, epv
+    values = _numbers(path, [(row[:3] + row[-3:], n) for row, n in rows],
+                      header[:3] + header[-3:])
     readings = []
     zones = set()
-    for row, lineno in rows:
-        # both schemas: t, two coordinates, ..., epx, epy, epv
+    for (row, n), (t, a, b, epx, epy, epv) in zip(rows, values.tolist()):
         try:
-            t, a, b = float(row[0]), float(row[1]), float(row[2])
-            epx, epy, epv = float(row[-3]), float(row[-2]), float(row[-1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-        if header == GNSS_GEO_HEADER:
-            a, b, zone = latlon_to_utm(a, b)
-        else:
-            zone = row[3].strip()
+            if header == GNSS_GEO_HEADER:
+                a, b, zone = latlon_to_utm(a, b)
+            else:
+                zone = row[3].strip()
+            readings.append(GnssReading(t, (a, b), epx, epy, epv))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{n}: {exc}") from exc
         zones.add(zone)
-        readings.append(GnssReading(t, (a, b), epx, epy, epv))
     if len(zones) > 1:
         raise MixedUtmZonesError(
             f"{path}: readings span UTM zones {sorted(zones)}")
@@ -136,14 +154,7 @@ def _load_numeric(path, header):
     """The file's rows as an (n, len(header)) float array, and the line
     number of each row."""
     _, rows = _read_rows(path, header)
-    out = []
-    for row, lineno in rows:
-        try:
-            out.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-    values = np.array(out, dtype=float).reshape(len(out), len(header))
-    return values, [lineno for _, lineno in rows]
+    return _numbers(path, rows, header), [lineno for _, lineno in rows]
 
 
 def load_dataset(gnss_path, odo_path, truth_path=None,

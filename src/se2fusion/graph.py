@@ -5,9 +5,10 @@ Nodes are `poses` (n, 3), the `fixed` mask and `node_kinds`; edges are
 `from_ids`/`to_ids`, `measurements` (m, 3), `information` (m, 3, 3) and
 `edge_kinds`.  Kinds are codes into NODE_KINDS and EDGE_KINDS.  Each is
 a writable view of the live rows, taken after building, since an add may
-move the storage.  add_nodes() and add_edges() validate, copy and append
-whole blocks, wrapping headings; add_node() and add_edge() are one-row
-calls of them.  `nodes` and `edges` make Node and Edge objects on access.
+move the storage.  add_nodes() and add_edges() are the only way in: they
+validate, copy and append whole blocks, wrapping headings.  `nodes` and
+`edges` make Node and Edge objects on access, for readers outside the
+package; nothing in it reads them.
 """
 
 from __future__ import annotations
@@ -150,10 +151,6 @@ class PoseGraph:
         return self._nodes.append(len(poses), poses=poses, fixed=fixed,
                                   node_kinds=NODE_KINDS.index(kind))
 
-    def add_node(self, pose: Pose2, fixed: bool = False,
-                 kind: NodeKind = NodeKind.VEHICLE_POSE) -> int:
-        return self.add_nodes([(pose.x, pose.y, pose.theta)], fixed, kind)[0]
-
     def add_edges(self, from_ids, to_ids, measurements, information,
                   kind: EdgeKind = EdgeKind.ODOMETRY) -> range:
         """Append a block of edges of one kind; return their ordinals.
@@ -191,13 +188,6 @@ class PoseGraph:
                                   information=info,
                                   edge_kinds=EDGE_KINDS.index(kind))
 
-    def add_edge(self, edge: Edge) -> int:
-        z = edge.measurement
-        return self.add_edges([edge.from_id], [edge.to_id],
-                              [(z.x, z.y, z.theta)],
-                              np.asarray(edge.information, dtype=float)[None],
-                              edge.kind)[0]
-
 
 def _fmt(x: float) -> str:
     # 17 significant digits read back as the same double; every text
@@ -233,11 +223,11 @@ def load(path) -> PoseGraph:
 
     File vertex ids may be arbitrary; they are remapped to dense ids in
     order of appearance.  Vertex records carry no kind, so loaded nodes
-    default to VEHICLE_POSE.
+    default to VEHICLE_POSE.  The vertices are added as one block, then
+    each edge as a block of one, so an invalid edge names its own line.
     """
-    graph = PoseGraph()
     id_map: dict[int, int] = {}
-    pending = []
+    poses, fixed, edges = [], [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             tokens = raw.split()
@@ -246,40 +236,37 @@ def load(path) -> PoseGraph:
             tag = tokens[0]
             try:
                 if tag == "VERTEX_SE2":
-                    fixed = False
-                    if tokens[-1] == "FIXED":
-                        fixed = True
+                    fixed.append(tokens[-1] == "FIXED")
+                    if fixed[-1]:
                         tokens = tokens[:-1]
                     if len(tokens) != 5:
                         raise ValueError("bad field count")
                     file_id = int(tokens[1])
                     if file_id in id_map:
                         raise ValueError(f"duplicate vertex id {file_id}")
-                    pose = Pose2(float(tokens[2]), float(tokens[3]),
-                                 float(tokens[4]))
-                    id_map[file_id] = graph.add_node(pose, fixed=fixed)
+                    id_map[file_id] = len(poses)
+                    poses.append([float(v) for v in tokens[2:5]])
                 elif tag == "EDGE_SE2":
                     if len(tokens) != 13:
                         raise ValueError("bad field count")
-                    z = Pose2(float(tokens[3]), float(tokens[4]),
-                              float(tokens[5]))
+                    z = [float(v) for v in tokens[3:6]]
                     i11, i12, i13, i22, i23, i33 = map(float, tokens[6:12])
-                    info = np.array([[i11, i12, i13],
-                                     [i12, i22, i23],
-                                     [i13, i23, i33]])
-                    pending.append((lineno, int(tokens[1]), int(tokens[2]),
-                                    z, info, EdgeKind(tokens[12])))
+                    info = [[i11, i12, i13], [i12, i22, i23], [i13, i23, i33]]
+                    edges.append((lineno, int(tokens[1]), int(tokens[2]),
+                                  z, info, EdgeKind(tokens[12])))
                 else:
                     raise ValueError(f"unknown record tag {tag!r}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    for lineno, i, j, z, info, kind in pending:
+    graph = PoseGraph()
+    graph.add_nodes(np.reshape(poses, (-1, 3)), fixed)
+    for lineno, i, j, z, info, kind in edges:
         try:
-            graph.add_edge(Edge(id_map[i], id_map[j], z, info, kind))
+            graph.add_edges([id_map[i]], [id_map[j]], [z], [info], kind)
         except KeyError as exc:
-            raise ParseError(
-                f"{path}:{lineno}: edge references unknown vertex {exc}") from exc
+            raise ParseError(f"{path}:{lineno}: edge references unknown "
+                             f"vertex {exc}") from exc
         except ValueError as exc:
-            # add_edge's validation: self edge, bad information matrix
+            # add_edges' validation: self edge, bad information matrix
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return graph

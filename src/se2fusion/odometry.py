@@ -22,12 +22,9 @@ composing the two halves reproduces the full-window transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientCoverageError, NonMonotonicTimestampsError
-from .se2 import Pose2, wrap_angle
 
 # endpoints may stick out past the raw samples by at most this many
 # nominal sample periods before the window is considered uncovered
@@ -166,8 +163,8 @@ class WindowEnds:
     def windows(self, i, j):
         """(dx, dy, heading_change, arc_length) from times[i] to times[j].
 
-        Elementwise over index arrays i and j; each window as
-        `preintegrate` integrates it.
+        Elementwise over index arrays i and j; each window as the
+        integration rule above gives it on its own knots.
         """
         heading, arc, px, py = self.end[:, j] - self.start[:, i]
         c = np.cos(self.start[0, i])
@@ -194,7 +191,8 @@ class WindowEnds:
 
 def integrate_windows(stream: OdometryStream, t_start, t_end):
     """(dx, dy, heading_change, arc_length) arrays of the windows
-    [t_start[k], t_end[k]], each as `preintegrate` integrates it.
+    [t_start[k], t_end[k]], each as the integration rule above gives it
+    on its own knots; `arc_information` weighs them.
 
     Raises as `OdometryStream.check_windows` for the first window that
     is empty or not covered.
@@ -206,57 +204,16 @@ def integrate_windows(stream: OdometryStream, t_start, t_end):
     return WindowEnds(stream, np.concatenate((a, b))).windows(k, k + a.size)
 
 
-def _drift_variances(arc: np.ndarray) -> np.ndarray:
-    # diagonal covariance, one (x, y, theta) row per arc length, floored
-    # so that no window is locked harder than a standstill
-    sig = DRIFT_FRACTION * arc
-    var = np.stack((sig ** 2, sig ** 2, (sig / LENGTH_SCALE) ** 2), axis=-1)
-    return np.maximum(var, 1.0 / ZERO_ARC_INFORMATION)
-
-
 def arc_information(arc) -> np.ndarray:
-    """Information matrices (m, 3, 3) of windows with these arc lengths;
-    entry k equals odometry_information of a window with arc[k]."""
-    arc = np.asarray(arc, dtype=float)
-    info = np.zeros(arc.shape + (3, 3))
-    axes = np.arange(3)
-    info[..., axes, axes] = 1.0 / _drift_variances(arc)
-    return info
+    """Information matrices (m, 3, 3) of windows with these arc lengths.
 
-
-@dataclass(frozen=True)
-class PreintegratedOdometry:
-    t_start: float
-    t_end: float
-    delta: Pose2
-    heading_change: float
-    arc_length: float
-    covariance: np.ndarray
-
-
-def preintegrate(stream: OdometryStream, t_start: float,
-                 t_end: float) -> PreintegratedOdometry:
-    """Integrate the stream over [t_start, t_end] into one relative pose.
-
-    The positional standard deviation is DRIFT_FRACTION * arc_length per
-    axis and the heading standard deviation is that divided by
-    LENGTH_SCALE.  Each variance is floored at 1 / ZERO_ARC_INFORMATION:
-    a standstill gets information 1e5 on all axes, locking the pose down,
-    and no window gets more (the floor binds below about 0.78 m of arc).
-    Raises ValueError unless t_start < t_end, and
-    InsufficientCoverageError when an endpoint lies more than two nominal
-    sample periods outside the recorded span, or a recording gap longer
-    than that overlaps the window.
+    The positional standard deviation is DRIFT_FRACTION * arc per axis
+    and the heading standard deviation is that divided by LENGTH_SCALE.
+    Each variance is floored at 1 / ZERO_ARC_INFORMATION: a standstill
+    gets information 1e5 on all axes, locking the pose down, and no
+    window gets more (the floor binds below about 0.78 m of arc).
     """
-    dx, dy, heading, arc = (float(x[0]) for x in
-                            integrate_windows(stream, t_start, t_end))
-    return PreintegratedOdometry(
-        t_start=float(t_start), t_end=float(t_end),
-        delta=Pose2(dx, dy, wrap_angle(heading)),
-        heading_change=heading, arc_length=arc,
-        covariance=np.diag(_drift_variances(np.array(arc))))
-
-
-def odometry_information(pre: PreintegratedOdometry) -> np.ndarray:
-    """Information matrix of a preintegrated factor (inverse covariance)."""
-    return np.diag(1.0 / np.diag(pre.covariance))
+    sig = DRIFT_FRACTION * np.asarray(arc, dtype=float)
+    var = np.stack((sig ** 2, sig ** 2, (sig / LENGTH_SCALE) ** 2), axis=-1)
+    # row r of the identity over variance r: 1 / variance on the diagonal
+    return np.eye(3) / np.maximum(var, 1.0 / ZERO_ARC_INFORMATION)[..., None]

@@ -41,6 +41,8 @@ from .odometry import OdometryStream
 _FINE_DT = 0.004
 _ODO_PERIOD = 0.04
 _MIN_EP = 0.5
+# length of the speed ramps into and out of a standstill, seconds
+_STANDSTILL_RAMP = 1.0
 
 
 class TrajectoryProfile(enum.Enum):
@@ -62,11 +64,22 @@ class GnssErrorModel:
         if not -1.0 <= self.ar1_rho <= 1.0:
             raise ValueError(
                 f"ar1_rho must lie in [-1, 1], got {self.ar1_rho}")
+        if not 0.0 <= self.ar1_sigma < math.inf:
+            raise ValueError("ar1_sigma must be finite and non-negative, "
+                             f"got {self.ar1_sigma}")
+        if not 0.0 <= self.outlier_rate <= 1.0:
+            raise ValueError(
+                f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
 
 
 @dataclass(frozen=True)
 class OdoErrorModel:
     drift_fraction: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.drift_fraction < math.inf:
+            raise ValueError("drift_fraction must be finite and "
+                             f"non-negative, got {self.drift_fraction}")
 
 
 # urban loop geometry: straight legs and 90-degree raised-cosine turns
@@ -131,10 +144,11 @@ def _ar1(drive: np.ndarray, rho: float) -> np.ndarray:
     return y
 
 
-def _standstill_gate(t: np.ndarray, start: float, duration: float,
-                     ramp: float = 1.0) -> np.ndarray:
-    """Speed envelope: exactly zero inside the hold, cosine ramps outside."""
-    t = np.asarray(t, dtype=float)
+def _standstill_gate(t: np.ndarray, start: float,
+                     duration: float) -> np.ndarray:
+    """Speed envelope: exactly zero inside the hold, cosine ramps of
+    _STANDSTILL_RAMP seconds outside."""
+    ramp = _STANDSTILL_RAMP
     end = start + duration
     g = np.ones_like(t)
     pre = (t > start - ramp) & (t < start)
@@ -142,8 +156,7 @@ def _standstill_gate(t: np.ndarray, start: float, duration: float,
                  g)
     post = (t > end) & (t < end + ramp)
     g = np.where(post, 0.5 * (1.0 - np.cos(np.pi * (t - end) / ramp)), g)
-    g = np.where((t >= start) & (t <= end), 0.0, g)
-    return g
+    return np.where((t >= start) & (t <= end), 0.0, g)
 
 
 def generate_synthetic(seed: int, profile: TrajectoryProfile,
@@ -166,9 +179,10 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
     oerr = odo_error if odo_error is not None else OdoErrorModel()
     rng = np.random.default_rng(seed)
 
+    if not 2.0 <= duration < math.inf:
+        raise ValueError("duration must be finite and allow at least 2 GNSS "
+                         f"fixes, got {duration}")
     n_fix = int(math.floor(duration))
-    if n_fix < 2:
-        raise ValueError("duration must allow at least 2 GNSS fixes")
     fix_t = np.arange(n_fix, dtype=float)
     n_odo = int(round(duration / _ODO_PERIOD))
     odo_t = np.arange(n_odo + 1, dtype=float) * _ODO_PERIOD

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from se2fusion.errors import InsufficientCoverageError
+from se2fusion.graph import NodeKind
 from se2fusion.se2 import Pose2, compose, exp_map, inverse, edge_residual
 
 
@@ -299,6 +300,16 @@ def knot_increments(stream, t_start, t_end):
     return 0.5 * (v[:-1] + v[1:]) * dt, theta_end - 0.5 * dtheta, theta_end
 
 
+def window_pose(stream, t_start, t_end):
+    """The window [t_start, t_end] of integrate_windows as a Pose2, for
+    composing windows (not an oracle: it calls the code under test)."""
+    from se2fusion.odometry import integrate_windows
+
+    dx, dy, heading, _ = np.concatenate(
+        integrate_windows(stream, t_start, t_end))
+    return Pose2(dx, dy, heading)
+
+
 def knot_preintegrate(stream, t_start, t_end):
     """(dx, dy, heading_change, arc_length) of one window by the knot rule."""
     seg, theta_mid, theta_end = knot_increments(stream, t_start, t_end)
@@ -513,7 +524,22 @@ def loop_match_pps(est_times, est_positions, truth_times, truth_positions,
 
 
 # ---------------------------------------------------------------------------
-# Random-graph factory shared by solver tests
+# One-row graph adders over the block adders, and a random-graph factory
+# shared by solver tests
+
+def add_node(graph, pose, fixed=False, kind=NodeKind.VEHICLE_POSE):
+    """Add one node through PoseGraph.add_nodes; return its id."""
+    return graph.add_nodes([(pose.x, pose.y, pose.theta)], fixed, kind)[0]
+
+
+def add_edge(graph, edge):
+    """Add one Edge through PoseGraph.add_edges; return its ordinal."""
+    z = edge.measurement
+    return graph.add_edges([edge.from_id], [edge.to_id],
+                           [(z.x, z.y, z.theta)],
+                           np.asarray(edge.information, dtype=float)[None],
+                           edge.kind)[0]
+
 
 def random_pose(rng, span=10.0):
     return Pose2(rng.uniform(-span, span), rng.uniform(-span, span),
@@ -539,10 +565,10 @@ def random_chain_graph(rng, n_nodes, n_absolute=3, noise=0.05,
         truth.append(compose(truth[-1], step))
 
     graph = PoseGraph()
-    graph.add_node(truth[0], fixed=True)
+    add_node(graph, truth[0], fixed=True)
     for p in truth[1:]:
         d = rng.normal(0.0, perturb, 3) * np.array([1.0, 1.0, 0.3])
-        graph.add_node(compose(p, exp_map(d)))
+        add_node(graph, compose(p, exp_map(d)))
 
     def noisy(z):
         return compose(z, exp_map(rng.normal(0.0, noise, 3)
@@ -551,13 +577,13 @@ def random_chain_graph(rng, n_nodes, n_absolute=3, noise=0.05,
     for k in range(n_nodes - 1):
         z = noisy(compose(inverse(truth[k]), truth[k + 1]))
         info = np.diag(rng.uniform(0.5, 4.0, 3))
-        graph.add_edge(Edge(k, k + 1, z, info, EdgeKind.ODOMETRY))
+        add_edge(graph, Edge(k, k + 1, z, info, EdgeKind.ODOMETRY))
     for k in rng.choice(np.arange(1, n_nodes), size=min(n_absolute,
                                                         n_nodes - 1),
                         replace=False):
         z = noisy(truth[int(k)])
         info = np.diag([rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), 0.0])
-        graph.add_edge(Edge(0, int(k), z, info, EdgeKind.GNSS_ABSOLUTE))
+        add_edge(graph, Edge(0, int(k), z, info, EdgeKind.GNSS_ABSOLUTE))
     return graph, truth
 
 
@@ -566,9 +592,9 @@ def clone_graph(graph):
 
     g = PoseGraph()
     for node in graph.nodes:
-        g.add_node(Pose2(node.pose.x, node.pose.y, node.pose.theta),
-                   fixed=node.fixed, kind=node.kind)
+        add_node(g, Pose2(node.pose.x, node.pose.y, node.pose.theta),
+                 fixed=node.fixed, kind=node.kind)
     for e in graph.edges:
-        g.add_edge(Edge(e.from_id, e.to_id, e.measurement,
-                        e.information.copy(), e.kind))
+        add_edge(g, Edge(e.from_id, e.to_id, e.measurement,
+                         e.information.copy(), e.kind))
     return g

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import integrate_fine, total_error
+from helpers import integrate_fine, total_error, window_pose
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build, \
     full_rate_trajectory, vehicle_trajectory
 from se2fusion.errors import TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
 from se2fusion.graph import EdgeKind, NodeKind, PoseGraph
-from se2fusion.odometry import OdometryStream, preintegrate
+from se2fusion.odometry import OdometryStream
 from se2fusion.se2 import Pose2, compose, edge_residual
 from se2fusion.solver import SolverConfig, optimize
 
@@ -270,8 +270,7 @@ def test_full_rate_trajectory_equals_per_sample_preintegration():
             k += 1
             assert pose == nodes[k]
             continue
-        want = compose(nodes[k],
-                       preintegrate(stream, kept[k].timestamp, tau).delta)
+        want = compose(nodes[k], window_pose(stream, kept[k].timestamp, tau))
         assert np.max(np.abs(pose.as_array() - want.as_array())) <= 1e-12
     assert k == len(kept) - 1
 
@@ -287,7 +286,7 @@ def test_build_work_does_not_grow_with_the_drive(monkeypatch):
     """Clock-free cost check: graph insertion calls and pose objects made
     by build are the same for a 3600-fix drive as for a 60-fix one."""
     calls = []
-    for name in ("add_node", "add_nodes", "add_edge", "add_edges"):
+    for name in ("add_nodes", "add_edges"):
         method = getattr(PoseGraph, name)
 
         def counted(self, *args, _method=method, _name=name, **kwargs):

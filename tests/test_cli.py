@@ -107,12 +107,21 @@ def test_bad_pair_flag_message():
      "straight segment"),
     (["--synth", "straight", "--duration", "30", "--ar1-rho", "1.5",
       "--ar1-sigma", "1"], "ar1_rho"),
+    (["--synth", "straight", "--duration", "30", "--ar1-sigma", "-1"],
+     "ar1_sigma"),
+    (["--synth", "straight", "--duration", "30", "--outlier-rate", "2"],
+     "outlier_rate"),
+    (["--synth", "straight", "--duration", "30", "--drift", "-0.5"],
+     "drift_fraction"),
+    (["--synth", "straight", "--duration", "inf"], "duration must be finite"),
 ])
 def test_bad_synthetic_dataset_is_a_one_line_exit(flags, why):
     """A value the generator or an error model rejects ends the verb with
     a message, not a traceback."""
-    with pytest.raises(SystemExit, match=f"bad synthetic dataset: .*{why}"):
+    with pytest.raises(SystemExit, match=f"bad synthetic dataset: .*{why}") \
+            as stop:
         main(["run"] + flags)
+    assert "\n" not in str(stop.value)
 
 
 def test_cli_defaults_are_the_config_defaults(capsys):

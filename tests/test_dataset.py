@@ -13,7 +13,7 @@ from se2fusion.dataset import Dataset, ExperimentConfig, export_results, \
     load_dataset, render_metrics_record, render_table, run_batch, \
     run_experiment
 from se2fusion.errors import EmptyInputError, MixedUtmZonesError, \
-    NonMonotonicTimestampsError, ParseError
+    NonMonotonicTimestampsError, OutOfUtmDomainError, ParseError
 from se2fusion.graph import load as load_graph
 from se2fusion.metrics import MetricsReport, compute_metrics, match_pps
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
@@ -149,6 +149,42 @@ def test_non_numeric_gnss_field_names_the_line(tmp_path):
                    (1.0, "east", 0.0, "32N", 2.0, 2.0, 2.0)])
     with pytest.raises(ParseError, match=r"ng\.csv:3: non-numeric field"):
         load_dataset(gnss, _odo_csv(tmp_path))
+
+
+GOOD_UTM = ("t,utm_x,utm_y,zone,epx,epy,epv", "0,0,0,32N,2,2,2")
+GOOD_GEO = ("t,lat,lon,epx,epy,epv", "0,48.1,11.6,2,2,2")
+
+
+@pytest.mark.parametrize("kind, bad_row, why, cause", [
+    ("gnss", GOOD_UTM + ("1,1,0,32N,0,2,2",),
+     "epx and epy must be positive", ValueError),
+    ("gnss", GOOD_GEO + ("1,85,11.6,2,2,2",),
+     "latitude 85 outside the UTM domain", OutOfUtmDomainError),
+    ("gnss", GOOD_UTM + ("nan,1,0,32N,2,2,2",), "non-finite t", None),
+    ("odo", ("t,yaw_rate,velocity", "0,0,1", "0.04,0,nan"),
+     "non-finite velocity", None),
+    ("truth", ("t,utm_x,utm_y", "0,0,0", "1,inf,0"),
+     "non-finite utm_x", None),
+])
+def test_bad_row_names_its_line(tmp_path, kind, bad_row, why, cause):
+    """Every row the loader cannot use stops it with a ParseError that
+    names the row's line, chained from the error the row raised."""
+    paths = {"gnss": tmp_path / "g.csv", "odo": tmp_path / "o.csv",
+             "truth": tmp_path / "t.csv"}
+    paths["gnss"].write_text("\n".join(GOOD_UTM + ("1,1,0,32N,2,2,2",))
+                             + "\n")
+    paths["odo"].write_text(
+        "t,yaw_rate,velocity\n"
+        + "".join(f"{0.04 * k:g},0,1\n" for k in range(40)))
+    paths["truth"].write_text("t,utm_x,utm_y\n0,0,0\n1,1,0\n")
+    paths[kind].write_text("\n".join(bad_row) + "\n")
+    with pytest.raises(ParseError,
+                       match=rf"{paths[kind].name}:3: {why}") as err:
+        load_dataset(*(str(paths[k]) for k in ("gnss", "odo", "truth")))
+    if cause is None:
+        assert err.value.__cause__ is None
+    else:
+        assert type(err.value.__cause__) is cause
 
 
 def test_mixed_zones_rejected(tmp_path):

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import from_homogeneous, homogeneous, random_chain_graph, \
-    random_pose, total_error
+from helpers import add_edge, add_node, from_homogeneous, homogeneous, \
+    random_chain_graph, random_pose, total_error
 from se2fusion.errors import BadInformationError, ParseError, UnknownNodeError
 from se2fusion.graph import Edge, EdgeKind, Node, NodeKind, PoseGraph, load, \
     save
@@ -21,9 +21,9 @@ def _unit_info():
 
 def test_add_node_assigns_dense_ids():
     g = PoseGraph()
-    assert g.add_node(Pose2(0.0, 0.0, 0.0)) == 0
-    assert g.add_node(Pose2(1.0, 0.0, 0.0), fixed=True) == 1
-    assert g.add_node(Pose2(2.0, 0.0, 0.0), kind=NodeKind.GNSS_POSE) == 2
+    assert add_node(g, Pose2(0.0, 0.0, 0.0)) == 0
+    assert add_node(g, Pose2(1.0, 0.0, 0.0), fixed=True) == 1
+    assert add_node(g, Pose2(2.0, 0.0, 0.0), kind=NodeKind.GNSS_POSE) == 2
     assert [n.id for n in g.nodes] == [0, 1, 2]
     assert g.nodes[1].fixed and not g.nodes[0].fixed
     assert g.nodes[2].kind is NodeKind.GNSS_POSE
@@ -34,7 +34,7 @@ def test_many_nodes_keep_poses_bit_exact():
     g = PoseGraph()
     xs = rng.uniform(-1e6, 1e6, 100000)
     for x in xs:
-        g.add_node(Pose2(float(x), float(-x), 0.125))
+        add_node(g, Pose2(float(x), float(-x), 0.125))
     for k in (0, 1, 77, 4999, 99999):
         assert g.nodes[k].pose.x == float(xs[k])
         assert g.nodes[k].pose.y == float(-xs[k])
@@ -42,85 +42,85 @@ def test_many_nodes_keep_poses_bit_exact():
 
 def test_add_edge_returns_ordinals():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     e = Edge(0, 1, Pose2(1.0, 0.0, 0.0), _unit_info(), EdgeKind.ODOMETRY)
-    assert g.add_edge(e) == 0
+    assert add_edge(g, e) == 0
     e2 = Edge(1, 0, Pose2(-1.0, 0.0, 0.0), _unit_info(), EdgeKind.ODOMETRY)
-    assert g.add_edge(e2) == 1
+    assert add_edge(g, e2) == 1
 
 
 def test_edge_unknown_endpoint_rejected():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     with pytest.raises(UnknownNodeError):
-        g.add_edge(Edge(0, 99, Pose2(0.0, 0.0, 0.0), _unit_info()))
+        add_edge(g, Edge(0, 99, Pose2(0.0, 0.0, 0.0), _unit_info()))
 
 
 def test_edge_self_loop_rejected():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        g.add_edge(Edge(0, 0, Pose2(0.0, 0.0, 0.0), _unit_info()))
+        add_edge(g, Edge(0, 0, Pose2(0.0, 0.0, 0.0), _unit_info()))
 
 
 def test_negative_diagonal_information_rejected():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     info = np.eye(3)
     info[1, 1] = -1.0
     with pytest.raises(BadInformationError):
-        g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
+        add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
 
 
 def test_asymmetric_information_rejected():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     info = np.eye(3)
     info[0, 1] = 1e-6
     with pytest.raises(BadInformationError):
-        g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
+        add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
     # asymmetry below the tolerance is accepted (measurement roundoff)
     info = np.eye(3)
     info[0, 1] = 1e-12
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
 
 
 def test_wrong_information_shape_rejected():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     with pytest.raises(BadInformationError):
-        g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(2)))
+        add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(2)))
 
 
 def test_information_copied_on_add():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
     info = np.eye(3)
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), info))
     info[0, 0] = 777.0
     assert g.edges[0].information[0, 0] == 1.0
 
 
 def test_total_error_zero_when_measurements_satisfied():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.0, 2.0, 0.3))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.0, 2.0, 0.3))
     z = compose(Pose2(0.0, 0.0, 0.0), Pose2(1.0, 2.0, 0.3))
-    g.add_edge(Edge(0, 1, z, _unit_info()))
+    add_edge(g, Edge(0, 1, z, _unit_info()))
     assert total_error(g) < 1e-24
 
 
 def test_total_error_single_unit_edge():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(2.0, 0.0, 0.0))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), _unit_info()))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(2.0, 0.0, 0.0))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), _unit_info()))
     assert total_error(g) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -148,16 +148,16 @@ def test_total_error_invariant_under_insertion_order():
     z12 = Pose2(1.2, 0.1, -0.15)
     a = PoseGraph()
     for p in poses:
-        a.add_node(p)
-    a.add_edge(Edge(0, 1, z01, np.diag([1.0, 2.0, 3.0])))
-    a.add_edge(Edge(1, 2, z12, np.diag([2.0, 1.0, 0.5])))
+        add_node(a, p)
+    add_edge(a, Edge(0, 1, z01, np.diag([1.0, 2.0, 3.0])))
+    add_edge(a, Edge(1, 2, z12, np.diag([2.0, 1.0, 0.5])))
 
     b = PoseGraph()
-    b.add_node(poses[2])
-    b.add_node(poses[0])
-    b.add_node(poses[1])
-    b.add_edge(Edge(2, 0, z12, np.diag([2.0, 1.0, 0.5])))
-    b.add_edge(Edge(1, 2, z01, np.diag([1.0, 2.0, 3.0])))
+    add_node(b, poses[2])
+    add_node(b, poses[0])
+    add_node(b, poses[1])
+    add_edge(b, Edge(2, 0, z12, np.diag([2.0, 1.0, 0.5])))
+    add_edge(b, Edge(1, 2, z01, np.diag([1.0, 2.0, 3.0])))
     assert total_error(a) == pytest.approx(total_error(b), rel=1e-12)
 
 
@@ -189,10 +189,10 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_format_is_line_oriented_text(tmp_path):
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.5, -2.25, 0.5))
-    g.add_edge(Edge(0, 1, Pose2(1.5, -2.25, 0.5), np.diag([1.0, 2.0, 0.0]),
-                    EdgeKind.GNSS_ABSOLUTE))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.5, -2.25, 0.5))
+    add_edge(g, Edge(0, 1, Pose2(1.5, -2.25, 0.5), np.diag([1.0, 2.0, 0.0]),
+                     EdgeKind.GNSS_ABSOLUTE))
     path = tmp_path / "g.txt"
     save(g, path)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -209,7 +209,7 @@ def test_save_format_is_line_oriented_text(tmp_path):
 def test_save_uses_17_significant_digits(tmp_path):
     x = 1.0 / 3.0
     g = PoseGraph()
-    g.add_node(Pose2(x, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(x, 0.0, 0.0), fixed=True)
     path = tmp_path / "g.txt"
     save(g, path)
     token = path.read_text().splitlines()[0].split()[2]
@@ -320,10 +320,10 @@ def test_block_adders_equal_one_row_adders():
                            EdgeKind.GNSS_ABSOLUTE) == range(29)
     rows = PoseGraph()
     for p, f in zip(poses, fixed):
-        rows.add_node(Pose2(*p), bool(f), NodeKind.GNSS_POSE)
+        add_node(rows, Pose2(*p), bool(f), NodeKind.GNSS_POSE)
     for k in range(29):
-        rows.add_edge(Edge(k, k + 1, Pose2(*z[k]), info[k],
-                           EdgeKind.GNSS_ABSOLUTE))
+        add_edge(rows, Edge(k, k + 1, Pose2(*z[k]), info[k],
+                            EdgeKind.GNSS_ABSOLUTE))
     for name in ("poses", "fixed", "node_kinds", "from_ids", "to_ids",
                  "measurements", "information", "edge_kinds"):
         assert np.array_equal(getattr(block, name), getattr(rows, name)), \
@@ -358,7 +358,7 @@ def test_block_validation_matches_one_row_validation():
     for (i, j), bad in cases:
         one = _block_graph()
         with pytest.raises(ValueError) as want:
-            one.add_edge(Edge(i, j, Pose2(0.0, 0.0, 0.0), bad))
+            add_edge(one, Edge(i, j, Pose2(0.0, 0.0, 0.0), bad))
         # a stack of 3x3 matrices cannot hold one 2x2: all three are bad
         info = np.stack([good, good, bad] if bad.shape == (3, 3)
                         else [bad] * 3)
@@ -397,7 +397,7 @@ def test_views_index_slice_and_iterate():
         g.edges[-4]
     # views follow the graph as it grows
     nodes = g.nodes
-    g.add_node(Pose2(9.0, 9.0, 0.0))
+    add_node(g, Pose2(9.0, 9.0, 0.0))
     assert len(nodes) == 5 and nodes[-1].pose.x == 9.0
 
 

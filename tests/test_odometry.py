@@ -1,17 +1,16 @@
 """Yaw-rate/velocity preintegration and the distance-scaled uncertainty."""
 
-import math
 import re
 
 import numpy as np
 import pytest
 
-from helpers import integrate_fine, knot_information, knot_preintegrate
+from helpers import integrate_fine, knot_information, knot_preintegrate, \
+    window_pose
 from se2fusion.errors import InsufficientCoverageError, \
     NonMonotonicTimestampsError
 from se2fusion.odometry import OdometryStream, WindowEnds, \
-    ZERO_ARC_INFORMATION, arc_information, integrate_windows, \
-    odometry_information, preintegrate
+    ZERO_ARC_INFORMATION, arc_information, integrate_windows
 from se2fusion.se2 import compose
 
 
@@ -20,31 +19,36 @@ def _stream(t_end=1.0, v=10.0, w=0.0, hz=25.0):
     return OdometryStream(t, np.full_like(t, w), np.full_like(t, v))
 
 
+def _window(stream, t_start, t_end):
+    # (dx, dy, heading_change, arc_length) of one window
+    return np.concatenate(integrate_windows(stream, t_start, t_end))
+
+
 def test_straight_line_window():
-    pre = preintegrate(_stream(), 0.0, 1.0)
-    assert pre.delta.as_array() == pytest.approx((10.0, 0.0, 0.0), abs=1e-12)
-    assert pre.heading_change == pytest.approx(0.0, abs=1e-15)
-    assert pre.arc_length == pytest.approx(10.0, abs=1e-12)
+    dx, dy, heading, arc = _window(_stream(), 0.0, 1.0)
+    assert (dx, dy, heading) == pytest.approx((10.0, 0.0, 0.0), abs=1e-12)
+    assert heading == pytest.approx(0.0, abs=1e-15)
+    assert arc == pytest.approx(10.0, abs=1e-12)
 
 
 def test_zero_velocity_gives_identity_and_lock():
-    pre = preintegrate(_stream(v=0.0), 0.0, 1.0)
-    assert pre.delta.as_array() == pytest.approx((0.0, 0.0, 0.0))
-    assert pre.arc_length == 0.0
-    info = odometry_information(pre)
+    dx, dy, heading, arc = _window(_stream(v=0.0), 0.0, 1.0)
+    assert (dx, dy, heading) == pytest.approx((0.0, 0.0, 0.0))
+    assert arc == 0.0
+    info = arc_information(arc)
     assert np.allclose(info, np.diag([ZERO_ARC_INFORMATION] * 3))
     assert ZERO_ARC_INFORMATION == 1e5
 
 
 def test_constant_turn_matches_fine_integrator():
     stream = _stream(v=10.0, w=0.1)
-    pre = preintegrate(stream, 0.0, 1.0)
+    got = _window(stream, 0.0, 1.0)
     dx, dy, dth, arc = integrate_fine(stream.timestamps, stream.yaw_rates,
                                       stream.velocities, 0.0, 1.0)
-    assert pre.delta.x == pytest.approx(dx, abs=1e-4)
-    assert pre.delta.y == pytest.approx(dy, abs=1e-4)
-    assert pre.delta.theta == pytest.approx(dth, abs=1e-6)
-    assert pre.arc_length == pytest.approx(arc, abs=1e-6)
+    assert got[0] == pytest.approx(dx, abs=1e-4)
+    assert got[1] == pytest.approx(dy, abs=1e-4)
+    assert got[2] == pytest.approx(dth, abs=1e-6)
+    assert got[3] == pytest.approx(arc, abs=1e-6)
 
 
 def _wavy_stream():
@@ -54,44 +58,43 @@ def _wavy_stream():
 
 def test_varying_rates_match_fine_integrator():
     stream = _wavy_stream()
-    pre = preintegrate(stream, 0.1, 1.9)
+    got = _window(stream, 0.1, 1.9)
     dx, dy, dth, arc = integrate_fine(stream.timestamps, stream.yaw_rates,
                                       stream.velocities, 0.1, 1.9)
     # the 25 Hz midpoint rule carries its own O(dt^2) discretization error
-    assert pre.delta.x == pytest.approx(dx, abs=1e-3)
-    assert pre.delta.y == pytest.approx(dy, abs=1e-3)
-    assert pre.delta.theta == pytest.approx(dth, abs=1e-6)
+    assert got[0] == pytest.approx(dx, abs=1e-3)
+    assert got[1] == pytest.approx(dy, abs=1e-3)
+    assert got[2] == pytest.approx(dth, abs=1e-6)
 
 
 def test_chaining_at_interior_sample_timestamps():
     stream = _wavy_stream()
     for t_mid in (0.4, 1.0, 1.52):
-        full = preintegrate(stream, 0.2, 1.8)
-        left = preintegrate(stream, 0.2, t_mid)
-        right = preintegrate(stream, t_mid, 1.8)
-        chained = compose(left.delta, right.delta)
-        assert np.allclose(chained.as_array(), full.delta.as_array(),
-                           atol=1e-9)
-        assert left.arc_length + right.arc_length == pytest.approx(
-            full.arc_length, abs=1e-9)
+        full = window_pose(stream, 0.2, 1.8)
+        chained = compose(window_pose(stream, 0.2, t_mid),
+                          window_pose(stream, t_mid, 1.8))
+        assert np.allclose(chained.as_array(), full.as_array(), atol=1e-9)
+        arcs = integrate_windows(stream, [0.2, t_mid, 0.2],
+                                 [t_mid, 1.8, 1.8])[3]
+        assert arcs[0] + arcs[1] == pytest.approx(arcs[2], abs=1e-9)
 
 
 def test_velocity_reversal_negates_displacement():
     stream = _wavy_stream()
     flipped = OdometryStream(stream.timestamps, stream.yaw_rates,
                              -stream.velocities)
-    fwd = preintegrate(stream, 0.2, 1.8)
-    rev = preintegrate(flipped, 0.2, 1.8)
-    assert rev.delta.x == pytest.approx(-fwd.delta.x, abs=1e-12)
-    assert rev.delta.y == pytest.approx(-fwd.delta.y, abs=1e-12)
-    assert rev.delta.theta == pytest.approx(fwd.delta.theta, abs=1e-12)
-    assert rev.arc_length == pytest.approx(fwd.arc_length, abs=1e-12)
+    fwd = _window(stream, 0.2, 1.8)
+    rev = _window(flipped, 0.2, 1.8)
+    assert rev[0] == pytest.approx(-fwd[0], abs=1e-12)
+    assert rev[1] == pytest.approx(-fwd[1], abs=1e-12)
+    assert rev[2] == pytest.approx(fwd[2], abs=1e-12)
+    assert rev[3] == pytest.approx(fwd[3], abs=1e-12)
 
 
 def test_information_scales_with_arc_length():
-    pre = preintegrate(_stream(t_end=10.0), 0.0, 10.0)
-    assert pre.arc_length == pytest.approx(100.0, abs=1e-9)
-    info = odometry_information(pre)
+    arc = _window(_stream(t_end=10.0), 0.0, 10.0)[3]
+    assert arc == pytest.approx(100.0, abs=1e-9)
+    info = arc_information(arc)
     sig = 0.011 * 100.0
     assert info[0, 0] == pytest.approx(sig ** -2, rel=1e-9)
     assert info[0, 0] == pytest.approx(0.826, abs=5e-4)
@@ -104,26 +107,23 @@ def test_covariance_symmetric_psd_for_random_windows():
     t = np.arange(0.0, 30.0, 0.04)
     stream = OdometryStream(t, 0.2 * np.sin(0.3 * t),
                             8.0 + 3.0 * np.sin(0.11 * t))
-    for _ in range(50):
-        a = rng.uniform(0.0, 25.0)
-        b = a + rng.uniform(0.1, 4.0)
-        pre = preintegrate(stream, a, b)
-        cov = pre.covariance
+    a = rng.uniform(0.0, 25.0, 50)
+    b = a + rng.uniform(0.1, 4.0, 50)
+    for info in arc_information(integrate_windows(stream, a, b)[3]):
+        cov = np.linalg.inv(info)
         assert np.allclose(cov, cov.T)
         assert np.min(np.linalg.eigvalsh(cov)) >= 0.0
-        info = odometry_information(pre)
         assert np.min(np.diag(info)) > 0.0
 
 
 def test_window_outside_recording_raises():
     stream = _stream()
     with pytest.raises(InsufficientCoverageError):
-        preintegrate(stream, -1.0, 0.5)
+        integrate_windows(stream, -1.0, 0.5)
     with pytest.raises(InsufficientCoverageError):
-        preintegrate(stream, 0.5, 3.0)
+        integrate_windows(stream, 0.5, 3.0)
     # sticking out by less than two sample periods is tolerated
-    pre = preintegrate(stream, 0.0, 1.0)
-    assert pre.t_end == 1.0
+    assert _window(stream, 0.0, 1.0)[3] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_internal_gap_raises():
@@ -131,29 +131,27 @@ def test_internal_gap_raises():
                         np.arange(2.0, 3.0, 0.04)])
     stream = OdometryStream(t, np.zeros_like(t), np.full_like(t, 5.0))
     with pytest.raises(InsufficientCoverageError):
-        preintegrate(stream, 0.5, 2.5)
-    # a window that stays clear of the gap is fine
-    preintegrate(stream, 0.1, 0.9)
-    preintegrate(stream, 2.1, 2.9)
+        integrate_windows(stream, 0.5, 2.5)
+    # windows that stay clear of the gap are fine
+    integrate_windows(stream, [0.1, 2.1], [0.9, 2.9])
 
 
 def test_endpoints_interpolated_between_samples():
     stream = _wavy_stream()
-    a = preintegrate(stream, 0.25, 0.61)
-    b = preintegrate(stream, 0.61, 1.03)
-    full = preintegrate(stream, 0.25, 1.03)
-    chained = compose(a.delta, b.delta)
+    chained = compose(window_pose(stream, 0.25, 0.61),
+                      window_pose(stream, 0.61, 1.03))
+    full = window_pose(stream, 0.25, 1.03)
     # interior split points are not sample timestamps, so only near
     # agreement is expected from the interpolated knots
-    assert np.allclose(chained.as_array(), full.delta.as_array(), atol=1e-5)
+    assert np.allclose(chained.as_array(), full.as_array(), atol=1e-5)
 
 
 def test_empty_or_reversed_window_rejected():
     stream = _stream()
     with pytest.raises(ValueError):
-        preintegrate(stream, 0.5, 0.5)
+        integrate_windows(stream, 0.5, 0.5)
     with pytest.raises(ValueError):
-        preintegrate(stream, 0.8, 0.2)
+        integrate_windows(stream, 0.8, 0.2)
 
 
 def test_stream_validation():
@@ -166,10 +164,11 @@ def test_stream_validation():
 
 
 def test_covariance_follows_drift_model():
-    pre = preintegrate(_stream(t_end=4.0, v=7.5), 0.0, 4.0)
-    sig = 0.011 * pre.arc_length
+    arc = _window(_stream(t_end=4.0, v=7.5), 0.0, 4.0)[3]
+    sig = 0.011 * arc
     want = np.diag([sig ** 2, sig ** 2, (sig / 2.7) ** 2])
-    assert np.allclose(pre.covariance, want, rtol=1e-12)
+    assert np.allclose(np.linalg.inv(arc_information(arc)), want,
+                       rtol=1e-12)
 
 
 def test_gap_check_names_the_first_gap_overlapping_the_window():
@@ -180,25 +179,24 @@ def test_gap_check_names_the_first_gap_overlapping_the_window():
     first = "gap of 1.04 s at t=0.96 overlaps"
     second = "gap of 2.04 s at t=2.96 overlaps"
     with pytest.raises(InsufficientCoverageError, match=first):
-        preintegrate(stream, 0.5, 5.5)
+        integrate_windows(stream, 0.5, 5.5)
     with pytest.raises(InsufficientCoverageError, match=first):
-        preintegrate(stream, 1.5, 1.7)
+        integrate_windows(stream, 1.5, 1.7)
     with pytest.raises(InsufficientCoverageError, match=second):
-        preintegrate(stream, 2.5, 5.5)
+        integrate_windows(stream, 2.5, 5.5)
     with pytest.raises(InsufficientCoverageError, match=second):
-        preintegrate(stream, 2.96, 3.5)
+        integrate_windows(stream, 2.96, 3.5)
     # windows clear of both gaps are covered
-    preintegrate(stream, 2.0, 2.9)
-    preintegrate(stream, 5.0, 5.9)
-    preintegrate(stream, 0.0, 0.9)
+    integrate_windows(stream, [2.0, 5.0, 0.0], [2.9, 5.9, 0.9])
 
 
 # ---------------------------------------------------------------------------
 # the running-integral window query against the per-window knot integrator
 
 def _assert_matches_knots(stream, windows):
-    """preintegrate, integrate_windows and WindowEnds all equal the knot
-    oracle to 1e-12 on every window."""
+    """integrate_windows and WindowEnds both equal the knot oracle to
+    1e-12 on every window, and arc_information weighs each window as the
+    oracle does."""
     starts = np.array([a for a, _ in windows])
     ends = np.array([b for _, b in windows])
     batch = np.stack(integrate_windows(stream, starts, ends), axis=1)
@@ -206,21 +204,16 @@ def _assert_matches_knots(stream, windows):
     table = WindowEnds(stream, times)
     k = np.arange(len(windows))
     paired = np.stack(table.windows(k, k + len(windows)), axis=1)
+    info = arc_information(batch[:, 3])
     for n, (a, b) in enumerate(windows):
         want = np.array(knot_preintegrate(stream, a, b))
-        pre = preintegrate(stream, a, b)
-        got = np.array([pre.delta.x, pre.delta.y, pre.heading_change,
-                        pre.arc_length])
-        assert np.max(np.abs(got - want)) <= 1e-12, (a, b, got - want)
         assert np.max(np.abs(batch[n] - want)) <= 1e-12, (a, b)
         assert np.max(np.abs(paired[n] - want)) <= 1e-12, (a, b)
         heading, arc = table.heading_and_arc(n, n + len(windows))
         assert abs(heading - want[2]) <= 1e-12
         assert abs(arc - want[3]) <= 1e-12
-        assert pre.delta.theta == pytest.approx(math.remainder(
-            want[2], 2.0 * math.pi), abs=1e-12)
-        np.testing.assert_allclose(odometry_information(pre),
-                                   knot_information(want[3]), rtol=1e-10)
+        np.testing.assert_allclose(info[n], knot_information(want[3]),
+                                   rtol=1e-10)
 
 
 def _turning_stream(t_end=40.0, hz=25.0):
@@ -299,9 +292,9 @@ def test_window_query_through_a_standstill_locks_the_pose():
     v = np.where((t > 4.0) & (t < 8.0), 0.0, 5.0 + np.sin(t))
     stream = OdometryStream(t, 0.2 * np.cos(t), v)
     _assert_matches_knots(stream, [(4.5, 7.5), (4.52, 4.53), (3.0, 9.0)])
-    pre = preintegrate(stream, 4.5, 7.5)
-    assert pre.arc_length == 0.0
-    np.testing.assert_allclose(odometry_information(pre),
+    arc = _window(stream, 4.5, 7.5)[3]
+    assert arc == 0.0
+    np.testing.assert_allclose(arc_information(arc),
                                np.diag([ZERO_ARC_INFORMATION] * 3),
                                rtol=1e-12)
 
@@ -317,7 +310,7 @@ def test_window_query_raises_the_knot_integrators_coverage_errors():
         with pytest.raises((InsufficientCoverageError, ValueError)) as want:
             knot_preintegrate(stream, a, b)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            preintegrate(stream, a, b)
+            integrate_windows(stream, a, b)
         # a batch raises for its first bad window
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
             integrate_windows(stream, [0.1, a, 5.1], [0.9, b, 0.2])
@@ -342,10 +335,9 @@ def test_information_is_capped_at_the_standstill_value():
     # a creeping window gets no more than a standstill
     t = np.arange(0.0, 4.0, 0.04)
     creep = OdometryStream(t, np.zeros_like(t), np.full_like(t, 1e-6))
-    pre = preintegrate(creep, 1.0, 2.0)
-    assert 0.0 < pre.arc_length < 1e-5
-    np.testing.assert_array_equal(odometry_information(pre),
-                                  np.diag(standstill))
+    arc = _window(creep, 1.0, 2.0)[3]
+    assert 0.0 < arc < 1e-5
+    np.testing.assert_array_equal(arc_information(arc), np.diag(standstill))
 
 
 def test_arc_information_is_the_factor_information():
@@ -355,6 +347,9 @@ def test_arc_information_is_the_factor_information():
     for k, arc in enumerate(arcs):
         np.testing.assert_allclose(info[k], knot_information(arc),
                                    rtol=1e-12)
-    pre = preintegrate(stream, 3.0, 7.0)
-    np.testing.assert_array_equal(arc_information([pre.arc_length])[0],
-                                  odometry_information(pre))
+    # and the weight of an integrated window is the oracle's for its arc
+    arc = _window(stream, 3.0, 7.0)[3]
+    np.testing.assert_allclose(
+        arc_information(arc),
+        knot_information(knot_preintegrate(stream, 3.0, 7.0)[3]),
+        rtol=1e-12)

@@ -13,9 +13,9 @@ import pytest
 import se2fusion
 from se2fusion import solver
 
-from helpers import _dense_solve, band_to_dense, clone_graph, \
-    dense_optimize, dense_system, dense_to_band, dogleg_rootfind, \
-    random_chain_graph, random_pose, set_pose, total_error
+from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
+    clone_graph, dense_optimize, dense_system, dense_to_band, \
+    dogleg_rootfind, random_chain_graph, random_pose, set_pose, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
@@ -29,9 +29,9 @@ from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
 
 def _two_node_graph():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
     return g
 
 
@@ -49,9 +49,9 @@ def test_single_constraint_satisfied_exactly():
 
 def test_zero_residual_graph_finishes_in_one_iteration():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.0, 0.5, 0.25))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.5, 0.25), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.0, 0.5, 0.25))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.5, 0.25), np.eye(3)))
     before = g.nodes[1].pose
     report = optimize(g)
     assert report.converged
@@ -72,18 +72,18 @@ def test_chain_with_absolute_ties_matches_dense_brute_force():
 
 def test_optimize_requires_a_fixed_node():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0))
-    g.add_node(Pose2(1.0, 0.0, 0.0))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0))
+    add_node(g, Pose2(1.0, 0.0, 0.0))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
     with pytest.raises(GaugeUnderconstrainedError):
         optimize(g)
 
 
 def test_graph_with_no_free_node_is_left_untouched():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.5, 0.5, 0.25), fixed=True)
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.5, 0.5, 0.25), fixed=True)
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
     before = g.poses.copy()
     lines = []
     report = optimize(g, trace=lines.append)
@@ -99,9 +99,9 @@ def test_a_step_below_step_tol_ends_the_solve_as_step_tol():
     """The free node sits 1e-10 m from its measurement: the first proposed
     step is below step_tol, so the solve ends there without taking it."""
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.0 + 1e-10, 0.0, 0.0))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.0 + 1e-10, 0.0, 0.0))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
     before = g.poses.copy()
     lines = []
     report = optimize(g, SolverConfig(abs_error_tol=0.0), trace=lines.append)
@@ -180,9 +180,9 @@ def _linear_system(g):
 
 def test_linear_system_zero_residual_gives_zero_gradient():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    g.add_node(Pose2(1.0, 0.0, 0.0))
-    g.add_edge(Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    add_node(g, Pose2(1.0, 0.0, 0.0))
+    add_edge(g, Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3)))
     H, b = _linear_system(g)
     assert H.shape == (3, 3)
     assert np.allclose(b, 0.0, atol=1e-15)
@@ -342,15 +342,15 @@ def test_zero_heading_information_with_odometry_is_solvable():
     """Absolute position ties carry no heading weight; the odometry edge
     supplies it, and the system stays regular."""
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    a = g.add_node(Pose2(0.3, -0.2, 0.1))
-    b = g.add_node(Pose2(1.4, 0.3, -0.05))
-    g.add_edge(Edge(a, b, Pose2(1.0, 0.0, 0.0), np.diag([4.0, 4.0, 25.0]),
-                    EdgeKind.ODOMETRY))
-    g.add_edge(Edge(0, a, Pose2(0.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]),
-                    EdgeKind.GNSS_ABSOLUTE))
-    g.add_edge(Edge(0, b, Pose2(1.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]),
-                    EdgeKind.GNSS_ABSOLUTE))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    a = add_node(g, Pose2(0.3, -0.2, 0.1))
+    b = add_node(g, Pose2(1.4, 0.3, -0.05))
+    add_edge(g, Edge(a, b, Pose2(1.0, 0.0, 0.0), np.diag([4.0, 4.0, 25.0]),
+                     EdgeKind.ODOMETRY))
+    add_edge(g, Edge(0, a, Pose2(0.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]),
+                     EdgeKind.GNSS_ABSOLUTE))
+    add_edge(g, Edge(0, b, Pose2(1.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]),
+                     EdgeKind.GNSS_ABSOLUTE))
     report = optimize(g)
     assert report.converged
     assert report.final_error < 1e-9
@@ -358,10 +358,10 @@ def test_zero_heading_information_with_odometry_is_solvable():
 
 def test_completely_unconstrained_heading_still_solves():
     g = PoseGraph()
-    g.add_node(Pose2(0.0, 0.0, 0.0), fixed=True)
-    a = g.add_node(Pose2(0.3, -0.2, 0.7))
-    g.add_edge(Edge(0, a, Pose2(1.0, 2.0, 0.0), np.diag([1.0, 1.0, 0.0]),
-                    EdgeKind.GNSS_ABSOLUTE))
+    add_node(g, Pose2(0.0, 0.0, 0.0), fixed=True)
+    a = add_node(g, Pose2(0.3, -0.2, 0.7))
+    add_edge(g, Edge(0, a, Pose2(1.0, 2.0, 0.0), np.diag([1.0, 1.0, 0.0]),
+                     EdgeKind.GNSS_ABSOLUTE))
     report = optimize(g)
     assert report.converged
     assert report.final_error < 1e-9
@@ -568,8 +568,8 @@ def _loop_closed_chain(seed):
     nodes form a cycle and the chain order is not the id order."""
     rng = np.random.default_rng(seed)
     g, truth = random_chain_graph(rng, 14, n_absolute=3)
-    g.add_edge(Edge(2, 11, compose(inverse(truth[2]), truth[11]),
-                    np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
+    add_edge(g, Edge(2, 11, compose(inverse(truth[2]), truth[11]),
+                     np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
     return g
 
 

@@ -154,14 +154,35 @@ def test_accuracy_bound_floor():
 
 
 def test_too_short_duration_rejected():
-    with pytest.raises(ValueError):
-        generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=1.5)
+    for duration in (1.5, -3.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            generate_synthetic(0, TrajectoryProfile.STRAIGHT,
+                               duration=duration)
 
 
 def test_explosive_ar1_coefficient_rejected():
     for rho in (1.5, -1.0001, float("nan")):
         with pytest.raises(ValueError, match="ar1_rho"):
             GnssErrorModel(ar1_rho=rho, ar1_sigma=1.0)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("ar1_sigma", (-1.0, float("nan"), float("inf"))),
+    ("outlier_rate", (-0.1, 1.5, float("nan"))),
+])
+def test_invalid_gnss_error_parameters_rejected(field, values):
+    for value in values:
+        with pytest.raises(ValueError, match=field):
+            GnssErrorModel(**{field: value})
+    GnssErrorModel(**{field: 0.0})
+    GnssErrorModel(**{field: 1.0})
+
+
+def test_invalid_drift_fraction_rejected():
+    for drift in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="drift_fraction"):
+            OdoErrorModel(drift_fraction=drift)
+    OdoErrorModel(drift_fraction=0.0)
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0])
