@@ -122,6 +122,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_batch(args) -> int:
     base = _experiment_config(args)
+    if args.synth is None and not args.truth:
+        raise SystemExit("batch scores every experiment: need --truth "
+                         "with --gnss and --odo")
     dataset = _dataset_from_args(args)
     record, table = run_batch([dataset], base)
     os.makedirs(args.out, exist_ok=True)

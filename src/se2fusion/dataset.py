@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .gnss import GnssReading, latlon_to_utm, reject_outliers
 from .graph import _fmt, save as save_graph
 from .metrics import MetricsReport, compute_metrics, improvements, match_pps
 from .odometry import OdometryStream
-from .solver import SolveReport, SolverConfig, optimize
+from .solver import SolveReport, optimize
 
 
 @dataclass
@@ -58,9 +58,9 @@ class Dataset:
 @dataclass
 class ExperimentConfig(BuilderConfig):
     """One experiment's settings: the graph settings of BuilderConfig,
-    plus the screen switch, the solver settings and the metric variant."""
+    plus the screen switch and the metric variant.  The solve runs with
+    the default SolverConfig."""
     outlier_rejection: bool = True
-    solver: SolverConfig = field(default_factory=SolverConfig)
     metrics_literal: bool = False
 
 
@@ -216,7 +216,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     """
     cfg = config if config is not None else ExperimentConfig()
     readings, rate, graph, times = _screen_and_build(dataset, cfg)
-    report = optimize(graph, cfg.solver, trace=trace)
+    report = optimize(graph, trace=trace)
     trajectory = list(zip(times, vehicle_trajectory(graph)))
 
     fused_metrics = raw_metrics = None
@@ -329,8 +329,15 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
     significant digits and a human comparison table with per-dataset
     rows, an Average row and an improvement-vs-GNSS row computed from
     the averages (mirroring how published summary tables derive their
-    percentage rows).
+    percentage rows).  Every dataset needs ground truth; the datasets are
+    checked before any experiment runs.
     """
+    if not datasets:
+        raise EmptyInputError("run_batch needs at least one dataset")
+    for ds in datasets:
+        if ds.truth is None:
+            raise ValueError(f"dataset {ds.name!r} has no ground truth; "
+                             "run_batch scores every experiment")
     base = config if config is not None else ExperimentConfig()
     record = []
     tables = []

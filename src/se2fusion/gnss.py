@@ -56,8 +56,10 @@ class GnssReading:
             raise ValueError("position must be a 2-vector (utm_x, utm_y)")
         if not np.all(np.isfinite(self.position)):
             raise ValueError("position must be finite")
-        if not (self.epx > 0.0 and self.epy > 0.0):
-            raise ValueError("epx and epy must be positive")
+        if not math.isfinite(self.timestamp):
+            raise ValueError("timestamp must be finite")
+        if not (0.0 < self.epx < math.inf and 0.0 < self.epy < math.inf):
+            raise ValueError("epx and epy must be positive and finite")
 
 
 def latlon_to_utm(latitude: float, longitude: float):

@@ -147,6 +147,7 @@ class PoseGraph:
         poses = np.array(poses, dtype=float)
         if poses.ndim != 2 or poses.shape[1] != 3:
             raise ValueError(f"poses shape {poses.shape}, expected (n, 3)")
+        _check_finite(poses, "pose")
         poses[:, 2] = wrap_angles(poses[:, 2])
         return self._nodes.append(len(poses), poses=poses, fixed=fixed,
                                   node_kinds=NODE_KINDS.index(kind))
@@ -155,9 +156,10 @@ class PoseGraph:
                   kind: EdgeKind = EdgeKind.ODOMETRY) -> range:
         """Append a block of edges of one kind; return their ordinals.
 
-        Endpoints must be existing, distinct nodes; each information
-        matrix must be 3x3, symmetric to 1e-9 and have a non-negative
-        diagonal.  Nothing is added when any edge of the block fails.
+        Endpoints must be existing, distinct nodes; measurements must be
+        finite; each information matrix must be 3x3, finite, symmetric to
+        1e-9 and have a non-negative diagonal.  Nothing is added when any
+        edge of the block fails.
         """
         i = np.asarray(from_ids, dtype=np.intp)
         j = np.asarray(to_ids, dtype=np.intp)
@@ -178,6 +180,9 @@ class PoseGraph:
             raise ValueError(f"self edge on node {i[np.argmax(i == j)]}")
         if info.shape[1:] != (3, 3):
             raise BadInformationError(f"information shape {info.shape[1:]}")
+        _check_finite(z, "measurement")
+        if not np.isfinite(info).all():
+            raise BadInformationError("non-finite information entry")
         asym = np.abs(info - info.transpose(0, 2, 1))
         if (asym.max(axis=(1, 2), initial=0.0) > 1e-9).any():
             raise BadInformationError("information matrix not symmetric")
@@ -187,6 +192,11 @@ class PoseGraph:
         return self._edges.append(m, from_ids=i, to_ids=j, measurements=z,
                                   information=info,
                                   edge_kinds=EDGE_KINDS.index(kind))
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what}")
 
 
 def _fmt(x: float) -> str:
@@ -224,7 +234,8 @@ def load(path) -> PoseGraph:
     File vertex ids may be arbitrary; they are remapped to dense ids in
     order of appearance.  Vertex records carry no kind, so loaded nodes
     default to VEHICLE_POSE.  The vertices are added as one block, then
-    each edge as a block of one, so an invalid edge names its own line.
+    each edge as a block of one, so an invalid vertex or edge names its
+    own line.
     """
     id_map: dict[int, int] = {}
     poses, fixed, edges = [], [], []
@@ -246,6 +257,9 @@ def load(path) -> PoseGraph:
                         raise ValueError(f"duplicate vertex id {file_id}")
                     id_map[file_id] = len(poses)
                     poses.append([float(v) for v in tokens[2:5]])
+                    # the vertices go in as one block, so each line is
+                    # checked here to name it
+                    _check_finite(poses[-1], "pose")
                 elif tag == "EDGE_SE2":
                     if len(tokens) != 13:
                         raise ValueError("bad field count")
@@ -267,6 +281,7 @@ def load(path) -> PoseGraph:
             raise ParseError(f"{path}:{lineno}: edge references unknown "
                              f"vertex {exc}") from exc
         except ValueError as exc:
-            # add_edges' validation: self edge, bad information matrix
+            # add_edges' validation: self edge, non-finite value, bad
+            # information matrix
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return graph

@@ -61,6 +61,9 @@ class OdometryStream:
                              "1-d arrays of equal length")
         if t.size == 0:
             raise ValueError("odometry stream is empty")
+        if not (np.isfinite(t).all() and np.isfinite(w).all()
+                and np.isfinite(v).all()):
+            raise ValueError("odometry timestamps and rates must be finite")
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise NonMonotonicTimestampsError(

@@ -174,10 +174,10 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
 # ---------------------------------------------------------------------------
 # Batched kernels: the formulas above over whole arrays, one row per pose or
 # edge, so a graph linearizes in a fixed number of numpy passes.  Poses are
-# (n, 3) arrays of (x, y, theta).  Every operation mirrors its scalar
-# counterpart step for step, including the heading wrap after each group
-# product and the SMALL_ANGLE Taylor switch; the scalar functions stay the
-# reference the batched ones are tested against.
+# (n, 3) arrays of (x, y, theta).  Residuals and retractions mirror their
+# scalar counterparts step for step, heading wraps and SMALL_ANGLE switch
+# included; the Jacobians are closed forms over the same group products.
+# The scalar functions stay the reference the batched ones are tested against.
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle onto (-pi, pi]."""
@@ -254,11 +254,11 @@ def batch_edge_residual(xi: np.ndarray, xj: np.ndarray,
 
 
 def _frames(c, s, tx, ty) -> np.ndarray:
-    """(m, 3, 3) stack of planar frames [[c, -s, tx], [s, c, ty], [0, 0, 1]],
-    the arguments broadcast against each other."""
-    # filled in place: np.stack over np.broadcast_arrays costs about
-    # 50 us more per linearization, on graphs of a few hundred edges
-    F = np.zeros(np.broadcast(c, s, tx, ty).shape + (3, 3))
+    """(m, 3, 3) stack of planar frames [[c, -s, tx], [s, c, ty], [0, 0, 1]]
+    from four length-m arrays."""
+    # filled in place: np.stack costs about 50 us more per
+    # linearization, on graphs of a few hundred edges
+    F = np.zeros(c.shape + (3, 3))
     F[:, 0, 0] = F[:, 1, 1] = c
     F[:, 0, 1] = -s
     F[:, 1, 0] = s
@@ -272,26 +272,23 @@ def batch_edge_linearization(xi: np.ndarray, xj: np.ndarray, z: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals (m, 3) and both Jacobian stacks (m, 3, 3) in one pass.
 
-    Row k equals edge_residual and edge_jacobians of edge k; the group
-    products are shared between the residual and its derivatives.
+    Row k equals edge_residual and edge_jacobians of edge k.  Jj is the
+    log-map Jacobian times the residual's rotation, a planar frame, and
+    Ji = -Jj Ad(inverse(d)) with d = inverse(xi) xj (Sola et al., "A
+    micro Lie theory for state estimation in robotics", 2018).
     """
-    (dx, dy, _), (ex, ey, et) = _residual_group(xi, xj, z)
+    (dx, dy, dt), (ex, ey, et) = _residual_group(xi, xj, z)
     f = _small_or(et, _half_cot_taylor, _half_cot_direct)
     fp = _small_or(et, _half_cot_prime_taylor, _half_cot_prime_direct)
-    m = et.shape[0]
-    L = np.zeros((m, 3, 3))
-    L[:, 0, 0] = f
-    L[:, 0, 1] = 0.5 * et
-    L[:, 0, 2] = fp * ex + 0.5 * ey
-    L[:, 1, 0] = -0.5 * et
-    L[:, 1, 1] = f
-    L[:, 1, 2] = -0.5 * ex + fp * ey
-    L[:, 2, 2] = 1.0
-
-    Jj = L @ _frames(np.cos(et), np.sin(et), 0.0, 0.0)
-    rot_zinv = _frames(np.cos(z[:, 2]), -np.sin(z[:, 2]), 0.0, 0.0)
-    Ji = -(L @ rot_zinv @ _frames(1.0, 0.0, -dy, dx))
-    return _log_cols(ex, ey, et, f), Ji, Jj
+    c, s, h = np.cos(et), np.sin(et), 0.5 * et
+    p, q = f * c + h * s, f * s - h * c
+    tx, ty = fp * ex + 0.5 * ey, fp * ey - 0.5 * ex
+    cd, sd = np.cos(dt), np.sin(dt)
+    # Ad(inverse(d)) moves the translation (ax, ay) into the frame
+    ax, ay = sd * dx - cd * dy, sd * dy + cd * dx
+    Ji = -_frames(p * cd + q * sd, q * cd - p * sd,
+                  p * ax - q * ay + tx, q * ax + p * ay + ty)
+    return _log_cols(ex, ey, et, f), Ji, _frames(p, q, tx, ty)
 
 
 def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:

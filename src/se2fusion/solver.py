@@ -5,10 +5,11 @@ Powell's dogleg.  Each iteration linearizes once, proposes a step for the
 current trust radius, tests the trial's gain ratio, and accepts it or
 halves the radius and proposes again.  optimize() views the graph's
 node and edge arrays in place and runs every iteration on them with the
-batched se2 kernels (residuals, Jacobians, chi-square and retraction
-for all edges or nodes in one pass); an accepted trial writes its free
-rows into the graph's pose array, so fixed poses are never touched and
-the graph always holds the last accepted iterate.
+batched se2 kernels (residuals, Jacobians and retraction for all edges
+or nodes in one pass; chi-square of the initial poses and of each trial
+only); an accepted trial writes its free rows into the graph's pose
+array, so fixed poses are never touched and the graph always holds the
+last accepted iterate.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -208,25 +209,23 @@ class _PackedGraph:
     def linearize(self, poses: np.ndarray):
         """Normal equations at `poses`.
 
-        Returns (H, b, chi) where H is the (u + 1, n) upper band,
-        b = -sum J'Omega e, both in chain order, and chi is the total
-        error at `poses`.
+        Returns (H, b) where H is the (u + 1, n) upper band and
+        b = -sum J'Omega e, both in chain order.
         """
         e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
                                              self.z)
         oe = self._weighted(e)
-        chi = _dot(e, oe)
         JiT = Ji.transpose(0, 2, 1)
         JjT = Jj.transpose(0, 2, 1)
-        blocks = np.stack((JiT @ (self.omega @ Ji), JjT @ (self.omega @ Jj),
-                           JiT @ (self.omega @ Jj)))
+        oj = self.omega @ Jj
+        blocks = np.stack((JiT @ (self.omega @ Ji), JjT @ oj, JiT @ oj))
         H = np.bincount(self.h_slot, weights=blocks.ravel(),
                         minlength=self.h_size + 1)[:-1]
         grad = np.concatenate(((JiT @ oe[:, :, None]).ravel(),
                                (JjT @ oe[:, :, None]).ravel()))
         b = -np.bincount(self.b_slot, weights=grad,
                          minlength=self.n + 1)[:-1]
-        return H.reshape(self.u + 1, self.n), b, chi
+        return H.reshape(self.u + 1, self.n), b
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is
@@ -326,7 +325,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
             sink(f"{it} {chi_now:.17g} {step:.17g} {radius:.17g}\n")
 
     for it in range(1, cfg.max_iterations + 1):
-        H, b, chi = packed.linearize(packed.poses)
+        H, b = packed.linearize(packed.poses)
         step = _dogleg_steps(H, b)
         while True:
             delta = step(radius)

@@ -85,6 +85,32 @@ def test_synth_is_deterministic_on_disk(tmp_path, capsys):
         assert first == second
 
 
+def test_run_without_truth_prints_and_writes_no_scores(tmp_path, capsys):
+    main(["synth", "--synth", "straight", "--duration", "30",
+          "--out", str(tmp_path / "data")])
+    capsys.readouterr()
+    data = tmp_path / "data"
+    out = tmp_path / "out"
+    rc = main(["run", "--gnss", str(data / "straight-s0_gnss.csv"),
+               "--odo", str(data / "straight-s0_odo.csv"),
+               "--out", str(out)])
+    assert rc == 0
+    keys = [line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["dataset", "converged", "iterations", "initial_error",
+                    "final_error", "termination"]
+    assert sorted(os.listdir(out)) == ["straight-s0_gnss_fused.csv",
+                                       "straight-s0_gnss_metrics.txt"]
+
+
+def test_batch_without_truth_stops_before_loading(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit, match="need --truth"):
+        main(["batch", "--gnss", missing, "--odo", missing,
+              "--out", str(tmp_path / "batch")])
+    assert not (tmp_path / "batch").exists()
+
+
 def test_run_needs_a_data_source():
     with pytest.raises(SystemExit):
         main(["run"])

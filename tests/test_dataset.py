@@ -1,6 +1,7 @@
 """CSV ingestion, experiment orchestration and result export."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import utm_krueger
+from se2fusion import dataset as dataset_module
 from se2fusion.builders import Strategy
 from se2fusion.dataset import Dataset, ExperimentConfig, export_results, \
     load_dataset, render_metrics_record, render_table, run_batch, \
@@ -387,3 +389,18 @@ def test_run_batch_record_and_averages():
                                 rejections=(False,))
     assert record2 == record
     assert table2 == table
+
+
+def test_run_batch_checks_every_dataset_before_running_any(monkeypatch):
+    with pytest.raises(EmptyInputError):
+        run_batch([])
+    scored = generate_synthetic(0, TrajectoryProfile.STRAIGHT,
+                                duration=30.0, name="scored")
+    unscored = dataclasses.replace(scored, name="unscored", truth=None)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran before the check")
+
+    monkeypatch.setattr(dataset_module, "run_experiment", no_run)
+    with pytest.raises(ValueError, match="'unscored' has no ground truth"):
+        run_batch([scored, unscored])

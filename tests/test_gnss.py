@@ -61,6 +61,13 @@ def test_zone_identifiers():
     assert latlon_to_utm(10.0, -179.9)[2] == "1N"
 
 
+def test_longitude_west_of_the_antimeridian_wraps():
+    """A longitude below -180 degrees is the same meridian 360 degrees
+    east, and projects to exactly the same point and zone."""
+    for lat in (48.1, -33.0):
+        assert latlon_to_utm(lat, -190.0) == latlon_to_utm(lat, 170.0)
+
+
 def test_southern_hemisphere_false_northing():
     _, northing_n, _ = latlon_to_utm(0.001, 20.0)
     _, northing_s, _ = latlon_to_utm(-0.001, 20.0)
@@ -111,6 +118,10 @@ def test_reading_validation():
         GnssReading(0.0, (np.nan, 0.0), epx=1.0, epy=1.0)
     with pytest.raises(ValueError):
         GnssReading(0.0, (1.0, 2.0, 3.0), epx=1.0, epy=1.0)
+    for t, epx, epy in ((math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                        (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be .*finite$"):
+            GnssReading(t, (0.0, 0.0), epx=epx, epy=epy)
 
 
 def _straight_drive(n_fixes, speed=10.0):

@@ -276,6 +276,11 @@ def test_load_rejects_an_edge_with_the_wrong_field_count(tmp_path):
 @pytest.mark.parametrize("edge, why", [
     ("EDGE_SE2 0 0 1 0 0 1 0 0 1 0 1 ODOMETRY", "self edge on node 0"),
     ("EDGE_SE2 0 1 1 0 0 1 0 0 -1 0 1 ODOMETRY", "negative diagonal"),
+    ("EDGE_SE2 0 1 1 nan 0 1 0 0 1 0 1 ODOMETRY", "non-finite measurement"),
+    ("EDGE_SE2 0 1 1 0 0 nan 0 0 1 0 1 ODOMETRY",
+     "non-finite information entry"),
+    ("EDGE_SE2 0 1 1 0 0 1 0 0 inf 0 1 ODOMETRY",
+     "non-finite information entry"),
 ])
 def test_load_names_the_line_of_an_invalid_edge(tmp_path, edge, why):
     path = tmp_path / "bad.txt"
@@ -286,6 +291,17 @@ def test_load_names_the_line_of_an_invalid_edge(tmp_path, edge, why):
     with pytest.raises(ParseError, match=rf"bad\.txt:4: {why}") as err:
         load(path)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("vertex", ["VERTEX_SE2 1 nan 0 0",
+                                    "VERTEX_SE2 1 1 -inf 0 FIXED"])
+def test_load_names_the_line_of_a_non_finite_vertex(tmp_path, vertex):
+    path = tmp_path / "bad.txt"
+    path.write_text("VERTEX_SE2 0 0 0 0 FIXED\n"
+                    f"{vertex}\n"
+                    "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 1 ODOMETRY\n")
+    with pytest.raises(ParseError, match=r"bad\.txt:2: non-finite pose"):
+        load(path)
 
 
 def test_load_rejects_unknown_edge_kind(tmp_path):
@@ -353,19 +369,35 @@ def test_block_validation_matches_one_row_validation():
     asym = np.eye(3)
     asym[0, 1] = 1e-6
     negative = np.diag([1.0, -1.0, 1.0])
-    cases = [((0, 9), good), ((-1, 1), good), ((2, 2), good),
-             ((0, 1), np.eye(2)), ((0, 1), asym), ((0, 1), negative)]
-    for (i, j), bad in cases:
+    not_finite = np.eye(3)
+    not_finite[1, 1] = math.nan
+    origin = Pose2(0.0, 0.0, 0.0)
+    cases = [((0, 9), origin, good), ((-1, 1), origin, good),
+             ((2, 2), origin, good), ((0, 1), origin, np.eye(2)),
+             ((0, 1), origin, asym), ((0, 1), origin, negative),
+             ((0, 1), origin, not_finite),
+             ((0, 1), Pose2(0.0, math.nan, 0.0), good)]
+    for (i, j), z, bad in cases:
         one = _block_graph()
         with pytest.raises(ValueError) as want:
-            add_edge(one, Edge(i, j, Pose2(0.0, 0.0, 0.0), bad))
+            add_edge(one, Edge(i, j, z, bad))
         # a stack of 3x3 matrices cannot hold one 2x2: all three are bad
         info = np.stack([good, good, bad] if bad.shape == (3, 3)
                         else [bad] * 3)
         g = _block_graph()
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            g.add_edges([0, 1, i], [1, 2, j], np.zeros((3, 3)), info)
+            g.add_edges([0, 1, i], [1, 2, j],
+                        [(0.0, 0.0, 0.0)] * 2 + [(z.x, z.y, z.theta)], info)
         assert len(g.edges) == len(one.edges) == 3
+    # a non-finite pose raises the same as one row and in a block
+    for pose in ((math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)):
+        one = _block_graph()
+        with pytest.raises(ValueError, match="^non-finite pose$"):
+            one.add_nodes([pose])
+        g = _block_graph()
+        with pytest.raises(ValueError, match="^non-finite pose$"):
+            g.add_nodes([(1.0, 1.0, 0.0), pose, (2.0, 2.0, 0.0)])
+        assert len(g.poses) == len(one.poses) == 4
     # asymmetry below the tolerance is accepted, as one row and in a block
     near = np.eye(3)
     near[0, 1] = 1e-12

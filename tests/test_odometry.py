@@ -161,6 +161,12 @@ def test_stream_validation():
         OdometryStream([], [], [])
     with pytest.raises(ValueError):
         OdometryStream([0.0, 0.1], [0.0], [1.0, 1.0])
+    for t, w, v in (([0.0, np.nan, 2.0], [0.0] * 3, [1.0] * 3),
+                    ([0.0, 1.0, np.inf], [0.0] * 3, [1.0] * 3),
+                    ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], [1.0] * 3),
+                    ([0.0, 1.0, 2.0], [0.0] * 3, [1.0, 1.0, -np.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            OdometryStream(t, w, v)
 
 
 def test_covariance_follows_drift_model():

@@ -229,6 +229,19 @@ def test_edge_jacobian_xi_at_zero_residual_is_minus_adjoint():
         assert np.allclose(Ji, -_adjoint(inverse(z)), atol=1e-12)
 
 
+def test_edge_jacobian_xi_is_minus_jj_times_adjoint_at_any_residual():
+    """d(residual)/d(xi) = -d(residual)/d(xj) Ad(inverse(d)) with
+    d = inverse(xi) xj, the identity the batched kernel's closed form
+    rests on; at zero residual it reduces to the test above."""
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        xi, xj, z = random_pose(rng), random_pose(rng), random_pose(rng, 2.0)
+        Ji, Jj = edge_jacobians(xi, xj, z)
+        d = compose(inverse(xi), xj)
+        want = -Jj @ _adjoint(inverse(d))
+        assert np.allclose(Ji, want, rtol=0.0, atol=1e-12)
+
+
 def test_edge_jacobians_match_finite_differences():
     rng = np.random.default_rng(12)
     worst = 0.0

@@ -173,7 +173,7 @@ def _linear_system(g):
     """(H, b) of the normal equations the solver assembles at the graph's
     poses, H dense, with the free nodes in id order."""
     packed = _PackedGraph(g)
-    band, b, _ = packed.linearize(packed.poses)
+    band, b = packed.linearize(packed.poses)
     by_id = np.argsort(_in_chain_order(packed, sorted(packed.free.tolist())))
     return band_to_dense(band)[np.ix_(by_id, by_id)], b[by_id]
 
@@ -196,7 +196,7 @@ def test_linear_system_is_symmetric():
     for _ in range(10):
         g, _ = random_chain_graph(rng, int(rng.integers(4, 12)))
         packed = _PackedGraph(g)
-        band, _, _ = packed.linearize(packed.poses)
+        band, _ = packed.linearize(packed.poses)
         x, y = rng.normal(size=(2, packed.n))
         xHy = float(x @ solver._band_mul(band, y))
         yHx = float(y @ solver._band_mul(band, x))
@@ -407,8 +407,6 @@ def test_packed_chi2_matches_total_error():
         packed = _PackedGraph(g)
         want = total_error(g)
         assert packed.chi2(packed.poses) == pytest.approx(want, rel=1e-12)
-        _, _, chi = packed.linearize(packed.poses)
-        assert chi == pytest.approx(want, rel=1e-12)
 
 
 def test_packed_retraction_matches_scalar_retract():
@@ -555,7 +553,7 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
               BuilderConfig(strategy=strategy, node_rate=rate))
     packed = _PackedGraph(g)
     assert packed.u == width
-    H, b, _ = packed.linearize(packed.poses)
+    H, b = packed.linearize(packed.poses)
     step = solver._solve_normal(H, b)
     Hd, bd, _, free = dense_system(g)
     assert sorted(packed.free.tolist()) == free
@@ -588,7 +586,7 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
 def test_linear_system_is_in_id_order_whatever_the_chain_order():
     g = _loop_closed_chain(52)
     packed = _PackedGraph(g)
-    band, b_chain, _ = packed.linearize(packed.poses)
+    band, b_chain = packed.linearize(packed.poses)
     H, b = _linear_system(g)
     Hd, bd, _, free = dense_system(g)
     assert np.allclose(H, Hd, atol=1e-10)
