@@ -60,18 +60,23 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
                    help="synthetic standstill as 'start,duration' seconds")
 
 
-def _add_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=[x.value for x in Strategy],
-                   default=ExperimentConfig.strategy.value)
-    p.add_argument("--no-outlier-rejection", action="store_true")
+def _add_shared_args(p: argparse.ArgumentParser) -> None:
+    # the settings batch shares across all of its experiments
     p.add_argument("--metrics-literal", action="store_true")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per solver iteration")
     p.add_argument("--identity-strength", type=float,
                    default=ExperimentConfig.identity_edge_strength)
     p.add_argument("--node-rate",
                    choices=[x.value for x in NodeRate],
                    default=ExperimentConfig.node_rate.value)
+
+
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", choices=[x.value for x in Strategy],
+                   default=ExperimentConfig.strategy.value)
+    p.add_argument("--no-outlier-rejection", action="store_true")
+    p.add_argument("--trace", action="store_true",
+                   help="print one line per solver iteration")
+    _add_shared_args(p)
 
 
 def _dataset_from_args(args):
@@ -94,14 +99,17 @@ def _dataset_from_args(args):
 
 def _experiment_config(args) -> ExperimentConfig:
     """The verb's config, built before its dataset so that a bad value
-    stops the run before any work."""
+    stops the run before any work.  batch has no --strategy or
+    --no-outlier-rejection: it runs every combination of the two."""
+    per_run = {}
+    if "strategy" in args:
+        per_run = dict(strategy=Strategy(args.strategy),
+                       outlier_rejection=not args.no_outlier_rejection)
     try:
         return ExperimentConfig(
-            strategy=Strategy(args.strategy),
-            outlier_rejection=not args.no_outlier_rejection,
             node_rate=NodeRate(args.node_rate),
             identity_edge_strength=args.identity_strength,
-            metrics_literal=args.metrics_literal)
+            metrics_literal=args.metrics_literal, **per_run)
     except ValueError as exc:
         # the only value the config checks is the identity stiffness
         raise SystemExit(f"bad --identity-strength: {exc}") from None
@@ -167,7 +175,7 @@ def _cmd_synth(args) -> int:
 def _cmd_graph_dump(args) -> int:
     cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
-    _, _, graph, _ = _screen_and_build(dataset, cfg)
+    _, graph, _ = _screen_and_build(dataset, cfg)
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.poses)} nodes, "
                      f"{len(graph.from_ids)} edges)\n")
@@ -190,7 +198,7 @@ def main(argv=None) -> int:
     p_batch = sub.add_parser("batch",
                              help="all strategies x rejection on/off")
     _add_dataset_args(p_batch)
-    _add_experiment_args(p_batch)
+    _add_shared_args(p_batch)
     p_batch.add_argument("--out", required=True, help="output directory")
     p_batch.set_defaults(fn=_cmd_batch)
 

@@ -28,10 +28,12 @@ import numpy as np
 from .builders import BuilderConfig, Strategy, _node_times, build, \
     vehicle_trajectory
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
-    MixedUtmZonesError, NonMonotonicTimestampsError, ParseError
+    MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
+    ParseError
 from .gnss import GnssReading, latlon_to_utm, reject_outliers
 from .graph import _fmt, save as save_graph
-from .metrics import MetricsReport, compute_metrics, improvements, match_pps
+from .metrics import PPS_MATCH_TOLERANCE_S, MetricsReport, \
+    compute_metrics, improvements, match_pps
 from .odometry import OdometryStream
 from .solver import SolveReport, optimize
 
@@ -189,7 +191,7 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
     """Screen the fixes (when enabled) and build the unoptimized graph.
 
     Every reading's accepted flag is reset, then set by the screen.
-    Returns (readings, rejection_rate, graph, node_times).
+    Returns (rejection_rate, graph, node_times).
     """
     readings = list(dataset.gnss)
     for r in readings:
@@ -200,7 +202,27 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
     accepted = [r for r in readings if r.accepted]
     graph = build(accepted, dataset.odometry, cfg)
     times = _node_times(accepted, dataset.odometry, cfg.node_rate)
-    return readings, rate, graph, times
+    return rate, graph, times
+
+
+def _score(dataset: Dataset, what: str, est_t, est_xy, literal: bool,
+           rejection_rate: float) -> MetricsReport:
+    """Metrics of one estimate track against the dataset's truth.
+
+    A track with fewer than two estimates within PPS_MATCH_TOLERANCE_S of
+    a truth sample raises EmptyInputError (none) or NeedTwoPosesError
+    (one), naming the dataset and the count.
+    """
+    pairs, _ = match_pps(est_t, est_xy, dataset.truth.timestamps,
+                         dataset.truth.positions)
+    if len(pairs) < 2:
+        error = NeedTwoPosesError if pairs else EmptyInputError
+        raise error(f"dataset {dataset.name!r}: {len(pairs)} of "
+                    f"{len(est_t)} {what} match a truth sample within "
+                    f"PPS_MATCH_TOLERANCE_S = {PPS_MATCH_TOLERANCE_S} s; "
+                    "scoring needs two")
+    return compute_metrics(pairs, literal=literal,
+                           rejection_rate=rejection_rate)
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
@@ -208,29 +230,30 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     """Screen, build, optimize and score one dataset.
 
     Returns (trajectory, fused_report, raw_report, solve_report) where
-    trajectory is the list of (timestamp, Pose2) at accepted fixes.  Raw
-    GNSS metrics are computed over all readings, accepted or not, since
-    the comparison baseline is the unfiltered receiver output.
+    trajectory is the list of (timestamp, Pose2) of every vehicle node:
+    one per accepted fix, or one per odometry sample with
+    NodeRate.PER_ODOMETRY_SAMPLE.  Raw GNSS metrics are computed over all
+    readings, accepted or not, since the comparison baseline is the
+    unfiltered receiver output; they are computed first, so a truth track
+    that matches fewer than two fixes stops the run before any work.
     Non-convergence is reported in the SolveReport, not raised.  With
     keep_graph=True the optimized graph is appended as a fifth element.
     """
     cfg = config if config is not None else ExperimentConfig()
-    readings, rate, graph, times = _screen_and_build(dataset, cfg)
+    fused_metrics = raw_metrics = None
+    if dataset.truth is not None:
+        raw_metrics = _score(dataset, "GNSS fixes",
+                             [r.timestamp for r in dataset.gnss],
+                             [r.position for r in dataset.gnss],
+                             cfg.metrics_literal, 0.0)
+    rate, graph, times = _screen_and_build(dataset, cfg)
     report = optimize(graph, trace=trace)
     trajectory = list(zip(times, vehicle_trajectory(graph)))
 
-    fused_metrics = raw_metrics = None
     if dataset.truth is not None:
-        def score(est_t, est_xy, rejection_rate):
-            pairs, _ = match_pps(est_t, est_xy, dataset.truth.timestamps,
-                                 dataset.truth.positions)
-            return compute_metrics(pairs, literal=cfg.metrics_literal,
-                                   rejection_rate=rejection_rate)
-
-        fused_metrics = score(times, [(p.x, p.y) for _, p in trajectory],
-                              rate)
-        raw_metrics = score([r.timestamp for r in readings],
-                            [r.position for r in readings], 0.0)
+        fused_metrics = _score(dataset, "fused poses", times,
+                               [(p.x, p.y) for _, p in trajectory],
+                               cfg.metrics_literal, rate)
         try:
             fused_metrics.improvement_vs_gnss = improvements(fused_metrics,
                                                              raw_metrics)

@@ -245,14 +245,6 @@ def _log_cols(ex, ey, et, f):
     return np.stack((f * ex + h * ey, -h * ex + f * ey, et), axis=1)
 
 
-def batch_edge_residual(xi: np.ndarray, xj: np.ndarray,
-                        z: np.ndarray) -> np.ndarray:
-    """edge_residual for every row of the (m, 3) arrays xi, xj, z."""
-    _, (ex, ey, et) = _residual_group(xi, xj, z)
-    return _log_cols(ex, ey, et,
-                     _small_or(et, _half_cot_taylor, _half_cot_direct))
-
-
 def _frames(c, s, tx, ty) -> np.ndarray:
     """(m, 3, 3) stack of planar frames [[c, -s, tx], [s, c, ty], [0, 0, 1]]
     from four length-m arrays."""

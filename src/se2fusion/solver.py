@@ -1,22 +1,23 @@
 """Sparse nonlinear least-squares over pose graphs.
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
-Powell's dogleg.  Each iteration linearizes once, proposes a step for the
-current trust radius, tests the trial's gain ratio, and accepts it or
-halves the radius and proposes again.  optimize() views the graph's
-node and edge arrays in place and runs every iteration on them with the
-batched se2 kernels (residuals, Jacobians and retraction for all edges
-or nodes in one pass; chi-square of the initial poses and of each trial
-only); an accepted trial writes its free rows into the graph's pose
-array, so fixed poses are never touched and the graph always holds the
-last accepted iterate.
+Powell's dogleg.  Each pose set is evaluated once: one pass of the
+batched se2 linearization kernel gives its chi-square and its normal
+equations together.  The initial poses are evaluated, then each
+iteration proposes a step for the current trust radius from the system
+it holds, evaluates the trial, tests its gain ratio, and accepts it or
+halves the radius and proposes again.  An accepted trial's system is
+the next iteration's, so nothing is evaluated twice.  optimize() views
+the graph's node and edge arrays in place; an accepted trial writes its
+free rows into the graph's pose array, so fixed poses are never touched
+and the graph always holds the last accepted iterate.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
 free node, each node's neighbours in ascending degree.  On the chains
 that builders.build() makes this gives a half-bandwidth of 5 (G1, G3)
 or 8 (G2, where each GNSS node lands next to its vehicle node).  Each
-linearization scatters the upper blocks of H straight into LAPACK's
+evaluation scatters the upper blocks of H straight into LAPACK's
 upper band storage, and the step is solved by a banded Cholesky
 factorization.  It is exact at any bandwidth u and costs O(n u^2), so a
 graph with loop closures solves too, only more slowly.  A solve whose
@@ -42,8 +43,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph
-from .se2 import batch_edge_linearization, batch_edge_residual, \
-    batch_retract
+from .se2 import batch_edge_linearization, batch_retract
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -149,7 +149,7 @@ class _PackedGraph:
     the graph's own.  `free` lists the free node ids in chain
     (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
     reduced system.  The map from each block entry to its slot in the
-    (u + 1, n) upper band is built once, so linearize() only fills
+    (u + 1, n) upper band is built once, so evaluate() only fills
     values.
     """
 
@@ -177,7 +177,7 @@ class _PackedGraph:
         # farthest pair of free nodes that share an edge
         u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
 
-        # three 3x3 blocks per edge, in the order linearize() stacks them:
+        # three 3x3 blocks per edge, in the order evaluate() stacks them:
         # (i, i), (j, j), (i, j).  Each entry goes to its upper-triangle
         # slot, band[u + r - c, c] for r <= c; the lower half of a diagonal
         # block and any block on a fixed node are dropped.
@@ -197,24 +197,16 @@ class _PackedGraph:
             [np.where(o[:, None] >= 0, o[:, None] + offsets, n).ravel()
              for o in (io, jo)])
 
-    def _weighted(self, e: np.ndarray) -> np.ndarray:
-        # Omega e, edge by edge
-        return (self.omega @ e[:, :, None])[:, :, 0]
+    def evaluate(self, poses: np.ndarray):
+        """Total error and normal equations at `poses`, from one kernel pass.
 
-    def chi2(self, poses: np.ndarray) -> float:
-        """Total error, the sum of e' Omega e over all edges."""
-        e = batch_edge_residual(poses[self.i], poses[self.j], self.z)
-        return _dot(e, self._weighted(e))
-
-    def linearize(self, poses: np.ndarray):
-        """Normal equations at `poses`.
-
-        Returns (H, b) where H is the (u + 1, n) upper band and
-        b = -sum J'Omega e, both in chain order.
+        Returns (chi2, H, b): chi2 is the sum of e' Omega e over all
+        edges, H the (u + 1, n) upper band and b = -sum J'Omega e, both
+        in chain order.
         """
         e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
                                              self.z)
-        oe = self._weighted(e)
+        oe = (self.omega @ e[:, :, None])[:, :, 0]
         JiT = Ji.transpose(0, 2, 1)
         JjT = Jj.transpose(0, 2, 1)
         oj = self.omega @ Jj
@@ -225,7 +217,7 @@ class _PackedGraph:
                                (JjT @ oe[:, :, None]).ravel()))
         b = -np.bincount(self.b_slot, weights=grad,
                          minlength=self.n + 1)[:-1]
-        return H.reshape(self.u + 1, self.n), b
+        return _dot(e, oe), H.reshape(self.u + 1, self.n), b
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is
@@ -315,7 +307,8 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
 
 def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     # the iteration of optimize(); each outcome returns where it is decided
-    initial = chi = packed.chi2(packed.poses)
+    chi, H, b = packed.evaluate(packed.poses)
+    initial = chi
     if packed.n == 0:
         return SolveReport(0, initial, initial, Termination.STEP_TOL)
     radius = _TRUST_RADIUS_INIT
@@ -325,7 +318,6 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
             sink(f"{it} {chi_now:.17g} {step:.17g} {radius:.17g}\n")
 
     for it in range(1, cfg.max_iterations + 1):
-        H, b = packed.linearize(packed.poses)
         step = _dogleg_steps(H, b)
         while True:
             delta = step(radius)
@@ -336,7 +328,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                         else Termination.STEP_TOL)
                 return SolveReport(it, initial, chi, done)
             trial = packed.retract(packed.poses, delta)
-            trial_chi = packed.chi2(trial)
+            trial_chi, trial_H, trial_b = packed.evaluate(trial)
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
             pred = 2.0 * _dot(b, delta) - _dot(delta, _band_mul(H, delta))
             if trial_chi < chi and pred > 0.0:
@@ -358,7 +350,8 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
             return SolveReport(it, initial, trial_chi, Termination.ABS_TOL)
         if chi - trial_chi <= cfg.rel_error_tol * chi:
             return SolveReport(it, initial, trial_chi, Termination.REL_TOL)
-        chi = trial_chi
+        # the accepted trial's system is the next iteration's
+        chi, H, b = trial_chi, trial_H, trial_b
 
     return SolveReport(max(cfg.max_iterations, 0), initial, chi,
                        Termination.MAX_ITER)

@@ -168,12 +168,12 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
                        name: str | None = None) -> Dataset:
     """Build a Dataset with exact truth for the requested profile.
 
-    standstill, when given, is (start_s, duration_s) and must fall on a
-    straight stretch of the profile (the speed envelope cannot cancel a
-    commanded turn).  speed, when given, replaces the profile's nominal
-    cruise velocity without touching turn timing.  GNSS fixes arrive at
-    1 Hz from t=0, odometry at 25 Hz covering the whole span, truth at
-    the fix timestamps.
+    standstill, when given, is (start_s, duration_s): a start in
+    [0, duration), a finite hold > 0, on a straight stretch of the
+    profile (the speed envelope cannot cancel a commanded turn).  speed,
+    when given, replaces the profile's nominal cruise velocity without
+    touching turn timing.  GNSS fixes arrive at 1 Hz from t=0, odometry
+    at 25 Hz covering the whole span, truth at the fix timestamps.
     """
     gerr = gnss_error if gnss_error is not None else GnssErrorModel()
     oerr = odo_error if odo_error is not None else OdoErrorModel()
@@ -189,6 +189,11 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
 
     if standstill is not None:
         ss_start, ss_dur = float(standstill[0]), float(standstill[1])
+        if not (0.0 <= ss_start < duration and 0.0 < ss_dur < math.inf):
+            raise ValueError("standstill must start in [0, duration) and "
+                             "last a finite time > 0, got "
+                             f"({ss_start}, {ss_dur}) on a {duration} s "
+                             "drive")
         chk = np.linspace(ss_start - 1.0, ss_start + ss_dur + 1.0, 501)
         _, w_chk, _ = _profile_rates(profile, np.clip(chk, 0.0, duration),
                                      speed)

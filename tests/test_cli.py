@@ -111,6 +111,23 @@ def test_batch_without_truth_stops_before_loading(tmp_path):
     assert not (tmp_path / "batch").exists()
 
 
+@pytest.mark.parametrize("flag", [["--strategy", "g1"],
+                                  ["--no-outlier-rejection"], ["--trace"]])
+def test_batch_rejects_per_run_flags(flag, tmp_path, monkeypatch, capsys):
+    """batch runs every strategy with rejection on and off and prints no
+    trace, so argparse refuses those flags before any work."""
+    def no_dataset(args):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(cli, "_dataset_from_args", no_dataset)
+    with pytest.raises(SystemExit) as stop:
+        main(["batch", "--synth", "straight", "--duration", "20", *flag,
+              "--out", str(tmp_path / "batch")])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "batch").exists()
+
+
 def test_run_needs_a_data_source():
     with pytest.raises(SystemExit):
         main(["run"])
@@ -140,6 +157,12 @@ def test_bad_pair_flag_message():
     (["--synth", "straight", "--duration", "30", "--drift", "-0.5"],
      "drift_fraction"),
     (["--synth", "straight", "--duration", "inf"], "duration must be finite"),
+    (["--synth", "straight", "--duration", "60", "--standstill", "500,300"],
+     "standstill must start"),
+    (["--synth", "straight", "--duration", "60", "--standstill", "nan,2"],
+     "standstill must start"),
+    (["--synth", "straight", "--duration", "60", "--standstill", "10,-5"],
+     "standstill must start"),
 ])
 def test_bad_synthetic_dataset_is_a_one_line_exit(flags, why):
     """A value the generator or an error model rejects ends the verb with

@@ -15,7 +15,8 @@ from se2fusion.dataset import Dataset, ExperimentConfig, export_results, \
     load_dataset, render_metrics_record, render_table, run_batch, \
     run_experiment
 from se2fusion.errors import EmptyInputError, MixedUtmZonesError, \
-    NonMonotonicTimestampsError, OutOfUtmDomainError, ParseError
+    NeedTwoPosesError, NonMonotonicTimestampsError, OutOfUtmDomainError, \
+    ParseError
 from se2fusion.graph import load as load_graph
 from se2fusion.metrics import MetricsReport, compute_metrics, match_pps
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
@@ -288,6 +289,42 @@ def test_keep_graph_returns_the_graph():
     assert len(out) == 5
     graph = out[4]
     assert len(graph.nodes) == 31
+
+
+def _no_work(monkeypatch):
+    def screen_and_build(*args):
+        raise AssertionError("the run screened and built the graph")
+
+    monkeypatch.setattr(dataset_module, "_screen_and_build", screen_and_build)
+
+
+@pytest.mark.parametrize("shift, keep, error, matched", [
+    (0.5, slice(None), EmptyInputError, "0 of 30 GNSS fixes"),
+    (0.0, slice(3, 4), NeedTwoPosesError, "1 of 30 GNSS fixes"),
+])
+def test_truth_missing_the_fixes_stops_before_any_work(
+        monkeypatch, shift, keep, error, matched):
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=30.0)
+    ds.truth = dataset_module.TruthTrack(ds.truth.timestamps[keep] + shift,
+                                         ds.truth.positions[keep])
+    _no_work(monkeypatch)
+    with pytest.raises(error, match=f"'straight-s0': {matched} match a "
+                       r"truth sample within PPS_MATCH_TOLERANCE_S = 0\.05"):
+        run_experiment(ds)
+
+
+def test_fused_track_missing_the_truth_raises_after_the_solve(monkeypatch):
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=30.0)
+    screen_and_build = dataset_module._screen_and_build
+
+    def late_nodes(*args):
+        rate, graph, times = screen_and_build(*args)
+        return rate, graph, [t + 0.5 for t in times]
+
+    monkeypatch.setattr(dataset_module, "_screen_and_build", late_nodes)
+    with pytest.raises(EmptyInputError,
+                       match="'straight-s0': 0 of 30 fused poses match"):
+        run_experiment(ds)
 
 
 def test_export_roundtrip(tmp_path):

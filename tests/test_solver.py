@@ -173,7 +173,7 @@ def _linear_system(g):
     """(H, b) of the normal equations the solver assembles at the graph's
     poses, H dense, with the free nodes in id order."""
     packed = _PackedGraph(g)
-    band, b = packed.linearize(packed.poses)
+    band, b = packed.evaluate(packed.poses)[1:]
     by_id = np.argsort(_in_chain_order(packed, sorted(packed.free.tolist())))
     return band_to_dense(band)[np.ix_(by_id, by_id)], b[by_id]
 
@@ -196,7 +196,7 @@ def test_linear_system_is_symmetric():
     for _ in range(10):
         g, _ = random_chain_graph(rng, int(rng.integers(4, 12)))
         packed = _PackedGraph(g)
-        band, _ = packed.linearize(packed.poses)
+        band, _ = packed.evaluate(packed.poses)[1:]
         x, y = rng.normal(size=(2, packed.n))
         xHy = float(x @ solver._band_mul(band, y))
         yHx = float(y @ solver._band_mul(band, x))
@@ -406,7 +406,8 @@ def test_packed_chi2_matches_total_error():
         g = _graph_near_branches(rng)
         packed = _PackedGraph(g)
         want = total_error(g)
-        assert packed.chi2(packed.poses) == pytest.approx(want, rel=1e-12)
+        assert packed.evaluate(packed.poses)[0] == pytest.approx(want,
+                                                                rel=1e-12)
 
 
 def test_packed_retraction_matches_scalar_retract():
@@ -503,18 +504,18 @@ def test_dogleg_reports_trust_region_collapse():
 def _trace_with_trials(monkeypatch, graph, config):
     """Solve with a trace; return the report and, per trace line, its
     radius and the number of trial steps its iteration evaluated."""
-    chi2 = _PackedGraph.chi2
+    evaluate = _PackedGraph.evaluate
     calls = []
 
     def counted(self, poses):
         calls.append(None)
-        return chi2(self, poses)
+        return evaluate(self, poses)
 
-    monkeypatch.setattr(_PackedGraph, "chi2", counted)
+    monkeypatch.setattr(_PackedGraph, "evaluate", counted)
     marks = []
     report = optimize(graph, config, trace=lambda line: marks.append(
         (float(line.split()[3]), len(calls))))
-    # the first chi2 call is the initial error, then one per trial step
+    # the first evaluation is of the initial poses, then one per trial step
     counts = np.diff([1] + [n for _, n in marks])
     return report, [k for k, _ in marks], counts.tolist()
 
@@ -538,6 +539,45 @@ def test_trace_radius_follows_the_dogleg_update_rule(monkeypatch):
         radius = traced
 
 
+def test_each_pose_set_is_evaluated_once(monkeypatch):
+    """One kernel pass for the initial poses and one per trial, and the
+    system factored at iteration k + 1 is the evaluation of the poses
+    accepted at iteration k, bit for bit."""
+    g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
+    packed = _PackedGraph(clone_graph(g))
+    kernel = solver.batch_edge_linearization
+    retract_trial = _PackedGraph.retract
+    dogleg = solver._dogleg_steps
+    kernel_calls, trials, factored, accepted = [], [], [], [g.poses.copy()]
+
+    def counted_kernel(*args):
+        kernel_calls.append(None)
+        return kernel(*args)
+
+    def counted_trial(self, poses, delta):
+        trials.append(None)
+        return retract_trial(self, poses, delta)
+
+    def recorded(H, b):
+        factored.append((H.copy(), b.copy()))
+        return dogleg(H, b)
+
+    monkeypatch.setattr(solver, "batch_edge_linearization", counted_kernel)
+    monkeypatch.setattr(_PackedGraph, "retract", counted_trial)
+    monkeypatch.setattr(solver, "_dogleg_steps", recorded)
+    report = optimize(g, _COLLAPSE,
+                      trace=lambda _: accepted.append(g.poses.copy()))
+    assert report.termination is Termination.TRUST_REGION_COLLAPSE
+    assert len(trials) > report.iterations
+    assert len(kernel_calls) == 1 + len(trials)
+    # one trace line per iteration; the last one, the collapse, moved
+    # nothing, so its poses are not factored again
+    assert len(factored) == report.iterations == len(accepted) - 1
+    for poses, (H, b) in zip(accepted, factored):
+        _, want_H, want_b = packed.evaluate(poses)
+        assert np.array_equal(H, want_H) and np.array_equal(b, want_b)
+
+
 @pytest.mark.parametrize("rate", list(NodeRate))
 @pytest.mark.parametrize("strategy, width", [(Strategy.G1, 5),
                                              (Strategy.G2, 8),
@@ -553,7 +593,7 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
               BuilderConfig(strategy=strategy, node_rate=rate))
     packed = _PackedGraph(g)
     assert packed.u == width
-    H, b = packed.linearize(packed.poses)
+    H, b = packed.evaluate(packed.poses)[1:]
     step = solver._solve_normal(H, b)
     Hd, bd, _, free = dense_system(g)
     assert sorted(packed.free.tolist()) == free
@@ -586,7 +626,7 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
 def test_linear_system_is_in_id_order_whatever_the_chain_order():
     g = _loop_closed_chain(52)
     packed = _PackedGraph(g)
-    band, b_chain = packed.linearize(packed.poses)
+    band, b_chain = packed.evaluate(packed.poses)[1:]
     H, b = _linear_system(g)
     Hd, bd, _, free = dense_system(g)
     assert np.allclose(H, Hd, atol=1e-10)

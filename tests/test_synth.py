@@ -106,6 +106,13 @@ def test_standstill_must_be_on_a_straight():
     # the first 20 s of the loop are straight
     generate_synthetic(0, TrajectoryProfile.URBAN_LOOP, duration=120.0,
                        standstill=(5.0, 3.0))
+    # a hold that cannot be applied is refused, not dropped
+    for bad in [(500.0, 300.0), (60.0, 2.0), (-1.0, 2.0), (np.nan, 2.0),
+                (np.inf, 2.0), (10.0, -5.0), (10.0, 0.0), (10.0, np.nan),
+                (10.0, np.inf)]:
+        with pytest.raises(ValueError, match="standstill must start"):
+            generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=60.0,
+                               standstill=bad)
 
 
 def test_speed_override():
