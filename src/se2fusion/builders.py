@@ -54,6 +54,9 @@ class BuilderConfig:
     identity_edge_strength: float = 1e6
 
     def __post_init__(self):
+        # a member or its value; anything else raises ValueError
+        self.strategy = Strategy(self.strategy)
+        self.node_rate = NodeRate(self.node_rate)
         if not self.identity_edge_strength > 0.0:
             raise ValueError("identity_edge_strength must be positive")
 

@@ -6,14 +6,18 @@ Verbs:
   synth       generate a synthetic dataset as CSV files
   graph-dump  build the pose graph (no optimization) and save its text form
 
-Datasets come either from CSV files (--gnss/--odo/--truth) or from the
-synthetic generator (--synth PROFILE with --seed and error-model flags).
+Datasets come either from CSV files (--gnss/--odo, and --truth where the
+verb scores) or from the synthetic generator (--synth PROFILE).  Each
+flag's dest is the field it sets in ExperimentConfig, GnssErrorModel,
+OdoErrorModel or generate_synthetic; only the flags given are passed,
+so those objects own every default.  A verb registers only the flags it
+acts on, and refuses with one line a flag its data source would ignore.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import dataclasses
 import os
 import sys
 
@@ -26,6 +30,14 @@ from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
 
 
+def fields(args, owner) -> dict:
+    """The given flags among `owner`'s fields (a dataclass or names)."""
+    names = owner if isinstance(owner, tuple) else \
+        tuple(f.name for f in dataclasses.fields(owner))
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _pair(text, what):
     try:
         a, b = text.split(",")
@@ -34,88 +46,80 @@ def _pair(text, what):
         raise SystemExit(f"bad {what}: expected 'a,b', got {text!r}")
 
 
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    gnss, odo = GnssErrorModel(), OdoErrorModel()
-    duration = inspect.signature(generate_synthetic).parameters["duration"]
-    p.add_argument("--gnss", help="GNSS CSV path")
-    p.add_argument("--odo", help="odometry CSV path")
-    p.add_argument("--truth", help="ground-truth CSV path")
-    p.add_argument("--synth", choices=[x.value for x in TrajectoryProfile],
+def _add_dataset_args(p: argparse.ArgumentParser, files: tuple) -> None:
+    """The CSV inputs named in `files`, or --synth when there are none."""
+    for name in files:
+        p.add_argument(f"--{name}", help=f"{name} CSV path")
+    p.add_argument("--synth", required=not files,
+                   choices=[x.value for x in TrajectoryProfile],
                    help="generate the dataset instead of loading files")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=duration.default,
+    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--duration", type=float,
                    help="synthetic duration in seconds")
     p.add_argument("--bias", type=lambda s: _pair(s, "--bias"),
-                   default=gnss.bias,
                    help="synthetic GNSS bias as 'x,y' meters")
-    p.add_argument("--ar1-rho", type=float, default=gnss.ar1_rho)
-    p.add_argument("--ar1-sigma", type=float, default=gnss.ar1_sigma,
+    p.add_argument("--ar1-rho", type=float)
+    p.add_argument("--ar1-sigma", type=float,
                    help="stationary planar noise dispersion in meters")
-    p.add_argument("--outlier-rate", type=float, default=gnss.outlier_rate)
-    p.add_argument("--outlier-magnitude", type=float,
-                   default=gnss.outlier_magnitude)
-    p.add_argument("--drift", type=float, default=odo.drift_fraction,
+    p.add_argument("--outlier-rate", type=float)
+    p.add_argument("--outlier-magnitude", type=float)
+    p.add_argument("--drift", dest="drift_fraction", type=float,
                    help="odometry multiplicative drift fraction")
     p.add_argument("--standstill", type=lambda s: _pair(s, "--standstill"),
                    help="synthetic standstill as 'start,duration' seconds")
 
 
-def _add_shared_args(p: argparse.ArgumentParser) -> None:
-    # the settings batch shares across all of its experiments
-    p.add_argument("--metrics-literal", action="store_true")
-    p.add_argument("--identity-strength", type=float,
-                   default=ExperimentConfig.identity_edge_strength)
-    p.add_argument("--node-rate",
-                   choices=[x.value for x in NodeRate],
-                   default=ExperimentConfig.node_rate.value)
-
-
-def _add_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=[x.value for x in Strategy],
-                   default=ExperimentConfig.strategy.value)
-    p.add_argument("--no-outlier-rejection", action="store_true")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per solver iteration")
-    _add_shared_args(p)
+def _add_experiment_args(p: argparse.ArgumentParser, per_run: bool,
+                         scored: bool) -> None:
+    # batch runs every strategy with rejection on and off
+    if per_run:
+        p.add_argument("--strategy", choices=[x.value for x in Strategy])
+        p.add_argument("--no-outlier-rejection", dest="outlier_rejection",
+                       action="store_false", default=None)
+    p.add_argument("--identity-strength", dest="identity_edge_strength",
+                   type=float)
+    p.add_argument("--node-rate", choices=[x.value for x in NodeRate])
+    if scored:
+        p.add_argument("--metrics-literal", action="store_true", default=None)
 
 
 def _dataset_from_args(args):
-    if args.synth is not None:
+    files = fields(args, ("gnss", "odo", "truth"))
+    gnss, odo = fields(args, GnssErrorModel), fields(args, OdoErrorModel)
+    generator = fields(args, ("seed", "duration", "standstill"))
+    if args.synth is None:
+        if generator or gnss or odo:
+            raise SystemExit("synthetic settings without --synth: "
+                             + ", ".join([*generator, *gnss, *odo]))
+        if "gnss" not in files or "odo" not in files:
+            raise SystemExit("need --gnss and --odo (or --synth PROFILE)")
         try:
-            return generate_synthetic(
-                args.seed, TrajectoryProfile(args.synth),
-                GnssErrorModel(bias=args.bias, ar1_rho=args.ar1_rho,
-                               ar1_sigma=args.ar1_sigma,
-                               outlier_rate=args.outlier_rate,
-                               outlier_magnitude=args.outlier_magnitude),
-                OdoErrorModel(drift_fraction=args.drift),
-                duration=args.duration, standstill=args.standstill)
-        except ValueError as exc:
-            raise SystemExit(f"bad synthetic dataset: {exc}") from None
-    if not args.gnss or not args.odo:
-        raise SystemExit("need --gnss and --odo (or --synth PROFILE)")
-    return load_dataset(args.gnss, args.odo, args.truth)
+            return load_dataset(args.gnss, args.odo, files.get("truth"))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(str(exc)) from None
+    if files:
+        raise SystemExit("--synth generates the dataset: drop "
+                         + ", ".join(f"--{name}" for name in files))
+    try:
+        return generate_synthetic(
+            generator.pop("seed", 0), TrajectoryProfile(args.synth),
+            GnssErrorModel(**gnss), OdoErrorModel(**odo), **generator)
+    except ValueError as exc:
+        raise SystemExit(f"bad synthetic dataset: {exc}") from None
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """The verb's config, built before its dataset so that a bad value
-    stops the run before any work.  batch has no --strategy or
-    --no-outlier-rejection: it runs every combination of the two."""
-    per_run = {}
-    if "strategy" in args:
-        per_run = dict(strategy=Strategy(args.strategy),
-                       outlier_rejection=not args.no_outlier_rejection)
+    """The config, built before the dataset so a bad value stops all work."""
     try:
-        return ExperimentConfig(
-            node_rate=NodeRate(args.node_rate),
-            identity_edge_strength=args.identity_strength,
-            metrics_literal=args.metrics_literal, **per_run)
+        return ExperimentConfig(**fields(args, ExperimentConfig))
     except ValueError as exc:
-        # the only value the config checks is the identity stiffness
+        # argparse checks the choices; the config checks the stiffness
         raise SystemExit(f"bad --identity-strength: {exc}") from None
 
 
 def _cmd_run(args) -> int:
+    if args.dump_graph and not args.out:
+        raise SystemExit("--dump-graph writes into the --out directory")
     cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
     trace = sys.stdout.write if args.trace else None
@@ -136,12 +140,10 @@ def _cmd_batch(args) -> int:
     dataset = _dataset_from_args(args)
     record, table = run_batch([dataset], base)
     os.makedirs(args.out, exist_ok=True)
-    rec_path = os.path.join(args.out, "batch_record.txt")
-    tab_path = os.path.join(args.out, "batch_table.txt")
-    with open(rec_path, "w") as fh:
-        fh.write(record)
-    with open(tab_path, "w") as fh:
-        fh.write(table)
+    for name, text in (("batch_record.txt", record),
+                       ("batch_table.txt", table)):
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(text)
     sys.stdout.write(table)
     return 0
 
@@ -189,34 +191,32 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="fuse one dataset, one strategy")
-    _add_dataset_args(p_run)
-    _add_experiment_args(p_run)
+    _add_dataset_args(p_run, ("gnss", "odo", "truth"))
+    _add_experiment_args(p_run, per_run=True, scored=True)
+    p_run.add_argument("--trace", action="store_true",
+                       help="print one line per solver iteration")
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--dump-graph", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_batch = sub.add_parser("batch",
-                             help="all strategies x rejection on/off")
-    _add_dataset_args(p_batch)
-    _add_shared_args(p_batch)
+    p_batch = sub.add_parser("batch", help="all strategies x rejection on/off")
+    _add_dataset_args(p_batch, ("gnss", "odo", "truth"))
+    _add_experiment_args(p_batch, per_run=False, scored=True)
     p_batch.add_argument("--out", required=True, help="output directory")
     p_batch.set_defaults(fn=_cmd_batch)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset")
-    _add_dataset_args(p_synth)
+    _add_dataset_args(p_synth, ())
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(fn=_cmd_synth)
 
-    p_dump = sub.add_parser("graph-dump",
-                            help="build and save the pose graph")
-    _add_dataset_args(p_dump)
-    _add_experiment_args(p_dump)
+    p_dump = sub.add_parser("graph-dump", help="build and save the pose graph")
+    _add_dataset_args(p_dump, ("gnss", "odo"))
+    _add_experiment_args(p_dump, per_run=True, scored=False)
     p_dump.add_argument("--out", required=True, help="output file")
     p_dump.set_defaults(fn=_cmd_graph_dump)
 
     args = parser.parse_args(argv)
-    if args.synth is None and args.verb == "synth":
-        raise SystemExit("synth needs --synth PROFILE")
     return args.fn(args)
 
 

@@ -46,6 +46,17 @@ class TruthTrack:
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
+        t, p = self.timestamps, self.positions
+        if t.ndim != 1 or not np.isfinite(t).all():
+            raise ValueError("truth timestamps must be a finite 1-d array")
+        if np.any(np.diff(t) <= 0.0):
+            raise NonMonotonicTimestampsError(
+                "truth timestamps must be strictly increasing")
+        if p.shape != (t.size, 2):
+            raise ValueError(f"truth positions must have shape ({t.size}, 2)"
+                             f", got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError("truth positions must be finite")
 
 
 @dataclass
@@ -367,7 +378,7 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
     for strat in strategies:
         for rej in rejections:
             cfg = replace(base, strategy=strat, outlier_rejection=rej)
-            tag = f"{strat.value}.{'on' if rej else 'off'}"
+            tag = f"{cfg.strategy.value}.{'on' if rej else 'off'}"
             rows = []
             sums_f = np.zeros(3)
             sums_g = np.zeros(3)
@@ -399,7 +410,7 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
                                    imp):
                 record.append(f"{tag}.improvement.{metric}: {_fmt(val)}")
             tables.append(
-                f"strategy={strat.value} rejection="
+                f"strategy={cfg.strategy.value} rejection="
                 f"{'on' if rej else 'off'}\n"
                 + render_table(["dataset", "Max [m]", "Acc [m]",
                                 "Prec [m]"], rows))

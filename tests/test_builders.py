@@ -1,5 +1,7 @@
 """Graph construction in the three wiring strategies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,23 @@ def test_build_work_does_not_grow_with_the_drive(monkeypatch):
             assert len(vehicle_trajectory(graph)) == len(readings)
         assert counts[0] == counts[1], strat
         assert len(counts[0]) <= 6, strat
+
+
+def test_config_takes_a_member_or_its_value():
+    """A strategy or node rate given by its value builds the same graph as
+    its member; any other value is refused instead of falling through to
+    another wiring."""
+    readings, stream = _drive(3)
+    by_value = BuilderConfig(strategy="g1", node_rate="per_odometry_sample")
+    assert by_value.strategy is Strategy.G1
+    assert by_value.node_rate is NodeRate.PER_ODOMETRY_SAMPLE
+    by_member = BuilderConfig(strategy=Strategy.G1,
+                              node_rate=NodeRate.PER_ODOMETRY_SAMPLE)
+    assert _kinds(build(readings, stream, by_value)) == \
+        _kinds(build(readings, stream, by_member))
+    for bad in (dict(strategy="G1"), dict(strategy="g4"),
+                dict(strategy=1), dict(node_rate="per_second")):
+        with pytest.raises(ValueError):
+            BuilderConfig(**bad)
+    with pytest.raises(ValueError):
+        dataclasses.replace(by_member, strategy="g0")

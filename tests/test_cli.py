@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -307,3 +308,156 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "dataset: straight-s0" in proc.stdout
+
+
+# one small noisy drive; a flag it sets is given a second, different value
+NOISY = ["--synth", "straight", "--duration", "30", "--ar1-sigma", "0.8",
+         "--ar1-rho", "0.9"]
+SYNTHETIC_FLAGS = [
+    ["--synth", "highway"], ["--seed", "3"], ["--duration", "25"],
+    ["--bias", "0.5,0.2"], ["--ar1-rho", "0.5"], ["--ar1-sigma", "1.5"],
+    ["--outlier-rate", "0.2", "--outlier-magnitude", "30"],
+    ["--drift", "0.02"], ["--standstill", "10,3"]]
+PER_RUN_FLAGS = [["--strategy", "g1"], ["--no-outlier-rejection"]]
+GRAPH_FLAGS = [["--identity-strength", "10"],
+               ["--node-rate", "per_odometry_sample"]]
+
+
+def _flag_cases(verb, csv):
+    """(flags, baseline) pairs: the verb given `flags` must print or write
+    something else than the verb given `baseline`.  OUT stands for a fresh
+    output path; the CSV files hold the NOISY drive."""
+    files = ["--gnss", csv["gnss"], "--odo", csv["odo"]]
+    truth = ["--truth", csv["truth"]]
+    out = [] if verb == "run" else ["--out", "OUT"]
+    base = [verb, *NOISY, *out]
+    cases = [([*base, *f], base) for f in SYNTHETIC_FLAGS]
+    if verb in ("run", "graph-dump"):
+        cases += [([*base, *f], base) for f in PER_RUN_FLAGS]
+    if verb != "synth":
+        cases += [([*base, *f], base) for f in GRAPH_FLAGS]
+    if verb in ("run", "batch"):
+        cases.append(([*base, "--metrics-literal"], base))
+        cases.append(([verb, *files, *truth, *out], base))
+    if verb == "run":
+        cases += [([*base, "--trace"], base),
+                  ([*base, "--out", "OUT"], base),
+                  ([*base, "--out", "OUT", "--dump-graph"],
+                   [*base, "--out", "OUT"]),
+                  ([verb, *files], base),
+                  ([verb, *files, *truth], [verb, *files])]
+    if verb == "graph-dump":
+        cases.append(([verb, *files, *out], base))
+    return cases
+
+
+def _outputs(argv, out, capsys):
+    """The verb's stdout and the bytes of every file it writes to `out`."""
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    if out.is_file():
+        return stdout, out.read_bytes()
+    written = sorted(out.iterdir()) if out.exists() else []
+    return stdout, [(p.name, p.read_bytes()) for p in written]
+
+
+@pytest.mark.parametrize("verb", ["run", "batch", "synth", "graph-dump"])
+def test_every_flag_a_verb_takes_changes_its_output(verb, tmp_path, capsys):
+    """Each flag a verb registers acts: the verb's stdout or files differ
+    from the same run without it.  The cases cover every flag in the
+    verb's --help."""
+    main(["synth", *NOISY, "--out", str(tmp_path / "data")])
+    csv = {k: str(tmp_path / "data" / f"straight-s0_{k}.csv")
+           for k in ("gnss", "odo", "truth")}
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    registered = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    cases = _flag_cases(verb, csv)
+    assert {a for flags, _ in cases for a in flags if a.startswith("--")} \
+        == registered - {"--help"}
+    runs = {}
+    for flags, baseline in cases:
+        for argv in (flags, baseline):
+            if tuple(argv) not in runs:
+                runs[tuple(argv)] = _outputs(
+                    argv, tmp_path / f"out{len(runs)}", capsys)
+        assert runs[tuple(flags)] != runs[tuple(baseline)], flags
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["graph-dump", "--trace"], "--trace"),
+    (["graph-dump", "--metrics-literal"], "--metrics-literal"),
+    (["graph-dump", "--truth", "t.csv"], "--truth"),
+    (["synth", "--gnss", "g.csv"], "--gnss"),
+    (["synth", "--strategy", "g1"], "--strategy"),
+])
+def test_flags_a_verb_would_ignore_are_usage_errors(argv, flag, tmp_path,
+                                                    capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--synth", "straight", "--out", str(tmp_path / "o")])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--gnss", "g.csv", "--odo", "o.csv", "--ar1-sigma", "5",
+      "--seed", "9", "--bias", "3,3"],
+     "synthetic settings without --synth: seed, bias, ar1_sigma"),
+    (["batch", "--gnss", "g.csv", "--odo", "o.csv", "--truth", "t.csv",
+      "--duration", "30", "--out", "OUT"],
+     "synthetic settings without --synth: duration"),
+    (["graph-dump", "--gnss", "g.csv", "--odo", "o.csv", "--drift", "0.1",
+      "--standstill", "1,2", "--out", "OUT"],
+     "synthetic settings without --synth: standstill, drift_fraction"),
+    (["run", "--synth", "straight", "--gnss", "g.csv", "--truth", "t.csv"],
+     "--synth generates the dataset: drop --gnss, --truth"),
+    (["batch", "--synth", "straight", "--odo", "o.csv", "--out", "OUT"],
+     "--synth generates the dataset: drop --odo"),
+    (["graph-dump", "--synth", "straight", "--gnss", "g.csv",
+      "--out", "OUT"], "--synth generates the dataset: drop --gnss"),
+    (["run", "--synth", "straight", "--dump-graph"],
+     "--dump-graph writes into the --out directory"),
+])
+def test_flags_the_source_would_ignore_are_refused(argv, message, tmp_path,
+                                                   monkeypatch):
+    """A flag the chosen data source would drop stops the verb with one
+    line before any dataset is loaded or generated."""
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(cli, "load_dataset", no_dataset)
+    monkeypatch.setattr(cli, "generate_synthetic", no_dataset)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main([str(out) if a == "OUT" else a for a in argv])
+    assert stop.value.code == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "batch", "graph-dump"])
+@pytest.mark.parametrize("broken", ["bad field", "mixed zones", "missing"])
+def test_load_failure_is_a_one_line_exit(verb, broken, tmp_path):
+    """A dataset the loader refuses ends the verb with the loader's own
+    message, as a bad synthetic setting does, not with a traceback."""
+    main(["synth", "--synth", "straight", "--duration", "20",
+          "--out", str(tmp_path)])
+    paths = [str(tmp_path / f"straight-s0_{k}.csv") for k in ("gnss", "odo")]
+    gnss = tmp_path / "straight-s0_gnss.csv"
+    lines = gnss.read_text().splitlines()
+    if broken == "bad field":
+        lines[2] = lines[2].replace(",local,", ",local,x")
+    elif broken == "mixed zones":
+        lines[2] = lines[2].replace(",local,", ",32N,")
+    else:
+        paths[1] = str(tmp_path / "missing_odo.csv")
+    gnss.write_text("\n".join(lines) + "\n")
+    with pytest.raises((OSError, ValueError)) as direct:
+        load_dataset(*paths)
+    truth = [] if verb == "graph-dump" else \
+        ["--truth", str(tmp_path / "straight-s0_truth.csv")]
+    out = [] if verb == "run" else ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as stop:
+        main([verb, "--gnss", paths[0], "--odo", paths[1], *truth, *out])
+    assert stop.value.code == str(direct.value)
+    assert "\n" not in stop.value.code

@@ -441,3 +441,35 @@ def test_run_batch_checks_every_dataset_before_running_any(monkeypatch):
     monkeypatch.setattr(dataset_module, "run_experiment", no_run)
     with pytest.raises(ValueError, match="'unscored' has no ground truth"):
         run_batch([scored, unscored])
+
+
+def test_run_batch_tags_by_the_config_strategy():
+    """A strategy given by its value is tagged like its member."""
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=20.0)
+    by_value = run_batch([ds], strategies=("g1",), rejections=(False,))
+    assert by_value == run_batch([ds], strategies=(Strategy.G1,),
+                                 rejections=(False,))
+    assert "g1.off.straight-s0.precision: " in by_value[0]
+    assert by_value[1].startswith("strategy=g1 rejection=off\n")
+
+
+@pytest.mark.parametrize("edit, error, why", [
+    (lambda t, p: (t[:, None], p), ValueError, "finite 1-d"),
+    (lambda t, p: (np.where(t == 5.0, np.nan, t), p), ValueError,
+     "finite 1-d"),
+    (lambda t, p: (t[::-1], p[::-1]), NonMonotonicTimestampsError,
+     "strictly increasing"),
+    (lambda t, p: (np.where(t == 5.0, 4.0, t), p),
+     NonMonotonicTimestampsError, "strictly increasing"),
+    (lambda t, p: (t, p[:-3]), ValueError, r"shape \(20, 2\), got \(17, 2\)"),
+    (lambda t, p: (t, p[:, :1]), ValueError, r"shape \(20, 2\)"),
+    (lambda t, p: (t, np.vstack([p[:4], [np.inf, 0.0], p[5:]])),
+     ValueError, "positions must be finite"),
+])
+def test_truth_track_rejects_unusable_arrays(edit, error, why):
+    """A truth track that could only fail later, inside the PPS matcher or
+    as a count of unmatched fixes, is refused where it is made."""
+    truth = generate_synthetic(0, TrajectoryProfile.STRAIGHT,
+                               duration=20.0).truth
+    with pytest.raises(error, match=why):
+        dataset_module.TruthTrack(*edit(truth.timestamps, truth.positions))
