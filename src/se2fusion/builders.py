@@ -33,7 +33,7 @@ from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import NODE_KINDS, EdgeKind, NodeKind, PoseGraph
 from .odometry import OdometryStream, arc_information, integrate_windows
-from .se2 import Pose2, wrap_angle, wrap_angles
+from .se2 import Pose2, poses_from_rows, wrap_angle, wrap_angles
 
 
 class Strategy(enum.Enum):
@@ -151,9 +151,9 @@ def _vehicle_poses(graph: PoseGraph) -> np.ndarray:
 
 
 def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:
-    """Vehicle-node poses in id (time) order."""
-    return [Pose2(x, y, th) for x, y, th in
-            zip(*_vehicle_poses(graph).T.tolist())]
+    """Vehicle-node poses in id (time) order, equal to a Pose2 made from
+    each node's row and built in bulk by `poses_from_rows`."""
+    return poses_from_rows(_vehicle_poses(graph))
 
 
 def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
@@ -164,9 +164,10 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     the sample, read from the stream's running integrals for every
     sample of every fix gap in one pass (equal to `integrate_windows`
     from the fix to the sample, up to rounding).  Node poses appear
-    unchanged at the fix times.  Returns (timestamps, poses).  Assumes
-    the graph was built per GNSS fix, so vehicle nodes pair up with
-    accepted readings one to one.
+    unchanged at the fix times.  Returns (timestamps, poses), the poses
+    built in bulk by `poses_from_rows`, one per timestamp.  Assumes the
+    graph was built per GNSS fix, so vehicle nodes pair up with accepted
+    readings one to one.
     """
     readings = _accepted(readings)
     nodes = _vehicle_poses(graph)
@@ -189,5 +190,4 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     times = np.concatenate((fix_t, sample_t))
     order = np.argsort(times, kind="stable")
     every = np.concatenate((nodes, placed))[order]
-    return times[order].tolist(), [Pose2(x, y, th) for x, y, th in
-                                   zip(*every.T.tolist())]
+    return times[order].tolist(), poses_from_rows(every)

@@ -8,8 +8,13 @@ definition, shared by the loader and the CLI's writer):
 * odometry:           t,yaw_rate,velocity             (ODO_HEADER)
 * ground truth:       t,utm_x,utm_y                   (TRUTH_HEADER)
 
-A GNSS file's header picks its schema.  ExperimentConfig extends
-BuilderConfig, which owns the graph settings, their defaults and checks.
+A GNSS file's header picks its schema.  The odometry and truth files
+are parsed in one numpy pass after the header check; a file that pass
+cannot take exactly (a bad or non-finite field, a wrong field count, a
+timestamp that does not increase, a header with no rows) is re-read row
+by row, and the row loop names the line at fault.  ExperimentConfig
+extends BuilderConfig, which owns the graph settings, their defaults and
+checks.
 
 On load the first GNSS fix becomes the frame origin and is subtracted
 from every absolute coordinate (GNSS and truth), which keeps the floats
@@ -20,7 +25,9 @@ significant digits; human tables use 3 decimals.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,21 +90,28 @@ ODO_HEADER = ("t", "yaw_rate", "velocity")
 TRUTH_HEADER = ("t", "utm_x", "utm_y")
 
 
+def _read_header(path, reader, headers):
+    """The header row read off the csv reader, which must be one of
+    `headers`."""
+    try:
+        header = tuple(h.strip() for h in next(reader))
+    except StopIteration:
+        raise ParseError(f"{path}:1: empty file") from None
+    if header not in headers:
+        raise ParseError(
+            f"{path}:1: expected header "
+            f"{' or '.join(','.join(h) for h in headers)}, "
+            f"got {','.join(header)}")
+    return header
+
+
 def _read_rows(path, *headers):
     """The file's header, which must be one of `headers`, and its data
     rows as (fields, line number) pairs, the fields as raw strings; blank
     lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        if header not in headers:
-            raise ParseError(
-                f"{path}:1: expected header "
-                f"{' or '.join(','.join(h) for h in headers)}, "
-                f"got {','.join(header)}")
+        header = _read_header(path, reader, headers)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -163,11 +177,42 @@ def _load_gnss(path):
     return readings
 
 
+# numpy's parser skips these around a number as whitespace, float()
+# refuses them; a file holding one goes to the row loop
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def _load_numeric(path, header):
-    """The file's rows as an (n, len(header)) float array, and the line
-    number of each row."""
+    """The file's rows as an (n, len(header)) float array whose first
+    column, the timestamps, strictly increases.
+
+    The body is parsed by one np.loadtxt pass.  Its array is returned
+    only when it is what the row loop would return: the header's field
+    count, every value finite, the timestamps increasing.  Any other
+    file, one loadtxt refuses or warns about included, is re-read row by
+    row, which names the line at fault.
+    """
+    with open(path, newline="") as fh:
+        _read_header(path, csv.reader(fh), (header,))
+        body = fh.read()
+    values = None
+    if not any(c in body for c in _LOADTXT_ONLY_SPACE):
+        with warnings.catch_warnings():
+            # a body with no rows warns
+            warnings.simplefilter("error")
+            try:
+                values = np.loadtxt(io.StringIO(body), delimiter=",",
+                                    comments=None, ndmin=2, dtype=float)
+            except (ValueError, UserWarning):
+                pass
+    if (values is not None and values.shape[1] == len(header)
+            and np.isfinite(values).all()
+            and np.all(np.diff(values[:, 0]) > 0.0)):
+        return values
     _, rows = _read_rows(path, header)
-    return _numbers(path, rows, header), [lineno for _, lineno in rows]
+    values = _numbers(path, rows, header)
+    _check_increasing(path, values[:, 0], [lineno for _, lineno in rows])
+    return values
 
 
 def load_dataset(gnss_path, odo_path, truth_path=None,
@@ -180,18 +225,16 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     readings = _load_gnss(gnss_path)
     if not readings:
         raise ParseError(f"{gnss_path}: no GNSS readings")
-    odo, odo_lines = _load_numeric(odo_path, ODO_HEADER)
+    odo = _load_numeric(odo_path, ODO_HEADER)
     if odo.shape[0] == 0:
         raise ParseError(f"{odo_path}: no odometry samples")
-    _check_increasing(odo_path, odo[:, 0], odo_lines)
     origin = (float(readings[0].position[0]), float(readings[0].position[1]))
     for r in readings:
         r.position = r.position - np.asarray(origin)
     stream = OdometryStream(odo[:, 0], odo[:, 1], odo[:, 2])
     truth = None
     if truth_path is not None:
-        tr, truth_lines = _load_numeric(truth_path, TRUTH_HEADER)
-        _check_increasing(truth_path, tr[:, 0], truth_lines)
+        tr = _load_numeric(truth_path, TRUTH_HEADER)
         truth = TruthTrack(tr[:, 0], tr[:, 1:] - np.asarray(origin))
     if name is None:
         name = os.path.splitext(os.path.basename(gnss_path))[0]

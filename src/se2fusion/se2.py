@@ -186,6 +186,30 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     return r - math.pi
 
 
+def poses_from_rows(rows: np.ndarray) -> list[Pose2]:
+    """[Pose2(*row) for row in rows] for a (k, 3) array, built in bulk.
+
+    The headings are wrapped in one wrap_angles pass, which gives
+    wrap_angle's bits, and each pose's slots are set directly instead of
+    through __init__ and __post_init__: a re-chained drive makes one pose
+    per odometry sample, and the per-pose constructor was most of its
+    cost.
+    """
+    rows = np.asarray(rows, dtype=float)
+    new = object.__new__
+    set_x, set_y, set_theta = \
+        Pose2.x.__set__, Pose2.y.__set__, Pose2.theta.__set__
+    poses = []
+    for x, y, theta in zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
+                           wrap_angles(rows[:, 2]).tolist()):
+        pose = new(Pose2)
+        set_x(pose, x)
+        set_y(pose, y)
+        set_theta(pose, theta)
+        poses.append(pose)
+    return poses
+
+
 def _compose_cols(ax, ay, at, bx, by, bt):
     c = np.cos(at)
     s = np.sin(at)

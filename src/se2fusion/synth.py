@@ -70,6 +70,19 @@ class GnssErrorModel:
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ValueError(
                 f"outlier_rate must lie in [0, 1], got {self.outlier_rate}")
+        if not 0.0 <= self.outlier_magnitude < math.inf:
+            raise ValueError("outlier_magnitude must be finite and "
+                             f"non-negative, got {self.outlier_magnitude}")
+        # a setting that cannot act alone would leave the drive unchanged
+        if self.ar1_rho != 0.0 and self.ar1_sigma == 0.0:
+            raise ValueError(f"ar1_rho {self.ar1_rho} needs a positive "
+                             "ar1_sigma")
+        if self.outlier_rate > 0.0 and self.outlier_magnitude == 0.0:
+            raise ValueError(f"outlier_rate {self.outlier_rate} needs a "
+                             "positive outlier_magnitude")
+        if self.outlier_magnitude > 0.0 and self.outlier_rate == 0.0:
+            raise ValueError(f"outlier_magnitude {self.outlier_magnitude} "
+                             "needs a positive outlier_rate")
 
 
 @dataclass(frozen=True)

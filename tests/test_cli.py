@@ -164,6 +164,14 @@ def test_bad_pair_flag_message():
      "standstill must start"),
     (["--synth", "straight", "--duration", "60", "--standstill", "10,-5"],
      "standstill must start"),
+    (["--synth", "straight", "--duration", "30", "--ar1-rho", "0.9"],
+     "ar1_rho 0.9 needs a positive ar1_sigma"),
+    (["--synth", "straight", "--duration", "30", "--outlier-rate", "0.3"],
+     "outlier_rate 0.3 needs a positive outlier_magnitude"),
+    (["--synth", "straight", "--duration", "30", "--outlier-magnitude",
+      "50"], "outlier_magnitude 50.0 needs a positive outlier_rate"),
+    (["--synth", "straight", "--duration", "30", "--outlier-rate", "0.1",
+      "--outlier-magnitude", "nan"], "outlier_magnitude must be finite"),
 ])
 def test_bad_synthetic_dataset_is_a_one_line_exit(flags, why):
     """A value the generator or an error model rejects ends the verb with

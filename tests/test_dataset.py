@@ -225,6 +225,99 @@ def test_odometry_must_be_monotonic(tmp_path):
         load_dataset(gnss, odo)
 
 
+def _row_loop(path, header):
+    """The loader's row-by-row reading: the reference the one-pass parse
+    of an odometry or truth file must agree with."""
+    _, rows = dataset_module._read_rows(path, header)
+    values = dataset_module._numbers(path, rows, header)
+    dataset_module._check_increasing(path, values[:, 0],
+                                     [lineno for _, lineno in rows])
+    return values
+
+
+def _outcome(load, path, header):
+    try:
+        values = load(path, header)
+    except (ParseError, NonMonotonicTimestampsError) as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+_SEVENTEEN = "".join(f"{0.04 * k:.17g},{math.sin(k) / 3.0:.17g},"
+                     f"{10.0 + math.cos(k) * 1e-7:.17g}\n" for k in range(50))
+
+
+@pytest.mark.parametrize("body, expect", [
+    ("0,0,1\r\n0.04,0,1\r\n", "ok"),
+    ("0,0,1\r\n\r\n0.04,0,1\r\n", "ok"),
+    ("0,0,1\r0.04,0,1\r", "ok"),
+    ("0,0,1\n0.04,0,1", "ok"),
+    ("0,0,1\n\n0.04,0,1\n", "ok"),
+    ("0,0,1\n  \t\n0.04,0,1\n", "ok"),
+    ("\t0,0,1\n0.04,+1,1\n", "ok"),
+    ("0,0,1\n0.04,0,1e-400\n0.08,-0,4.9e-324\n", "ok"),
+    ("0,0,1\x0c\n0.04,0,1\n", "ok"),
+    ("0,0,1_0\n0.04,0,1\n", "ok"),
+    ("0,0,\x1c1\n0.04,0,1\n", ParseError),
+    ("0,0,1\n0.04,0,1,\n", ParseError),
+    ('0,0,1\n0.04,"0",1\n', "ok"),
+    ("0,0,1\n# c\n0.04,0,1\n", ParseError),
+    ("0,0,1\n0.04,,1\n", ParseError),
+    ("0,nan,1\n0.04,0,1\n", ParseError),
+    ("0,0,1\n0.04,0,inf\n", ParseError),
+    ("", "ok"),
+    ("\n\n", "ok"),
+    ("0,0\n0.04,0\n", ParseError),
+    ("0,0,1\n\n0.04,0,1\n0.04,0,1\n", NonMonotonicTimestampsError),
+    ("0,0,1\n0.04,0,1\n0.02,0,1\n", NonMonotonicTimestampsError),
+    ("0,0,1\n", "ok"),
+    (_SEVENTEEN, "ok"),
+])
+@pytest.mark.parametrize("header", ["odo", "truth"])
+def test_one_pass_parse_matches_the_row_loop(tmp_path, body, expect, header):
+    """Whatever a file holds, the numeric loader returns the row loop's
+    array bit for bit, or raises its exception with its text."""
+    header = {"odo": dataset_module.ODO_HEADER,
+              "truth": dataset_module.TRUTH_HEADER}[header]
+    path = tmp_path / "f.csv"
+    newline = "\r\n" if body.startswith("0,0,1\r\n") else "\n"
+    path.write_bytes((",".join(header) + newline + body).encode())
+    got = _outcome(dataset_module._load_numeric, str(path), header)
+    assert got == _outcome(_row_loop, str(path), header)
+    if expect == "ok":
+        assert got[0] in ((0, 3), (body.count(",") // 2, 3))
+    else:
+        assert got[0] is expect
+
+
+def test_well_formed_numeric_files_skip_the_row_loop(tmp_path, monkeypatch):
+    """Odometry and truth files as the benchmark writes them are parsed in
+    the one pass: a silent fall back to the row loop would keep every
+    result and lose the speed."""
+    ds = generate_synthetic(4, TrajectoryProfile.URBAN_LOOP,
+                            odo_error=OdoErrorModel(drift_fraction=0.011),
+                            duration=120.0)
+    s = ds.odometry
+    files = {
+        dataset_module.ODO_HEADER: np.column_stack(
+            (s.timestamps, s.yaw_rates, s.velocities)),
+        dataset_module.TRUTH_HEADER: np.column_stack(
+            (ds.truth.timestamps, ds.truth.positions)),
+    }
+
+    def no_row_loop(*args):
+        raise AssertionError("a well-formed file reached the row loop")
+
+    monkeypatch.setattr(dataset_module, "_read_rows", no_row_loop)
+    for header, want in files.items():
+        path = tmp_path / f"{header[1]}.csv"
+        path.write_text(",".join(header) + "\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n"
+            for row in want.tolist()))
+        got = dataset_module._load_numeric(str(path), header)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_explicit_name_override(tmp_path):
     gnss = _write(tmp_path / "whatever.csv",
                   "t,utm_x,utm_y,zone,epx,epy,epv",

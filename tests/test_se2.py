@@ -11,8 +11,8 @@ from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
     batch_edge_linearization, batch_retract, compose, edge_jacobians, \
-    edge_residual, exp_map, inverse, log_map, retract, wrap_angle, \
-    wrap_angles
+    edge_residual, exp_map, inverse, log_map, poses_from_rows, retract, \
+    wrap_angle, wrap_angles
 
 
 def test_wrap_angle_range():
@@ -367,3 +367,30 @@ def test_wrap_angles_is_elementwise_wrap_angle():
                             [math.pi, -math.pi, 3.0 * math.pi, 0.0, -0.0]))
     want = np.array([wrap_angle(float(t)) for t in theta])
     assert np.array_equal(wrap_angles(theta), want)
+
+
+def test_poses_from_rows_equals_the_constructor():
+    """The bulk builder makes the poses Pose2(*row) makes: equal, with
+    equal hash and repr, headings wrapped the same bit for bit, and
+    frozen like them."""
+    rng = np.random.default_rng(19)
+    edge = [math.pi, -math.pi, -0.0, 0.0, 3.0 * math.pi, -3.5 * math.pi,
+            1e6, -1e6, math.pi + 1e-15, -math.pi - 1e-15]
+    rows = np.concatenate((
+        np.column_stack((rng.normal(0.0, 1e3, 500), rng.normal(0.0, 1e3, 500),
+                         rng.uniform(-50.0, 50.0, 500))),
+        np.column_stack((rng.normal(0.0, 1.0, len(edge)),
+                         [-0.0] * len(edge), edge))))
+    got = poses_from_rows(rows)
+    want = [Pose2(*row) for row in rows.tolist()]
+    assert got == want
+    assert [hash(p) for p in got] == [hash(p) for p in want]
+    assert [repr(p) for p in got] == [repr(p) for p in want]
+    assert all(type(p) is Pose2 and type(p.theta) is float for p in got)
+    assert {p: k for k, p in enumerate(got)} == \
+        {p: k for k, p in enumerate(want)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[0].x = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[-1].theta = 0.0
+    assert poses_from_rows(np.zeros((0, 3))) == []

@@ -176,13 +176,37 @@ def test_explosive_ar1_coefficient_rejected():
 @pytest.mark.parametrize("field, values", [
     ("ar1_sigma", (-1.0, float("nan"), float("inf"))),
     ("outlier_rate", (-0.1, 1.5, float("nan"))),
+    ("outlier_magnitude", (-1.0, float("nan"), float("inf"))),
 ])
 def test_invalid_gnss_error_parameters_rejected(field, values):
+    # an outlier setting acts only with its partner, so each bad value is
+    # tried with a valid partner as well
+    partner = {"outlier_rate": {"outlier_magnitude": 50.0},
+               "outlier_magnitude": {"outlier_rate": 0.1}}.get(field, {})
     for value in values:
         with pytest.raises(ValueError, match=field):
             GnssErrorModel(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            GnssErrorModel(**{field: value, **partner})
     GnssErrorModel(**{field: 0.0})
-    GnssErrorModel(**{field: 1.0})
+    GnssErrorModel(**{field: 1.0, **partner})
+
+
+@pytest.mark.parametrize("settings, partner", [
+    ({"ar1_rho": 0.9}, "ar1_sigma"),
+    ({"ar1_rho": -0.5, "outlier_rate": 0.1, "outlier_magnitude": 50.0},
+     "ar1_sigma"),
+    ({"outlier_rate": 0.3}, "outlier_magnitude"),
+    ({"outlier_magnitude": 50.0}, "outlier_rate"),
+    ({"ar1_rho": 0.9, "ar1_sigma": 1.0, "outlier_magnitude": 50.0},
+     "outlier_rate"),
+])
+def test_gnss_error_setting_that_cannot_act_alone_rejected(settings,
+                                                          partner):
+    """AR(1) memory without noise to carry, and an outlier rate or
+    magnitude without the other, would leave the drive unchanged."""
+    with pytest.raises(ValueError, match=f"needs a positive {partner}"):
+        GnssErrorModel(**settings)
 
 
 def test_invalid_drift_fraction_rejected():
