@@ -4,7 +4,7 @@ odometry on SE(2)."""
 from .builders import BuilderConfig, NodeRate, Strategy, build, \
     full_rate_trajectory, vehicle_trajectory
 from .dataset import Dataset, ExperimentConfig, TruthTrack, export_results, \
-    load_dataset, run_batch, run_experiment
+    load_dataset, run_batch, run_experiment, write_dataset
 from .errors import BadInformationError, DivisionByZeroMetricError, \
     EmptyInputError, GaugeUnderconstrainedError, InsufficientCoverageError, \
     MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
@@ -15,7 +15,7 @@ from .gnss import GnssReading, RejectionResult, gnss_information, \
 from .graph import Edge, EdgeKind, Node, NodeKind, PoseGraph
 from .graph import load as load_graph
 from .graph import save as save_graph
-from .metrics import MetricsReport, PpsPose, accuracy, compute_metrics, \
+from .metrics import MetricsReport, accuracy, compute_metrics, \
     improvements, match_pps, max_offset, precision
 from .odometry import OdometryStream
 from .se2 import Pose2, compose, edge_jacobians, edge_residual, exp_map, \

@@ -12,6 +12,8 @@ flag's dest is the field it sets in ExperimentConfig, GnssErrorModel,
 OdoErrorModel or generate_synthetic; only the flags given are passed,
 so those objects own every default.  A verb registers only the flags it
 acts on, and refuses with one line a flag its data source would ignore.
+A dataset the loader refuses, and a path the OS refuses, also end the
+verb with one line.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import os
 import sys
 
 from .builders import NodeRate, Strategy
-from .dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
-    ExperimentConfig, _screen_and_build, export_results, load_dataset, \
-    render_metrics_record, run_batch, run_experiment
-from .graph import _fmt, save as save_graph
+from .dataset import ExperimentConfig, _screen_and_build, export_results, \
+    load_dataset, render_metrics_record, run_batch, run_experiment, \
+    write_dataset
+from .graph import save as save_graph
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
 
@@ -95,7 +97,7 @@ def _dataset_from_args(args):
             raise SystemExit("need --gnss and --odo (or --synth PROFILE)")
         try:
             return load_dataset(args.gnss, args.odo, files.get("truth"))
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise SystemExit(str(exc)) from None
     if files:
         raise SystemExit("--synth generates the dataset: drop "
@@ -122,6 +124,8 @@ def _cmd_run(args) -> int:
         raise SystemExit("--dump-graph writes into the --out directory")
     cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
+    if args.out:  # before the experiment, so a refused --out stops it
+        os.makedirs(args.out, exist_ok=True)
     trace = sys.stdout.write if args.trace else None
     trajectory, fused, raw, solve, graph = run_experiment(
         dataset, cfg, trace=trace, keep_graph=True)
@@ -138,8 +142,8 @@ def _cmd_batch(args) -> int:
         raise SystemExit("batch scores every experiment: need --truth "
                          "with --gnss and --odo")
     dataset = _dataset_from_args(args)
-    record, table = run_batch([dataset], base)
     os.makedirs(args.out, exist_ok=True)
+    record, table = run_batch([dataset], base)
     for name, text in (("batch_record.txt", record),
                        ("batch_table.txt", table)):
         with open(os.path.join(args.out, name), "w") as fh:
@@ -150,27 +154,8 @@ def _cmd_batch(args) -> int:
 
 def _cmd_synth(args) -> int:
     dataset = _dataset_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
-    gnss_path = os.path.join(args.out, f"{dataset.name}_gnss.csv")
-    odo_path = os.path.join(args.out, f"{dataset.name}_odo.csv")
-    truth_path = os.path.join(args.out, f"{dataset.name}_truth.csv")
-    with open(gnss_path, "w", newline="") as fh:
-        fh.write(",".join(GNSS_UTM_HEADER) + "\n")
-        for r in dataset.gnss:
-            fh.write(f"{_fmt(r.timestamp)},{_fmt(r.position[0])},"
-                     f"{_fmt(r.position[1])},local,{_fmt(r.epx)},"
-                     f"{_fmt(r.epy)},{_fmt(r.epv)}\n")
-    with open(odo_path, "w", newline="") as fh:
-        fh.write(",".join(ODO_HEADER) + "\n")
-        s = dataset.odometry
-        for t, w, v in zip(s.timestamps, s.yaw_rates, s.velocities):
-            fh.write(f"{_fmt(t)},{_fmt(w)},{_fmt(v)}\n")
-    with open(truth_path, "w", newline="") as fh:
-        fh.write(",".join(TRUTH_HEADER) + "\n")
-        for t, p in zip(dataset.truth.timestamps, dataset.truth.positions):
-            fh.write(f"{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])}\n")
-    sys.stdout.write(f"wrote {gnss_path}\nwrote {odo_path}\n"
-                     f"wrote {truth_path}\n")
+    for path in write_dataset(dataset, args.out):
+        sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
@@ -217,7 +202,10 @@ def main(argv=None) -> int:
     p_dump.set_defaults(fn=_cmd_graph_dump)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

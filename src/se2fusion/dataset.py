@@ -1,7 +1,7 @@
 """Dataset ingestion, experiment orchestration and result export.
 
 CSV schemas (headers mandatory; the *_HEADER constants are the one
-definition, shared by the loader and the CLI's writer):
+definition, shared by the loader and write_dataset):
 
 * GNSS, geographic:   t,lat,lon,epx,epy,epv           (GNSS_GEO_HEADER)
 * GNSS, pre-projected: t,utm_x,utm_y,zone,epx,epy,epv (GNSS_UTM_HEADER)
@@ -32,15 +32,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .builders import BuilderConfig, Strategy, _node_times, build, \
-    vehicle_trajectory
+from .builders import BuilderConfig, Strategy, _node_times, \
+    _vehicle_poses, build, vehicle_trajectory
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
     ParseError
 from .gnss import GnssReading, latlon_to_utm, reject_outliers
-from .graph import _fmt, save as save_graph
-from .metrics import PPS_MATCH_TOLERANCE_S, MetricsReport, \
-    compute_metrics, improvements, match_pps
+from .graph import FLOAT_FORMAT, _fmt, save as save_graph
+from .metrics import METRIC_NAMES, PPS_MATCH_TOLERANCE_S, \
+    MetricsReport, compute_metrics, improvements, match_pps
 from .odometry import OdometryStream
 from .solver import SolveReport, optimize
 
@@ -113,7 +113,8 @@ def _read_rows(path, *headers):
         reader = csv.reader(fh)
         header = _read_header(path, reader, headers)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted newline spans lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
@@ -241,6 +242,40 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     return Dataset(name, readings, stream, truth, origin)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header, then each row of the (n, k) float array `rows`
+    with 17 significant digits, in one %-format pass.  A `zone` column
+    holds the literal `local` and takes no value from `rows`."""
+    line = ",".join("local" if name == "zone" else FLOAT_FORMAT
+                    for name in header) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def write_dataset(dataset: Dataset, out_dir) -> list:
+    """Write the dataset as <name>_gnss.csv (pre-projected schema, zone
+    `local`), <name>_odo.csv and, with truth, <name>_truth.csv in out_dir,
+    coordinates in the dataset's frame.  Returns the written paths."""
+    odo, truth = dataset.odometry, dataset.truth
+    gnss = [(r.timestamp, *r.position, r.epx, r.epy, r.epv)
+            for r in dataset.gnss]
+    tables = [("gnss", GNSS_UTM_HEADER, gnss),
+              ("odo", ODO_HEADER, np.column_stack(
+                  (odo.timestamps, odo.yaw_rates, odo.velocities)))]
+    if truth is not None:
+        tables.append(("truth", TRUTH_HEADER, np.column_stack(
+            (truth.timestamps, truth.positions))))
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, dataset.name)
+    paths = []
+    for kind, header, rows in tables:
+        paths.append(f"{base}_{kind}.csv")
+        _write_csv(paths[-1], header, rows)
+    return paths
+
+
 def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
     """Screen the fixes (when enabled) and build the unoptimized graph.
 
@@ -306,7 +341,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
 
     if dataset.truth is not None:
         fused_metrics = _score(dataset, "fused poses", times,
-                               [(p.x, p.y) for _, p in trajectory],
+                               _vehicle_poses(graph)[:, :2],
                                cfg.metrics_literal, rate)
         try:
             fused_metrics.improvement_vs_gnss = improvements(fused_metrics,
@@ -330,37 +365,23 @@ def export_results(trajectory, fused: MetricsReport | None,
     if not trajectory:
         raise EmptyInputError("refusing to export an empty trajectory")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    traj_path = os.path.join(out_dir, f"{dataset.name}_fused.csv")
-    with open(traj_path, "w", newline="") as fh:
-        fh.write("t,x,y,theta\n")
-        for t, p in trajectory:
-            fh.write(f"{_fmt(t)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.theta)}\n")
-    written.append(traj_path)
-
-    rec_path = os.path.join(out_dir, f"{dataset.name}_metrics.txt")
-    with open(rec_path, "w") as fh:
+    base = os.path.join(out_dir, dataset.name)
+    written = [f"{base}_fused.csv", f"{base}_metrics.txt"]
+    track = np.array([(t, p.x, p.y, p.theta) for t, p in trajectory])
+    _write_csv(written[0], ("t", "x", "y", "theta"), track)
+    with open(written[1], "w") as fh:
         fh.write(render_metrics_record(dataset.name, fused, raw, solve))
-    written.append(rec_path)
 
     if fused is not None and dataset.truth is not None:
-        scatter_path = os.path.join(out_dir, f"{dataset.name}_scatter.csv")
-        prs, _ = match_pps([t for t, _ in trajectory],
-                           [(p.x, p.y) for _, p in trajectory],
-                           dataset.truth.timestamps, dataset.truth.positions)
-        with open(scatter_path, "w", newline="") as fh:
-            fh.write("t,err_x,err_y\n")
-            for p in prs:
-                fh.write(f"{_fmt(p.timestamp)},"
-                         f"{_fmt(p.estimate[0] - p.truth[0])},"
-                         f"{_fmt(p.estimate[1] - p.truth[1])}\n")
-        written.append(scatter_path)
-
+        pairs, _ = match_pps(track[:, 0], track[:, 1:3],
+                             dataset.truth.timestamps, dataset.truth.positions)
+        m = np.array(pairs).reshape(-1, 5)
+        written.append(f"{base}_scatter.csv")
+        _write_csv(written[-1], ("t", "err_x", "err_y"),
+                   np.column_stack((m[:, 0], m[:, 1:3] - m[:, 3:5])))
     if graph is not None:
-        gpath = os.path.join(out_dir, f"{dataset.name}_graph.txt")
-        save_graph(graph, gpath)
-        written.append(gpath)
+        written.append(f"{base}_graph.txt")
+        save_graph(graph, written[-1])
     return written
 
 
@@ -376,18 +397,15 @@ def render_metrics_record(name, fused, raw, solve) -> str:
     for label, rep in (("fused", fused), ("gnss", raw)):
         if rep is None:
             continue
-        lines.append(f"{label}.max_offset: {_fmt(rep.max_offset)}")
-        lines.append(f"{label}.accuracy: {_fmt(rep.accuracy)}")
-        lines.append(f"{label}.precision: {_fmt(rep.precision)}")
+        lines += [f"{label}.{name}: {_fmt(getattr(rep, name))}"
+                  for name in METRIC_NAMES]
         lines.append(f"{label}.n: {rep.n}")
         if rep.rejection_rate is not None:
             lines.append(f"{label}.rejection_rate: "
                          f"{_fmt(rep.rejection_rate)}")
     if fused is not None and fused.improvement_vs_gnss is not None:
-        imp = fused.improvement_vs_gnss
-        lines.append(f"improvement.max_offset: {_fmt(imp[0])}")
-        lines.append(f"improvement.accuracy: {_fmt(imp[1])}")
-        lines.append(f"improvement.precision: {_fmt(imp[2])}")
+        lines += [f"improvement.{name}: {_fmt(v)}" for name, v in
+                  zip(METRIC_NAMES, fused.improvement_vs_gnss)]
     if fused is not None and raw is not None:
         lines.append("")
         lines.append(render_table(
@@ -427,14 +445,12 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
             sums_g = np.zeros(3)
             for ds in datasets:
                 _, fused, raw, solve = run_experiment(ds, cfg)
-                f = (fused.max_offset, fused.accuracy, fused.precision)
-                g = (raw.max_offset, raw.accuracy, raw.precision)
-                sums_f += np.asarray(f)
-                sums_g += np.asarray(g)
+                f = [getattr(fused, name) for name in METRIC_NAMES]
+                sums_f += f
+                sums_g += [getattr(raw, name) for name in METRIC_NAMES]
                 rows.append([ds.name, *f])
-                for metric, val in zip(("max_offset", "accuracy",
-                                        "precision"), f):
-                    record.append(f"{tag}.{ds.name}.{metric}: {_fmt(val)}")
+                record += [f"{tag}.{ds.name}.{name}: {_fmt(v)}"
+                           for name, v in zip(METRIC_NAMES, f)]
                 record.append(f"{tag}.{ds.name}.converged: "
                               f"{solve.converged}")
                 record.append(f"{tag}.{ds.name}.rejection_rate: "
@@ -442,16 +458,14 @@ def run_batch(datasets, config: ExperimentConfig | None = None,
             avg_f = sums_f / len(datasets)
             avg_g = sums_g / len(datasets)
             rows.append(["Average", *[float(v) for v in avg_f]])
-            for metric, val in zip(("max_offset", "accuracy", "precision"),
-                                   avg_f):
-                record.append(f"{tag}.Average.{metric}: {_fmt(val)}")
+            record += [f"{tag}.Average.{name}: {_fmt(v)}"
+                       for name, v in zip(METRIC_NAMES, avg_f)]
             imp = [100.0 * (g - f) / g if g != 0.0 else float("nan")
                    for f, g in zip(avg_f, avg_g)]
             rows.append(["Improvement w.r.t. GNSS (%)",
                          *[float(v) for v in imp]])
-            for metric, val in zip(("max_offset", "accuracy", "precision"),
-                                   imp):
-                record.append(f"{tag}.improvement.{metric}: {_fmt(val)}")
+            record += [f"{tag}.improvement.{name}: {_fmt(v)}"
+                       for name, v in zip(METRIC_NAMES, imp)]
             tables.append(
                 f"strategy={cfg.strategy.value} rejection="
                 f"{'on' if rej else 'off'}\n"

@@ -199,10 +199,13 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what}")
 
 
+# 17 significant digits read back as the same double; every text
+# output of the package formats its floats with this
+FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    # 17 significant digits read back as the same double; every text
-    # output of the package formats its floats here
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def save(graph: PoseGraph, path) -> None:

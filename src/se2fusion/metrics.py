@@ -1,7 +1,8 @@
 """Trajectory quality metrics against RTK ground truth.
 
-All metrics operate on PPS-aligned (estimate, truth) pose pairs. Offsets
-estimate minus truth. Three scalar metrics:
+All metrics take a sequence of PPS-aligned pairs, each a row [t, est_x,
+est_y, truth_x, truth_y] as match_pps makes them. Offsets are estimate
+minus truth. Three scalar metrics (METRIC_NAMES):
 
 * max_offset: largest Euclidean offset over the set.
 * accuracy: Euclidean norm of the signed mean offset (the bias).
@@ -25,13 +26,7 @@ from .errors import DivisionByZeroMetricError, EmptyInputError, \
     NeedTwoPosesError
 
 PPS_MATCH_TOLERANCE_S = 0.05
-
-
-@dataclass(frozen=True)
-class PpsPose:
-    timestamp: float
-    estimate: tuple
-    truth: tuple
+METRIC_NAMES = ("max_offset", "accuracy", "precision")
 
 
 @dataclass
@@ -45,11 +40,10 @@ class MetricsReport:
     improvement_vs_gnss: tuple | None = None
 
 
-def _estimates_and_offsets(poses):
+def _estimates_and_offsets(pairs):
     # (n, 2) estimate coordinates and estimate-minus-truth offsets
-    est = np.array([p.estimate for p in poses], dtype=float)
-    tru = np.array([p.truth for p in poses], dtype=float)
-    return est, est - tru
+    rows = np.array(pairs, dtype=float)
+    return rows[:, 1:3], rows[:, 1:3] - rows[:, 3:5]
 
 
 def _max_offset(off: np.ndarray) -> float:
@@ -66,21 +60,21 @@ def _precision(est: np.ndarray, off: np.ndarray, mu: np.ndarray,
     return float(math.sqrt(np.sum(d * d) / (len(off) - 1)))
 
 
-def max_offset(poses) -> float:
+def max_offset(pairs) -> float:
     """Largest Euclidean estimate-truth distance over the set."""
-    if not poses:
+    if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
-    return _max_offset(_estimates_and_offsets(poses)[1])
+    return _max_offset(_estimates_and_offsets(pairs)[1])
 
 
-def accuracy(poses):
+def accuracy(pairs):
     """Norm of the signed mean offset; returns (value, (mu_x, mu_y))."""
-    if not poses:
+    if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
-    return _accuracy(_estimates_and_offsets(poses)[1].mean(axis=0))
+    return _accuracy(_estimates_and_offsets(pairs)[1].mean(axis=0))
 
 
-def precision(poses, literal: bool = False) -> float:
+def precision(pairs, literal: bool = False) -> float:
     """Sample dispersion sqrt(sum(D_i^2) / (n-1)).
 
     D_i defaults to the distance of each offset from the mean offset.
@@ -88,9 +82,9 @@ def precision(poses, literal: bool = False) -> float:
     coordinate from the mean offset (no truth subtraction), which is the
     alternative printed-formula reading.
     """
-    if len(poses) < 2:
+    if len(pairs) < 2:
         raise NeedTwoPosesError("precision needs at least two poses")
-    est, off = _estimates_and_offsets(poses)
+    est, off = _estimates_and_offsets(pairs)
     return _precision(est, off, off.mean(axis=0), literal)
 
 
@@ -101,7 +95,7 @@ def improvements(fused: MetricsReport, gnss: MetricsReport):
     positive numbers mean the fused estimate is better.
     """
     out = []
-    for name in ("max_offset", "accuracy", "precision"):
+    for name in METRIC_NAMES:
         g = getattr(gnss, name)
         f = getattr(fused, name)
         if g == 0.0:
@@ -115,9 +109,11 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
               tolerance: float = PPS_MATCH_TOLERANCE_S):
     """Pair estimates with the nearest ground-truth sample in time.
 
-    Returns (pairs, dropped): PpsPose list for estimates having a truth
-    sample within the tolerance (inclusive; on equal distance the earlier
-    truth sample wins), and the count of estimates that had none.
+    Returns (pairs, dropped): a list of [t, est_x, est_y, truth_x,
+    truth_y] rows for the estimates having a truth sample within the
+    tolerance (inclusive; on equal distance the earlier truth sample
+    wins), and the count of estimates that had none.  The rows are a
+    list, not an array, so that pair sets pool with `+=`.
     """
     est_times = np.asarray(est_times, dtype=float)
     truth_times = np.asarray(truth_times, dtype=float)
@@ -137,30 +133,27 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
     later = dt_after < dt_before
     nearest = np.where(later, after, before)
     keep = ~(np.where(later, dt_after, dt_before) > tolerance)
-    j = nearest[keep]
-    pairs = [PpsPose(t, (ex, ey), (tx, ty)) for t, ex, ey, tx, ty in zip(
-        est_times[keep].tolist(), est_positions[keep, 0].tolist(),
-        est_positions[keep, 1].tolist(), truth_positions[j, 0].tolist(),
-        truth_positions[j, 1].tolist())]
+    pairs = np.column_stack((est_times[keep], est_positions[keep],
+                             truth_positions[nearest[keep]])).tolist()
     return pairs, int(est_times.size - len(pairs))
 
 
-def compute_metrics(poses, literal: bool = False,
+def compute_metrics(pairs, literal: bool = False,
                     rejection_rate: float | None = None) -> MetricsReport:
-    """Bundle the three metrics over one matched pose set.
+    """Bundle the three metrics over one matched pair set.
 
     The offsets are built once and shared by the three metrics, which
     raise as max_offset(), accuracy() and precision() do.
     """
-    if not poses:
+    if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
-    if len(poses) < 2:
+    if len(pairs) < 2:
         raise NeedTwoPosesError("precision needs at least two poses")
-    est, off = _estimates_and_offsets(poses)
+    est, off = _estimates_and_offsets(pairs)
     mu = off.mean(axis=0)
     acc, mean_offset = _accuracy(mu)
     return MetricsReport(
         max_offset=_max_offset(off), accuracy=acc,
         precision=_precision(est, off, mu, literal),
-        mean_offset=mean_offset, n=len(poses),
+        mean_offset=mean_offset, n=len(pairs),
         rejection_rate=rejection_rate)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
-from .graph import PoseGraph
+from .graph import PoseGraph, _fmt
 from .se2 import batch_edge_linearization, batch_retract
 
 # regularization ladder for near-singular normal equations
@@ -315,7 +315,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
 
     def emit(it: int, chi_now: float, step: float) -> None:
         if sink is not None:
-            sink(f"{it} {chi_now:.17g} {step:.17g} {radius:.17g}\n")
+            sink(f"{it} {_fmt(chi_now)} {_fmt(step)} {_fmt(radius)}\n")
 
     for it in range(1, cfg.max_iterations + 1):
         step = _dogleg_steps(H, b)

@@ -493,10 +493,9 @@ def loop_match_pps(est_times, est_positions, truth_times, truth_positions,
 
     Looks at the truth samples either side of each estimate, keeps the
     strictly nearer one (the earlier on a tie) and drops the estimate
-    when that one lies farther than the tolerance.
+    when that one lies farther than the tolerance.  Pairs are
+    [t, est_x, est_y, truth_x, truth_y] rows.
     """
-    from se2fusion.metrics import PpsPose
-
     est_times = np.asarray(est_times, dtype=float)
     est_positions = np.asarray(est_positions, dtype=float)
     truth_times = np.asarray(truth_times, dtype=float)
@@ -515,12 +514,25 @@ def loop_match_pps(est_times, est_positions, truth_times, truth_positions,
             dropped += 1
             continue
         j = best[1]
-        pairs.append(PpsPose(float(t),
-                             (float(est_positions[k, 0]),
-                              float(est_positions[k, 1])),
-                             (float(truth_positions[j, 0]),
-                              float(truth_positions[j, 1]))))
+        pairs.append([float(t), float(est_positions[k, 0]),
+                      float(est_positions[k, 1]),
+                      float(truth_positions[j, 0]),
+                      float(truth_positions[j, 1])])
     return pairs, dropped
+
+
+# ---------------------------------------------------------------------------
+# CSV text built one field at a time (oracle for the package's writer)
+
+def oracle_csv(header, rows):
+    """The text of a CSV file: the header line, then one line per row
+    whose str fields are kept and whose other fields are written as
+    format(float(v), '.17g')."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str)
+                              else format(float(v), ".17g") for v in row))
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from se2fusion.builders import BuilderConfig, Strategy, build, \
     full_rate_trajectory, vehicle_trajectory
 from se2fusion.dataset import ExperimentConfig, run_experiment
 from se2fusion.cli import main
-from se2fusion.metrics import MetricsReport, PpsPose, accuracy, \
-    improvements, max_offset, precision
+from se2fusion.metrics import MetricsReport, accuracy, improvements, \
+    max_offset, precision
 from se2fusion.se2 import compose, edge_jacobians, exp_map, inverse, \
     log_map
 from se2fusion.solver import SolverConfig, optimize
@@ -229,8 +229,7 @@ def test_criterion_08_metrics_arithmetic():
                 est = (tru[0] + rng.normal(0.0, 3.0),
                        tru[1] + rng.normal(0.0, 3.0))
                 pairs.append((est, tru))
-            poses = [PpsPose(float(k), e, t)
-                     for k, (e, t) in enumerate(pairs)]
+            poses = [[float(k), *e, *t] for k, (e, t) in enumerate(pairs)]
             assert max_offset(poses) == pytest.approx(
                 literal_max_offset(pairs), rel=1e-12)
             acc, mu = accuracy(poses)

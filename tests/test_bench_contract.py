@@ -70,6 +70,9 @@ def test_traced_pass_reads_what_the_package_provides(tmp_path):
     # run.py: the screen's flags, missed outliers and check_drive
     assert all(type(f) is bool for f in flags)
     assert drive["injected"] and not any(flags[k] for k in drive["injected"])
+    # report_metrics pools the matched rows of every drive and case with
+    # += on a list, which an array of rows breaks
+    pairs = []
     for case in (screened, unscreened):
         trajectory, _, _, report = case[:4]
         assert math.isfinite(report.initial_error)
@@ -79,6 +82,9 @@ def test_traced_pass_reads_what_the_package_provides(tmp_path):
                                    [(p.x, p.y) for _, p in trajectory],
                                    ds.truth.timestamps, ds.truth.positions)
         assert len(got) == len(trajectory)
+        pairs += got
+    pooled = metrics.compute_metrics(pairs)
+    assert pooled.n == len(screened[0]) + len(unscreened[0])
     pose_at = dict(zip(full_t, full_p))
     assert all(b > a for a, b in zip(full_t, full_t[1:]))
     assert len(screened[0]) == len(kept)

@@ -469,3 +469,32 @@ def test_load_failure_is_a_one_line_exit(verb, broken, tmp_path):
         main([verb, "--gnss", paths[0], "--odo", paths[1], *truth, *out])
     assert stop.value.code == str(direct.value)
     assert "\n" not in stop.value.code
+
+
+@pytest.mark.parametrize("verb", ["run", "batch", "synth", "graph-dump"])
+def test_an_output_path_the_os_refuses_is_a_one_line_exit(verb, tmp_path,
+                                                          monkeypatch):
+    """An --out the OS refuses (an existing file where a directory goes,
+    a file in a missing directory) ends the verb with the OS's own
+    message, and run and batch stop before any experiment."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "run_batch", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    if verb == "graph-dump":
+        out = tmp_path / "nodir" / "g.txt"
+        with pytest.raises(OSError) as direct:
+            open(out, "w")
+    else:
+        out = taken
+        with pytest.raises(OSError) as direct:
+            os.makedirs(out, exist_ok=True)
+    with pytest.raises(SystemExit) as stop:
+        main([verb, "--synth", "straight", "--duration", "20",
+              "--out", str(out)])
+    assert stop.value.code == str(direct.value)
+    assert "\n" not in stop.value.code
+    assert taken.read_text() == "kept\n"

@@ -8,12 +8,13 @@ import os
 import numpy as np
 import pytest
 
-from helpers import utm_krueger
+from helpers import loop_match_pps, oracle_csv, utm_krueger
 from se2fusion import dataset as dataset_module
 from se2fusion.builders import Strategy
-from se2fusion.dataset import Dataset, ExperimentConfig, export_results, \
-    load_dataset, render_metrics_record, render_table, run_batch, \
-    run_experiment
+from se2fusion.dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
+    Dataset, ExperimentConfig, export_results, load_dataset, \
+    render_metrics_record, render_table, run_batch, run_experiment, \
+    write_dataset
 from se2fusion.errors import EmptyInputError, MixedUtmZonesError, \
     NeedTwoPosesError, NonMonotonicTimestampsError, OutOfUtmDomainError, \
     ParseError
@@ -213,6 +214,23 @@ def test_truth_track_in_local_frame(tmp_path):
     assert np.allclose(ds.truth.positions[0], (0.5, 0.5))
     assert np.allclose(ds.truth.positions[1], (10.5, 0.5))
     assert list(ds.truth.timestamps) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("last, error, message", [
+    ("0.08,0,x", ParseError, "ql.csv:5: non-numeric field"),
+    ("0.04,0,1", NonMonotonicTimestampsError,
+     "ql.csv: timestamp at data line 5 not increasing"),
+])
+def test_a_quoted_newline_does_not_shift_line_numbers(tmp_path, last, error,
+                                                      message):
+    """A record whose quoted field holds a newline spans two lines; the
+    rows after it are named by their line in the file."""
+    gnss = tmp_path / "g.csv"
+    gnss.write_text("\n".join(GOOD_UTM + ("1,1,0,32N,2,2,2",)) + "\n")
+    odo = tmp_path / "ql.csv"
+    odo.write_text(f't,yaw_rate,velocity\n"0\n",0,1\n0.04,0,1\n{last}\n')
+    with pytest.raises(error, match=message):
+        load_dataset(str(gnss), str(odo))
 
 
 def test_odometry_must_be_monotonic(tmp_path):
@@ -566,3 +584,88 @@ def test_truth_track_rejects_unusable_arrays(edit, error, why):
                                duration=20.0).truth
     with pytest.raises(error, match=why):
         dataset_module.TruthTrack(*edit(truth.timestamps, truth.positions))
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_written_csvs_equal_the_field_by_field_oracle(tmp_path):
+    """write_dataset and export_results write the bytes of a CSV built
+    one field at a time with format(v, '.17g')."""
+    ds = generate_synthetic(5, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel(outlier_rate=0.1,
+                                           outlier_magnitude=30.0),
+                            OdoErrorModel(), duration=60.0)
+    paths = write_dataset(ds, str(tmp_path / "data"))
+    assert [os.path.basename(p) for p in paths] == [
+        f"{ds.name}_{kind}.csv" for kind in ("gnss", "odo", "truth")]
+    s = ds.odometry
+    want = [
+        oracle_csv(GNSS_UTM_HEADER, [
+            (r.timestamp, *r.position, "local", r.epx, r.epy, r.epv)
+            for r in ds.gnss]),
+        oracle_csv(ODO_HEADER, zip(s.timestamps, s.yaw_rates,
+                                   s.velocities)),
+        oracle_csv(TRUTH_HEADER, [(t, *p) for t, p in
+                                  zip(ds.truth.timestamps,
+                                      ds.truth.positions)])]
+    for path, text in zip(paths, want):
+        assert _read_bytes(path) == text.encode()
+
+    trajectory, fused, raw, solve = run_experiment(ds, ExperimentConfig())
+    fused_path, _, scatter_path = export_results(
+        trajectory, fused, raw, solve, str(tmp_path / "out"), ds)
+    assert _read_bytes(fused_path) == oracle_csv(
+        ("t", "x", "y", "theta"),
+        [(t, p.x, p.y, p.theta) for t, p in trajectory]).encode()
+    pairs, _ = loop_match_pps([t for t, _ in trajectory],
+                              [(p.x, p.y) for _, p in trajectory],
+                              ds.truth.timestamps, ds.truth.positions)
+    assert _read_bytes(scatter_path) == oracle_csv(
+        ("t", "err_x", "err_y"),
+        [(t, ex - tx, ey - ty) for t, ex, ey, tx, ty in pairs]).encode()
+
+
+_SPECIAL_DOUBLES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    2.225073858507201e-308, 1e300, -1e300, 0.1, 1.0 / 3.0,
+                    float(2**53 + 2), float(2**53) + 1.0, 1.0, -7.0, 1e16,
+                    1e17, 123456789.0, math.pi, float("inf"),
+                    float("-inf"), float("nan"))
+
+
+def test_the_writer_formats_special_doubles_like_the_oracle(tmp_path):
+    values = np.array(_SPECIAL_DOUBLES)
+    # six numeric columns around the GNSS schema's literal zone column
+    rows = np.column_stack([np.roll(values, k) for k in range(6)])
+    path = tmp_path / "special.csv"
+    dataset_module._write_csv(str(path), GNSS_UTM_HEADER, rows)
+    assert _read_bytes(path) == oracle_csv(
+        GNSS_UTM_HEADER,
+        [(*row[:3], "local", *row[3:]) for row in rows.tolist()]).encode()
+    dataset_module._write_csv(str(path), ODO_HEADER, np.zeros((0, 3)))
+    assert _read_bytes(path) == b"t,yaw_rate,velocity\n"
+
+
+def test_write_dataset_then_load_round_trips_bit_exactly(tmp_path):
+    """Every value reads back as the double that was written; the loader
+    then moves positions into the frame of the first fix, as always."""
+    ds = generate_synthetic(8, TrajectoryProfile.HIGHWAY, GnssErrorModel(),
+                            OdoErrorModel(), duration=60.0)
+    back = load_dataset(*write_dataset(ds, str(tmp_path)))
+    origin = ds.gnss[0].position
+    assert back.frame_origin == tuple(origin.tolist())
+
+    def bits(*arrays):
+        return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+    assert bits(*[[r.timestamp, *(r.position - origin), r.epx, r.epy, r.epv]
+                  for r in ds.gnss]) == \
+        bits(*[[r.timestamp, *r.position, r.epx, r.epy, r.epv]
+               for r in back.gnss])
+    a, b = ds.odometry, back.odometry
+    assert bits(a.timestamps, a.yaw_rates, a.velocities) == \
+        bits(b.timestamps, b.yaw_rates, b.velocities)
+    assert bits(ds.truth.timestamps, ds.truth.positions - origin) == \
+        bits(back.truth.timestamps, back.truth.positions)

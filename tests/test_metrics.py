@@ -10,13 +10,13 @@ from helpers import literal_accuracy, literal_improvement, \
     loop_match_pps
 from se2fusion.errors import DivisionByZeroMetricError, EmptyInputError, \
     NeedTwoPosesError
-from se2fusion.metrics import MetricsReport, PpsPose, accuracy, \
-    compute_metrics, improvements, match_pps, max_offset, precision
+from se2fusion.metrics import MetricsReport, accuracy, compute_metrics, \
+    improvements, match_pps, max_offset, precision
 
 
 def _poses(pairs):
-    return [PpsPose(float(k), est, tru)
-            for k, (est, tru) in enumerate(pairs)]
+    # match_pps rows [t, est_x, est_y, truth_x, truth_y]
+    return [[float(k), *est, *tru] for k, (est, tru) in enumerate(pairs)]
 
 
 def _random_pairs(rng, n, spread=5.0):
@@ -165,16 +165,16 @@ def test_match_pps_nearest_within_tolerance():
     tru_p = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
     pairs, dropped = match_pps(est_t, est_p, tru_t, tru_p)
     assert dropped == 1
-    assert [p.timestamp for p in pairs] == [0.0, 1.0, 3.0]
-    assert pairs[0].truth == (0.0, 1.0)
-    assert pairs[2].truth == (3.0, 1.0)
+    assert [p[0] for p in pairs] == [0.0, 1.0, 3.0]
+    assert pairs[0][3:] == [0.0, 1.0]
+    assert pairs[2][3:] == [3.0, 1.0]
 
 
 def test_match_pps_picks_closer_neighbor():
     pairs, dropped = match_pps([1.0], [(5.0, 5.0)],
                                [0.97, 1.02], [(0.0, 0.0), (9.0, 9.0)])
     assert dropped == 0
-    assert pairs[0].truth == (9.0, 9.0)
+    assert pairs[0][3:] == [9.0, 9.0]
 
 
 def _assert_matches_loop(est_t, est_p, tru_t, tru_p, **kw):
@@ -189,7 +189,7 @@ def test_match_pps_ties_go_to_the_earlier_truth_sample():
     pairs, dropped = _assert_matches_loop([1.0, 1.625], [(5.0, 5.0)] * 2,
                                           tru_t, tru_p, tolerance=0.5)
     assert dropped == 0
-    assert [p.truth for p in pairs] == [(0.0, 0.0), (1.0, 1.0)]
+    assert [p[3:] for p in pairs] == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_match_pps_keeps_a_pair_at_exactly_the_tolerance():
@@ -199,7 +199,7 @@ def test_match_pps_keeps_a_pair_at_exactly_the_tolerance():
     est_p = [(0.0, 0.0)] * 3
     pairs, dropped = _assert_matches_loop(est_t, est_p, tru_t, tru_p,
                                           tolerance=0.25)
-    assert [p.timestamp for p in pairs] == [0.25, 1.25] and dropped == 1
+    assert [p[0] for p in pairs] == [0.25, 1.25] and dropped == 1
     pairs, dropped = _assert_matches_loop(est_t, est_p, tru_t, tru_p,
                                           tolerance=np.nextafter(0.25, 0.0))
     assert pairs == [] and dropped == 3
@@ -215,8 +215,8 @@ def test_match_pps_empty_inputs_and_estimates_off_the_truth_span():
     pairs, dropped = _assert_matches_loop(est_t, [(7.0, 8.0)] * 4, tru_t,
                                           tru_p)
     assert dropped == 2
-    assert [(p.timestamp, p.truth) for p in pairs] == [
-        (-0.04, (0.0, 0.0)), (10.03, (10.0, -10.0))]
+    assert [(p[0], p[3:]) for p in pairs] == [
+        (-0.04, [0.0, 0.0]), (10.03, [10.0, -10.0])]
 
 
 def test_match_pps_equals_the_loop_on_random_tracks():
