@@ -12,7 +12,7 @@ from .errors import BadInformationError, DivisionByZeroMetricError, \
     TooFewReadingsError, UnknownNodeError
 from .gnss import GnssReading, RejectionResult, gnss_information, \
     latlon_to_utm, reject_outliers
-from .graph import Edge, EdgeKind, Node, NodeKind, PoseGraph
+from .graph import Edge, EdgeKind, Node, PoseGraph
 from .graph import load as load_graph
 from .graph import save as save_graph
 from .metrics import MetricsReport, accuracy, compute_metrics, \

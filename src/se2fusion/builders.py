@@ -11,7 +11,8 @@ Three ways to wire the same information into a graph:
 
 All three share the odometry chain between consecutive vehicle nodes and
 are initialized by dead reckoning from the first fix, so odometry-edge
-residuals start at exactly zero.  build() adds whole blocks to the graph
+residuals start at exactly zero.  No node stores its role: the vehicle
+nodes are the chain's, which is how the track is read back.  build() adds whole blocks to the graph
 (vehicle nodes, odometry edges, GNSS nodes and edges), so the number of
 graph calls it makes does not depend on the length of the drive.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
-from .graph import NODE_KINDS, EdgeKind, NodeKind, PoseGraph
+from .graph import EDGE_KINDS, EdgeKind, PoseGraph
 from .odometry import OdometryStream, arc_information, integrate_windows
 from .se2 import Pose2, poses_from_rows, wrap_angle, wrap_angles
 
@@ -116,8 +117,8 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     deltas, arcs, poses = _dead_reckon(readings, odo, times)
 
     graph = PoseGraph()
-    graph.add_nodes([(0.0, 0.0, 0.0)], fixed=True, kind=NodeKind.UTM_ORIGIN)
-    vehicle = graph.add_nodes(poses, kind=NodeKind.VEHICLE_POSE)
+    graph.add_nodes([(0.0, 0.0, 0.0)], fixed=True)
+    vehicle = graph.add_nodes(poses)
     graph.add_edges(vehicle[:-1], vehicle[1:], deltas, arc_information(arcs),
                     EdgeKind.ODOMETRY)
 
@@ -133,21 +134,24 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
         tie = np.broadcast_to(np.diag([s, s, s]), info.shape)
-        gnss = graph.add_nodes(fixes, kind=NodeKind.GNSS_POSE)
+        gnss = graph.add_nodes(fixes)
         graph.add_edges(origin, gnss, fixes, info, EdgeKind.GNSS_ABSOLUTE)
         graph.add_edges(gnss, fix_node, identity, tie,
                         EdgeKind.VIRTUAL_IDENTITY)
     else:
-        gnss = graph.add_nodes(fixes, fixed=True, kind=NodeKind.GNSS_POSE)
+        gnss = graph.add_nodes(fixes, fixed=True)
         graph.add_edges(gnss, fix_node, identity, info,
                         EdgeKind.VIRTUAL_IDENTITY)
     return graph
 
 
 def _vehicle_poses(graph: PoseGraph) -> np.ndarray:
-    # (k, 3) vehicle-node rows in id (time) order
-    vehicle = NODE_KINDS.index(NodeKind.VEHICLE_POSE)
-    return graph.poses[graph.node_kinds == vehicle]
+    """(k, 3) vehicle-node rows in id (time) order: the endpoints of the
+    ODOMETRY edges, which the origin and GNSS nodes never touch, so a
+    reloaded dump selects the same rows.  No odometry edge, no rows."""
+    odometry = graph.edge_kinds == EDGE_KINDS.index(EdgeKind.ODOMETRY)
+    return graph.poses[np.union1d(graph.from_ids[odometry],
+                                  graph.to_ids[odometry])]
 
 
 def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:

@@ -162,6 +162,8 @@ def _cmd_synth(args) -> int:
 def _cmd_graph_dump(args) -> int:
     cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
+    # opened before the build, so a refused --out stops it
+    open(args.out, "w").close()
     _, graph, _ = _screen_and_build(dataset, cfg)
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.poses)} nodes, "

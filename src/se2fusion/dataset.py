@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .builders import BuilderConfig, Strategy, _node_times, \
-    _vehicle_poses, build, vehicle_trajectory
+    _vehicle_poses, build
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
     ParseError
@@ -42,6 +42,7 @@ from .graph import FLOAT_FORMAT, _fmt, save as save_graph
 from .metrics import METRIC_NAMES, PPS_MATCH_TOLERANCE_S, \
     MetricsReport, compute_metrics, improvements, match_pps
 from .odometry import OdometryStream
+from .se2 import poses_from_rows
 from .solver import SolveReport, optimize
 
 
@@ -335,13 +336,14 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
                              [r.timestamp for r in dataset.gnss],
                              [r.position for r in dataset.gnss],
                              cfg.metrics_literal, 0.0)
+        raw_metrics.offsets = None  # only the fused scatter is exported
     rate, graph, times = _screen_and_build(dataset, cfg)
     report = optimize(graph, trace=trace)
-    trajectory = list(zip(times, vehicle_trajectory(graph)))
+    vehicle = _vehicle_poses(graph)
+    trajectory = list(zip(times, poses_from_rows(vehicle)))
 
     if dataset.truth is not None:
-        fused_metrics = _score(dataset, "fused poses", times,
-                               _vehicle_poses(graph)[:, :2],
+        fused_metrics = _score(dataset, "fused poses", times, vehicle[:, :2],
                                cfg.metrics_literal, rate)
         try:
             fused_metrics.improvement_vs_gnss = improvements(fused_metrics,
@@ -359,8 +361,9 @@ def export_results(trajectory, fused: MetricsReport | None,
                    out_dir, dataset: Dataset, graph=None) -> list:
     """Write trajectory, metrics record and error scatter to out_dir.
 
-    Returns the list of written paths.  Fails before creating anything
-    when the trajectory is empty.
+    The scatter is the fused report's `offsets`, so a report built by
+    hand without them writes none.  Returns the list of written paths.
+    Fails before creating anything when the trajectory is empty.
     """
     if not trajectory:
         raise EmptyInputError("refusing to export an empty trajectory")
@@ -372,13 +375,9 @@ def export_results(trajectory, fused: MetricsReport | None,
     with open(written[1], "w") as fh:
         fh.write(render_metrics_record(dataset.name, fused, raw, solve))
 
-    if fused is not None and dataset.truth is not None:
-        pairs, _ = match_pps(track[:, 0], track[:, 1:3],
-                             dataset.truth.timestamps, dataset.truth.positions)
-        m = np.array(pairs).reshape(-1, 5)
+    if fused is not None and fused.offsets is not None:
         written.append(f"{base}_scatter.csv")
-        _write_csv(written[-1], ("t", "err_x", "err_y"),
-                   np.column_stack((m[:, 0], m[:, 1:3] - m[:, 3:5])))
+        _write_csv(written[-1], ("t", "err_x", "err_y"), fused.offsets)
     if graph is not None:
         written.append(f"{base}_graph.txt")
         save_graph(graph, written[-1])

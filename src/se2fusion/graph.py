@@ -1,10 +1,13 @@
 """Pose-graph container: node and edge arrays, read-only object views,
 text dump/load.
 
-Nodes are `poses` (n, 3), the `fixed` mask and `node_kinds`; edges are
-`from_ids`/`to_ids`, `measurements` (m, 3), `information` (m, 3, 3) and
-`edge_kinds`.  Kinds are codes into NODE_KINDS and EDGE_KINDS.  Each is
-a writable view of the live rows, taken after building, since an add may
+Nodes are `poses` (n, 3) and the `fixed` mask; edges are `from_ids`/
+`to_ids`, `measurements` (m, 3), `information` (m, 3, 3) and
+`edge_kinds`, codes into EDGE_KINDS.  A node carries no role, as a g2o
+VERTEX_SE2 carries none: its role follows from its edges, so save()
+writes every column, and load(save(g)) equals g when each information
+matrix is exactly symmetric, as build() makes them.  Each column is a
+writable view of the live rows, taken after building, since an add may
 move the storage.  add_nodes() and add_edges() are the only way in: they
 validate, copy and append whole blocks, wrapping headings.  `nodes` and
 `edges` make Node and Edge objects on access, for readers outside the
@@ -23,19 +26,12 @@ from .errors import BadInformationError, ParseError, UnknownNodeError
 from .se2 import Pose2, wrap_angles
 
 
-class NodeKind(enum.Enum):
-    VEHICLE_POSE = "VEHICLE_POSE"
-    UTM_ORIGIN = "UTM_ORIGIN"
-    GNSS_POSE = "GNSS_POSE"
-
-
 class EdgeKind(enum.Enum):
     ODOMETRY = "ODOMETRY"
     GNSS_ABSOLUTE = "GNSS_ABSOLUTE"
     VIRTUAL_IDENTITY = "VIRTUAL_IDENTITY"
 
 
-NODE_KINDS = tuple(NodeKind)
 EDGE_KINDS = tuple(EdgeKind)
 
 
@@ -44,7 +40,6 @@ class Node:
     id: int
     pose: Pose2
     fixed: bool = False
-    kind: NodeKind = NodeKind.VEHICLE_POSE
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,6 @@ class PoseGraph:
 
     poses = _column("_nodes", "poses")
     fixed = _column("_nodes", "fixed")
-    node_kinds = _column("_nodes", "node_kinds")
     from_ids = _column("_edges", "from_ids")
     to_ids = _column("_edges", "to_ids")
     measurements = _column("_edges", "measurements")
@@ -114,8 +108,7 @@ class PoseGraph:
     edge_kinds = _column("_edges", "edge_kinds")
 
     def __init__(self):
-        self._nodes = _Table(poses=((3,), float), fixed=((), bool),
-                             node_kinds=((), np.int8))
+        self._nodes = _Table(poses=((3,), float), fixed=((), bool))
         self._edges = _Table(from_ids=((), np.intp), to_ids=((), np.intp),
                              measurements=((3,), float),
                              information=((3, 3), float),
@@ -124,8 +117,7 @@ class PoseGraph:
     @property
     def nodes(self) -> _View:
         return _View(self._nodes, lambda k: Node(
-            k, Pose2(*self.poses[k].tolist()), bool(self.fixed[k]),
-            NODE_KINDS[self.node_kinds[k]]))
+            k, Pose2(*self.poses[k].tolist()), bool(self.fixed[k])))
 
     @property
     def edges(self) -> _View:
@@ -138,9 +130,8 @@ class PoseGraph:
                     Pose2(*self.measurements[k].tolist()), info,
                     EDGE_KINDS[self.edge_kinds[k]])
 
-    def add_nodes(self, poses, fixed=False,
-                  kind: NodeKind = NodeKind.VEHICLE_POSE) -> range:
-        """Append (x, y, theta) rows as nodes of one kind; return their ids.
+    def add_nodes(self, poses, fixed=False) -> range:
+        """Append (x, y, theta) rows as nodes; return their ids.
 
         `fixed` is one flag for the block or one per node.
         """
@@ -149,8 +140,7 @@ class PoseGraph:
             raise ValueError(f"poses shape {poses.shape}, expected (n, 3)")
         _check_finite(poses, "pose")
         poses[:, 2] = wrap_angles(poses[:, 2])
-        return self._nodes.append(len(poses), poses=poses, fixed=fixed,
-                                  node_kinds=NODE_KINDS.index(kind))
+        return self._nodes.append(len(poses), poses=poses, fixed=fixed)
 
     def add_edges(self, from_ids, to_ids, measurements, information,
                   kind: EdgeKind = EdgeKind.ODOMETRY) -> range:
@@ -235,8 +225,7 @@ def load(path) -> PoseGraph:
     """Read a graph written by save().
 
     File vertex ids may be arbitrary; they are remapped to dense ids in
-    order of appearance.  Vertex records carry no kind, so loaded nodes
-    default to VEHICLE_POSE.  The vertices are added as one block, then
+    order of appearance.  The vertices are added as one block, then
     each edge as a block of one, so an invalid vertex or edge names its
     own line.
     """

@@ -18,7 +18,7 @@ flag. The default follows the dispersion-about-mean-offset reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,16 @@ class MetricsReport:
     n: int
     rejection_rate: float | None = None
     improvement_vs_gnss: tuple | None = None
+    # (n, 3) rows of t and the estimate-minus-truth offset that
+    # compute_metrics reduced; None on a report built without them
+    offsets: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
 
 
 def _estimates_and_offsets(pairs):
-    # (n, 2) estimate coordinates and estimate-minus-truth offsets
+    # timestamps, (n, 2) estimate coordinates, estimate-minus-truth offsets
     rows = np.array(pairs, dtype=float)
-    return rows[:, 1:3], rows[:, 1:3] - rows[:, 3:5]
+    return rows[:, 0], rows[:, 1:3], rows[:, 1:3] - rows[:, 3:5]
 
 
 def _max_offset(off: np.ndarray) -> float:
@@ -64,14 +68,14 @@ def max_offset(pairs) -> float:
     """Largest Euclidean estimate-truth distance over the set."""
     if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
-    return _max_offset(_estimates_and_offsets(pairs)[1])
+    return _max_offset(_estimates_and_offsets(pairs)[2])
 
 
 def accuracy(pairs):
     """Norm of the signed mean offset; returns (value, (mu_x, mu_y))."""
     if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
-    return _accuracy(_estimates_and_offsets(pairs)[1].mean(axis=0))
+    return _accuracy(_estimates_and_offsets(pairs)[2].mean(axis=0))
 
 
 def precision(pairs, literal: bool = False) -> float:
@@ -84,7 +88,7 @@ def precision(pairs, literal: bool = False) -> float:
     """
     if len(pairs) < 2:
         raise NeedTwoPosesError("precision needs at least two poses")
-    est, off = _estimates_and_offsets(pairs)
+    _, est, off = _estimates_and_offsets(pairs)
     return _precision(est, off, off.mean(axis=0), literal)
 
 
@@ -143,17 +147,18 @@ def compute_metrics(pairs, literal: bool = False,
     """Bundle the three metrics over one matched pair set.
 
     The offsets are built once and shared by the three metrics, which
-    raise as max_offset(), accuracy() and precision() do.
+    raise as max_offset(), accuracy() and precision() do; the report
+    keeps them with their timestamps as `offsets`.
     """
     if len(pairs) == 0:
         raise EmptyInputError("no poses to evaluate")
     if len(pairs) < 2:
         raise NeedTwoPosesError("precision needs at least two poses")
-    est, off = _estimates_and_offsets(pairs)
+    t, est, off = _estimates_and_offsets(pairs)
     mu = off.mean(axis=0)
     acc, mean_offset = _accuracy(mu)
     return MetricsReport(
         max_offset=_max_offset(off), accuracy=acc,
         precision=_precision(est, off, mu, literal),
         mean_offset=mean_offset, n=len(pairs),
-        rejection_rate=rejection_rate)
+        rejection_rate=rejection_rate, offsets=np.column_stack((t, off)))

@@ -23,14 +23,15 @@ pair yields a bit-identical dataset every time.
 generate_synthetic's defaults (a 600 s drive, no standstill, nominal
 speed) and the error models' field defaults (all zero) are the only
 definition of those settings: the CLI reads them as its flag defaults,
-and injected_outlier_indices forwards its arguments unchanged.
+and injected_outlier_indices binds its arguments to that signature.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,6 +189,13 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
     touching turn timing.  GNSS fixes arrive at 1 Hz from t=0, odometry
     at 25 Hz covering the whole span, truth at the fix timestamps.
     """
+    return _generate(seed, profile, gnss_error, odo_error, duration,
+                     standstill, speed, name)[0]
+
+
+def _generate(seed, profile, gnss_error, odo_error, duration, standstill,
+              speed, name):
+    # generate_synthetic's drive, and the mask of the fixes with a jump
     gerr = gnss_error if gnss_error is not None else GnssErrorModel()
     oerr = odo_error if odo_error is not None else OdoErrorModel()
     rng = np.random.default_rng(seed)
@@ -250,9 +258,9 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
             drive[0] = raw[0] * sigma_axis
             noise[:, axis] = _ar1(drive, rho)
     jumps = np.zeros((n_fix, 2))
-    if gerr.outlier_rate > 0.0:
-        mask = rng.random(n_fix) < gerr.outlier_rate
-        mask[:2] = False
+    mask = rng.random(n_fix) < gerr.outlier_rate
+    mask[:2] = False
+    if mask.any():
         angles = rng.uniform(0.0, 2.0 * math.pi, n_fix)
         jumps[mask, 0] = gerr.outlier_magnitude * np.cos(angles[mask])
         jumps[mask, 1] = gerr.outlier_magnitude * np.sin(angles[mask])
@@ -266,7 +274,7 @@ def generate_synthetic(seed: int, profile: TrajectoryProfile,
 
     if name is None:
         name = f"{profile.value}-s{seed}"
-    return Dataset(name, readings, stream, truth, (0.0, 0.0))
+    return Dataset(name, readings, stream, truth, (0.0, 0.0)), mask
 
 
 def injected_outlier_indices(seed: int, profile: TrajectoryProfile,
@@ -274,19 +282,11 @@ def injected_outlier_indices(seed: int, profile: TrajectoryProfile,
                              **kwargs) -> list:
     """Fix indices that received a jump for this exact configuration.
 
-    Takes generate_synthetic's arguments and forwards them, generating
-    the drive twice: as given, and with the outliers switched off.  The
-    jumps are drawn last, so both drives share every other draw and
-    differ exactly at the corrupted fixes.  Used to check that
+    Takes generate_synthetic's arguments and generates that drive once,
+    keeping the jump mask the generator draws.  Used to check that
     screening removes precisely those fixes.
     """
-    ds = generate_synthetic(seed, profile, gnss_error, *args, **kwargs)
-    clean = generate_synthetic(
-        seed, profile,
-        replace(gnss_error, outlier_rate=0.0, outlier_magnitude=0.0),
-        *args, **kwargs)
-    out = []
-    for k, (a, b) in enumerate(zip(ds.gnss, clean.gnss)):
-        if not np.array_equal(a.position, b.position):
-            out.append(k)
-    return out
+    drive = inspect.signature(generate_synthetic).bind(
+        seed, profile, gnss_error, *args, **kwargs)
+    drive.apply_defaults()
+    return np.flatnonzero(_generate(*drive.args)[1]).tolist()

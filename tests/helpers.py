@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from se2fusion.errors import InsufficientCoverageError
-from se2fusion.graph import NodeKind
 from se2fusion.se2 import Pose2, compose, exp_map, inverse, edge_residual
 
 
@@ -536,12 +535,33 @@ def oracle_csv(header, rows):
 
 
 # ---------------------------------------------------------------------------
+# Injected outliers by generating the drive twice (oracle for the kept mask)
+
+def twin_injected_indices(seed, profile, gnss_error, *args, **kwargs):
+    """Fix indices that received a jump, found by generating the drive as
+    given and again with the outliers switched off.  The jumps are drawn
+    last, so both drives share every other draw and differ exactly at
+    the corrupted fixes."""
+    from dataclasses import replace
+
+    from se2fusion.synth import generate_synthetic
+
+    ds = generate_synthetic(seed, profile, gnss_error, *args, **kwargs)
+    clean = generate_synthetic(
+        seed, profile,
+        replace(gnss_error, outlier_rate=0.0, outlier_magnitude=0.0),
+        *args, **kwargs)
+    return [k for k, (a, b) in enumerate(zip(ds.gnss, clean.gnss))
+            if not np.array_equal(a.position, b.position)]
+
+
+# ---------------------------------------------------------------------------
 # One-row graph adders over the block adders, and a random-graph factory
 # shared by solver tests
 
-def add_node(graph, pose, fixed=False, kind=NodeKind.VEHICLE_POSE):
+def add_node(graph, pose, fixed=False):
     """Add one node through PoseGraph.add_nodes; return its id."""
-    return graph.add_nodes([(pose.x, pose.y, pose.theta)], fixed, kind)[0]
+    return graph.add_nodes([(pose.x, pose.y, pose.theta)], fixed)[0]
 
 
 def add_edge(graph, edge):
@@ -605,7 +625,7 @@ def clone_graph(graph):
     g = PoseGraph()
     for node in graph.nodes:
         add_node(g, Pose2(node.pose.x, node.pose.y, node.pose.theta),
-                 fixed=node.fixed, kind=node.kind)
+                 fixed=node.fixed)
     for e in graph.edges:
         add_edge(g, Edge(e.from_id, e.to_id, e.measurement,
                          e.information.copy(), e.kind))

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from helpers import integrate_fine, total_error, window_pose
-from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build, \
-    full_rate_trajectory, vehicle_trajectory
+from se2fusion.builders import BuilderConfig, NodeRate, Strategy, \
+    _vehicle_poses, build, full_rate_trajectory, vehicle_trajectory
 from se2fusion.errors import TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
-from se2fusion.graph import EdgeKind, NodeKind, PoseGraph
+from se2fusion.graph import EdgeKind, PoseGraph, load, save
 from se2fusion.odometry import OdometryStream
 from se2fusion.se2 import Pose2, compose, edge_residual
 from se2fusion.solver import SolverConfig, optimize
+from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
+    TrajectoryProfile, generate_synthetic
 
 DEEP = SolverConfig(max_iterations=200, abs_error_tol=1e-18,
                     rel_error_tol=1e-14, step_tol=1e-12)
@@ -32,41 +34,65 @@ def _drive(n_fixes, speed=10.0, noise=0.0, seed=0):
     return readings, stream
 
 
+def _roles(graph):
+    """Each node's role read off its edges: "vehicle" on the odometry
+    chain, "gnss" at the start of an identity edge, "origin" otherwise."""
+    roles = ["origin"] * len(graph.poses)
+    for e in graph.edges:
+        if e.kind is EdgeKind.ODOMETRY:
+            roles[e.from_id] = roles[e.to_id] = "vehicle"
+        elif e.kind is EdgeKind.VIRTUAL_IDENTITY:
+            roles[e.from_id] = "gnss"
+    return roles
+
+
 def _kinds(graph):
-    nodes = [n.kind for n in graph.nodes]
-    edges = [e.kind for e in graph.edges]
-    return nodes, edges
+    return _roles(graph), [e.kind for e in graph.edges]
+
+
+def _wiring(graph):
+    return [(e.from_id, e.to_id, e.kind) for e in graph.edges]
+
+
+ODO, ABS, TIE = (EdgeKind.ODOMETRY, EdgeKind.GNSS_ABSOLUTE,
+                 EdgeKind.VIRTUAL_IDENTITY)
 
 
 def test_g1_structure():
+    """The fixed origin 0 touches no odometry edge, the vehicle nodes
+    1..3 are the chain and the only rows _vehicle_poses selects."""
     readings, stream = _drive(3)
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
-    nodes, edges = _kinds(graph)
-    assert nodes == [NodeKind.UTM_ORIGIN] + [NodeKind.VEHICLE_POSE] * 3
-    assert edges == [EdgeKind.ODOMETRY] * 2 + [EdgeKind.GNSS_ABSOLUTE] * 3
-    assert graph.nodes[0].fixed
-    assert not any(n.fixed for n in graph.nodes[1:])
+    assert _roles(graph) == ["origin"] + ["vehicle"] * 3
+    assert _wiring(graph) == [(1, 2, ODO), (2, 3, ODO),
+                              (0, 1, ABS), (0, 2, ABS), (0, 3, ABS)]
+    assert graph.fixed.tolist() == [True, False, False, False]
+    assert np.array_equal(_vehicle_poses(graph), graph.poses[1:4])
 
 
 def test_g2_structure():
+    """GNSS nodes 4..6 are the rest: free, pinned to the origin and tied
+    to the chain."""
     readings, stream = _drive(3)
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G2))
-    nodes, edges = _kinds(graph)
-    assert nodes == [NodeKind.UTM_ORIGIN] + [NodeKind.VEHICLE_POSE] * 3 \
-        + [NodeKind.GNSS_POSE] * 3
-    assert edges == [EdgeKind.ODOMETRY] * 2 \
-        + [EdgeKind.GNSS_ABSOLUTE] * 3 + [EdgeKind.VIRTUAL_IDENTITY] * 3
-    assert not any(n.fixed for n in graph.nodes[1:])
+    assert _roles(graph) == ["origin"] + ["vehicle"] * 3 + ["gnss"] * 3
+    assert _wiring(graph) == [(1, 2, ODO), (2, 3, ODO),
+                              (0, 4, ABS), (0, 5, ABS), (0, 6, ABS),
+                              (4, 1, TIE), (5, 2, TIE), (6, 3, TIE)]
+    assert graph.fixed.tolist() == [True] + [False] * 6
+    assert np.array_equal(_vehicle_poses(graph), graph.poses[1:4])
 
 
 def test_g3_structure():
+    """GNSS nodes 4..6 are the rest: fixed and tied to the chain; the
+    origin touches no edge."""
     readings, stream = _drive(3)
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G3))
-    nodes, edges = _kinds(graph)
-    assert nodes == [NodeKind.UTM_ORIGIN] + [NodeKind.VEHICLE_POSE] * 3 \
-        + [NodeKind.GNSS_POSE] * 3
-    assert edges == [EdgeKind.ODOMETRY] * 2 + [EdgeKind.VIRTUAL_IDENTITY] * 3
-    assert all(n.fixed for n in graph.nodes if n.kind is NodeKind.GNSS_POSE)
+    assert _roles(graph) == ["origin"] + ["vehicle"] * 3 + ["gnss"] * 3
+    assert _wiring(graph) == [(1, 2, ODO), (2, 3, ODO),
+                              (4, 1, TIE), (5, 2, TIE), (6, 3, TIE)]
+    assert graph.fixed.tolist() == [True] + [False] * 3 + [True] * 3
+    assert np.array_equal(_vehicle_poses(graph), graph.poses[1:4])
 
 
 def _seeds(readings, stream):
@@ -141,13 +167,13 @@ def test_strategies_share_the_optimum():
 def test_g3_gnss_nodes_never_move():
     readings, stream = _drive(6, noise=1.5, seed=2)
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G3))
-    before = [n.pose.as_array() for n in graph.nodes
-              if n.kind is NodeKind.GNSS_POSE]
+    gnss = [k for k, role in enumerate(_roles(graph)) if role == "gnss"]
+    assert gnss == list(range(7, 13))
+    before, vehicle = graph.poses[gnss], _vehicle_poses(graph)
     optimize(graph, DEEP)
-    after = [n.pose.as_array() for n in graph.nodes
-             if n.kind is NodeKind.GNSS_POSE]
-    for a, b in zip(before, after):
-        assert np.array_equal(a, b)
+    assert np.array_equal(graph.poses[gnss], before)
+    # the solve moved the chain, not the fixed GNSS nodes
+    assert not np.array_equal(_vehicle_poses(graph), vehicle)
 
 
 def test_rejected_readings_leave_no_trace():
@@ -156,7 +182,8 @@ def test_rejected_readings_leave_no_trace():
     readings[3].accepted = False
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
     nodes, edges = _kinds(graph)
-    assert nodes.count(NodeKind.VEHICLE_POSE) == 3
+    assert nodes == ["origin"] + ["vehicle"] * 3
+    assert len(_vehicle_poses(graph)) == 3
     assert edges.count(EdgeKind.GNSS_ABSOLUTE) == 3
     assert edges.count(EdgeKind.ODOMETRY) == 2
 
@@ -220,13 +247,46 @@ def test_per_odometry_sample_node_rate():
     t = stream.timestamps
     merged = np.union1d(np.array([0.0, 1.0, 2.0]),
                         t[(t > 0.0) & (t < 2.0)])
-    n_vehicle = sum(1 for n in graph.nodes
-                    if n.kind is NodeKind.VEHICLE_POSE)
+    n_vehicle = len(_vehicle_poses(graph))
     assert n_vehicle == merged.size
     assert n_vehicle > 40
     nodes, edges = _kinds(graph)
+    assert nodes == ["origin"] + ["vehicle"] * n_vehicle
+    assert np.array_equal(_vehicle_poses(graph), graph.poses[1:])
     assert edges.count(EdgeKind.ODOMETRY) == n_vehicle - 1
     assert edges.count(EdgeKind.GNSS_ABSOLUTE) == 3
+
+
+@pytest.mark.parametrize("rate", list(NodeRate))
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_reloaded_dump_is_the_graph_it_came_from(tmp_path, strategy,
+                                                   rate):
+    """load(save(g)) equals g in every column the graph stores and saves
+    to the same bytes, and the reloaded graph gives the same vehicle
+    track and, per fix, the same re-chain."""
+    ds = generate_synthetic(4, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel(ar1_rho=0.9, ar1_sigma=1.0),
+                            OdoErrorModel(0.011), duration=30.0)
+    graph = build(ds.gnss, ds.odometry,
+                  BuilderConfig(strategy=strategy, node_rate=rate))
+    optimize(graph)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save(graph, first)
+    loaded = load(first)
+    for table in (graph._nodes, graph._edges):
+        again = loaded._nodes if table is graph._nodes else loaded._edges
+        assert again.size == table.size
+        for name in table._buf:
+            a, b = table.rows(name), again.rows(name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    save(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    track = vehicle_trajectory(loaded)
+    assert track == vehicle_trajectory(graph)
+    assert (len(track) == 30) is (rate is NodeRate.PER_GNSS_FIX)
+    if rate is NodeRate.PER_GNSS_FIX:
+        assert full_rate_trajectory(loaded, ds.gnss, ds.odometry) == \
+            full_rate_trajectory(graph, ds.gnss, ds.odometry)
 
 
 def test_full_rate_trajectory_interpolates():

@@ -243,6 +243,23 @@ def test_batch_writes_record_and_table(tmp_path, capsys):
     assert "g1.on.improvement.max_offset: " in record
 
 
+def test_graph_dump_checks_its_out_before_the_build(tmp_path, monkeypatch):
+    """An --out file the OS refuses stops graph-dump with the OS's one
+    line before any screen or build."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_screen_and_build", no_build)
+    out = tmp_path / "nodir" / "g.txt"
+    with pytest.raises(OSError) as direct:
+        open(out, "w")
+    with pytest.raises(SystemExit) as stop:
+        main(["graph-dump", "--synth", "straight", "--duration", "20",
+              "--out", str(out)])
+    assert stop.value.code == str(direct.value)
+    assert "\n" not in stop.value.code
+
+
 def test_graph_dump_variants(tmp_path, capsys):
     out = tmp_path / "g2.graph"
     rc = main(["graph-dump", "--synth", "straight", "--duration", "20",

@@ -476,6 +476,19 @@ def test_export_roundtrip(tmp_path):
     assert len(reloaded.edges) == len(graph.edges)
 
 
+def test_a_report_without_offsets_writes_no_scatter(tmp_path):
+    ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=30.0)
+    trajectory, fused, raw, solve = run_experiment(ds, ExperimentConfig())
+    # only the fused report keeps the rows its scatter is written from
+    assert fused.offsets.shape == (fused.n, 3) and raw.offsets is None
+    by_hand = dataclasses.replace(fused, offsets=None)
+    written = export_results(trajectory, by_hand, raw, solve,
+                             str(tmp_path), ds)
+    names = [f"{ds.name}_fused.csv", f"{ds.name}_metrics.txt"]
+    assert [os.path.basename(p) for p in written] == names
+    assert sorted(os.listdir(tmp_path)) == names
+
+
 def test_export_refuses_empty_trajectory(tmp_path):
     ds = generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=30.0)
     out = tmp_path / "nothing"

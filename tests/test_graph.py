@@ -10,8 +10,7 @@ import pytest
 from helpers import add_edge, add_node, from_homogeneous, homogeneous, \
     random_chain_graph, random_pose, total_error
 from se2fusion.errors import BadInformationError, ParseError, UnknownNodeError
-from se2fusion.graph import Edge, EdgeKind, Node, NodeKind, PoseGraph, load, \
-    save
+from se2fusion.graph import Edge, EdgeKind, Node, PoseGraph, load, save
 from se2fusion.se2 import Pose2, compose, log_map
 
 
@@ -23,10 +22,13 @@ def test_add_node_assigns_dense_ids():
     g = PoseGraph()
     assert add_node(g, Pose2(0.0, 0.0, 0.0)) == 0
     assert add_node(g, Pose2(1.0, 0.0, 0.0), fixed=True) == 1
-    assert add_node(g, Pose2(2.0, 0.0, 0.0), kind=NodeKind.GNSS_POSE) == 2
+    assert add_node(g, Pose2(2.0, 0.0, 0.0)) == 2
     assert [n.id for n in g.nodes] == [0, 1, 2]
     assert g.nodes[1].fixed and not g.nodes[0].fixed
-    assert g.nodes[2].kind is NodeKind.GNSS_POSE
+    # a node is its id, pose and flag; its role follows from its edges
+    assert [f.name for f in dataclasses.fields(Node)] == \
+        ["id", "pose", "fixed"]
+    assert g.nodes[2] == Node(2, Pose2(2.0, 0.0, 0.0), False)
 
 
 def test_many_nodes_keep_poses_bit_exact():
@@ -177,10 +179,7 @@ def test_save_load_roundtrip(tmp_path):
     assert len(h.nodes) == len(g.nodes)
     assert len(h.edges) == len(g.edges)
     assert total_error(h) == pytest.approx(total_error(g), rel=1e-12)
-    for a, b in zip(g.nodes, h.nodes):
-        assert a.fixed == b.fixed
-        assert b.kind is NodeKind.VEHICLE_POSE
-        assert np.allclose(a.pose.as_array(), b.pose.as_array(), atol=0.0)
+    assert list(h.nodes) == list(g.nodes)
     for a, b in zip(g.edges, h.edges):
         assert a.kind is b.kind
         assert (a.from_id, a.to_id) == (b.from_id, b.to_id)
@@ -315,7 +314,7 @@ def test_load_rejects_unknown_edge_kind(tmp_path):
 
 def _block_graph():
     g = PoseGraph()
-    g.add_nodes([(0.0, 0.0, 0.0)], fixed=True, kind=NodeKind.UTM_ORIGIN)
+    g.add_nodes([(0.0, 0.0, 0.0)], fixed=True)
     g.add_nodes([(1.0, 2.0, 0.5), (3.0, -1.0, 7.0), (4.0, 0.5, -math.pi)])
     g.add_edges([0, 1, 2], [1, 2, 3],
                 [(1.0, 2.0, 0.5), (2.0, -3.0, 6.5), (1.0, 1.5, -4.0)],
@@ -331,17 +330,17 @@ def test_block_adders_equal_one_row_adders():
     info = np.stack([np.diag(d) for d in rng.uniform(0.0, 5.0, (29, 3))])
     info[:, 0, 1] = info[:, 1, 0] = 0.25
     block = PoseGraph()
-    assert block.add_nodes(poses, fixed, NodeKind.GNSS_POSE) == range(30)
+    assert block.add_nodes(poses, fixed) == range(30)
     assert block.add_edges(range(29), range(1, 30), z, info,
                            EdgeKind.GNSS_ABSOLUTE) == range(29)
     rows = PoseGraph()
     for p, f in zip(poses, fixed):
-        add_node(rows, Pose2(*p), bool(f), NodeKind.GNSS_POSE)
+        add_node(rows, Pose2(*p), bool(f))
     for k in range(29):
         add_edge(rows, Edge(k, k + 1, Pose2(*z[k]), info[k],
                             EdgeKind.GNSS_ABSOLUTE))
-    for name in ("poses", "fixed", "node_kinds", "from_ids", "to_ids",
-                 "measurements", "information", "edge_kinds"):
+    for name in ("poses", "fixed", "from_ids", "to_ids", "measurements",
+                 "information", "edge_kinds"):
         assert np.array_equal(getattr(block, name), getattr(rows, name)), \
             name
     # headings are wrapped as Pose2 wraps them
@@ -413,7 +412,7 @@ def test_views_index_slice_and_iterate():
     g = _block_graph()
     assert len(g.nodes) == 4 and len(g.edges) == 3
     assert g.nodes[-1].id == 3 and g.nodes[-1] == g.nodes[3]
-    assert g.nodes[0].fixed and g.nodes[0].kind is NodeKind.UTM_ORIGIN
+    assert g.nodes[0] == Node(0, Pose2(0.0, 0.0, 0.0), True)
     assert [n.id for n in g.nodes[1:]] == [1, 2, 3]
     assert [n.id for n in g.nodes[::-2]] == [3, 1]
     assert [n.id for n in g.nodes] == [0, 1, 2, 3]

@@ -1,5 +1,6 @@
 """Trajectory quality metrics and their literal transcription oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,21 @@ def test_compute_metrics_builds_the_offsets_once(monkeypatch):
         compute_metrics([])
     with pytest.raises(NeedTwoPosesError):
         compute_metrics(poses[:1])
+
+
+def test_compute_metrics_keeps_the_offsets_it_reduced():
+    """offsets holds each row's timestamp and estimate-minus-truth
+    offset bit for bit, and shows in neither repr nor ==."""
+    poses = _poses(_random_pairs(np.random.default_rng(31), 40))
+    report = compute_metrics(poses)
+    want = np.array([[t, ex - tx, ey - ty] for t, ex, ey, tx, ty in poses])
+    assert report.offsets.shape == (40, 3)
+    assert np.array_equal(report.offsets.view(np.int64),
+                          want.view(np.int64))
+    bare = dataclasses.replace(report, offsets=None)
+    assert repr(bare) == repr(report)
+    assert bare == report and compute_metrics(poses) == report
+    assert "offsets" not in repr(report)
 
 
 def test_degenerate_inputs_raise():

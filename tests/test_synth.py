@@ -9,7 +9,7 @@ import pytest
 
 import se2fusion
 from se2fusion import synth
-from helpers import literal_precision
+from helpers import literal_precision, twin_injected_indices
 from se2fusion.gnss import reject_outliers
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic, injected_outlier_indices
@@ -70,6 +70,25 @@ def test_outliers_spare_the_first_two_fixes():
     for k in idx:
         d = dirty.gnss[k].position - clean.gnss[k].position
         assert np.hypot(d[0], d[1]) == pytest.approx(50.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", list(TrajectoryProfile))
+def test_injected_indices_equal_the_twin_drive_oracle(profile):
+    """The kept jump mask names the fixes where the drive differs from
+    the same drive without outliers, on every profile, seeds 0-5 and
+    four outlier settings."""
+    for rate, magnitude in ((0.0, 0.0), (0.1, 50.0), (0.2, 10.0),
+                            (0.05, 1e-3)):
+        g = GnssErrorModel(bias=(0.3, 0.2), ar1_rho=0.95, ar1_sigma=0.6,
+                           outlier_rate=rate, outlier_magnitude=magnitude)
+        o = OdoErrorModel(drift_fraction=0.011)
+        for seed in range(6):
+            got = injected_outlier_indices(seed, profile, g, o,
+                                           duration=120.0)
+            assert got == twin_injected_indices(seed, profile, g,
+                                                odo_error=o,
+                                                duration=120.0)
+            assert bool(got) is (rate > 0.0)
 
 
 def test_screening_flags_exactly_the_injected_fixes():
