@@ -11,10 +11,11 @@ Three ways to wire the same information into a graph:
 
 All three share the odometry chain between consecutive vehicle nodes and
 are initialized by dead reckoning from the first fix, so odometry-edge
-residuals start at exactly zero.  No node stores its role: the vehicle
-nodes are the chain's, which is how the track is read back.  build() adds whole blocks to the graph
-(vehicle nodes, odometry edges, GNSS nodes and edges), so the number of
-graph calls it makes does not depend on the length of the drive.
+residuals start at rounding level.  No node stores its role: the vehicle
+nodes are the chain's, which is how the track is read back.  build()
+adds whole blocks to the graph (vehicle nodes, odometry edges, GNSS
+nodes and edges), so the number of graph calls it makes does not depend
+on the length of the drive.
 
 The G2 identity edges weight heading as well as position.  With a free
 heading the auxiliary nodes could rotate to wherever their absolute edge
@@ -34,7 +35,8 @@ from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import EDGE_KINDS, EdgeKind, PoseGraph
 from .odometry import OdometryStream, arc_information, integrate_windows
-from .se2 import Pose2, poses_from_rows, wrap_angle, wrap_angles
+from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angle, \
+    wrap_angles
 
 
 class Strategy(enum.Enum):
@@ -72,22 +74,20 @@ def _accepted(readings):
 
 def _dead_reckon(readings, stream: OdometryStream, times):
     """Odometry deltas (k, 3) and arc lengths between consecutive times,
-    and the (x, y, theta) poses chained through them from the first
-    accepted reading, as `compose` chains them."""
+    and the (k + 1, 3) poses chained through them from the first
+    accepted reading as one prefix product, headings left unwrapped."""
     times = np.asarray(times, dtype=float)
     dx, dy, heading, arcs = integrate_windows(stream, times[:-1], times[1:])
     deltas = np.stack((dx, dy, wrap_angles(heading)), axis=1)
-    # the first pose heads along the bearing to the second fix
-    (x, y), (x1, y1) = readings[0].position.tolist(), \
-        readings[1].position.tolist()
-    theta = wrap_angle(math.atan2(y1 - y, x1 - x))
-    poses = [(x, y, theta)]
-    for ddx, ddy, dtheta in deltas.tolist():
-        c = math.cos(theta)
-        s = math.sin(theta)
-        x, y, theta = (x + c * ddx - s * ddy, y + s * ddx + c * ddy,
-                       wrap_angle(theta + dtheta))
-        poses.append((x, y, theta))
+    # the first pose heads along the bearing to the second fix; then
+    # cumulative headings, and cumulative steps rotated by them
+    (x, y), (x1, y1) = readings[0].position, readings[1].position
+    theta = np.cumsum(np.append(wrap_angle(math.atan2(y1 - y, x1 - x)),
+                                deltas[:, 2]))
+    c, s = np.cos(theta[:-1]), np.sin(theta[:-1])
+    poses = np.stack((np.cumsum(np.append(x, c * dx - s * dy)),
+                      np.cumsum(np.append(y, s * dx + c * dy)), theta),
+                     axis=1)
     return deltas, arcs, poses
 
 
@@ -165,9 +165,8 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
 
     Each odometry sample between consecutive accepted fixes gets the
     optimized earlier node composed with the odometry integrated up to
-    the sample, read from the stream's running integrals for every
-    sample of every fix gap in one pass (equal to `integrate_windows`
-    from the fix to the sample, up to rounding).  Node poses appear
+    the sample: one `integrate_windows` call over every sample of every
+    fix gap, which prices each fix time once.  Node poses appear
     unchanged at the fix times.  Returns (timestamps, poses), the poses
     built in bulk by `poses_from_rows`, one per timestamp.  Assumes the
     graph was built per GNSS fix, so vehicle nodes pair up with accepted
@@ -184,12 +183,8 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     sample_t = t[(t > fix_t[0]) & (t < fix_t[-1]) & ~np.isin(t, fix_t)]
     gap = np.searchsorted(fix_t, sample_t) - 1
     dx, dy, heading, _ = integrate_windows(odo, fix_t[gap], sample_t)
-    node = nodes[gap]
-    c = np.cos(node[:, 2])
-    s = np.sin(node[:, 2])
-    placed = np.stack((node[:, 0] + c * dx - s * dy,
-                       node[:, 1] + s * dx + c * dy,
-                       node[:, 2] + wrap_angles(heading)), axis=1)
+    placed = np.stack(_compose_cols(*nodes[gap].T, dx, dy,
+                                    wrap_angles(heading)), axis=1)
     # node poses and placed samples merged in time order
     times = np.concatenate((fix_t, sample_t))
     order = np.argsort(times, kind="stable")

@@ -155,19 +155,23 @@ def _numbers(path, rows, names):
 
 
 def _load_gnss(path):
+    """The readings in the first fix's frame, and that fix's position."""
     header, rows = _read_rows(path, GNSS_GEO_HEADER, GNSS_UTM_HEADER)
     # both schemas: t, two coordinates, ..., epx, epy, epv
     values = _numbers(path, [(row[:3] + row[-3:], n) for row, n in rows],
                       header[:3] + header[-3:])
     readings = []
     zones = set()
+    origin = None
     for (row, n), (t, a, b, epx, epy, epv) in zip(rows, values.tolist()):
         try:
             if header == GNSS_GEO_HEADER:
                 a, b, zone = latlon_to_utm(a, b)
             else:
                 zone = row[3].strip()
-            readings.append(GnssReading(t, (a, b), epx, epy, epv))
+            origin = origin or (a, b)
+            readings.append(GnssReading(t, (a - origin[0], b - origin[1]),
+                                        epx, epy, epv))
         except ValueError as exc:
             raise ParseError(f"{path}:{n}: {exc}") from exc
         zones.add(zone)
@@ -176,7 +180,7 @@ def _load_gnss(path):
             f"{path}: readings span UTM zones {sorted(zones)}")
     _check_increasing(path, [r.timestamp for r in readings],
                       [lineno for _, lineno in rows])
-    return readings
+    return readings, origin
 
 
 # numpy's parser skips these around a number as whitespace, float()
@@ -224,15 +228,12 @@ def load_dataset(gnss_path, odo_path, truth_path=None,
     The first GNSS fix defines the frame origin, subtracted from all
     absolute coordinates (fixes and truth alike).
     """
-    readings = _load_gnss(gnss_path)
+    readings, origin = _load_gnss(gnss_path)
     if not readings:
         raise ParseError(f"{gnss_path}: no GNSS readings")
     odo = _load_numeric(odo_path, ODO_HEADER)
     if odo.shape[0] == 0:
         raise ParseError(f"{odo_path}: no odometry samples")
-    origin = (float(readings[0].position[0]), float(readings[0].position[1]))
-    for r in readings:
-        r.position = r.position - np.asarray(origin)
     stream = OdometryStream(odo[:, 0], odo[:, 1], odo[:, 2])
     truth = None
     if truth_path is not None:

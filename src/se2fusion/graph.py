@@ -5,8 +5,7 @@ Nodes are `poses` (n, 3) and the `fixed` mask; edges are `from_ids`/
 `to_ids`, `measurements` (m, 3), `information` (m, 3, 3) and
 `edge_kinds`, codes into EDGE_KINDS.  A node carries no role, as a g2o
 VERTEX_SE2 carries none: its role follows from its edges, so save()
-writes every column, and load(save(g)) equals g when each information
-matrix is exactly symmetric, as build() makes them.  Each column is a
+writes every column, and load(save(g)) equals g.  Each column is a
 writable view of the live rows, taken after building, since an add may
 move the storage.  add_nodes() and add_edges() are the only way in: they
 validate, copy and append whole blocks, wrapping headings.  `nodes` and
@@ -148,8 +147,8 @@ class PoseGraph:
 
         Endpoints must be existing, distinct nodes; measurements must be
         finite; each information matrix must be 3x3, finite, symmetric to
-        1e-9 and have a non-negative diagonal.  Nothing is added when any
-        edge of the block fails.
+        1e-9 and have a non-negative diagonal; it is stored as (Omega +
+        Omega') / 2.  Nothing is added when any edge of the block fails.
         """
         i = np.asarray(from_ids, dtype=np.intp)
         j = np.asarray(to_ids, dtype=np.intp)
@@ -179,6 +178,8 @@ class PoseGraph:
         if (np.diagonal(info, axis1=1, axis2=2) < 0.0).any():
             raise BadInformationError("negative diagonal information entry")
         z[:, 2] = wrap_angles(z[:, 2])
+        # save() writes the upper triangle: store what reloads
+        info = 0.5 * (info + info.transpose(0, 2, 1))
         return self._edges.append(m, from_ids=i, to_ids=j, measurements=z,
                                   information=info,
                                   edge_kinds=EDGE_KINDS.index(kind))

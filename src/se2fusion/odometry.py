@@ -195,7 +195,8 @@ class WindowEnds:
 def integrate_windows(stream: OdometryStream, t_start, t_end):
     """(dx, dy, heading_change, arc_length) arrays of the windows
     [t_start[k], t_end[k]], each as the integration rule above gives it
-    on its own knots; `arc_information` weighs them.
+    on its own knots; `arc_information` weighs them.  Each distinct time
+    among the starts and ends is priced once, as one `WindowEnds`.
 
     Raises as `OdometryStream.check_windows` for the first window that
     is empty or not covered.
@@ -203,8 +204,8 @@ def integrate_windows(stream: OdometryStream, t_start, t_end):
     a = np.atleast_1d(np.asarray(t_start, dtype=float))
     b = np.atleast_1d(np.asarray(t_end, dtype=float))
     stream.check_windows(a, b)
-    k = np.arange(a.size)
-    return WindowEnds(stream, np.concatenate((a, b))).windows(k, k + a.size)
+    times, k = np.unique(np.concatenate((a, b)), return_inverse=True)
+    return WindowEnds(stream, times).windows(k[:a.size], k[a.size:])
 
 
 def arc_information(arc) -> np.ndarray:

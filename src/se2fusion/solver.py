@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph, _fmt
@@ -230,6 +229,8 @@ class _PackedGraph:
 def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure."""
+    # the package's only scipy use, loaded by the first solve
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
     # zero diagonal entries get unit damping, otherwise lambda*diag would
     # leave an exactly singular row singular
     damp = np.where(H[-1] > 0.0, H[-1], 1.0)

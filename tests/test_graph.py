@@ -171,8 +171,15 @@ def test_total_error_nonnegative():
 
 
 def test_save_load_roundtrip(tmp_path):
+    """load(save(g)) equals g in every column, also for an information
+    matrix that is asymmetric inside add_edges' 1e-9 tolerance: it is
+    stored as its symmetric part, which is what save() writes."""
     rng = np.random.default_rng(23)
     g, _ = random_chain_graph(rng, 9, n_absolute=3)
+    info = np.diag([4.0, 3.0, 2.0])
+    info[0, 1] = 1e-12
+    g.add_edges([1], [2], [(1.0, 0.5, 0.25)], [info], EdgeKind.GNSS_ABSOLUTE)
+    assert g.information[-1, 0, 1] == g.information[-1, 1, 0] == 5e-13
     path = tmp_path / "graph.txt"
     save(g, path)
     h = load(path)
@@ -184,6 +191,11 @@ def test_save_load_roundtrip(tmp_path):
         assert a.kind is b.kind
         assert (a.from_id, a.to_id) == (b.from_id, b.to_id)
         assert np.array_equal(a.information, b.information)
+    for table, again in ((g._nodes, h._nodes), (g._edges, h._edges)):
+        assert again.size == table.size
+        for name in table._buf:
+            a, b = table.rows(name), again.rows(name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_save_format_is_line_oriented_text(tmp_path):

@@ -306,18 +306,34 @@ def test_datasets_match_the_scipy_generator_bit_for_bit(monkeypatch):
     assert arrays() == ours
 
 
-def test_import_loads_no_scipy_signal_or_integrate():
-    """A fresh import loads neither scipy.signal and scipy.integrate nor
-    any scipy.sparse module."""
+def test_import_loads_no_scipy_signal_or_integrate(tmp_path):
+    """A fresh import loads none of scipy.signal, scipy.integrate,
+    scipy.sparse and scipy.linalg.  `synth` and `graph-dump` leave them
+    unloaded too; `run` solves, so it loads scipy.linalg."""
     src = os.path.dirname(os.path.dirname(se2fusion.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, se2fusion; print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.signal', 'scipy.integrate', "
-         "'scipy.sparse'))))"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+    script = f"""
+import contextlib, io, sys
+import se2fusion
+from se2fusion.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith((
+        'scipy.signal', 'scipy.integrate', 'scipy.sparse', 'scipy.linalg')))
+
+drive = ['--synth', 'straight', '--duration', '20']
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['synth', *drive, '--out', {str(tmp_path)!r}])
+    main(['graph-dump', *drive, '--out', {str(tmp_path / "g.txt")!r}])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['run', *drive])
+print('scipy.linalg' in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", "True", ""]
