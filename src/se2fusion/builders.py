@@ -34,7 +34,8 @@ import numpy as np
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import EDGE_KINDS, EdgeKind, PoseGraph
-from .odometry import OdometryStream, arc_information, integrate_windows
+from .odometry import OdometryStream, _checked_windows, \
+    arc_information, integrate_windows
 from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angle, \
     wrap_angles
 
@@ -165,8 +166,8 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
 
     Each odometry sample between consecutive accepted fixes gets the
     optimized earlier node composed with the odometry integrated up to
-    the sample: one `integrate_windows` call over every sample of every
-    fix gap, which prices each fix time once.  Node poses appear
+    the sample: one window integration over every sample of every fix
+    gap, which prices each fix time once.  Node poses appear
     unchanged at the fix times.  Returns (timestamps, poses), the poses
     built in bulk by `poses_from_rows`, one per timestamp.  Assumes the
     graph was built per GNSS fix, so vehicle nodes pair up with accepted
@@ -177,12 +178,14 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     if len(nodes) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
     fix_t = np.array([r.timestamp for r in readings], dtype=float)
+    # the gaps are checked, not the windows inside them: a gap with no
+    # sample inside has no window, and every window lies in its gap
     odo.check_windows(fix_t[:-1], fix_t[1:])
     # every raw sample strictly inside a fix gap, and the gap it lies in
     t = odo.timestamps
     sample_t = t[(t > fix_t[0]) & (t < fix_t[-1]) & ~np.isin(t, fix_t)]
     gap = np.searchsorted(fix_t, sample_t) - 1
-    dx, dy, heading, _ = integrate_windows(odo, fix_t[gap], sample_t)
+    dx, dy, heading, _ = _checked_windows(odo, fix_t[gap], sample_t)
     placed = np.stack(_compose_cols(*nodes[gap].T, dx, dy,
                                     wrap_angles(heading)), axis=1)
     # node poses and placed samples merged in time order

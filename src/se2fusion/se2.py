@@ -174,10 +174,11 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
 # ---------------------------------------------------------------------------
 # Batched kernels: the formulas above over whole arrays, one row per pose or
 # edge, so a graph linearizes in a fixed number of numpy passes.  Poses are
-# (n, 3) arrays of (x, y, theta).  Residuals and retractions mirror their
-# scalar counterparts step for step, heading wraps and SMALL_ANGLE switch
-# included; the Jacobians are closed forms over the same group products.
-# The scalar functions stay the reference the batched ones are tested against.
+# (n, 3) arrays of (x, y, theta).  Retractions mirror their scalar
+# counterparts step for step; residuals take the scalar heading wraps and
+# SMALL_ANGLE switch, with translations formed straight from the columns;
+# the Jacobians are closed forms over the same group products.  The
+# scalar functions stay the reference the batched ones are tested against.
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle onto (-pi, pi]."""
@@ -216,12 +217,6 @@ def _compose_cols(ax, ay, at, bx, by, bt):
     return ax + c * bx - s * by, ay + s * bx + c * by, wrap_angles(at + bt)
 
 
-def _inverse_cols(ax, ay, at):
-    c = np.cos(at)
-    s = np.sin(at)
-    return -(c * ax + s * ay), s * ax - c * ay, wrap_angles(-at)
-
-
 def _small_or(t: np.ndarray, taylor, direct) -> np.ndarray:
     # taylor(t) below SMALL_ANGLE, direct(t) elsewhere; direct never sees
     # the small arguments, so 0/0 cannot occur
@@ -256,14 +251,6 @@ def _sin_ratio_b_taylor(t):
     return 0.5 * t * (1.0 - t * t / 12.0)
 
 
-def _residual_group(xi: np.ndarray, xj: np.ndarray, z: np.ndarray):
-    # d = inverse(xi) * xj and e = inverse(z) * d, as column triples
-    d = _compose_cols(*_inverse_cols(xi[:, 0], xi[:, 1], xi[:, 2]),
-                      xj[:, 0], xj[:, 1], xj[:, 2])
-    e = _compose_cols(*_inverse_cols(z[:, 0], z[:, 1], z[:, 2]), *d)
-    return d, e
-
-
 def _log_cols(ex, ey, et, f):
     h = 0.5 * et
     return np.stack((f * ex + h * ey, -h * ex + f * ey, et), axis=1)
@@ -284,27 +271,70 @@ def _frames(c, s, tx, ty) -> np.ndarray:
     return F
 
 
-def batch_edge_linearization(xi: np.ndarray, xj: np.ndarray, z: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals (m, 3) and both Jacobian stacks (m, 3, 3) in one pass.
+def inverse_columns(z: np.ndarray):
+    """inverse(z) of every row of a (m, 3) array, as the columns
+    batch_edge_residuals reads: x, y, heading, and the heading's cosine
+    and sine.  A caller that evaluates one edge set many times inverts
+    its measurements once."""
+    c, s = np.cos(z[:, 2]), np.sin(z[:, 2])
+    t = wrap_angles(-z[:, 2])
+    return (-(c * z[:, 0] + s * z[:, 1]), s * z[:, 0] - c * z[:, 1], t,
+            np.cos(t), np.sin(t))
 
-    Row k equals edge_residual and edge_jacobians of edge k.  Jj is the
-    log-map Jacobian times the residual's rotation, a planar frame, and
-    Ji = -Jj Ad(inverse(d)) with d = inverse(xi) xj (Sola et al., "A
-    micro Lie theory for state estimation in robotics", 2018).
+
+def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
+    """Residuals (m, 3) of m edges, and the kernel columns their Jacobians
+    reuse.
+
+    Row k equals edge_residual of edge k; zinv is inverse_columns of the
+    measurements.  d = inverse(xi) xj and e = inverse(z) d are formed
+    straight from the columns.  The headings take the scalar products'
+    wraps, so a residual heading at +-pi lands on edge_residual's side
+    of the cut.  Returns (r, state) with state = (dx, dy, dt, ex, ey,
+    et, f), the columns of d and e and the log map's f(et).
     """
-    (dx, dy, dt), (ex, ey, et) = _residual_group(xi, xj, z)
+    ix, iy, it, ic, is_ = zinv
+    c, s = np.cos(xi[:, 2]), np.sin(xi[:, 2])
+    w = xj - xi
+    wx, wy = w[:, 0], w[:, 1]
+    dx = c * wx + s * wy
+    dy = c * wy - s * wx
+    dt = wrap_angles(wrap_angles(-xi[:, 2]) + xj[:, 2])
+    ex = ix + ic * dx - is_ * dy
+    ey = iy + is_ * dx + ic * dy
+    et = wrap_angles(it + dt)
     f = _small_or(et, _half_cot_taylor, _half_cot_direct)
+    return _log_cols(ex, ey, et, f), (dx, dy, dt, ex, ey, et, f)
+
+
+def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Jj and A = Ad(inverse(d)), both (m, 3, 3), from the state of
+    batch_edge_residuals.
+
+    Jj is the log-map Jacobian times the residual's rotation, a planar
+    frame, and Ji = -Jj A (Sola et al., "A micro Lie theory for state
+    estimation in robotics", 2018), so a caller that wants Ji's products
+    can form them from Jj's.
+    """
     fp = _small_or(et, _half_cot_prime_taylor, _half_cot_prime_direct)
     c, s, h = np.cos(et), np.sin(et), 0.5 * et
-    p, q = f * c + h * s, f * s - h * c
-    tx, ty = fp * ex + 0.5 * ey, fp * ey - 0.5 * ex
     cd, sd = np.cos(dt), np.sin(dt)
-    # Ad(inverse(d)) moves the translation (ax, ay) into the frame
-    ax, ay = sd * dx - cd * dy, sd * dy + cd * dx
-    Ji = -_frames(p * cd + q * sd, q * cd - p * sd,
-                  p * ax - q * ay + tx, q * ax + p * ay + ty)
-    return _log_cols(ex, ey, et, f), Ji, _frames(p, q, tx, ty)
+    # Ad(inverse(d)) moves the translation (sd dx - cd dy, sd dy + cd dx)
+    # into the frame
+    return (_frames(f * c + h * s, f * s - h * c,
+                    fp * ex + 0.5 * ey, fp * ey - 0.5 * ex),
+            _frames(cd, -sd, sd * dx - cd * dy, sd * dy + cd * dx))
+
+
+def batch_edge_linearization(xi: np.ndarray, xj: np.ndarray, z: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals (m, 3) and both Jacobian stacks (m, 3, 3): row k equals
+    edge_residual and edge_jacobians of edge k.  The two passes above,
+    composed, with Ji = -Jj A."""
+    r, state = batch_edge_residuals(xi, xj, inverse_columns(z))
+    Jj, A = batch_edge_jacobians(*state)
+    return r, -(Jj @ A), Jj
 
 
 def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -1,32 +1,42 @@
 """Sparse nonlinear least-squares over pose graphs.
 
 Minimizes the weighted squared residual sum over all non-fixed nodes with
-Powell's dogleg.  Each pose set is evaluated once: one pass of the
-batched se2 linearization kernel gives its chi-square and its normal
-equations together.  The initial poses are evaluated, then each
+Powell's dogleg.  A pose set is evaluated in two passes of the batched
+se2 kernel.  The residual pass gives its chi-square and the kernel
+columns the Jacobians reuse; the system pass builds the normal
+equations from those.  The initial poses take both passes.  Then each
 iteration proposes a step for the current trust radius from the system
-it holds, evaluates the trial, tests its gain ratio, and accepts it or
-halves the radius and proposes again.  An accepted trial's system is
-the next iteration's, so nothing is evaluated twice.  optimize() views
-the graph's node and edge arrays in place; an accepted trial writes its
-free rows into the graph's pose array, so fixed poses are never touched
-and the graph always holds the last accepted iterate.
+it holds, runs the residual pass on the trial, tests its gain ratio,
+and accepts it or halves the radius and proposes again.  A rejected
+trial pays for its chi-square only, which is all the gain ratio needs.
+An accepted trial's system pass gives the next iteration's system, so
+no pass runs twice on one pose set.  optimize() views the graph's node
+and edge arrays in place; an accepted trial writes its free rows into
+the graph's pose array, so fixed poses are never touched and the graph
+always holds the last accepted iterate.
+
+The system pass builds each edge's blocks in adjoint form.  Ji = -Jj A
+with A = Ad(inverse(d)) and d = inverse(xi) xj, so Hjj = Jj'Omega Jj
+gives Hij = -A'Hjj and Hii = A'Hjj A, and g_j = Jj'Omega e gives
+g_i = -A'g_j.  No Ji is formed, and Omega is the edge's full 3x3
+information matrix.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
 free node, each node's neighbours in ascending degree.  On the chains
 that builders.build() makes this gives a half-bandwidth of 5 (G1, G3)
 or 8 (G2, where each GNSS node lands next to its vehicle node).  Each
-evaluation scatters the upper blocks of H straight into LAPACK's
-upper band storage, and the step is solved by a banded Cholesky
-factorization.  It is exact at any bandwidth u and costs O(n u^2), so a
-graph with loop closures solves too, only more slowly.  A solve whose
-factorization finds the matrix not positive definite, whose input is
-not finite, or whose solution is not finite or leaves a residual above
-1e-6 (|b| + 1), is retried with lambda*diag added to the diagonal, for
-lambda from 1e-9 to 1e-3, before SingularSystemError is raised.
-Products with H are numpy band products, not BLAS calls, so a solve
-gives the same bits whatever the BLAS thread count.
+system pass scatters the upper blocks of H straight into LAPACK's upper
+band storage, and the step is solved by banded Cholesky, LAPACK's
+dpbtrf and dpbtrs called directly.  It is exact at any bandwidth u and
+costs O(n u^2), so a graph with loop closures solves too, only more
+slowly.  A matrix that is not finite is refused outright.  A solve
+whose factorization finds the matrix not positive definite, or whose
+solution is not finite or leaves a residual above 1e-6 (|b| + 1), is
+retried with lambda*diag added to the diagonal, for lambda from 1e-9 to
+1e-3, before SingularSystemError is raised.  Products with H are numpy
+band products, not BLAS calls, so a solve gives the same bits whatever
+the BLAS thread count.
 
 Updates are applied on the right, pose <- compose(pose, exp_map(delta)),
 matching the Jacobians produced by the se2 module.
@@ -42,7 +52,8 @@ import numpy as np
 
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph, _fmt
-from .se2 import batch_edge_linearization, batch_retract
+from .se2 import batch_edge_jacobians, batch_edge_residuals, \
+    batch_retract, inverse_columns
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -58,7 +69,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     BLAS splits long dot products across its threads, so their rounding
     would depend on the thread count; this reduction does not.
     """
-    return float(np.sum(a * b))
+    return float((a * b).sum())
 
 
 def _norm(a: np.ndarray) -> float:
@@ -148,7 +159,7 @@ class _PackedGraph:
     the graph's own.  `free` lists the free node ids in chain
     (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
     reduced system.  The map from each block entry to its slot in the
-    (u + 1, n) upper band is built once, so evaluate() only fills
+    (u + 1, n) upper band is built once, so system() only fills
     values.
     """
 
@@ -157,6 +168,7 @@ class _PackedGraph:
         self.i = graph.from_ids
         self.j = graph.to_ids
         self.z = graph.measurements
+        self.zinv = inverse_columns(self.z)
         self.omega = graph.information
         free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * free.size
@@ -176,7 +188,7 @@ class _PackedGraph:
         # farthest pair of free nodes that share an edge
         u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
 
-        # three 3x3 blocks per edge, in the order evaluate() stacks them:
+        # three 3x3 blocks per edge, in the order system() fills them:
         # (i, i), (j, j), (i, j).  Each entry goes to its upper-triangle
         # slot, band[u + r - c, c] for r <= c; the lower half of a diagonal
         # block and any block on a fixed node are dropped.
@@ -196,33 +208,55 @@ class _PackedGraph:
             [np.where(o[:, None] >= 0, o[:, None] + offsets, n).ravel()
              for o in (io, jo)])
 
-    def evaluate(self, poses: np.ndarray):
-        """Total error and normal equations at `poses`, from one kernel pass.
+    def residual(self, poses: np.ndarray):
+        """Total error at `poses`, and the state system() builds its
+        normal equations from.
 
-        Returns (chi2, H, b): chi2 is the sum of e' Omega e over all
-        edges, H the (u + 1, n) upper band and b = -sum J'Omega e, both
-        in chain order.
+        Returns (chi2, state): chi2 is the sum of e' Omega e over all
+        edges, and state holds the kernel columns and Omega e.
         """
-        e, Ji, Jj = batch_edge_linearization(poses[self.i], poses[self.j],
-                                             self.z)
+        # np.take gathers rows faster than fancy indexing, same values
+        e, kernel = batch_edge_residuals(np.take(poses, self.i, axis=0),
+                                         np.take(poses, self.j, axis=0),
+                                         self.zinv)
         oe = (self.omega @ e[:, :, None])[:, :, 0]
-        JiT = Ji.transpose(0, 2, 1)
+        return _dot(e, oe), (kernel, oe)
+
+    def system(self, state):
+        """Normal equations (H, b) from residual()'s state: H the
+        (u + 1, n) upper band and b = -sum J'Omega e, both in chain order,
+        with each edge's blocks in adjoint form."""
+        kernel, oe = state
+        Jj, A = batch_edge_jacobians(*kernel)
         JjT = Jj.transpose(0, 2, 1)
-        oj = self.omega @ Jj
-        blocks = np.stack((JiT @ (self.omega @ Ji), JjT @ oj, JiT @ oj))
+        AT = A.transpose(0, 2, 1)
+        # filled in the order of h_slot: (i, i), (j, j), (i, j)
+        blocks = np.empty((3,) + Jj.shape)
+        hii, hjj, hij = blocks
+        np.matmul(JjT, self.omega @ Jj, out=hjj)
+        np.matmul(AT, hjj, out=hij)
+        np.matmul(hij, A, out=hii)
+        np.negative(hij, out=hij)
         H = np.bincount(self.h_slot, weights=blocks.ravel(),
                         minlength=self.h_size + 1)[:-1]
-        grad = np.concatenate(((JiT @ oe[:, :, None]).ravel(),
-                               (JjT @ oe[:, :, None]).ravel()))
-        b = -np.bincount(self.b_slot, weights=grad,
-                         minlength=self.n + 1)[:-1]
-        return _dot(e, oe), H.reshape(self.u + 1, self.n), b
+        gj = JjT @ oe[:, :, None]
+        # -g_i and -g_j, so the scatter is b itself
+        grad = np.concatenate(((AT @ gj).ravel(), -gj.ravel()))
+        b = np.bincount(self.b_slot, weights=grad,
+                        minlength=self.n + 1)[:-1]
+        return H.reshape(self.u + 1, self.n), b
+
+    def evaluate(self, poses: np.ndarray):
+        """(chi2, H, b) at `poses`: residual() and system() composed."""
+        chi, state = self.residual(poses)
+        return (chi,) + self.system(state)
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is
         in chain order."""
         out = poses.copy()
-        out[self.free] = batch_retract(poses[self.free], delta.reshape(-1, 3))
+        out[self.free] = batch_retract(np.take(poses, self.free, axis=0),
+                                       delta.reshape(-1, 3))
         return out
 
 
@@ -230,24 +264,26 @@ def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure."""
     # the package's only scipy use, loaded by the first solve
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
     # zero diagonal entries get unit damping, otherwise lambda*diag would
     # leave an exactly singular row singular
     damp = np.where(H[-1] > 0.0, H[-1], 1.0)
     bnorm = _norm(b)
-    for lam in (0.0,) + _LAMBDA_LADDER:
+    # LAPACK does not refuse a matrix that is not finite, so it is
+    # refused here, before any rung
+    ladder = (0.0,) + _LAMBDA_LADDER if np.isfinite(H).all() else ()
+    for lam in ladder:
         M = H
         if lam > 0.0:
             # the diagonal is the band's last row
             M = H.copy()
             M[-1] += lam * damp
-        try:
-            factor = cholesky_banded(M, lower=False)
-        except (LinAlgError, ValueError):
-            # not positive definite, or not finite
+        factor, info = dpbtrf(M)
+        if info != 0:
+            # not positive definite
             continue
-        x = cho_solve_banded((factor, False), b, check_finite=False)
-        if not np.all(np.isfinite(x)):
+        x, info = dpbtrs(factor, b)
+        if info != 0 or not np.isfinite(x).all():
             continue
         resid = _norm(_band_mul(M, x) - b)
         if resid <= 1e-6 * (bnorm + 1.0):
@@ -308,10 +344,11 @@ def optimize(graph: PoseGraph, config: SolverConfig | None = None,
 
 def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     # the iteration of optimize(); each outcome returns where it is decided
-    chi, H, b = packed.evaluate(packed.poses)
+    chi, state = packed.residual(packed.poses)
     initial = chi
     if packed.n == 0:
         return SolveReport(0, initial, initial, Termination.STEP_TOL)
+    H, b = packed.system(state)
     radius = _TRUST_RADIUS_INIT
 
     def emit(it: int, chi_now: float, step: float) -> None:
@@ -329,7 +366,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                         else Termination.STEP_TOL)
                 return SolveReport(it, initial, chi, done)
             trial = packed.retract(packed.poses, delta)
-            trial_chi, trial_H, trial_b = packed.evaluate(trial)
+            trial_chi, trial_state = packed.residual(trial)
             # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
             pred = 2.0 * _dot(b, delta) - _dot(delta, _band_mul(H, delta))
             if trial_chi < chi and pred > 0.0:
@@ -352,7 +389,8 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
         if chi - trial_chi <= cfg.rel_error_tol * chi:
             return SolveReport(it, initial, trial_chi, Termination.REL_TOL)
         # the accepted trial's system is the next iteration's
-        chi, H, b = trial_chi, trial_H, trial_b
+        chi = trial_chi
+        H, b = packed.system(trial_state)
 
     return SolveReport(max(cfg.max_iterations, 0), initial, chi,
                        Termination.MAX_ITER)

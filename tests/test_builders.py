@@ -8,7 +8,8 @@ import pytest
 from helpers import integrate_fine, total_error, window_pose
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, \
     _vehicle_poses, build, full_rate_trajectory, vehicle_trajectory
-from se2fusion.errors import TooFewReadingsError
+from se2fusion.errors import InsufficientCoverageError, \
+    TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
 from se2fusion.graph import EdgeKind, PoseGraph, load, save
 from se2fusion.odometry import OdometryStream
@@ -358,6 +359,20 @@ def test_full_rate_trajectory_wants_matching_graph():
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
     with pytest.raises(ValueError):
         full_rate_trajectory(graph, readings[:3], stream)
+
+
+@pytest.mark.parametrize("hole", [(1.5, 1.7), (1.0, 2.0), (0.9, 2.1)])
+def test_full_rate_trajectory_refuses_an_uncovered_fix_gap(hole):
+    """Odometry missing inside one fix gap is refused, whether samples
+    remain between the hole and the fixes or the gap holds none."""
+    readings, stream = _drive(5)
+    graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
+    t = stream.timestamps
+    keep = (t < hole[0]) | (t > hole[1])
+    gappy = OdometryStream(t[keep], stream.yaw_rates[keep],
+                           stream.velocities[keep])
+    with pytest.raises(InsufficientCoverageError, match="odometry gap"):
+        full_rate_trajectory(graph, readings, gappy)
 
 
 def test_build_work_does_not_grow_with_the_drive(monkeypatch):

@@ -10,8 +10,9 @@ import pytest
 from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
-    batch_edge_linearization, batch_retract, compose, edge_jacobians, \
-    edge_residual, exp_map, inverse, log_map, poses_from_rows, retract, \
+    batch_edge_jacobians, batch_edge_linearization, batch_edge_residuals, \
+    batch_retract, compose, edge_jacobians, edge_residual, exp_map, \
+    inverse, inverse_columns, log_map, poses_from_rows, retract, \
     wrap_angle, wrap_angles
 
 
@@ -344,6 +345,36 @@ def test_batch_edge_linearization_matches_scalar():
                                        atol=1e-12)
             np.testing.assert_allclose(Jj[k], want_j, rtol=1e-12,
                                        atol=1e-12)
+
+
+def test_split_edge_kernel_matches_scalar():
+    """The residual pass gives edge_residual, its headings bit for bit
+    (so a heading at +-pi is on the scalar's side of the cut); the
+    Jacobian pass gives Jj, and A = Ad(inverse(d)) with -Jj A = Ji."""
+    for seed in (18, 19):
+        xi, xj, z = _straddling_edges(np.random.default_rng(seed))
+        r, state = batch_edge_residuals(_rows(xi), _rows(xj),
+                                        inverse_columns(_rows(z)))
+        want = np.array([edge_residual(a, b, c)
+                         for a, b, c in zip(xi, xj, z)])
+        assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
+        assert np.any(np.abs(want[:, 2]) == math.pi)
+        assert np.array_equal(r[:, 2], want[:, 2])
+        np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)
+        Jj, A = batch_edge_jacobians(*state)
+        for k, (a, b, c) in enumerate(zip(xi, xj, z)):
+            want_i, want_j = edge_jacobians(a, b, c)
+            np.testing.assert_allclose(Jj[k], want_j, rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose(-(Jj[k] @ A[k]), want_i, rtol=1e-12,
+                                       atol=1e-12)
+            # the adjoint of inverse(d), whose translation (x, y) enters
+            # as (y, -x)
+            d = inverse(compose(inverse(a), b))
+            cd, sd = math.cos(d.theta), math.sin(d.theta)
+            np.testing.assert_allclose(
+                A[k], [[cd, -sd, d.y], [sd, cd, -d.x], [0.0, 0.0, 1.0]],
+                rtol=1e-12, atol=1e-12)
 
 
 def test_batch_retract_matches_scalar():

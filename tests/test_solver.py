@@ -212,6 +212,28 @@ def test_linear_system_matches_dense_assembly():
     assert np.allclose(b, bd, atol=1e-10)
 
 
+def test_linear_system_matches_dense_assembly_with_full_information():
+    """Every edge carries a random SPD information matrix with non-zero
+    off-diagonal entries, so the adjoint-form blocks and the gradient
+    take the full matrix through the band scatter."""
+    rng = np.random.default_rng(54)
+    base, _ = random_chain_graph(rng, 10, n_absolute=4)
+    g = PoseGraph()
+    for node in base.nodes:
+        add_node(g, node.pose, fixed=node.fixed)
+    for e in base.edges:
+        root = np.tril(rng.uniform(0.3, 2.0, (3, 3)))
+        add_edge(g, Edge(e.from_id, e.to_id, e.measurement,
+                         root @ root.T, e.kind))
+    upper = g.information[:, [0, 0, 1], [1, 2, 2]]
+    assert np.all(upper != 0.0)
+    assert np.all(np.linalg.eigvalsh(g.information) > 0.0)
+    H, b = _linear_system(g)
+    Hd, bd, _, _ = dense_system(g)
+    assert np.allclose(H, Hd, atol=1e-10)
+    assert np.allclose(b, bd, atol=1e-10)
+
+
 def test_linear_model_predicts_small_step_decrease():
     """First-order Taylor check: scale the full step down by 1e-4 and the
     modeled decrease must match the measured one."""
@@ -504,18 +526,18 @@ def test_dogleg_reports_trust_region_collapse():
 def _trace_with_trials(monkeypatch, graph, config):
     """Solve with a trace; return the report and, per trace line, its
     radius and the number of trial steps its iteration evaluated."""
-    evaluate = _PackedGraph.evaluate
+    residual = _PackedGraph.residual
     calls = []
 
     def counted(self, poses):
         calls.append(None)
-        return evaluate(self, poses)
+        return residual(self, poses)
 
-    monkeypatch.setattr(_PackedGraph, "evaluate", counted)
+    monkeypatch.setattr(_PackedGraph, "residual", counted)
     marks = []
     report = optimize(graph, config, trace=lambda line: marks.append(
         (float(line.split()[3]), len(calls))))
-    # the first evaluation is of the initial poses, then one per trial step
+    # the first residual pass is of the initial poses, then one per trial
     counts = np.diff([1] + [n for _, n in marks])
     return report, [k for k, _ in marks], counts.tolist()
 
@@ -540,19 +562,36 @@ def test_trace_radius_follows_the_dogleg_update_rule(monkeypatch):
 
 
 def test_each_pose_set_is_evaluated_once(monkeypatch):
-    """One kernel pass for the initial poses and one per trial, and the
-    system factored at iteration k + 1 is the evaluation of the poses
-    accepted at iteration k, bit for bit."""
+    """The residual pass runs once for the initial poses and once per
+    trial.  The system pass runs once for the initial poses and once per
+    accepted trial, never for a rejected one.  The system factored at
+    iteration k + 1 is a fresh evaluation of the poses accepted at
+    iteration k, bit for bit."""
     g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
     packed = _PackedGraph(clone_graph(g))
-    kernel = solver.batch_edge_linearization
+    residual, system = _PackedGraph.residual, _PackedGraph.system
     retract_trial = _PackedGraph.retract
     dogleg = solver._dogleg_steps
-    kernel_calls, trials, factored, accepted = [], [], [], [g.poses.copy()]
+    kernels = {"batch_edge_residuals": 0, "batch_edge_jacobians": 0}
+    evaluated, built, trials, factored = [], [], [], []
+    accepted = [g.poses.copy()]
 
-    def counted_kernel(*args):
-        kernel_calls.append(None)
-        return kernel(*args)
+    def counted(name):
+        kernel = getattr(solver, name)
+
+        def call(*args):
+            kernels[name] += 1
+            return kernel(*args)
+        return call
+
+    def recorded_residual(self, poses):
+        chi, state = residual(self, poses)
+        evaluated.append((poses.copy(), state))
+        return chi, state
+
+    def recorded_system(self, state):
+        built.append(state)
+        return system(self, state)
 
     def counted_trial(self, poses, delta):
         trials.append(None)
@@ -562,17 +601,31 @@ def test_each_pose_set_is_evaluated_once(monkeypatch):
         factored.append((H.copy(), b.copy()))
         return dogleg(H, b)
 
-    monkeypatch.setattr(solver, "batch_edge_linearization", counted_kernel)
+    for name in kernels:
+        monkeypatch.setattr(solver, name, counted(name))
+    monkeypatch.setattr(_PackedGraph, "residual", recorded_residual)
+    monkeypatch.setattr(_PackedGraph, "system", recorded_system)
     monkeypatch.setattr(_PackedGraph, "retract", counted_trial)
     monkeypatch.setattr(solver, "_dogleg_steps", recorded)
     report = optimize(g, _COLLAPSE,
                       trace=lambda _: accepted.append(g.poses.copy()))
     assert report.termination is Termination.TRUST_REGION_COLLAPSE
-    assert len(trials) > report.iterations
-    assert len(kernel_calls) == 1 + len(trials)
-    # one trace line per iteration; the last one, the collapse, moved
-    # nothing, so its poses are not factored again
-    assert len(factored) == report.iterations == len(accepted) - 1
+    # one trace line per iteration; each but the last, the collapse,
+    # accepted one trial, so the others were rejected
+    rejected = len(trials) - (report.iterations - 1)
+    assert rejected > 0
+    assert kernels["batch_edge_residuals"] == len(evaluated) \
+        == 1 + len(trials)
+    assert kernels["batch_edge_jacobians"] == len(built) \
+        == report.iterations == len(accepted) - 1
+    # each system is built from the residual state of the initial poses
+    # or of an accepted trial, in that order
+    sources = [next(poses for poses, state in evaluated if state is s)
+               for s in built]
+    for poses, want in zip(sources, accepted):
+        assert np.array_equal(poses, want)
+    # the collapse moved nothing, so its poses are not factored again
+    assert len(factored) == report.iterations
     for poses, (H, b) in zip(accepted, factored):
         _, want_H, want_b = packed.evaluate(poses)
         assert np.array_equal(H, want_H) and np.array_equal(b, want_b)
