@@ -34,8 +34,8 @@ import numpy as np
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import EDGE_KINDS, EdgeKind, PoseGraph
-from .odometry import OdometryStream, _checked_windows, \
-    arc_information, integrate_windows
+from .odometry import OdometryStream, WindowEnds, arc_information, \
+    integrate_windows
 from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angle, \
     wrap_angles
 
@@ -93,14 +93,14 @@ def _dead_reckon(readings, stream: OdometryStream, times):
 
 
 def _node_times(readings, stream: OdometryStream, rate: NodeRate):
-    """Vehicle-node timestamps; always includes every reading timestamp."""
-    fix_times = [r.timestamp for r in readings]
+    """Vehicle-node timestamps, sorted: every reading timestamp and, per
+    odometry sample, every raw sample strictly between the first and the
+    last reading.  The one definition of the odometry-rate grid."""
+    fix_times = np.array([r.timestamp for r in readings], dtype=float)
     if rate is NodeRate.PER_GNSS_FIX:
         return fix_times
     t = stream.timestamps
-    inside = t[(t > fix_times[0]) & (t < fix_times[-1])]
-    merged = np.union1d(np.asarray(fix_times), inside)
-    return [float(x) for x in merged]
+    return np.union1d(fix_times, t[(t > fix_times[0]) & (t < fix_times[-1])])
 
 
 def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
@@ -164,12 +164,12 @@ def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:
 def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     """Re-chain odometry between optimized nodes for a dense trajectory.
 
-    Each odometry sample between consecutive accepted fixes gets the
-    optimized earlier node composed with the odometry integrated up to
-    the sample: one window integration over every sample of every fix
-    gap, which prices each fix time once.  Node poses appear
-    unchanged at the fix times.  Returns (timestamps, poses), the poses
-    built in bulk by `poses_from_rows`, one per timestamp.  Assumes the
+    The timestamps are the node grid of NodeRate.PER_ODOMETRY_SAMPLE
+    (`_node_times`).  Each sample on it gets the optimized node of the
+    last fix before it composed with the odometry integrated from that
+    fix, all windows priced by one `WindowEnds` over the grid, and node
+    poses appear unchanged at the fix times.  Returns (timestamps,
+    poses), the poses built in bulk by `poses_from_rows`.  Assumes the
     graph was built per GNSS fix, so vehicle nodes pair up with accepted
     readings one to one.
     """
@@ -181,15 +181,14 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     # the gaps are checked, not the windows inside them: a gap with no
     # sample inside has no window, and every window lies in its gap
     odo.check_windows(fix_t[:-1], fix_t[1:])
-    # every raw sample strictly inside a fix gap, and the gap it lies in
-    t = odo.timestamps
-    sample_t = t[(t > fix_t[0]) & (t < fix_t[-1]) & ~np.isin(t, fix_t)]
-    gap = np.searchsorted(fix_t, sample_t) - 1
-    dx, dy, heading, _ = _checked_windows(odo, fix_t[gap], sample_t)
-    placed = np.stack(_compose_cols(*nodes[gap].T, dx, dy,
-                                    wrap_angles(heading)), axis=1)
-    # node poses and placed samples merged in time order
-    times = np.concatenate((fix_t, sample_t))
-    order = np.argsort(times, kind="stable")
-    every = np.concatenate((nodes, placed))[order]
-    return times[order].tolist(), poses_from_rows(every)
+    times = _node_times(readings, odo, NodeRate.PER_ODOMETRY_SAMPLE)
+    # each grid time's gap (the last fix at or before it) and that fix's
+    # grid index, which for a fix is its own
+    gap = np.searchsorted(fix_t, times, side="right") - 1
+    start = np.searchsorted(times, fix_t)[gap]
+    sample = np.flatnonzero(start != np.arange(times.size))
+    dx, dy, heading, _ = WindowEnds(odo, times).windows(start[sample], sample)
+    poses = nodes[gap]
+    poses[sample] = np.stack(_compose_cols(*poses[sample].T, dx, dy,
+                                           wrap_angles(heading)), axis=1)
+    return times.tolist(), poses_from_rows(poses)

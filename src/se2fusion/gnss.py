@@ -1,18 +1,20 @@
 """GNSS reading model: UTM projection, per-fix information matrices and
 screening of implausible fixes against integrated odometry.
 
-A fix carries receiver-reported 95% accuracy bounds epx/epy (and epv,
-stored but unused in this planar system).  Its information matrix is
-diag((epx/2)^-2, (epy/2)^-2, 0): position rows weighted by the implied
-standard deviation, heading row zero because a position fix says nothing
-about orientation.  gnss_information() stacks them for a set of fixes.
+A fix carries receiver-reported 95% accuracy bounds epx/epy (and a
+finite epv, stored but unused in this planar system).  Its information
+matrix is diag((epx/2)^-2, (epy/2)^-2, 0): position rows weighted by the
+implied standard deviation, heading row zero because a position fix says
+nothing about orientation.  gnss_information() stacks them for a set of
+fixes.
 
-Screening compares each candidate fix against the last accepted one: the
-GNSS displacement must agree with the odometry arc length within 15 m and
-the GNSS bearing change (needing two prior accepted fixes) must agree
-with the integrated yaw within 1.5 degrees.  The odometry of every fix
-is looked up once, so a candidate costs the same however far back the
-last accepted fix lies.
+Screening anchors on the first fix that a covered odometry window can
+start from, then compares each candidate fix against the last accepted
+one: the GNSS displacement must agree with the odometry arc length
+within 15 m and the GNSS bearing change (needing two prior accepted
+fixes) must agree with the integrated yaw within 1.5 degrees.  The
+odometry of every fix is looked up once, so a candidate costs the same
+however far back the last accepted fix lies.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class GnssReading:
             raise ValueError("timestamp must be finite")
         if not (0.0 < self.epx < math.inf and 0.0 < self.epy < math.inf):
             raise ValueError("epx and epy must be positive and finite")
+        if not math.isfinite(self.epv):
+            raise ValueError("epv must be finite")
 
 
 def latlon_to_utm(latitude: float, longitude: float):
@@ -148,9 +152,11 @@ def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
     DISPLACEMENT_TOLERANCE_M) and the bearing-change test (vs integrated
     yaw, HEADING_TOLERANCE_DEG) must pass; both are read at call time.  The
     bearing test needs two prior accepted fixes and legs of at least
-    0.5 m on both sides, otherwise it is skipped.  The first reading is
-    accepted by default.  Fixes whose window the odometry does not cover
-    are rejected and counted separately in the result.
+    0.5 m on both sides, otherwise it is skipped.  The first reading a
+    covered window can start from is accepted as it is, as the anchor.
+    Fixes before it, and fixes whose window from the last accepted fix
+    the odometry does not cover, are rejected and counted separately in
+    the result.
 
     The readings' accepted flags are set in place; the result carries the
     same list plus the rejection rate in percent.
@@ -170,11 +176,11 @@ def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
     rejected = 0
     uncovered = 0
     for k, reading in enumerate(readings):
-        if prev is None:
+        if prev is None and ts[k] < reach[k]:
             reading.accepted = True
             prev = k
             continue
-        if not ts[k] <= reach[prev]:
+        if prev is None or not ts[k] <= reach[prev]:
             reading.accepted = False
             rejected += 1
             uncovered += 1

@@ -204,12 +204,6 @@ def integrate_windows(stream: OdometryStream, t_start, t_end):
     a = np.atleast_1d(np.asarray(t_start, dtype=float))
     b = np.atleast_1d(np.asarray(t_end, dtype=float))
     stream.check_windows(a, b)
-    return _checked_windows(stream, a, b)
-
-
-def _checked_windows(stream: OdometryStream, a: np.ndarray, b: np.ndarray):
-    """integrate_windows of float arrays a and b whose windows the caller
-    has already checked, or that lie inside windows it has checked."""
     times, k = np.unique(np.concatenate((a, b)), return_inverse=True)
     return WindowEnds(stream, times).windows(k[:a.size], k[a.size:])
 

@@ -155,20 +155,19 @@ class _PackedGraph:
     """A view of the graph's arrays, with the band layout of H.
 
     The (n, 3) poses, indexed by node id, and the edge arrays (from/to
-    index vectors, (m, 3) measurements, (m, 3, 3) information stack) are
-    the graph's own.  `free` lists the free node ids in chain
-    (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
-    reduced system.  The map from each block entry to its slot in the
-    (u + 1, n) upper band is built once, so system() only fills
-    values.
+    index vectors, (m, 3, 3) information stack) are the graph's own; the
+    (m, 3) measurements are kept only as their inverses' columns, `zinv`.
+    `free` lists the free node ids in chain (Cuthill-McKee) order, and
+    free[k] owns variables 3k..3k+2 of the reduced system.  The map from
+    each block entry to its slot in the (u + 1, n) upper band is built
+    once, so system() only fills values.
     """
 
     def __init__(self, graph: PoseGraph):
         self.poses = graph.poses
         self.i = graph.from_ids
         self.j = graph.to_ids
-        self.z = graph.measurements
-        self.zinv = inverse_columns(self.z)
+        self.zinv = inverse_columns(graph.measurements)
         self.omega = graph.information
         free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * free.size
@@ -245,11 +244,6 @@ class _PackedGraph:
         b = np.bincount(self.b_slot, weights=grad,
                         minlength=self.n + 1)[:-1]
         return H.reshape(self.u + 1, self.n), b
-
-    def evaluate(self, poses: np.ndarray):
-        """(chi2, H, b) at `poses`: residual() and system() composed."""
-        chi, state = self.residual(poses)
-        return (chi,) + self.system(state)
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is

@@ -98,6 +98,14 @@ def dense_system(graph):
     return H, b, chi, free
 
 
+def packed_evaluate(packed, poses):
+    """(chi2, H, b) of a solver `_PackedGraph` at `poses`: its residual
+    pass, then its system pass on that state (not an oracle: it calls
+    the code under test)."""
+    chi, state = packed.residual(poses)
+    return (chi,) + packed.system(state)
+
+
 def band_to_dense(band):
     """The symmetric matrix whose upper triangle is held in the (u + 1, n)
     band, LAPACK's upper band storage: band[u - k, j] = H[j - k, j]."""
@@ -340,6 +348,14 @@ def knot_screen(readings, stream, heading_tol_deg=1.5,
     uncovered = 0
     for r in readings:
         if prev is None:
+            # the anchor: the first fix whose shortest window is covered
+            try:
+                knot_increments(stream, r.timestamp,
+                                np.nextafter(r.timestamp, np.inf))
+            except InsufficientCoverageError:
+                flags.append(False)
+                uncovered += 1
+                continue
             flags.append(True)
             prev = r
             continue

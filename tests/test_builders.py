@@ -8,6 +8,7 @@ import pytest
 from helpers import integrate_fine, total_error, window_pose
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, \
     _vehicle_poses, build, full_rate_trajectory, vehicle_trajectory
+from se2fusion.dataset import Dataset, ExperimentConfig, run_experiment
 from se2fusion.errors import InsufficientCoverageError, \
     TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
@@ -322,15 +323,22 @@ def test_full_rate_trajectory_interpolates():
             assert out_p[k].y == pytest.approx(0.0, abs=1e-6)
 
 
-def test_full_rate_trajectory_equals_per_sample_preintegration():
-    # curved drive with fixes between odometry samples, two of them
-    # rejected before the graph is built
+def _off_grid_drive():
+    """A curved drive whose fixes fall between odometry samples."""
     t = np.arange(0.0, 12.0, 0.04)
     stream = OdometryStream(t, 0.2 * np.sin(0.5 * t),
                             6.0 + np.cos(0.3 * t))
     fix_t = 0.013 + 0.97 * np.arange(12)
     readings = [GnssReading(float(tk), [6.0 * tk, 0.3 * tk * tk], 2.0, 2.0)
                 for tk in fix_t]
+    return readings, stream
+
+
+def test_full_rate_trajectory_equals_per_sample_preintegration():
+    # curved drive with fixes between odometry samples, two of them
+    # rejected before the graph is built
+    readings, stream = _off_grid_drive()
+    t = stream.timestamps
     for k in (3, 7):
         readings[k].position = readings[k].position + 40.0
         readings[k].accepted = False
@@ -352,6 +360,32 @@ def test_full_rate_trajectory_equals_per_sample_preintegration():
         want = compose(nodes[k], window_pose(stream, kept[k].timestamp, tau))
         assert np.max(np.abs(pose.as_array() - want.as_array())) <= 1e-12
     assert k == len(kept) - 1
+
+
+@pytest.mark.parametrize("on_grid", [True, False])
+def test_full_rate_trajectory_is_on_the_per_sample_node_grid(on_grid):
+    """The re-chain's timestamps are exactly the vehicle-node times of a
+    graph built per odometry sample, whether the fixes fall on odometry
+    samples or between them, and a fix time that is also a sample time
+    appears once."""
+    if on_grid:
+        ds = generate_synthetic(1, TrajectoryProfile.URBAN_LOOP,
+                                duration=40.0)
+    else:
+        ds = Dataset("off-grid", *_off_grid_drive())
+    fix_t = np.array([r.timestamp for r in ds.gnss])
+    samples = ds.odometry.timestamps
+    on_samples = np.isin(fix_t, samples)
+    assert on_samples.all() if on_grid else not on_samples.any()
+    cfg = ExperimentConfig(node_rate=NodeRate.PER_ODOMETRY_SAMPLE,
+                           outlier_rejection=False)
+    per_sample = [tau for tau, _ in run_experiment(ds, cfg)[0]]
+    graph = build(ds.gnss, ds.odometry, BuilderConfig(strategy=Strategy.G1))
+    out_t, _ = full_rate_trajectory(graph, ds.gnss, ds.odometry)
+    assert out_t == per_sample
+    inside = samples[(samples > fix_t[0]) & (samples < fix_t[-1])]
+    assert len(out_t) == len(set(out_t)) == \
+        len(fix_t) + inside.size - np.isin(inside, fix_t).sum()
 
 
 def test_full_rate_trajectory_wants_matching_graph():

@@ -666,6 +666,9 @@ def test_write_dataset_then_load_round_trips_bit_exactly(tmp_path):
     then moves positions into the frame of the first fix, as always."""
     ds = generate_synthetic(8, TrajectoryProfile.HIGHWAY, GnssErrorModel(),
                             OdoErrorModel(), duration=60.0)
+    # any epv a reading takes, so the loader never refuses a written file
+    for r, epv in zip(ds.gnss, (0.0, -3.0, 1e300, 5e-324)):
+        r.epv = epv
     back = load_dataset(*write_dataset(ds, str(tmp_path)))
     origin = ds.gnss[0].position
     assert back.frame_origin == tuple(origin.tolist())

@@ -118,10 +118,16 @@ def test_reading_validation():
         GnssReading(0.0, (np.nan, 0.0), epx=1.0, epy=1.0)
     with pytest.raises(ValueError):
         GnssReading(0.0, (1.0, 2.0, 3.0), epx=1.0, epy=1.0)
-    for t, epx, epy in ((math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
-                        (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)):
+    for t, epx, epy, epv in ((math.nan, 1.0, 1.0, 0.0),
+                             (math.inf, 1.0, 1.0, 0.0),
+                             (0.0, math.inf, 1.0, 0.0),
+                             (0.0, 1.0, math.nan, 0.0),
+                             (0.0, 1.0, 1.0, math.nan),
+                             (0.0, 1.0, 1.0, -math.inf)):
         with pytest.raises(ValueError, match="must be .*finite$"):
-            GnssReading(t, (0.0, 0.0), epx=epx, epy=epy)
+            GnssReading(t, (0.0, 0.0), epx=epx, epy=epy, epv=epv)
+    # the loader takes a negative epv, so a reading does too
+    assert GnssReading(0.0, (0.0, 0.0), 1.0, 1.0, epv=-3.0).epv == -3.0
 
 
 def _straight_drive(n_fixes, speed=10.0):
@@ -172,6 +178,20 @@ def test_first_reading_accepted_by_default():
     readings[0] = GnssReading(0.0, (-900.0, 400.0), 2.0, 2.0)
     result = reject_outliers(readings, stream)
     assert result.readings[0].accepted
+
+
+def test_screen_anchors_on_the_first_covered_fix():
+    """Odometry that starts after the GNSS: the fixes before it have no
+    covered window to start, so the screen anchors on the first fix that
+    has one instead of rejecting every fix after an uncovered anchor."""
+    readings, stream = _straight_drive(300)
+    late = stream.timestamps >= 2.0
+    late = OdometryStream(stream.timestamps[late], stream.yaw_rates[late],
+                          stream.velocities[late])
+    result = _assert_screen_matches_knots(readings, late)
+    assert [r.accepted for r in result.readings] == [False] * 2 + [True] * 298
+    assert result.uncovered == 2
+    assert result.rejection_rate == pytest.approx(100.0 * 2 / 300)
 
 
 def test_rejection_anchor_stays_at_last_accepted():

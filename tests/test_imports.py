@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+every private function, class and method is used by the package.
 
 A deletion that leaves an import behind (a class or helper whose last
-reader went) fails here.  __init__.py is skipped: its imports are the
-public API.
+reader went) fails here, and so does private code whose last package
+caller went, even if tests still call it.  __init__.py is skipped by the
+import check: its imports are the public API.
 """
 
 import ast
@@ -40,3 +42,62 @@ def test_the_guard_finds_an_unused_import():
 def test_no_unused_imports(path):
     assert MODULES
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def dead_private_code(sources: dict) -> list:
+    """The module-level `_private` functions and classes, and the
+    non-dunder methods of `_Private` classes, that no source reads.
+
+    sources maps a module name to its text.  A function or class counts
+    as read by a Name or an attribute of that name anywhere, a method by
+    an attribute only; its def statement is not a read.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and _private(node.name)):
+                continue
+            if node.name not in names | attrs:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{m.name}" for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("__")
+                         and m.name not in attrs]
+    return sorted(dead)
+
+
+def test_the_guard_finds_dead_private_code():
+    sources = {
+        "a": ("def _used():\n    pass\n\ndef _unused():\n    pass\n"
+              "\nclass _Box:\n    def __init__(self):\n        pass\n"
+              "    def read(self):\n        pass\n    def _dead(self):\n"
+              "        pass\n\nclass Public:\n    def dead(self):\n"
+              "        pass\n\ndef public():\n    pass\n"),
+        "b": "from .a import _Box, _used\n_used()\n_Box().read()\nread = 1\n",
+    }
+    # a public class's methods are not checked, and a method is not read
+    # by a plain name
+    assert dead_private_code(sources) == ["a._Box._dead", "a._unused"]
+    sources["b"] = "from .a import _Box\n_Box\nread = 1\n"
+    assert dead_private_code(sources) == ["a._Box._dead", "a._Box.read",
+                                          "a._unused", "a._used"]
+
+
+def test_no_dead_private_code():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert "solver" in sources
+    assert dead_private_code(sources) == []
