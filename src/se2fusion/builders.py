@@ -11,7 +11,9 @@ Three ways to wire the same information into a graph:
 
 All three share the odometry chain between consecutive vehicle nodes and
 are initialized by dead reckoning from the first fix, so odometry-edge
-residuals start at rounding level.  No node stores its role: the vehicle
+residuals start at rounding level.  build() and the re-chain check
+coverage once, over the gaps between accepted fixes, and price their
+windows with one `WindowEnds`.  No node stores its role: the vehicle
 nodes are the chain's, which is how the track is read back.  build()
 adds whole blocks to the graph (vehicle nodes, odometry edges, GNSS
 nodes and edges), so the number of graph calls it makes does not depend
@@ -34,8 +36,7 @@ import numpy as np
 from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import EDGE_KINDS, EdgeKind, PoseGraph
-from .odometry import OdometryStream, WindowEnds, arc_information, \
-    integrate_windows
+from .odometry import OdometryStream, WindowEnds, arc_information
 from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angle, \
     wrap_angles
 
@@ -61,24 +62,31 @@ class BuilderConfig:
         # a member or its value; anything else raises ValueError
         self.strategy = Strategy(self.strategy)
         self.node_rate = NodeRate(self.node_rate)
-        if not self.identity_edge_strength > 0.0:
-            raise ValueError("identity_edge_strength must be positive")
+        if not 0.0 < self.identity_edge_strength < math.inf:
+            raise ValueError("identity_edge_strength must lie in (0, inf)")
 
 
-def _accepted(readings):
+def _accepted_fixes(readings, odo: OdometryStream):
+    """The accepted readings and their times, checked as windows between
+    consecutive fixes (`check_windows`), which covers every node window:
+    each lies in a fix gap, `reach` never falls as a start moves later,
+    and the grid keeps the samples on both sides of any recording hole."""
     kept = [r for r in readings if r.accepted]
     if len(kept) < 2:
         raise TooFewReadingsError(
             f"need at least 2 accepted GNSS readings, got {len(kept)}")
-    return kept
+    fix_t = np.array([r.timestamp for r in kept], dtype=float)
+    odo.check_windows(fix_t[:-1], fix_t[1:])
+    return kept, fix_t
 
 
 def _dead_reckon(readings, stream: OdometryStream, times):
-    """Odometry deltas (k, 3) and arc lengths between consecutive times,
+    """Odometry deltas (k, 3) and arc lengths between consecutive node
+    times, covered (`_accepted_fixes`) and priced by one `WindowEnds`,
     and the (k + 1, 3) poses chained through them from the first
     accepted reading as one prefix product, headings left unwrapped."""
-    times = np.asarray(times, dtype=float)
-    dx, dy, heading, arcs = integrate_windows(stream, times[:-1], times[1:])
+    k = np.arange(times.size)
+    dx, dy, heading, arcs = WindowEnds(stream, times).windows(k[:-1], k[1:])
     deltas = np.stack((dx, dy, wrap_angles(heading)), axis=1)
     # the first pose heads along the bearing to the second fix; then
     # cumulative headings, and cumulative steps rotated by them
@@ -92,15 +100,14 @@ def _dead_reckon(readings, stream: OdometryStream, times):
     return deltas, arcs, poses
 
 
-def _node_times(readings, stream: OdometryStream, rate: NodeRate):
-    """Vehicle-node timestamps, sorted: every reading timestamp and, per
-    odometry sample, every raw sample strictly between the first and the
-    last reading.  The one definition of the odometry-rate grid."""
-    fix_times = np.array([r.timestamp for r in readings], dtype=float)
+def _node_times(fix_t: np.ndarray, stream: OdometryStream, rate: NodeRate):
+    """Vehicle-node timestamps, sorted: every fix time (increasing) and,
+    per odometry sample, every raw sample strictly between the first and
+    the last fix.  The one definition of the odometry-rate grid."""
     if rate is NodeRate.PER_GNSS_FIX:
-        return fix_times
+        return fix_t
     t = stream.timestamps
-    return np.union1d(fix_times, t[(t > fix_times[0]) & (t < fix_times[-1])])
+    return np.union1d(fix_t, t[(t > fix_t[0]) & (t < fix_t[-1])])
 
 
 def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
@@ -109,12 +116,12 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     Node order: fixed origin first, then one vehicle node per timestamp
     (per accepted fix by default), then for G2/G3 one GNSS node per fix.
     Edge order: odometry chain, then absolute GNSS edges, then identity
-    edges.  Needs at least two accepted readings and odometry covering
-    their span.
+    edges.  Needs at least two accepted readings, in time order, and
+    odometry covering every gap between them (`_accepted_fixes`).
     """
     cfg = config if config is not None else BuilderConfig()
-    readings = _accepted(readings)
-    times = _node_times(readings, odo, cfg.node_rate)
+    readings, fix_t = _accepted_fixes(readings, odo)
+    times = _node_times(fix_t, odo, cfg.node_rate)
     deltas, arcs, poses = _dead_reckon(readings, odo, times)
 
     graph = PoseGraph()
@@ -124,8 +131,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
                     EdgeKind.ODOMETRY)
 
     # every fix time is a node time, so its node is found exactly
-    fix_node = vehicle.start + np.searchsorted(
-        times, [r.timestamp for r in readings])
+    fix_node = vehicle.start + np.searchsorted(times, fix_t)
     fixes = np.array([(r.position[0], r.position[1], 0.0) for r in readings])
     info = gnss_information(readings)
     origin = np.zeros(len(readings), dtype=np.intp)
@@ -173,15 +179,11 @@ def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     graph was built per GNSS fix, so vehicle nodes pair up with accepted
     readings one to one.
     """
-    readings = _accepted(readings)
+    readings, fix_t = _accepted_fixes(readings, odo)
     nodes = _vehicle_poses(graph)
     if len(nodes) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
-    fix_t = np.array([r.timestamp for r in readings], dtype=float)
-    # the gaps are checked, not the windows inside them: a gap with no
-    # sample inside has no window, and every window lies in its gap
-    odo.check_windows(fix_t[:-1], fix_t[1:])
-    times = _node_times(readings, odo, NodeRate.PER_ODOMETRY_SAMPLE)
+    times = _node_times(fix_t, odo, NodeRate.PER_ODOMETRY_SAMPLE)
     # each grid time's gap (the last fix at or before it) and that fix's
     # grid index, which for a fix is its own
     gap = np.searchsorted(fix_t, times, side="right") - 1

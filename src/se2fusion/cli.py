@@ -12,8 +12,8 @@ flag's dest is the field it sets in ExperimentConfig, GnssErrorModel,
 OdoErrorModel or generate_synthetic; only the flags given are passed,
 so those objects own every default.  A verb registers only the flags it
 acts on, and refuses with one line a flag its data source would ignore.
-A dataset the loader refuses, and a path the OS refuses, also end the
-verb with one line.
+A dataset the loader refuses, one it loads but cannot fuse, and a path
+the OS refuses, also end the verb with one line.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .builders import NodeRate, Strategy
 from .dataset import ExperimentConfig, _screen_and_build, export_results, \
     load_dataset, render_metrics_record, run_batch, run_experiment, \
     write_dataset
+from .errors import EmptyInputError, InsufficientCoverageError, \
+    NeedTwoPosesError, SingularSystemError, TooFewReadingsError
 from .graph import save as save_graph
 from .synth import GnssErrorModel, OdoErrorModel, TrajectoryProfile, \
     generate_synthetic
@@ -162,8 +164,9 @@ def _cmd_synth(args) -> int:
 def _cmd_graph_dump(args) -> int:
     cfg = _experiment_config(args)
     dataset = _dataset_from_args(args)
-    # opened before the build, so a refused --out stops it
-    open(args.out, "w").close()
+    # probed before the build, so a refused --out stops it, and emptied
+    # only by the save, so a failed build leaves an existing file whole
+    open(args.out, "a").close()
     _, graph, _ = _screen_and_build(dataset, cfg)
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.poses)} nodes, "
@@ -206,7 +209,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:
+    except (OSError, TooFewReadingsError, InsufficientCoverageError,
+            EmptyInputError, NeedTwoPosesError, SingularSystemError) as exc:
         raise SystemExit(str(exc)) from None
 
 

@@ -292,7 +292,8 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
         rate = reject_outliers(readings, dataset.odometry).rejection_rate
     accepted = [r for r in readings if r.accepted]
     graph = build(accepted, dataset.odometry, cfg)
-    times = _node_times(accepted, dataset.odometry, cfg.node_rate).tolist()
+    fix_t = np.array([r.timestamp for r in accepted], dtype=float)
+    times = _node_times(fix_t, dataset.odometry, cfg.node_rate).tolist()
     return rate, graph, times
 
 

@@ -16,8 +16,10 @@ sample, rotated into the frame of the window's start heading; a window
 with no raw sample inside is one interval.  Every window costs two
 binary searches and a fixed number of operations whatever its length,
 and `WindowEnds` prices any window between two of a set of times with
-no search at all.  Splitting a window at a raw sample timestamp and
-composing the two halves reproduces the full-window transform.
+no search at all, and checks no coverage: `check_windows` does, over
+the windows or the fix gaps that hold them.  Splitting a window at a
+raw sample timestamp and composing the two halves reproduces the
+full-window transform.
 """
 
 from __future__ import annotations
@@ -190,22 +192,6 @@ class WindowEnds:
                     float(self.end[1, j] - self.start[1, i]))
         _, _, heading, arc = self.windows(i, j)
         return float(heading), float(arc)
-
-
-def integrate_windows(stream: OdometryStream, t_start, t_end):
-    """(dx, dy, heading_change, arc_length) arrays of the windows
-    [t_start[k], t_end[k]], each as the integration rule above gives it
-    on its own knots; `arc_information` weighs them.  Each distinct time
-    among the starts and ends is priced once, as one `WindowEnds`.
-
-    Raises as `OdometryStream.check_windows` for the first window that
-    is empty or not covered.
-    """
-    a = np.atleast_1d(np.asarray(t_start, dtype=float))
-    b = np.atleast_1d(np.asarray(t_end, dtype=float))
-    stream.check_windows(a, b)
-    times, k = np.unique(np.concatenate((a, b)), return_inverse=True)
-    return WindowEnds(stream, times).windows(k[:a.size], k[a.size:])
 
 
 def arc_information(arc) -> np.ndarray:

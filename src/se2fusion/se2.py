@@ -327,16 +327,6 @@ def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f
             _frames(cd, -sd, sd * dx - cd * dy, sd * dy + cd * dx))
 
 
-def batch_edge_linearization(xi: np.ndarray, xj: np.ndarray, z: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals (m, 3) and both Jacobian stacks (m, 3, 3): row k equals
-    edge_residual and edge_jacobians of edge k.  The two passes above,
-    composed, with Ji = -Jj A."""
-    r, state = batch_edge_residuals(xi, xj, inverse_columns(z))
-    Jj, A = batch_edge_jacobians(*state)
-    return r, -(Jj @ A), Jj
-
-
 def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """retract for every row: compose(x[k], exp_map(delta[k]))."""
     dx, dy, dt = delta[:, 0], delta[:, 1], delta[:, 2]

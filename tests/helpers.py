@@ -307,13 +307,25 @@ def knot_increments(stream, t_start, t_end):
     return 0.5 * (v[:-1] + v[1:]) * dt, theta_end - 0.5 * dtheta, theta_end
 
 
-def window_pose(stream, t_start, t_end):
-    """The window [t_start, t_end] of integrate_windows as a Pose2, for
-    composing windows (not an oracle: it calls the code under test)."""
-    from se2fusion.odometry import integrate_windows
+def checked_windows(stream, t_start, t_end):
+    """(dx, dy, heading_change, arc_length) arrays of the windows
+    [t_start[k], t_end[k]]: `OdometryStream.check_windows`, then one
+    `WindowEnds` over the starts and ends, as the builder composes them
+    (not an oracle: it calls the code under test)."""
+    from se2fusion.odometry import WindowEnds
 
+    a = np.atleast_1d(np.asarray(t_start, dtype=float))
+    b = np.atleast_1d(np.asarray(t_end, dtype=float))
+    stream.check_windows(a, b)
+    k = np.arange(a.size)
+    return WindowEnds(stream, np.concatenate((a, b))).windows(k, k + a.size)
+
+
+def window_pose(stream, t_start, t_end):
+    """The window [t_start, t_end] of checked_windows as a Pose2, for
+    composing windows."""
     dx, dy, heading, _ = np.concatenate(
-        integrate_windows(stream, t_start, t_end))
+        checked_windows(stream, t_start, t_end))
     return Pose2(dx, dy, heading)
 
 

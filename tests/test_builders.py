@@ -219,6 +219,8 @@ def test_identity_strength_must_be_positive():
         BuilderConfig(identity_edge_strength=0.0)
     with pytest.raises(ValueError):
         BuilderConfig(identity_edge_strength=-5.0)
+    with pytest.raises(ValueError):
+        BuilderConfig(identity_edge_strength=float("inf"))
 
 
 def test_g2_tie_information():
@@ -405,8 +407,22 @@ def test_full_rate_trajectory_refuses_an_uncovered_fix_gap(hole):
     keep = (t < hole[0]) | (t > hole[1])
     gappy = OdometryStream(t[keep], stream.yaw_rates[keep],
                            stream.velocities[keep])
-    with pytest.raises(InsufficientCoverageError, match="odometry gap"):
+    with pytest.raises(InsufficientCoverageError, match="odometry gap") \
+            as rechain:
         full_rate_trajectory(graph, readings, gappy)
+    # the build checks the same fix gaps, at either node rate
+    for rate in NodeRate:
+        with pytest.raises(InsufficientCoverageError) as built:
+            build(readings, gappy, BuilderConfig(node_rate=rate))
+        assert str(built.value) == str(rechain.value)
+
+
+@pytest.mark.parametrize("rate", list(NodeRate), ids=lambda r: r.value)
+def test_build_refuses_readings_out_of_time_order(rate):
+    readings, stream = _drive(5)
+    readings[2], readings[3] = readings[3], readings[2]
+    with pytest.raises(ValueError, match="^need t_start < t_end$"):
+        build(readings, stream, BuilderConfig(node_rate=rate))
 
 
 def test_build_work_does_not_grow_with_the_drive(monkeypatch):

@@ -14,7 +14,9 @@ from se2fusion import cli
 from se2fusion.builders import Strategy
 from se2fusion.cli import main
 from se2fusion.dataset import ExperimentConfig, load_dataset, \
-    render_metrics_record, run_experiment
+    render_metrics_record, run_batch, run_experiment
+from se2fusion.errors import EmptyInputError, InsufficientCoverageError, \
+    NeedTwoPosesError, TooFewReadingsError
 from se2fusion.graph import load as load_graph
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
@@ -195,6 +197,8 @@ def test_cli_defaults_are_the_config_defaults(capsys):
         ExperimentConfig(identity_edge_strength=0.0)
     with pytest.raises(ValueError, match="identity_edge_strength"):
         dataclasses.replace(ExperimentConfig(), identity_edge_strength=-1.0)
+    with pytest.raises(ValueError, match="identity_edge_strength"):
+        ExperimentConfig(identity_edge_strength=float("inf"))
 
 
 def test_bad_identity_strength_stops_before_any_work(tmp_path, monkeypatch):
@@ -203,10 +207,11 @@ def test_bad_identity_strength_stops_before_any_work(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_dataset_from_args", no_dataset)
     out = tmp_path / "g.txt"
-    with pytest.raises(SystemExit, match="bad --identity-strength"):
-        main(["graph-dump", "--synth", "straight", "--duration", "20",
-              "--identity-strength", "-1", "--out", str(out)])
-    assert not out.exists()
+    for strength in ("-1", "inf"):
+        with pytest.raises(SystemExit, match="bad --identity-strength"):
+            main(["graph-dump", "--synth", "straight", "--duration", "20",
+                  "--identity-strength", strength, "--out", str(out)])
+        assert not out.exists()
 
 
 def test_trace_prints_solver_iterations(capsys):
@@ -486,6 +491,66 @@ def test_load_failure_is_a_one_line_exit(verb, broken, tmp_path):
         main([verb, "--gnss", paths[0], "--odo", paths[1], *truth, *out])
     assert stop.value.code == str(direct.value)
     assert "\n" not in stop.value.code
+
+
+def _unfusable(tmp_path, case):
+    """GNSS, odometry and truth CSVs of a 2 s drive at 10 m/s that load
+    but cannot be fused: one fix, odometry that ends at 0.08 s, or a
+    truth track between the fixes."""
+    fixes = [0.0] if case == "one fix" else [0.0, 1.0, 2.0]
+    odo_t = np.arange(0.0, 0.1 if case == "uncovered" else 2.1, 0.04)
+    truth = [0.5, 1.5] if case == "no truth match" else fixes
+    tables = {
+        "gnss": ["t,utm_x,utm_y,zone,epx,epy,epv"]
+        + [f"{t:g},{10 * t:g},0,local,0.5,0.5,1" for t in fixes],
+        "odo": ["t,yaw_rate,velocity"] + [f"{t:.2f},0,10" for t in odo_t],
+        "truth": ["t,utm_x,utm_y"] + [f"{t:g},{10 * t:g},0" for t in truth],
+    }
+    paths = []
+    for kind, lines in tables.items():
+        paths.append(tmp_path / f"u_{kind}.csv")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("verb,case", [
+    (verb, case) for verb in ("run", "batch", "graph-dump")
+    for case in ("one fix", "uncovered", "no truth match")
+    if verb != "graph-dump" or case != "no truth match"])
+def test_a_dataset_that_cannot_be_fused_is_a_one_line_exit(verb, case,
+                                                           tmp_path):
+    """A dataset that loads but cannot be fused ends the verb with the
+    package's own message, as the API raises it, not with a traceback.
+    batch screens (and so rejects the uncovered fixes); run and
+    graph-dump are asked not to."""
+    gnss, odo, truth = _unfusable(tmp_path, case)
+    ds = load_dataset(gnss, odo, None if verb == "graph-dump" else truth)
+    cfg = ExperimentConfig(outlier_rejection=verb == "batch")
+    with pytest.raises((TooFewReadingsError, InsufficientCoverageError,
+                        EmptyInputError, NeedTwoPosesError)) as direct:
+        if verb == "batch":
+            run_batch([ds], cfg)
+        elif verb == "run":
+            run_experiment(ds, cfg)
+        else:
+            cli._screen_and_build(ds, cfg)
+    args = [verb, "--gnss", gnss, "--odo", odo]
+    args += ["--out", str(tmp_path / "out")] if verb != "run" else []
+    args += ["--truth", truth] if verb != "graph-dump" else []
+    args += ["--no-outlier-rejection"] if verb != "batch" else []
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == str(direct.value)
+    assert "\n" not in stop.value.code
+
+
+def test_graph_dump_keeps_an_existing_out_when_the_build_fails(tmp_path):
+    gnss, odo, _ = _unfusable(tmp_path, "one fix")
+    out = tmp_path / "g.txt"
+    out.write_text("keep this")
+    with pytest.raises(SystemExit, match="need at least 2 accepted GNSS"):
+        main(["graph-dump", "--gnss", gnss, "--odo", odo, "--out", str(out)])
+    assert out.read_text() == "keep this"
 
 
 @pytest.mark.parametrize("verb", ["run", "batch", "synth", "graph-dump"])

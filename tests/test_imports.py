@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module, and
-every private function, class and method is used by the package.
+"""Every name a package module imports is used in that module, every
+private function, class and method is used by the package, and every
+public module-level function and class is used by the package, exported
+by __init__.py or read by the benchmark.
 
 A deletion that leaves an import behind (a class or helper whose last
-reader went) fails here, and so does private code whose last package
-caller went, even if tests still call it.  __init__.py is skipped by the
+reader went) fails here, and so does code whose last caller outside the
+tests went, even if tests still call it.  __init__.py is skipped by the
 import check: its imports are the public API.
 """
 
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "se2fusion"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "se2fusion"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,6 +51,18 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _reads(trees) -> tuple:
+    """The Name ids and the attribute names the trees read."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return names, attrs
+
+
 def dead_private_code(sources: dict) -> list:
     """The module-level `_private` functions and classes, and the
     non-dunder methods of `_Private` classes, that no source reads.
@@ -57,13 +72,7 @@ def dead_private_code(sources: dict) -> list:
     an attribute only; its def statement is not a read.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    names, attrs = set(), set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                attrs.add(n.attr)
+    names, attrs = _reads(trees.values())
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -101,3 +110,49 @@ def test_no_dead_private_code():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert "solver" in sources
     assert dead_private_code(sources) == []
+
+
+def dead_public_code(sources: dict, readers: dict) -> list:
+    """The module-level public functions and classes that no package
+    source reads (a Name or an attribute of that name, as above), that
+    __init__.py does not import and that no reader reads.
+
+    sources maps a package module name to its text, "__init__" included;
+    readers maps each other module that may read the package (the
+    benchmark's) to its text.  Tests are not readers.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    names, attrs = _reads([*trees.values(),
+                           *(ast.parse(t) for t in readers.values())])
+    exported = {a.name for n in ast.walk(trees["__init__"])
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    return sorted(f"{module}.{node.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in names | attrs | exported)
+
+
+def test_the_guard_finds_dead_public_code():
+    sources = {
+        "__init__": "from .a import exported as renamed\n",
+        "a": ("def exported():\n    pass\n\ndef helper():\n    pass\n"
+              "\ndef benched():\n    pass\n\ndef tested():\n    pass\n"
+              "\nclass Used:\n    def dead(self):\n        pass\n"
+              "\ndef _private():\n    helper()\n"),
+        "b": "from .a import Used\nUsed\n",
+    }
+    readers = {"run": "from se2fusion import a\na.benched()\n"}
+    # a public class's methods are not checked, and an import by a
+    # package module other than __init__ is not a read
+    assert dead_public_code(sources, readers) == ["a.tested"]
+    assert dead_public_code(sources, {}) == ["a.benched", "a.tested"]
+    sources["b"] = "from .a import Used, tested\n"
+    assert dead_public_code(sources, readers) == ["a.Used", "a.tested"]
+
+
+def test_no_dead_public_code():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
+    assert "__init__" in sources and "run" in readers
+    assert dead_public_code(sources, readers) == []

@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import integrate_fine, knot_information, knot_preintegrate, \
-    window_pose
+from helpers import checked_windows, integrate_fine, knot_information, \
+    knot_preintegrate, window_pose
 from se2fusion.errors import InsufficientCoverageError, \
     NonMonotonicTimestampsError
 from se2fusion.odometry import OdometryStream, WindowEnds, \
-    ZERO_ARC_INFORMATION, arc_information, integrate_windows
+    ZERO_ARC_INFORMATION, arc_information
 from se2fusion.se2 import compose
 
 
@@ -21,7 +21,7 @@ def _stream(t_end=1.0, v=10.0, w=0.0, hz=25.0):
 
 def _window(stream, t_start, t_end):
     # (dx, dy, heading_change, arc_length) of one window
-    return np.concatenate(integrate_windows(stream, t_start, t_end))
+    return np.concatenate(checked_windows(stream, t_start, t_end))
 
 
 def test_straight_line_window():
@@ -74,8 +74,8 @@ def test_chaining_at_interior_sample_timestamps():
         chained = compose(window_pose(stream, 0.2, t_mid),
                           window_pose(stream, t_mid, 1.8))
         assert np.allclose(chained.as_array(), full.as_array(), atol=1e-9)
-        arcs = integrate_windows(stream, [0.2, t_mid, 0.2],
-                                 [t_mid, 1.8, 1.8])[3]
+        arcs = checked_windows(stream, [0.2, t_mid, 0.2],
+                               [t_mid, 1.8, 1.8])[3]
         assert arcs[0] + arcs[1] == pytest.approx(arcs[2], abs=1e-9)
 
 
@@ -109,7 +109,7 @@ def test_covariance_symmetric_psd_for_random_windows():
                             8.0 + 3.0 * np.sin(0.11 * t))
     a = rng.uniform(0.0, 25.0, 50)
     b = a + rng.uniform(0.1, 4.0, 50)
-    for info in arc_information(integrate_windows(stream, a, b)[3]):
+    for info in arc_information(checked_windows(stream, a, b)[3]):
         cov = np.linalg.inv(info)
         assert np.allclose(cov, cov.T)
         assert np.min(np.linalg.eigvalsh(cov)) >= 0.0
@@ -119,9 +119,9 @@ def test_covariance_symmetric_psd_for_random_windows():
 def test_window_outside_recording_raises():
     stream = _stream()
     with pytest.raises(InsufficientCoverageError):
-        integrate_windows(stream, -1.0, 0.5)
+        checked_windows(stream, -1.0, 0.5)
     with pytest.raises(InsufficientCoverageError):
-        integrate_windows(stream, 0.5, 3.0)
+        checked_windows(stream, 0.5, 3.0)
     # sticking out by less than two sample periods is tolerated
     assert _window(stream, 0.0, 1.0)[3] == pytest.approx(10.0, abs=1e-12)
 
@@ -131,9 +131,9 @@ def test_internal_gap_raises():
                         np.arange(2.0, 3.0, 0.04)])
     stream = OdometryStream(t, np.zeros_like(t), np.full_like(t, 5.0))
     with pytest.raises(InsufficientCoverageError):
-        integrate_windows(stream, 0.5, 2.5)
+        checked_windows(stream, 0.5, 2.5)
     # windows that stay clear of the gap are fine
-    integrate_windows(stream, [0.1, 2.1], [0.9, 2.9])
+    checked_windows(stream, [0.1, 2.1], [0.9, 2.9])
 
 
 def test_endpoints_interpolated_between_samples():
@@ -149,9 +149,9 @@ def test_endpoints_interpolated_between_samples():
 def test_empty_or_reversed_window_rejected():
     stream = _stream()
     with pytest.raises(ValueError):
-        integrate_windows(stream, 0.5, 0.5)
+        checked_windows(stream, 0.5, 0.5)
     with pytest.raises(ValueError):
-        integrate_windows(stream, 0.8, 0.2)
+        checked_windows(stream, 0.8, 0.2)
 
 
 def test_stream_validation():
@@ -185,27 +185,27 @@ def test_gap_check_names_the_first_gap_overlapping_the_window():
     first = "gap of 1.04 s at t=0.96 overlaps"
     second = "gap of 2.04 s at t=2.96 overlaps"
     with pytest.raises(InsufficientCoverageError, match=first):
-        integrate_windows(stream, 0.5, 5.5)
+        checked_windows(stream, 0.5, 5.5)
     with pytest.raises(InsufficientCoverageError, match=first):
-        integrate_windows(stream, 1.5, 1.7)
+        checked_windows(stream, 1.5, 1.7)
     with pytest.raises(InsufficientCoverageError, match=second):
-        integrate_windows(stream, 2.5, 5.5)
+        checked_windows(stream, 2.5, 5.5)
     with pytest.raises(InsufficientCoverageError, match=second):
-        integrate_windows(stream, 2.96, 3.5)
+        checked_windows(stream, 2.96, 3.5)
     # windows clear of both gaps are covered
-    integrate_windows(stream, [2.0, 5.0, 0.0], [2.9, 5.9, 0.9])
+    checked_windows(stream, [2.0, 5.0, 0.0], [2.9, 5.9, 0.9])
 
 
 # ---------------------------------------------------------------------------
 # the running-integral window query against the per-window knot integrator
 
 def _assert_matches_knots(stream, windows):
-    """integrate_windows and WindowEnds both equal the knot oracle to
+    """checked_windows and WindowEnds both equal the knot oracle to
     1e-12 on every window, and arc_information weighs each window as the
     oracle does."""
     starts = np.array([a for a, _ in windows])
     ends = np.array([b for _, b in windows])
-    batch = np.stack(integrate_windows(stream, starts, ends), axis=1)
+    batch = np.stack(checked_windows(stream, starts, ends), axis=1)
     times = np.concatenate((starts, ends))
     table = WindowEnds(stream, times)
     k = np.arange(len(windows))
@@ -316,10 +316,10 @@ def test_window_query_raises_the_knot_integrators_coverage_errors():
         with pytest.raises((InsufficientCoverageError, ValueError)) as want:
             knot_preintegrate(stream, a, b)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            integrate_windows(stream, a, b)
+            checked_windows(stream, a, b)
         # a batch raises for its first bad window
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            integrate_windows(stream, [0.1, a, 5.1], [0.9, b, 0.2])
+            checked_windows(stream, [0.1, a, 5.1], [0.9, b, 0.2])
     _assert_matches_knots(stream, [(0.0, 0.9), (2.0, 2.96), (5.0, 5.9)])
 
 

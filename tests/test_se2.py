@@ -10,10 +10,9 @@ import pytest
 from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
-    batch_edge_jacobians, batch_edge_linearization, batch_edge_residuals, \
-    batch_retract, compose, edge_jacobians, edge_residual, exp_map, \
-    inverse, inverse_columns, log_map, poses_from_rows, retract, \
-    wrap_angle, wrap_angles
+    batch_edge_jacobians, batch_edge_residuals, batch_retract, compose, \
+    edge_jacobians, edge_residual, exp_map, inverse, inverse_columns, \
+    log_map, poses_from_rows, retract, wrap_angle, wrap_angles
 
 
 def test_wrap_angle_range():
@@ -331,9 +330,14 @@ def _straddling_edges(rng, m=600):
 
 
 def test_batch_edge_linearization_matches_scalar():
+    """The residual pass, then the Jacobian pass with Ji = -Jj A, give
+    edge_residual and edge_jacobians of every edge."""
     for seed in (15, 16):
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
-        e, Ji, Jj = batch_edge_linearization(_rows(xi), _rows(xj), _rows(z))
+        e, state = batch_edge_residuals(_rows(xi), _rows(xj),
+                                        inverse_columns(_rows(z)))
+        Jj, A = batch_edge_jacobians(*state)
+        Ji = -(Jj @ A)
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
         assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
