@@ -166,8 +166,19 @@ def _cmd_graph_dump(args) -> int:
     dataset = _dataset_from_args(args)
     # probed before the build, so a refused --out stops it, and emptied
     # only by the save, so a failed build leaves an existing file whole
-    open(args.out, "a").close()
-    _, graph, _ = _screen_and_build(dataset, cfg)
+    # and removes one the probe made
+    try:
+        open(args.out, "x").close()
+        made = True
+    except FileExistsError:
+        open(args.out, "a").close()
+        made = False
+    try:
+        _, graph, _ = _screen_and_build(dataset, cfg)
+    except BaseException:
+        if made:
+            os.remove(args.out)
+        raise
     save_graph(graph, args.out)
     sys.stdout.write(f"wrote {args.out} ({len(graph.poses)} nodes, "
                      f"{len(graph.from_ids)} edges)\n")

@@ -217,29 +217,13 @@ def _compose_cols(ax, ay, at, bx, by, bt):
     return ax + c * bx - s * by, ay + s * bx + c * by, wrap_angles(at + bt)
 
 
-def _small_or(t: np.ndarray, taylor, direct) -> np.ndarray:
-    # taylor(t) below SMALL_ANGLE, direct(t) elsewhere; direct never sees
-    # the small arguments, so 0/0 cannot occur
-    small = np.abs(t) < SMALL_ANGLE
-    return np.where(small, taylor(t), direct(np.where(small, 1.0, t)))
-
-
 def _half_cot_taylor(t):
     t2 = t * t
     return 1.0 - t2 / 12.0 - t2 * t2 / 720.0
 
 
-def _half_cot_direct(t):
-    return 0.5 * t / np.tan(0.5 * t)
-
-
 def _half_cot_prime_taylor(t):
     return -t / 6.0 - t * t * t / 180.0
-
-
-def _half_cot_prime_direct(t):
-    hs = np.sin(0.5 * t)
-    return 0.5 / np.tan(0.5 * t) - 0.25 * t / (hs * hs)
 
 
 def _sin_ratio_a_taylor(t):
@@ -253,7 +237,11 @@ def _sin_ratio_b_taylor(t):
 
 def _log_cols(ex, ey, et, f):
     h = 0.5 * et
-    return np.stack((f * ex + h * ey, -h * ex + f * ey, et), axis=1)
+    r = np.empty((et.size, 3))
+    r[:, 0] = f * ex + h * ey
+    r[:, 1] = f * ey - h * ex
+    r[:, 2] = et
+    return r
 
 
 def _frames(c, s, tx, ty) -> np.ndarray:
@@ -291,7 +279,9 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
     straight from the columns.  The headings take the scalar products'
     wraps, so a residual heading at +-pi lands on edge_residual's side
     of the cut.  Returns (r, state) with state = (dx, dy, dt, ex, ey,
-    et, f), the columns of d and e and the log map's f(et).
+    et, f, small, half, tan_half): the columns of d and e, the log map's
+    f(et), the SMALL_ANGLE mask of et, and the half angle and its tangent
+    that the direct form of f used.
     """
     ix, iy, it, ic, is_ = zinv
     c, s = np.cos(xi[:, 2]), np.sin(xi[:, 2])
@@ -303,11 +293,17 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
     ex = ix + ic * dx - is_ * dy
     ey = iy + is_ * dx + ic * dy
     et = wrap_angles(it + dt)
-    f = _small_or(et, _half_cot_taylor, _half_cot_direct)
-    return _log_cols(ex, ey, et, f), (dx, dy, dt, ex, ey, et, f)
+    # f(et) = (et/2) / tan(et/2), its Taylor series below SMALL_ANGLE;
+    # the direct form never sees the small arguments, so 0/0 cannot occur
+    small = np.abs(et) < SMALL_ANGLE
+    half = 0.5 * np.where(small, 1.0, et)
+    tan_half = np.tan(half)
+    f = np.where(small, _half_cot_taylor(et), half / tan_half)
+    return _log_cols(ex, ey, et, f), (dx, dy, dt, ex, ey, et, f, small,
+                                      half, tan_half)
 
 
-def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f
+def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f, small, half, tan_half
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Jj and A = Ad(inverse(d)), both (m, 3, 3), from the state of
     batch_edge_residuals.
@@ -317,7 +313,10 @@ def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f
     estimation in robotics", 2018), so a caller that wants Ji's products
     can form them from Jj's.
     """
-    fp = _small_or(et, _half_cot_prime_taylor, _half_cot_prime_direct)
+    # f'(et) from the mask, half angle and tangent that gave f(et)
+    hs = np.sin(half)
+    fp = np.where(small, _half_cot_prime_taylor(et),
+                  0.5 / tan_half - 0.5 * half / (hs * hs))
     c, s, h = np.cos(et), np.sin(et), 0.5 * et
     cd, sd = np.cos(dt), np.sin(dt)
     # Ad(inverse(d)) moves the translation (sd dx - cd dy, sd dy + cd dx)
@@ -328,10 +327,18 @@ def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f
 
 
 def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """retract for every row: compose(x[k], exp_map(delta[k]))."""
+    """retract for every row: compose(x[k], exp_map(delta[k])).
+
+    The step heading's sine and cosine are taken once, under one
+    SMALL_ANGLE mask for both of exp_map's ratios.
+    """
     dx, dy, dt = delta[:, 0], delta[:, 1], delta[:, 2]
-    a = _small_or(dt, _sin_ratio_a_taylor, lambda t: np.sin(t) / t)
-    b = _small_or(dt, _sin_ratio_b_taylor, lambda t: (1.0 - np.cos(t)) / t)
-    return np.stack(_compose_cols(x[:, 0], x[:, 1], x[:, 2],
-                                  a * dx - b * dy, b * dx + a * dy,
-                                  wrap_angles(dt)), axis=1)
+    small = np.abs(dt) < SMALL_ANGLE
+    t = np.where(small, 1.0, dt)
+    a = np.where(small, _sin_ratio_a_taylor(dt), np.sin(t) / t)
+    b = np.where(small, _sin_ratio_b_taylor(dt), (1.0 - np.cos(t)) / t)
+    out = np.empty_like(x)
+    out[:, 0], out[:, 1], out[:, 2] = _compose_cols(
+        x[:, 0], x[:, 1], x[:, 2], a * dx - b * dy, b * dx + a * dy,
+        wrap_angles(dt))
+    return out

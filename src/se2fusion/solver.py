@@ -7,19 +7,28 @@ columns the Jacobians reuse; the system pass builds the normal
 equations from those.  The initial poses take both passes.  Then each
 iteration proposes a step for the current trust radius from the system
 it holds, runs the residual pass on the trial, tests its gain ratio,
-and accepts it or halves the radius and proposes again.  A rejected
-trial pays for its chi-square only, which is all the gain ratio needs.
-An accepted trial's system pass gives the next iteration's system, so
-no pass runs twice on one pose set.  optimize() views the graph's node
-and edge arrays in place; an accepted trial writes its free rows into
-the graph's pose array, so fixed poses are never touched and the graph
-always holds the last accepted iterate.
+and accepts it or halves the radius and proposes again.  A trial pays
+for its retraction and chi-square only.  Its model decrease
+pred = 2 b'd - d'Hd is a closed form per branch, since every step is
+s b + tau g for the Gauss-Newton point g: b'g on the Gauss-Newton
+branch, 2a b'b - a^2 b'Hb on the gradient branch (a = radius/|b|), and
+the expanded quadratic in b'b, b'Hb, b'Hg and g'Hg on the blend, with
+b'b, b'Hb and b'g computed once per iteration.  When the solve took a
+rung of the ladder below, (H + lambda D) g = b, so g'Hg = b'g -
+lambda g'Dg and b'Hg = b'b - lambda b'Dg, and the Gauss-Newton branch
+gives b'g + lambda g'Dg.  An accepted trial's system pass gives the
+next iteration's system, so no pass runs twice on one pose set.
+optimize() views the graph's node and edge arrays in place; an accepted
+trial writes its free rows into the graph's pose array, so fixed poses
+are never touched and the graph always holds the last accepted iterate.
 
 The system pass builds each edge's blocks in adjoint form.  Ji = -Jj A
 with A = Ad(inverse(d)) and d = inverse(xi) xj, so Hjj = Jj'Omega Jj
 gives Hij = -A'Hjj and Hii = A'Hjj A, and g_j = Jj'Omega e gives
 g_i = -A'g_j.  No Ji is formed, and Omega is the edge's full 3x3
-information matrix.
+information matrix.  The gradient rides along as a fourth column,
+Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], so four stacked products give
+every block and segment and one scatter adds them into H and b.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -154,8 +163,9 @@ class SolveReport:
 class _PackedGraph:
     """A view of the graph's arrays, with the band layout of H.
 
-    The (n, 3) poses, indexed by node id, and the edge arrays (from/to
-    index vectors, (m, 3, 3) information stack) are the graph's own; the
+    The (n, 3) poses, indexed by node id, and the (m, 3, 3) information
+    stack are the graph's own; the from and to ids are stacked into one
+    (2, m) array `ends`, so one gather gives both endpoints, and the
     (m, 3) measurements are kept only as their inverses' columns, `zinv`.
     `free` lists the free node ids in chain (Cuthill-McKee) order, and
     free[k] owns variables 3k..3k+2 of the reduced system.  The map from
@@ -165,8 +175,7 @@ class _PackedGraph:
 
     def __init__(self, graph: PoseGraph):
         self.poses = graph.poses
-        self.i = graph.from_ids
-        self.j = graph.to_ids
+        self.ends = np.stack((graph.from_ids, graph.to_ids))
         self.zinv = inverse_columns(graph.measurements)
         self.omega = graph.information
         free = np.flatnonzero(~graph.fixed)
@@ -174,38 +183,38 @@ class _PackedGraph:
 
         rank = np.full(len(self.poses), -1, dtype=np.intp)
         rank[free] = np.arange(free.size)
-        ri = rank[self.i]
-        rj = rank[self.j]
+        ri, rj = rank[self.ends]
         both = (ri >= 0) & (rj >= 0)
         order = _chain_order(free.size, ri[both], rj[both])
         self.free = free[order]
         rank[self.free] = np.arange(free.size)
         # first variable of each endpoint, negative on a fixed node
-        io = 3 * rank[self.i]
-        jo = 3 * rank[self.j]
+        io, jo = 3 * rank[self.ends]
         # half-bandwidth: the full 3x3 diagonal blocks, widened by the
         # farthest pair of free nodes that share an edge
         u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
 
-        # three 3x3 blocks per edge, in the order system() fills them:
-        # (i, i), (j, j), (i, j).  Each entry goes to its upper-triangle
-        # slot, band[u + r - c, c] for r <= c; the lower half of a diagonal
-        # block and any block on a fixed node are dropped.
-        r0 = np.stack((io, jo, io))[..., None]
-        c0 = np.stack((io, jo, jo))[..., None]
-        rows = r0 + np.repeat(np.arange(3), 3)
-        cols = c0 + np.tile(np.arange(3), 3)
+        # per edge, three 3x4 blocks [H block | b segment] in the order
+        # system() stores them: (i, i | i), (j, j | j), (i, j | none).
+        # Each H entry goes to its upper-triangle slot, band[u + r - c, c]
+        # for r <= c, and each b entry to slot (u + 1) n + its variable;
+        # the lower half of a diagonal block, any block or segment on a
+        # fixed node, and the last block's fourth column are dropped.
+        r0 = np.stack((io, jo, io))[:, :, None, None]
+        c0 = np.stack((io, jo, jo))[:, :, None, None]
+        rows = r0 + np.arange(3)[:, None]
+        cols = c0 + np.arange(3)
         r = np.minimum(rows, cols)
         c = np.maximum(rows, cols)
         keep = (r0 >= 0) & (c0 >= 0) & ((rows <= cols) | (r0 != c0))
-        # dropped entries land in one extra bin past the end of the band
         self.h_size = (u + 1) * n
-        self.h_slot = np.where(keep, (u + r - c) * n + c,
-                               self.h_size).ravel()
-        offsets = np.arange(3)
-        self.b_slot = np.concatenate(
-            [np.where(o[:, None] >= 0, o[:, None] + offsets, n).ravel()
-             for o in (io, jo)])
+        # dropped entries land in one extra bin past the end of b
+        drop = self.h_size + n
+        slot = np.full((3, len(io), 3, 4), drop, dtype=np.intp)
+        slot[..., :3] = np.where(keep, (u + r - c) * n + c, drop)
+        slot[:2, :, :, 3] = np.where(r0[:2, :, :, 0] >= 0,
+                                     self.h_size + rows[:2, :, :, 0], drop)
+        self.slot = slot.ravel()
 
     def residual(self, poses: np.ndarray):
         """Total error at `poses`, and the state system() builds its
@@ -215,9 +224,8 @@ class _PackedGraph:
         edges, and state holds the kernel columns and Omega e.
         """
         # np.take gathers rows faster than fancy indexing, same values
-        e, kernel = batch_edge_residuals(np.take(poses, self.i, axis=0),
-                                         np.take(poses, self.j, axis=0),
-                                         self.zinv)
+        xi, xj = np.take(poses, self.ends, axis=0)
+        e, kernel = batch_edge_residuals(xi, xj, self.zinv)
         oe = (self.omega @ e[:, :, None])[:, :, 0]
         return _dot(e, oe), (kernel, oe)
 
@@ -227,23 +235,26 @@ class _PackedGraph:
         with each edge's blocks in adjoint form."""
         kernel, oe = state
         Jj, A = batch_edge_jacobians(*kernel)
-        JjT = Jj.transpose(0, 2, 1)
-        AT = A.transpose(0, 2, 1)
-        # filled in the order of h_slot: (i, i), (j, j), (i, j)
-        blocks = np.empty((3,) + Jj.shape)
-        hii, hjj, hij = blocks
-        np.matmul(JjT, self.omega @ Jj, out=hjj)
-        np.matmul(AT, hjj, out=hij)
-        np.matmul(hij, A, out=hii)
-        np.negative(hij, out=hij)
-        H = np.bincount(self.h_slot, weights=blocks.ravel(),
-                        minlength=self.h_size + 1)[:-1]
-        gj = JjT @ oe[:, :, None]
-        # -g_i and -g_j, so the scatter is b itself
-        grad = np.concatenate(((AT @ gj).ravel(), -gj.ravel()))
-        b = np.bincount(self.b_slot, weights=grad,
-                        minlength=self.n + 1)[:-1]
-        return H.reshape(self.u + 1, self.n), b
+        # Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], and A' times that is
+        # [-Hij | g_i]: b's segments ride through the same products as a
+        # fourth column, negated with Hij into b's segments.  One scatter
+        # adds H and b; b's i segment is copied next to Hii so that each
+        # entry of b, like each of H, sums its edges' terms in the order
+        # (i, i), (j, j), (i, j).
+        X = np.empty(oe.shape + (4,))
+        np.matmul(self.omega, Jj, out=X[..., :3])
+        np.negative(oe, out=X[..., 3])
+        blocks = np.empty((3,) + X.shape)
+        ii, jj, ij = blocks
+        np.matmul(Jj.transpose(0, 2, 1), X, out=jj)
+        np.matmul(A.transpose(0, 2, 1), jj, out=ij)
+        np.matmul(ij[..., :3], A, out=ii[..., :3])
+        np.negative(ij, out=ij)
+        ii[..., 3] = ij[..., 3]
+        sums = np.bincount(self.slot, weights=blocks.ravel(),
+                           minlength=self.h_size + self.n + 1)
+        return (sums[:self.h_size].reshape(self.u + 1, self.n),
+                sums[self.h_size:-1])
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is
@@ -254,21 +265,28 @@ class _PackedGraph:
         return out
 
 
-def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_normal(H: np.ndarray, b: np.ndarray):
     """Solve H x = b for H in upper band storage, by banded Cholesky with
-    escalating diagonal regularization on failure."""
+    escalating diagonal regularization on failure.
+
+    Returns (x, lam, damp): the rung's lambda and damping vector, so that
+    (H + lam diag(damp)) x = b, with lam 0 and damp None when H itself
+    solved.
+    """
     # the package's only scipy use, loaded by the first solve
     from scipy.linalg.lapack import dpbtrf, dpbtrs
-    # zero diagonal entries get unit damping, otherwise lambda*diag would
-    # leave an exactly singular row singular
-    damp = np.where(H[-1] > 0.0, H[-1], 1.0)
     bnorm = _norm(b)
     # LAPACK does not refuse a matrix that is not finite, so it is
     # refused here, before any rung
     ladder = (0.0,) + _LAMBDA_LADDER if np.isfinite(H).all() else ()
+    damp = None
     for lam in ladder:
         M = H
         if lam > 0.0:
+            if damp is None:
+                # zero diagonal entries get unit damping, otherwise
+                # lambda*diag would leave an exactly singular row singular
+                damp = np.where(H[-1] > 0.0, H[-1], 1.0)
             # the diagonal is the band's last row
             M = H.copy()
             M[-1] += lam * damp
@@ -281,7 +299,7 @@ def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
             continue
         resid = _norm(_band_mul(M, x) - b)
         if resid <= 1e-6 * (bnorm + 1.0):
-            return x
+            return x, lam, damp
     raise SingularSystemError(
         "normal equations could not be factorized even with "
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
@@ -290,22 +308,36 @@ def _solve_normal(H: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     """Solve once; return the dogleg step as a function of the radius.
 
-    The Gauss-Newton point, the Cauchy point and their norms do not
-    depend on the radius, so every trial radius only combines them.
+    The Gauss-Newton point g, the Cauchy point and their norms do not
+    depend on the radius, so every trial radius only combines them.  The
+    step returns (delta, pred), pred being the model decrease
+    2 b'delta - delta'H delta.  Every step is a combination of b and g,
+    and (H + lam D) g = b on the rung that solved, so g'Hg and b'Hg are
+    b'g - lam g'Dg and b'b - lam b'Dg, and pred needs no product with H.
     """
-    gn = _solve_normal(H, b)
+    gn, lam, damp = _solve_normal(H, b)
     gn_norm = _norm(gn)
     bb = _dot(b, b)
     bHb = _dot(b, _band_mul(H, b))
-    cauchy = (bb / bHb) * b if bHb > 0.0 else np.zeros_like(b)
+    bg = _dot(b, gn)
+    # the rung's damping terms g'Dg and b'Dg, zero without a rung
+    gDg = bDg = 0.0
+    if damp is not None:
+        Dg = damp * gn
+        gDg, bDg = _dot(gn, Dg), _dot(b, Dg)
+    gHg = bg - lam * gDg
+    bHg = bb - lam * bDg
+    alpha = bb / bHb if bHb > 0.0 else 0.0
+    cauchy = alpha * b
     c_norm = _norm(cauchy)
     bnorm = math.sqrt(bb)
 
-    def step(radius: float) -> np.ndarray:
+    def step(radius: float):
         if gn_norm <= radius:
-            return gn
+            return gn, bg + lam * gDg
         if c_norm >= radius:
-            return (radius / bnorm) * b
+            a = radius / bnorm
+            return a * b, 2.0 * a * bb - a * a * bHb
         # walk from the Cauchy point toward the Gauss-Newton point until
         # the trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius
         d = gn - cauchy
@@ -313,7 +345,11 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
         bq = 2.0 * _dot(cauchy, d)
         c = c_norm * c_norm - radius * radius
         tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
-        return cauchy + tau * d
+        # the step is s b + tau g
+        s = (1.0 - tau) * alpha
+        pred = 2.0 * (s * bb + tau * bg) \
+            - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
+        return cauchy + tau * d, pred
 
     return step
 
@@ -352,7 +388,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
     for it in range(1, cfg.max_iterations + 1):
         step = _dogleg_steps(H, b)
         while True:
-            delta = step(radius)
+            delta, pred = step(radius)
             step_norm = _norm(delta)
             if step_norm <= cfg.step_tol:
                 emit(it, chi, step_norm)
@@ -360,9 +396,8 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                         else Termination.STEP_TOL)
                 return SolveReport(it, initial, chi, done)
             trial = packed.retract(packed.poses, delta)
+            # chi(x (+) d) ~ chi - pred for this residual convention
             trial_chi, trial_state = packed.residual(trial)
-            # chi(x (+) d) ~ chi - 2 b'd + d'Hd for this residual convention
-            pred = 2.0 * _dot(b, delta) - _dot(delta, _band_mul(H, delta))
             if trial_chi < chi and pred > 0.0:
                 rho = (chi - trial_chi) / pred
                 if rho < 0.25:

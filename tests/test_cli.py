@@ -553,6 +553,16 @@ def test_graph_dump_keeps_an_existing_out_when_the_build_fails(tmp_path):
     assert out.read_text() == "keep this"
 
 
+def test_graph_dump_removes_the_out_it_made_when_the_build_fails(tmp_path):
+    gnss, odo, _ = _unfusable(tmp_path, "one fix")
+    out = tmp_path / "new.txt"
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit, match="need at least 2 accepted GNSS"):
+        main(["graph-dump", "--gnss", gnss, "--odo", odo, "--out", str(out)])
+    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("verb", ["run", "batch", "synth", "graph-dump"])
 def test_an_output_path_the_os_refuses_is_a_one_line_exit(verb, tmp_path,
                                                           monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -265,7 +266,7 @@ def test_dogleg_step_large_radius_equals_gauss_newton():
         H = _random_spd(rng, 6)
         b = rng.normal(size=6)
         gn = np.linalg.solve(H, b)
-        step = solver._dogleg_steps(dense_to_band(H), b)(1e12)
+        step = solver._dogleg_steps(dense_to_band(H), b)(1e12)[0]
         assert np.allclose(step, gn, atol=1e-12)
 
 
@@ -275,7 +276,7 @@ def test_dogleg_step_tiny_radius_is_scaled_gradient():
         H = _random_spd(rng, 5)
         b = rng.normal(size=5)
         radius = 1e-6
-        step = solver._dogleg_steps(dense_to_band(H), b)(radius)
+        step = solver._dogleg_steps(dense_to_band(H), b)(radius)[0]
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-12)
         cosine = float(step @ b) / (np.linalg.norm(step) * np.linalg.norm(b))
         assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -293,7 +294,7 @@ def test_dogleg_step_intermediate_matches_rootfind_oracle():
         if not hi > lo * 1.01:
             continue
         radius = 0.5 * (lo + hi)
-        step = solver._dogleg_steps(dense_to_band(H), b)(radius)
+        step = solver._dogleg_steps(dense_to_band(H), b)(radius)[0]
         oracle = dogleg_rootfind(H, b, radius)
         assert np.allclose(step, oracle, atol=1e-10)
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-9)
@@ -318,9 +319,42 @@ def test_dogleg_step_regularizes_plain_rank_deficiency():
     ladder: the step stays finite and inside the trust region."""
     H = np.diag([1.0, 1.0, 0.0])
     b = np.array([1.0, 1.0, 1.0])
-    step = solver._dogleg_steps(dense_to_band(H), b)(10.0)
+    step = solver._dogleg_steps(dense_to_band(H), b)(10.0)[0]
     assert np.all(np.isfinite(step))
     assert np.linalg.norm(step) <= 10.0 + 1e-9
+
+
+def test_dogleg_pred_is_the_dense_model_decrease_on_every_branch():
+    """Each step's pred is 2 b'd - d'Hd with the undamped H, on the
+    Gauss-Newton, the gradient and the blend branch: for random SPD
+    systems, and for one whose solve needs a rung of the ladder, where
+    the Gauss-Newton point solves (H + lam D) g = b instead."""
+    rng = np.random.default_rng(55)
+    systems = [(_random_spd(rng, 6), rng.normal(size=6)) for _ in range(20)]
+    rung = (np.diag([1.0, 1.0, 0.0]), np.ones(3))
+    assert solver._solve_normal(dense_to_band(rung[0]), rung[1])[1] > 0.0
+    for H, b in systems + [rung]:
+        band = dense_to_band(H)
+        gn = solver._solve_normal(band, b)[0]
+        gn_norm = np.linalg.norm(gn)
+        bnorm = np.linalg.norm(b)
+        cauchy_norm = float(b @ b) / float(b @ H @ b) * bnorm
+        assert cauchy_norm < 0.99 * gn_norm
+        step = solver._dogleg_steps(band, b)
+        for branch, radius in (("gauss-newton", 2.0 * gn_norm),
+                               ("gradient", 0.5 * cauchy_norm),
+                               ("blend", 0.5 * (cauchy_norm + gn_norm))):
+            delta, pred = step(radius)
+            if branch == "gauss-newton":
+                assert np.array_equal(delta, gn)
+            elif branch == "gradient":
+                assert np.allclose(delta, radius / bnorm * b, rtol=1e-12)
+            else:
+                assert np.linalg.norm(delta) == pytest.approx(radius,
+                                                              rel=1e-9)
+                assert not np.allclose(delta, radius / bnorm * b)
+            want = 2.0 * float(b @ delta) - float(delta @ H @ delta)
+            assert pred == pytest.approx(want, rel=1e-9), branch
 
 
 def test_sparse_path_equals_dense_path_for_first_iterations():
@@ -632,6 +666,39 @@ def test_each_pose_set_is_evaluated_once(monkeypatch):
         assert np.array_equal(H, want_H) and np.array_equal(b, want_b)
 
 
+def test_band_products_run_twice_per_iteration_and_never_per_trial(
+        monkeypatch):
+    """An iteration multiplies by its band twice, for the solve's
+    residual check and for b'Hb, before its first trial; its trials,
+    rejected or accepted, price their model decrease without one."""
+    g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
+    band_mul, dogleg = solver._band_mul, solver._dogleg_steps
+    retract_trial = _PackedGraph.retract
+    events = []
+
+    def counted_mul(band, x):
+        events.append("M")
+        return band_mul(band, x)
+
+    def counted_dogleg(H, b):
+        events.append("F")
+        return dogleg(H, b)
+
+    def counted_trial(self, poses, delta):
+        events.append("T")
+        return retract_trial(self, poses, delta)
+
+    monkeypatch.setattr(solver, "_band_mul", counted_mul)
+    monkeypatch.setattr(solver, "_dogleg_steps", counted_dogleg)
+    monkeypatch.setattr(_PackedGraph, "retract", counted_trial)
+    report = optimize(g, _COLLAPSE)
+    assert report.termination is Termination.TRUST_REGION_COLLAPSE
+    trace = "".join(events)
+    assert trace.count("T") > report.iterations
+    assert re.fullmatch("(FMMT+)+", trace)
+    assert trace.count("M") == 2 * report.iterations
+
+
 @pytest.mark.parametrize("rate", list(NodeRate))
 @pytest.mark.parametrize("strategy, width", [(Strategy.G1, 5),
                                              (Strategy.G2, 8),
@@ -648,7 +715,7 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
     packed = _PackedGraph(g)
     assert packed.u == width
     H, b = packed_evaluate(packed, packed.poses)[1:]
-    step = solver._solve_normal(H, b)
+    step = solver._solve_normal(H, b)[0]
     Hd, bd, _, free = dense_system(g)
     assert sorted(packed.free.tolist()) == free
     want = _dense_solve(Hd, bd)[_in_chain_order(packed, free)]
