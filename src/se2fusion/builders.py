@@ -9,9 +9,13 @@ Three ways to wire the same information into a graph:
 * G3: GNSS fixes become fixed nodes; the per-fix uncertainty moves onto
   the identity edges tying them to the vehicle nodes.
 
-All three share the odometry chain between consecutive vehicle nodes and
-are initialized by dead reckoning from the first fix, so odometry-edge
-residuals start at rounding level.  build() and the re-chain check
+All three share the odometry chain between consecutive vehicle nodes.
+The seed dead-reckons that chain from the origin, then moves it as one
+rigid body onto the fixes (the weighted least-squares fit of its fix
+nodes), so odometry-edge residuals start at rounding level and the
+start heading rests on every fix rather than on the bearing between the
+first two.  G2's GNSS nodes start on their vehicle nodes, so the
+identity edges start at zero.  build() and the re-chain check
 coverage once, over the gaps between accepted fixes, and price their
 windows with one `WindowEnds`.  No node stores its role: the vehicle
 nodes are the chain's, which is how the track is read back.  build()
@@ -37,8 +41,7 @@ from .errors import TooFewReadingsError
 from .gnss import gnss_information
 from .graph import EDGE_KINDS, EdgeKind, PoseGraph
 from .odometry import OdometryStream, WindowEnds, arc_information
-from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angle, \
-    wrap_angles
+from .se2 import Pose2, _compose_cols, poses_from_rows, wrap_angles
 
 
 class Strategy(enum.Enum):
@@ -80,24 +83,39 @@ def _accepted_fixes(readings, odo: OdometryStream):
     return kept, fix_t
 
 
-def _dead_reckon(readings, stream: OdometryStream, times):
+def _dead_reckon(stream: OdometryStream, times):
     """Odometry deltas (k, 3) and arc lengths between consecutive node
     times, covered (`_accepted_fixes`) and priced by one `WindowEnds`,
-    and the (k + 1, 3) poses chained through them from the first
-    accepted reading as one prefix product, headings left unwrapped."""
+    and the (k + 1, 3) poses chained through them from the origin at
+    heading 0 as one prefix product, headings left unwrapped."""
     k = np.arange(times.size)
     dx, dy, heading, arcs = WindowEnds(stream, times).windows(k[:-1], k[1:])
     deltas = np.stack((dx, dy, wrap_angles(heading)), axis=1)
-    # the first pose heads along the bearing to the second fix; then
     # cumulative headings, and cumulative steps rotated by them
-    (x, y), (x1, y1) = readings[0].position, readings[1].position
-    theta = np.cumsum(np.append(wrap_angle(math.atan2(y1 - y, x1 - x)),
-                                deltas[:, 2]))
+    theta = np.cumsum(np.append(0.0, deltas[:, 2]))
     c, s = np.cos(theta[:-1]), np.sin(theta[:-1])
-    poses = np.stack((np.cumsum(np.append(x, c * dx - s * dy)),
-                      np.cumsum(np.append(y, s * dx + c * dy)), theta),
+    poses = np.stack((np.cumsum(np.append(0.0, c * dx - s * dy)),
+                      np.cumsum(np.append(0.0, s * dx + c * dy)), theta),
                      axis=1)
     return deltas, arcs, poses
+
+
+def _fit_to_fixes(chain, at_fix, fixes, weights):
+    """The (k, 3) chain moved by the one rigid SE(2) motion that puts its
+    rows `at_fix` closest to the (m, 2) fixes in weighted least squares:
+    the closed-form 2-D Procrustes fit (Umeyama 1991).  The rotation is
+    the angle of the weighted cross-covariance of the centred point sets,
+    0 when the fix nodes coincide (a drive at a standstill); the motion
+    takes the chain's weighted centroid onto the fixes'."""
+    w = weights / np.sum(weights)
+    p = chain[at_fix, :2]
+    p_bar, q_bar = w @ p, w @ fixes
+    (px, py), (qx, qy) = (p - p_bar).T, (fixes - q_bar).T
+    phi = math.atan2(w @ (px * qy - py * qx), w @ (px * qx + py * qy))
+    c, s = math.cos(phi), math.sin(phi)
+    tx = q_bar[0] - (c * p_bar[0] - s * p_bar[1])
+    ty = q_bar[1] - (s * p_bar[0] + c * p_bar[1])
+    return np.stack(_compose_cols(tx, ty, phi, *chain.T), axis=1)
 
 
 def _node_times(fix_t: np.ndarray, stream: OdometryStream, rate: NodeRate):
@@ -122,7 +140,13 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     cfg = config if config is not None else BuilderConfig()
     readings, fix_t = _accepted_fixes(readings, odo)
     times = _node_times(fix_t, odo, cfg.node_rate)
-    deltas, arcs, poses = _dead_reckon(readings, odo, times)
+    deltas, arcs, chain = _dead_reckon(odo, times)
+    # every fix time is a node time, so its node is found exactly
+    at_fix = np.searchsorted(times, fix_t)
+    fixes = np.array([(r.position[0], r.position[1], 0.0) for r in readings])
+    info = gnss_information(readings)
+    poses = _fit_to_fixes(chain, at_fix, fixes[:, :2],
+                          (info[:, 0, 0] + info[:, 1, 1]) / 2.0)
 
     graph = PoseGraph()
     graph.add_nodes([(0.0, 0.0, 0.0)], fixed=True)
@@ -130,10 +154,7 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     graph.add_edges(vehicle[:-1], vehicle[1:], deltas, arc_information(arcs),
                     EdgeKind.ODOMETRY)
 
-    # every fix time is a node time, so its node is found exactly
-    fix_node = vehicle.start + np.searchsorted(times, fix_t)
-    fixes = np.array([(r.position[0], r.position[1], 0.0) for r in readings])
-    info = gnss_information(readings)
+    fix_node = vehicle.start + at_fix
     origin = np.zeros(len(readings), dtype=np.intp)
     identity = np.zeros_like(fixes)
     if cfg.strategy is Strategy.G1:
@@ -141,7 +162,8 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
         tie = np.broadcast_to(np.diag([s, s, s]), info.shape)
-        gnss = graph.add_nodes(fixes)
+        # each starts on its vehicle node, its identity edge at zero
+        gnss = graph.add_nodes(poses[at_fix])
         graph.add_edges(origin, gnss, fixes, info, EdgeKind.GNSS_ABSOLUTE)
         graph.add_edges(gnss, fix_node, identity, tie,
                         EdgeKind.VIRTUAL_IDENTITY)

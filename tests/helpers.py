@@ -248,6 +248,50 @@ def dense_optimize(graph, max_iterations=100, radius=1e4,
 
 
 # ---------------------------------------------------------------------------
+# Weighted rigid fit by a dense angle scan (oracle for the seed alignment)
+
+def scan_rigid_fit(points, targets, weights, n=3600):
+    """(theta, tx, ty) of the rigid motion p -> R(theta) p + t that
+    minimizes sum_i w_i |R p_i + t - q_i|^2, found without the closed
+    form: at each angle the best translation takes the weighted centroid
+    of the turned points onto the targets', a scan of n angles picks the
+    cheapest, and a root of the cost's slope between its two neighbours
+    refines it.  The cost is a sinusoid in theta, so the scan's best
+    angle lies within one step of the minimum; points that all coincide
+    (no unique rotation) make the root bracket fail."""
+    from scipy.optimize import brentq
+
+    p = np.asarray(points, dtype=float)
+    q = np.asarray(targets, dtype=float)
+    w = np.asarray(weights, dtype=float)
+
+    def placed(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        turned = p @ np.array([[c, s], [-s, c]])    # rows R p
+        t = w @ (q - turned) / np.sum(w)
+        return turned + t, t
+
+    def cost(theta):
+        r = placed(theta)[0] - q
+        return float(w @ np.sum(r * r, axis=1))
+
+    def slope(theta):
+        # the translation's own term drops out: at the best translation
+        # the weighted residuals sum to zero
+        c, s = math.cos(theta), math.sin(theta)
+        turned_prime = p @ np.array([[-s, c], [-c, -s]])    # rows R' p
+        r = placed(theta)[0] - q
+        return 2.0 * float(w @ np.sum(r * turned_prime, axis=1))
+
+    grid = np.linspace(-math.pi, math.pi, n, endpoint=False)
+    best = grid[int(np.argmin([cost(a) for a in grid]))]
+    step = 2.0 * math.pi / n
+    theta = brentq(slope, best - step, best + step, xtol=1e-15)
+    _, t = placed(theta)
+    return theta, float(t[0]), float(t[1])
+
+
+# ---------------------------------------------------------------------------
 # Fine-step quadrature oracle for odometry pre-integration
 
 def integrate_fine(times, yaw_rates, velocities, t0, t1, n=100001):

@@ -1,11 +1,13 @@
 """Graph construction in the three wiring strategies."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from helpers import integrate_fine, total_error, window_pose
+from helpers import integrate_fine, scan_rigid_fit, total_error, \
+    window_pose
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, \
     _vehicle_poses, build, full_rate_trajectory, vehicle_trajectory
 from se2fusion.dataset import Dataset, ExperimentConfig, run_experiment
@@ -14,7 +16,8 @@ from se2fusion.errors import InsufficientCoverageError, \
 from se2fusion.gnss import GnssReading, gnss_information
 from se2fusion.graph import EdgeKind, PoseGraph, load, save
 from se2fusion.odometry import OdometryStream
-from se2fusion.se2 import Pose2, compose, edge_residual
+from se2fusion.se2 import Pose2, compose, edge_residual, inverse, \
+    wrap_angle, wrap_angles
 from se2fusion.solver import SolverConfig, optimize
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
@@ -129,9 +132,11 @@ def test_curved_seeds_match_fine_integrator():
                 for k in range(61)]
     seeds = _seeds(readings, stream)
     for k in (10, 30, 60):
+        # the chain's shape: the fit moves it as one rigid body
+        shape = compose(inverse(seeds[0]), seeds[k])
         dx, dy, _, _ = integrate_fine(t, w, v, 0.0, float(k))
-        assert seeds[k].x == pytest.approx(dx, abs=1e-3)
-        assert seeds[k].y == pytest.approx(dy, abs=1e-3)
+        assert shape.x == pytest.approx(dx, abs=1e-3)
+        assert shape.y == pytest.approx(dy, abs=1e-3)
 
 
 def _curved_drive():
@@ -162,6 +167,121 @@ def test_odometry_residuals_start_at_zero():
                                       graph.nodes[e.to_id].pose,
                                       e.measurement)
                     assert np.abs(r).max() <= 1e-9
+
+
+def _weighted_drive(seed, duration=120.0):
+    """An urban drive whose fixes each carry their own accuracy, so the
+    seed fit weighs them unequally."""
+    ds = generate_synthetic(seed, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 1.0),
+                            OdoErrorModel(0.011), duration)
+    rng = np.random.default_rng(seed)
+    for r in ds.gnss:
+        r.epx, r.epy = rng.uniform(0.5, 6.0, size=2)
+    return ds.gnss, ds.odometry
+
+
+def _fit_gap(graph):
+    """Largest gap, in metres or radians, between a G1 graph's seeds at
+    its fix nodes and the oracle's weighted fit of the chain's shape (each
+    vehicle seed seen from the first) onto the fixes."""
+    fix_edges = [e for e in graph.edges if e.kind is ABS]
+    first = graph.nodes[1].pose
+    shape = [compose(inverse(first), graph.nodes[e.to_id].pose)
+             for e in fix_edges]
+    theta, tx, ty = scan_rigid_fit(
+        [(p.x, p.y) for p in shape],
+        [(e.measurement.x, e.measurement.y) for e in fix_edges],
+        [(e.information[0, 0] + e.information[1, 1]) / 2.0
+         for e in fix_edges])
+    gap = 0.0
+    for e, p in zip(fix_edges, shape):
+        fit = compose(Pose2(tx, ty, theta), p)
+        seed = graph.nodes[e.to_id].pose
+        gap = max(gap, abs(fit.x - seed.x), abs(fit.y - seed.y),
+                  abs(wrap_angle(fit.theta - seed.theta)))
+    return gap
+
+
+def test_seeds_are_the_weighted_rigid_fit_of_the_chain_to_the_fixes():
+    """At both node rates the fix nodes start where the oracle's weighted
+    rigid fit of the dead-reckoned chain puts them, on a drive that turns,
+    with noisy and unequally accurate fixes, and on a two-fix drive."""
+    for readings, stream in (_weighted_drive(3), _drive(2, noise=1.0)):
+        for rate in NodeRate:
+            graph = build(readings, stream,
+                          BuilderConfig(strategy=Strategy.G1,
+                                        node_rate=rate))
+            assert np.all(np.isfinite(graph.poses))
+            assert _fit_gap(graph) <= 1e-9
+
+
+def test_a_fix_of_negligible_weight_barely_moves_the_seeds():
+    """A 58 m jump on one fix with a millionth of the others' weight moves
+    no seed by 10 micrometres; at their weight it moves the seeds by
+    decimetres, so the fit does weigh its fixes."""
+    readings, stream = _drive(40, noise=1.0, seed=7)
+    for scale, lo, hi in ((1e3, 0.0, 1e-5), (1.0, 0.1, math.inf)):
+        # a fix's weight goes as its accuracy to the power -2
+        light = list(readings)
+        light[20] = dataclasses.replace(light[20], epx=2.0 * scale,
+                                        epy=2.0 * scale)
+        moved = list(light)
+        moved[20] = dataclasses.replace(
+            light[20], position=light[20].position + (50.0, -30.0))
+        shift = np.hypot(*(_vehicle_poses(build(moved, stream))[:, :2]
+                           - _vehicle_poses(build(light, stream))[:, :2]).T)
+        assert lo <= shift.max() <= hi
+
+
+def test_a_drive_at_a_standstill_seeds_the_fixes_centroid_unturned():
+    """A zero odometry chord fixes no rotation: the seeds are finite, all
+    at heading 0 and on the fixes' weighted centroid."""
+    readings, stream = _drive(5, speed=0.0, noise=1.0, seed=2)
+    for k, r in enumerate(readings):
+        r.epx = r.epy = 1.0 + k
+    poses = _vehicle_poses(build(readings, stream))
+    weights = [r.epx ** -2 for r in readings]
+    centroid = np.average([r.position for r in readings], axis=0,
+                          weights=weights)
+    assert np.all(np.isfinite(poses))
+    assert np.array_equal(poses[:, 2], np.zeros(len(readings)))
+    assert np.allclose(poses[:, :2], centroid, rtol=0.0, atol=1e-12)
+
+
+def test_g2_gnss_nodes_start_on_their_vehicle_nodes():
+    """Every GNSS node of G2 starts on its vehicle node's row, so its
+    identity edge starts at zero residual (to rounding), and the vehicle
+    seeds are G1's, at both node rates."""
+    readings, stream = _weighted_drive(4)
+    for rate in NodeRate:
+        g2 = build(readings, stream, BuilderConfig(strategy=Strategy.G2,
+                                                   node_rate=rate))
+        ties = [e for e in g2.edges if e.kind is TIE]
+        assert len(ties) == len(readings)
+        for e in ties:
+            assert np.array_equal(g2.poses[e.from_id], g2.poses[e.to_id])
+            r = edge_residual(g2.nodes[e.from_id].pose,
+                              g2.nodes[e.to_id].pose, e.measurement)
+            assert np.abs(r).max() <= 1e-12
+        g1 = build(readings, stream, BuilderConfig(strategy=Strategy.G1,
+                                                   node_rate=rate))
+        assert np.array_equal(_vehicle_poses(g2), _vehicle_poses(g1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_standstill_start_seeds_the_truth_heading(seed):
+    """A drive that waits 20 s before it moves gives no bearing between
+    its first fixes; the seeded chain still heads along the route, within
+    1 degree."""
+    ds = generate_synthetic(seed, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel((0.3, 0.2), 0.95, 1.0),
+                            OdoErrorModel(0.011), 300.0, standstill=(0, 20))
+    graph = build(ds.gnss, ds.odometry, BuilderConfig(strategy=Strategy.G1))
+    (x0, y0), (x1, y1) = ds.truth.positions[0], ds.truth.positions[-1]
+    route = math.atan2(y1 - y0, x1 - x0)
+    heading = _vehicle_poses(graph)[:, 2]
+    assert np.abs(np.degrees(wrap_angles(heading - route))).max() <= 1.0
 
 
 def test_strategies_share_the_optimum():

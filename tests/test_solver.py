@@ -760,14 +760,15 @@ def test_linear_system_is_in_id_order_whatever_the_chain_order():
     assert np.array_equal(b_chain, b[at])
 
 
-# one G2 solve of a 1200 s urban loop: 3.6k edges, so the solver's vector
-# reductions are long enough for OpenBLAS to split them across threads
+# one G2 solve of a 1800 s urban loop: 5.4k edges, so the solver's vector
+# reductions are long enough for OpenBLAS to split them across threads,
+# and 16 iterations, so a thread-dependent rounding has steps to grow in
 _THREADED_SOLVE = """
 from se2fusion import ExperimentConfig, GnssErrorModel, OdoErrorModel, \\
     TrajectoryProfile, generate_synthetic, run_experiment
 ds = generate_synthetic(3, TrajectoryProfile.URBAN_LOOP,
                         GnssErrorModel((0.3, 0.2), 0.95, 0.6),
-                        OdoErrorModel(0.011), 1200.0)
+                        OdoErrorModel(0.011), 1800.0)
 lines = []
 trajectory = run_experiment(ds, ExperimentConfig(outlier_rejection=False),
                             lines.append)[0]
