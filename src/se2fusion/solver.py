@@ -7,17 +7,21 @@ columns the Jacobians reuse; the system pass builds the normal
 equations from those.  The initial poses take both passes.  Then each
 iteration proposes a step for the current trust radius from the system
 it holds, runs the residual pass on the trial, tests its gain ratio,
-and accepts it or halves the radius and proposes again.  A trial pays
-for its retraction and chi-square only.  Its model decrease
-pred = 2 b'd - d'Hd is a closed form per branch, since every step is
-s b + tau g for the Gauss-Newton point g: b'g on the Gauss-Newton
-branch, 2a b'b - a^2 b'Hb on the gradient branch (a = radius/|b|), and
-the expanded quadratic in b'b, b'Hb, b'Hg and g'Hg on the blend, with
-b'b, b'Hb and b'g computed once per iteration.  When the solve took a
-rung of the ladder below, (H + lambda D) g = b, so g'Hg = b'g -
-lambda g'Dg and b'Hg = b'b - lambda b'Dg, and the Gauss-Newton branch
-gives b'g + lambda g'Dg.  An accepted trial's system pass gives the
-next iteration's system, so no pass runs twice on one pose set.
+and accepts it or halves the radius and proposes again.  Every radius
+at or above |g|, the norm of the Gauss-Newton point g, proposes g, so a
+rejected g is not evaluated again: the radius halves on, unevaluated,
+until it is below |g| or has collapsed.  A trial pays for its
+retraction and chi-square only.  Its model decrease pred = 2 b'd - d'Hd
+is a closed form per branch, since every step is s b + tau g: b'g on
+the Gauss-Newton branch, 2a b'b - a^2 b'Hb on the gradient branch
+(a = radius/|b|), and the expanded quadratic in b'b, b'Hb, b'Hg and g'Hg
+on the blend.  b'b and b'g are computed once per iteration, b'Hb and the
+Cauchy point only in an iteration that proposes a step other than g.
+When the solve took a rung of the ladder below, (H + lambda D) g = b, so
+g'Hg = b'g - lambda g'Dg and b'Hg = b'b - lambda b'Dg, and the
+Gauss-Newton branch gives b'g + lambda g'Dg.  An accepted trial's system
+pass gives the next iteration's system, so no pass runs twice on one
+pose set.
 optimize() views the graph's node and edge arrays in place; an accepted
 trial writes its free rows into the graph's pose array, so fixed poses
 are never touched and the graph always holds the last accepted iterate.
@@ -200,20 +204,26 @@ class _PackedGraph:
         # for r <= c, and each b entry to slot (u + 1) n + its variable;
         # the lower half of a diagonal block, any block or segment on a
         # fixed node, and the last block's fourth column are dropped.
-        r0 = np.stack((io, jo, io))[:, :, None, None]
-        c0 = np.stack((io, jo, jo))[:, :, None, None]
-        rows = r0 + np.arange(3)[:, None]
-        cols = c0 + np.arange(3)
-        r = np.minimum(rows, cols)
-        c = np.maximum(rows, cols)
-        keep = (r0 >= 0) & (c0 >= 0) & ((rows <= cols) | (r0 != c0))
+        # Entry (a, k) of a block whose corner (r0, c0) has r0 <= c0 is
+        # at the corner's slot (u + r0 - c0) n + c0 plus offset[a, k];
+        # an (i, j) block below the diagonal is the transpose of one
+        # above it, so its entries take offset[k, a].
         self.h_size = (u + 1) * n
         # dropped entries land in one extra bin past the end of b
         drop = self.h_size + n
+        k = np.arange(3)
+        offset = (k[:, None] - k) * n + k
         slot = np.full((3, len(io), 3, 4), drop, dtype=np.intp)
-        slot[..., :3] = np.where(keep, (u + r - c) * n + c, drop)
-        slot[:2, :, :, 3] = np.where(r0[:2, :, :, 0] >= 0,
-                                     self.h_size + rows[:2, :, :, 0], drop)
+        for blocks, v in zip(slot, (io, jo)):
+            on = v >= 0
+            corner = u * n + v[on, None, None]
+            blocks[on, :, :3] = np.where(k[:, None] <= k, corner + offset,
+                                         drop)
+            blocks[on, :, 3] = self.h_size + v[on, None] + k
+        i, j = io[both, None, None], jo[both, None, None]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        slot[2, both, :, :3] = (u + lo - hi) * n + hi \
+            + np.where(i > j, offset.T, offset)
         self.slot = slot.ravel()
 
     def residual(self, poses: np.ndarray):
@@ -306,7 +316,8 @@ def _solve_normal(H: np.ndarray, b: np.ndarray):
 
 
 def _dogleg_steps(H: np.ndarray, b: np.ndarray):
-    """Solve once; return the dogleg step as a function of the radius.
+    """Solve once; return the dogleg step as a function of the radius,
+    and |g|.
 
     The Gauss-Newton point g, the Cauchy point and their norms do not
     depend on the radius, so every trial radius only combines them.  The
@@ -314,11 +325,13 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     2 b'delta - delta'H delta.  Every step is a combination of b and g,
     and (H + lam D) g = b on the rung that solved, so g'Hg and b'Hg are
     b'g - lam g'Dg and b'b - lam b'Dg, and pred needs no product with H.
+    Any radius at or above |g| gives g, whose pred needs only b'g and the
+    rung's terms; b'Hb (with the undamped H), the Cauchy point and its
+    norm are computed by the first call with a smaller radius and kept.
     """
     gn, lam, damp = _solve_normal(H, b)
     gn_norm = _norm(gn)
     bb = _dot(b, b)
-    bHb = _dot(b, _band_mul(H, b))
     bg = _dot(b, gn)
     # the rung's damping terms g'Dg and b'Dg, zero without a rung
     gDg = bDg = 0.0
@@ -327,14 +340,19 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
         gDg, bDg = _dot(gn, Dg), _dot(b, Dg)
     gHg = bg - lam * gDg
     bHg = bb - lam * bDg
-    alpha = bb / bHb if bHb > 0.0 else 0.0
-    cauchy = alpha * b
-    c_norm = _norm(cauchy)
     bnorm = math.sqrt(bb)
+    # b'Hb and the Cauchy point, priced by the first step that is not g
+    cached = []
 
     def step(radius: float):
         if gn_norm <= radius:
             return gn, bg + lam * gDg
+        if not cached:
+            bHb = _dot(b, _band_mul(H, b))
+            alpha = bb / bHb if bHb > 0.0 else 0.0
+            cauchy = alpha * b
+            cached.extend((bHb, alpha, cauchy, _norm(cauchy)))
+        bHb, alpha, cauchy, c_norm = cached
         if c_norm >= radius:
             a = radius / bnorm
             return a * b, 2.0 * a * bb - a * a * bHb
@@ -351,7 +369,7 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
             - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
         return cauchy + tau * d, pred
 
-    return step
+    return step, gn_norm
 
 
 def optimize(graph: PoseGraph, config: SolverConfig | None = None,
@@ -386,7 +404,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
             sink(f"{it} {_fmt(chi_now)} {_fmt(step)} {_fmt(radius)}\n")
 
     for it in range(1, cfg.max_iterations + 1):
-        step = _dogleg_steps(H, b)
+        step, gn_norm = _dogleg_steps(H, b)
         while True:
             delta, pred = step(radius)
             step_norm = _norm(delta)
@@ -406,6 +424,10 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                     radius *= 2.0
                 break
             radius *= 0.5
+            # a rejected g is proposed again, and rejected the same way,
+            # at every radius down to its norm, so those radii are skipped
+            while gn_norm <= radius and radius >= _MIN_TRUST_RADIUS:
+                radius *= 0.5
             if radius < _MIN_TRUST_RADIUS:
                 emit(it, chi, step_norm)
                 return SolveReport(it, initial, chi,

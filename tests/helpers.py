@@ -248,6 +248,136 @@ def dense_optimize(graph, max_iterations=100, radius=1e4,
 
 
 # ---------------------------------------------------------------------------
+# The dogleg loop that evaluates every trial (equality oracle for the
+# solver's trial loop; it calls the solver's own evaluation and solve)
+
+def every_trial_optimize(graph, config=None, trace=None):
+    """optimize() with the trial loop it had before trials were skipped.
+
+    Each iteration computes b'Hb and the Cauchy point before its first
+    trial, and every proposed step is retracted and priced, so a rejected
+    Gauss-Newton point is evaluated again at each halved radius that
+    still holds it.  Evaluation, the banded solve and the trace format
+    are the solver's own, so the report, the trace lines and the poses
+    must equal optimize()'s bit for bit.
+    """
+    from se2fusion import solver
+    from se2fusion.graph import _fmt
+
+    cfg = config if config is not None else solver.SolverConfig()
+    packed = solver._PackedGraph(graph)
+    dot, norm = solver._dot, solver._norm
+
+    def dogleg_steps(H, b):
+        gn, lam, damp = solver._solve_normal(H, b)
+        gn_norm = norm(gn)
+        bb = dot(b, b)
+        bHb = dot(b, solver._band_mul(H, b))
+        bg = dot(b, gn)
+        gDg = bDg = 0.0
+        if damp is not None:
+            Dg = damp * gn
+            gDg, bDg = dot(gn, Dg), dot(b, Dg)
+        gHg = bg - lam * gDg
+        bHg = bb - lam * bDg
+        alpha = bb / bHb if bHb > 0.0 else 0.0
+        cauchy = alpha * b
+        c_norm = norm(cauchy)
+        bnorm = math.sqrt(bb)
+
+        def step(radius):
+            if gn_norm <= radius:
+                return gn, bg + lam * gDg
+            if c_norm >= radius:
+                a = radius / bnorm
+                return a * b, 2.0 * a * bb - a * a * bHb
+            d = gn - cauchy
+            a = dot(d, d)
+            bq = 2.0 * dot(cauchy, d)
+            c = c_norm * c_norm - radius * radius
+            tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
+            s = (1.0 - tau) * alpha
+            pred = 2.0 * (s * bb + tau * bg) \
+                - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
+            return cauchy + tau * d, pred
+
+        return step
+
+    chi, state = packed.residual(packed.poses)
+    initial = chi
+    if packed.n == 0:
+        return solver.SolveReport(0, initial, initial,
+                                  solver.Termination.STEP_TOL)
+    H, b = packed.system(state)
+    radius = solver._TRUST_RADIUS_INIT
+
+    def emit(it, chi_now, step_norm):
+        if trace is not None:
+            trace(f"{it} {_fmt(chi_now)} {_fmt(step_norm)} {_fmt(radius)}\n")
+
+    done = solver.Termination
+    for it in range(1, cfg.max_iterations + 1):
+        step = dogleg_steps(H, b)
+        while True:
+            delta, pred = step(radius)
+            step_norm = norm(delta)
+            if step_norm <= cfg.step_tol:
+                emit(it, chi, step_norm)
+                end = (done.ABS_TOL if chi <= cfg.abs_error_tol
+                       else done.STEP_TOL)
+                return solver.SolveReport(it, initial, chi, end)
+            trial = packed.retract(packed.poses, delta)
+            trial_chi, trial_state = packed.residual(trial)
+            if trial_chi < chi and pred > 0.0:
+                rho = (chi - trial_chi) / pred
+                if rho < 0.25:
+                    radius *= 0.5
+                elif rho > 0.75:
+                    radius *= 2.0
+                break
+            radius *= 0.5
+            if radius < solver._MIN_TRUST_RADIUS:
+                emit(it, chi, step_norm)
+                return solver.SolveReport(it, initial, chi,
+                                          done.TRUST_REGION_COLLAPSE)
+        packed.poses[packed.free] = trial[packed.free]
+        emit(it, trial_chi, step_norm)
+        if trial_chi <= cfg.abs_error_tol:
+            return solver.SolveReport(it, initial, trial_chi, done.ABS_TOL)
+        if chi - trial_chi <= cfg.rel_error_tol * chi:
+            return solver.SolveReport(it, initial, trial_chi, done.REL_TOL)
+        chi = trial_chi
+        H, b = packed.system(trial_state)
+    return solver.SolveReport(max(cfg.max_iterations, 0), initial, chi,
+                              done.MAX_ITER)
+
+
+def broadcast_slots(packed):
+    """The band slot of every block entry of a solver `_PackedGraph`,
+    found entry by entry: each entry's row and column, their min and max,
+    and a keep mask, all broadcast over (3, m, 3, 3).  Same layout as
+    `packed.slot`."""
+    rank = np.full(len(packed.poses), -1, dtype=np.intp)
+    rank[packed.free] = np.arange(packed.free.size)
+    io, jo = 3 * rank[packed.ends]
+    u, n = packed.u, packed.n
+    r0 = np.stack((io, jo, io))[:, :, None, None]
+    c0 = np.stack((io, jo, jo))[:, :, None, None]
+    rows = r0 + np.arange(3)[:, None]
+    cols = c0 + np.arange(3)
+    r = np.minimum(rows, cols)
+    c = np.maximum(rows, cols)
+    keep = (r0 >= 0) & (c0 >= 0) & ((rows <= cols) | (r0 != c0))
+    h_size = (u + 1) * n
+    drop = h_size + n
+    slot = np.full((3, len(io), 3, 4), drop, dtype=np.intp)
+    slot[..., :3] = np.where(keep, (u + r - c) * n + c, drop)
+    slot[:2, :, :, 3] = np.where(r0[:2, :, :, 0] >= 0,
+                                 h_size + rows[:2, :, :, 0], drop)
+    return slot.ravel()
+
+
+# ---------------------------------------------------------------------------
 # Weighted rigid fit by a dense angle scan (oracle for the seed alignment)
 
 def scan_rigid_fit(points, targets, weights, n=3600):

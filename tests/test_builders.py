@@ -115,8 +115,11 @@ def test_straight_drive_seeds():
 
 def test_standstill_seeds_all_equal():
     readings, stream = _drive(4, speed=0.0)
+    # fixes spread 1 m apart while the vehicle stands still: the seed is
+    # the standing chain moved as one rigid body, so the nodes stay one
+    # point and do not follow the fixes apart
     for k, r in enumerate(readings):
-        r.position = np.array([float(k), 0.0])  # bearings need motion
+        r.position = np.array([float(k), 0.0])
     seeds = _seeds(readings, stream)
     first = seeds[0].as_array()
     for s in seeds[1:]:

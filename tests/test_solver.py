@@ -15,9 +15,9 @@ import se2fusion
 from se2fusion import solver
 
 from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
-    clone_graph, dense_optimize, dense_system, dense_to_band, \
-    dogleg_rootfind, packed_evaluate, random_chain_graph, random_pose, \
-    set_pose, total_error
+    broadcast_slots, clone_graph, dense_optimize, dense_system, \
+    dense_to_band, dogleg_rootfind, every_trial_optimize, packed_evaluate, \
+    random_chain_graph, random_pose, set_pose, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
@@ -266,8 +266,9 @@ def test_dogleg_step_large_radius_equals_gauss_newton():
         H = _random_spd(rng, 6)
         b = rng.normal(size=6)
         gn = np.linalg.solve(H, b)
-        step = solver._dogleg_steps(dense_to_band(H), b)(1e12)[0]
-        assert np.allclose(step, gn, atol=1e-12)
+        step, gn_norm = solver._dogleg_steps(dense_to_band(H), b)
+        assert np.allclose(step(1e12)[0], gn, atol=1e-12)
+        assert gn_norm == pytest.approx(np.linalg.norm(gn), rel=1e-12)
 
 
 def test_dogleg_step_tiny_radius_is_scaled_gradient():
@@ -276,7 +277,7 @@ def test_dogleg_step_tiny_radius_is_scaled_gradient():
         H = _random_spd(rng, 5)
         b = rng.normal(size=5)
         radius = 1e-6
-        step = solver._dogleg_steps(dense_to_band(H), b)(radius)[0]
+        step = solver._dogleg_steps(dense_to_band(H), b)[0](radius)[0]
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-12)
         cosine = float(step @ b) / (np.linalg.norm(step) * np.linalg.norm(b))
         assert cosine == pytest.approx(1.0, abs=1e-12)
@@ -294,7 +295,7 @@ def test_dogleg_step_intermediate_matches_rootfind_oracle():
         if not hi > lo * 1.01:
             continue
         radius = 0.5 * (lo + hi)
-        step = solver._dogleg_steps(dense_to_band(H), b)(radius)[0]
+        step = solver._dogleg_steps(dense_to_band(H), b)[0](radius)[0]
         oracle = dogleg_rootfind(H, b, radius)
         assert np.allclose(step, oracle, atol=1e-10)
         assert np.linalg.norm(step) == pytest.approx(radius, rel=1e-9)
@@ -311,7 +312,7 @@ def test_dogleg_step_reports_unsolvable_system():
                   [0.0, 0.0, 1.0]])
     b = np.ones(3)
     with pytest.raises(SingularSystemError):
-        solver._dogleg_steps(dense_to_band(H), b)(1.0)
+        solver._dogleg_steps(dense_to_band(H), b)
 
 
 def test_dogleg_step_regularizes_plain_rank_deficiency():
@@ -319,7 +320,7 @@ def test_dogleg_step_regularizes_plain_rank_deficiency():
     ladder: the step stays finite and inside the trust region."""
     H = np.diag([1.0, 1.0, 0.0])
     b = np.array([1.0, 1.0, 1.0])
-    step = solver._dogleg_steps(dense_to_band(H), b)(10.0)[0]
+    step = solver._dogleg_steps(dense_to_band(H), b)[0](10.0)[0]
     assert np.all(np.isfinite(step))
     assert np.linalg.norm(step) <= 10.0 + 1e-9
 
@@ -340,7 +341,7 @@ def test_dogleg_pred_is_the_dense_model_decrease_on_every_branch():
         bnorm = np.linalg.norm(b)
         cauchy_norm = float(b @ b) / float(b @ H @ b) * bnorm
         assert cauchy_norm < 0.99 * gn_norm
-        step = solver._dogleg_steps(band, b)
+        step = solver._dogleg_steps(band, b)[0]
         for branch, radius in (("gauss-newton", 2.0 * gn_norm),
                                ("gradient", 0.5 * cauchy_norm),
                                ("blend", 0.5 * (cauchy_norm + gn_norm))):
@@ -560,40 +561,57 @@ def test_dogleg_reports_trust_region_collapse():
 
 def _trace_with_trials(monkeypatch, graph, config):
     """Solve with a trace; return the report and, per trace line, its
-    radius and the number of trial steps its iteration evaluated."""
+    radius, the number of trial steps its iteration evaluated and the
+    norm of its Gauss-Newton point."""
     residual = _PackedGraph.residual
-    calls = []
+    dogleg = solver._dogleg_steps
+    calls, gn_norms = [], []
 
     def counted(self, poses):
         calls.append(None)
         return residual(self, poses)
 
+    def recorded(H, b):
+        step, gn_norm = dogleg(H, b)
+        gn_norms.append(gn_norm)
+        return step, gn_norm
+
     monkeypatch.setattr(_PackedGraph, "residual", counted)
+    monkeypatch.setattr(solver, "_dogleg_steps", recorded)
     marks = []
     report = optimize(graph, config, trace=lambda line: marks.append(
         (float(line.split()[3]), len(calls))))
     # the first residual pass is of the initial poses, then one per trial
     counts = np.diff([1] + [n for _, n in marks])
-    return report, [k for k, _ in marks], counts.tolist()
+    return report, [k for k, _ in marks], counts.tolist(), gn_norms
 
 
 def test_trace_radius_follows_the_dogleg_update_rule(monkeypatch):
     g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
-    report, radii, trials = _trace_with_trials(monkeypatch, g, _COLLAPSE)
+    report, radii, trials, gn_norms = _trace_with_trials(monkeypatch, g,
+                                                         _COLLAPSE)
     assert report.termination is Termination.TRUST_REGION_COLLAPSE
     assert max(trials) > 1
+    assert len(gn_norms) == len(radii) == report.iterations
     radius = 1e4
-    for k, (traced, n) in enumerate(zip(radii, trials)):
+    skipped = 0
+    for k, (traced, n, gn_norm) in enumerate(zip(radii, trials, gn_norms)):
         last = k == len(radii) - 1
-        # a rejected trial halves the radius; an accepted one halves,
-        # keeps or doubles it by its gain ratio
+        # a rejected trial halves the radius.  A halved radius still at
+        # or above |g| means the rejected trial was g, the step at every
+        # such radius, so it halves on until it is below |g| or collapsed.
+        # An accepted trial halves, keeps or doubles it by its gain ratio.
         for _ in range(n if last else n - 1):
             radius *= 0.5
+            while gn_norm <= radius and radius >= 1e-12:
+                radius *= 0.5
+                skipped += 1
         if last:
-            assert traced == radius
+            assert traced == radius < 1e-12
         else:
             assert traced / radius in (0.5, 1.0, 2.0)
         radius = traced
+    assert skipped > 0
 
 
 def test_each_pose_set_is_evaluated_once(monkeypatch):
@@ -666,15 +684,16 @@ def test_each_pose_set_is_evaluated_once(monkeypatch):
         assert np.array_equal(H, want_H) and np.array_equal(b, want_b)
 
 
-def test_band_products_run_twice_per_iteration_and_never_per_trial(
+def test_band_products_run_once_per_solve_and_once_per_cauchy_point(
         monkeypatch):
-    """An iteration multiplies by its band twice, for the solve's
-    residual check and for b'Hb, before its first trial; its trials,
-    rejected or accepted, price their model decrease without one."""
+    """An iteration multiplies by its band once, for the solve's residual
+    check, before its first trial, and once more for b'Hb just before its
+    first trial that is not the Gauss-Newton point; no trial, rejected
+    or accepted, makes a product of its own."""
     g, _ = random_chain_graph(np.random.default_rng(48), 9, n_absolute=3)
     band_mul, dogleg = solver._band_mul, solver._dogleg_steps
     retract_trial = _PackedGraph.retract
-    events = []
+    events, points = [], []
 
     def counted_mul(band, x):
         events.append("M")
@@ -682,10 +701,13 @@ def test_band_products_run_twice_per_iteration_and_never_per_trial(
 
     def counted_dogleg(H, b):
         events.append("F")
-        return dogleg(H, b)
+        step, gn_norm = dogleg(H, b)
+        points.append(step(math.inf)[0])
+        return step, gn_norm
 
     def counted_trial(self, poses, delta):
-        events.append("T")
+        # G: the iteration's Gauss-Newton point, S: any other step
+        events.append("G" if np.array_equal(delta, points[-1]) else "S")
         return retract_trial(self, poses, delta)
 
     monkeypatch.setattr(solver, "_band_mul", counted_mul)
@@ -693,10 +715,74 @@ def test_band_products_run_twice_per_iteration_and_never_per_trial(
     monkeypatch.setattr(_PackedGraph, "retract", counted_trial)
     report = optimize(g, _COLLAPSE)
     assert report.termination is Termination.TRUST_REGION_COLLAPSE
-    trace = "".join(events)
-    assert trace.count("T") > report.iterations
-    assert re.fullmatch("(FMMT+)+", trace)
-    assert trace.count("M") == 2 * report.iterations
+    iterations = "".join(events).split("F")[1:]
+    assert len(iterations) == report.iterations
+    # the radius only shrinks within an iteration, so once a step is not
+    # the Gauss-Newton point, no later one in that iteration is
+    for it in iterations:
+        assert re.fullmatch("MG*(MS+)?", it), it
+    cauchy = sum("S" in it for it in iterations)
+    assert 0 < cauchy < report.iterations
+    assert sum(it.count("M") for it in iterations) \
+        == report.iterations + cauchy
+    # some trials were rejected
+    trials = sum(len(it) - it.count("M") for it in iterations)
+    assert trials > report.iterations
+
+
+def _jump_chain():
+    """The G1 chain of a 20 s straight drive whose fixes jump 50 m at a
+    rate of one in ten, unscreened: a large-residual solve whose
+    Gauss-Newton point is rejected at radii that would propose it
+    again."""
+    ds = generate_synthetic(1, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel((0.2, 0.1), 0.95, 0.3, 0.1, 50.0),
+                            OdoErrorModel(0.011), 20.0)
+    return build(ds.gnss, ds.odometry, BuilderConfig())
+
+
+def test_no_iteration_evaluates_the_same_step_twice(monkeypatch):
+    g = _jump_chain()
+    retract_trial = _PackedGraph.retract
+    seen, repeats = [], []
+
+    def recorded(self, poses, delta):
+        repeats.append(any(np.array_equal(delta, d) for d in seen))
+        seen.append(delta.copy())
+        return retract_trial(self, poses, delta)
+
+    def end_iteration(_):
+        seen.clear()
+
+    monkeypatch.setattr(_PackedGraph, "retract", recorded)
+    # evaluating every trial repeats the rejected Gauss-Newton point
+    every_trial_optimize(clone_graph(g), trace=end_iteration)
+    assert sum(repeats) > 10
+    repeats.clear()
+    report = optimize(g, trace=end_iteration)
+    assert report.converged
+    assert len(repeats) > report.iterations
+    assert not any(repeats)
+
+
+@pytest.mark.parametrize("config", [None, _COLLAPSE],
+                         ids=["default", "collapse"])
+def test_skipped_trials_leave_every_solve_bit_identical(config):
+    """optimize() skips the trials that cannot change its course and
+    prices the Cauchy point only when a step needs it; the oracle
+    evaluates every trial with an eager Cauchy point.  Reports, trace
+    lines and poses agree bit for bit: on random chains, and on the jump
+    chain, where the Gauss-Newton point is proposed again."""
+    graphs = [random_chain_graph(np.random.default_rng(seed), 9,
+                                 n_absolute=3)[0] for seed in range(6)]
+    for g in graphs + [_jump_chain()]:
+        other = clone_graph(g)
+        got, want = [], []
+        report = optimize(g, config, trace=got.append)
+        assert repr(report) == repr(every_trial_optimize(other, config,
+                                                         trace=want.append))
+        assert got == want
+        assert g.poses.tobytes() == other.poses.tobytes()
 
 
 @pytest.mark.parametrize("rate", list(NodeRate))
@@ -742,6 +828,33 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
     assert report.converged
     assert dense_optimize(h)
     assert np.max(np.abs(g.poses - h.poses)) < 1e-8
+
+
+def test_slot_map_equals_the_entry_by_entry_construction():
+    """The band slots built from each block's corner are the ones found
+    entry by entry: on built graphs of every strategy and node rate, on a
+    loop-closed chain (blocks below the diagonal) and on a chain with a
+    fixed node inside it (blocks dropped)."""
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                            OdoErrorModel(0.011), 12.0)
+    graphs = [build(ds.gnss, ds.odometry,
+                    BuilderConfig(strategy=strategy, node_rate=rate))
+              for strategy in Strategy for rate in NodeRate]
+    inner, _ = random_chain_graph(np.random.default_rng(54), 12,
+                                  n_absolute=4)
+    inner.fixed[6] = True
+    below = False
+    for g in graphs + [_loop_closed_chain(51), inner]:
+        packed = _PackedGraph(g)
+        assert np.array_equal(packed.slot, broadcast_slots(packed))
+        # an edge whose from node comes later in chain order than its to
+        # node puts its (i, j) block below the diagonal
+        rank = np.full(len(g.nodes), -1)
+        rank[packed.free] = np.arange(packed.free.size)
+        i, j = rank[packed.ends]
+        below |= bool(np.any((i > j) & (j >= 0)))
+    assert below
 
 
 def test_linear_system_is_in_id_order_whatever_the_chain_order():
