@@ -303,21 +303,24 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
                                       half, tan_half)
 
 
-def batch_edge_jacobians(dx, dy, dt, ex, ey, et, f, small, half, tan_half
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Jj and A = Ad(inverse(d)), both (m, 3, 3), from the state of
+def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Jj, (m, 3, 3), of every edge, and A = Ad(inverse(d)), (k, 3, 3),
+    of the edges at the k indices `rows`, from the state of
     batch_edge_residuals.
 
     Jj is the log-map Jacobian times the residual's rotation, a planar
     frame, and Ji = -Jj A (Sola et al., "A micro Lie theory for state
     estimation in robotics", 2018), so a caller that wants Ji's products
-    can form them from Jj's.
+    can form them from Jj's.  An edge whose from node is held fixed has
+    no Ji, so a caller leaves it out of `rows`.
     """
+    dx, dy, dt, ex, ey, et, f, small, half, tan_half = state
     # f'(et) from the mask, half angle and tangent that gave f(et)
     hs = np.sin(half)
     fp = np.where(small, _half_cot_prime_taylor(et),
                   0.5 / tan_half - 0.5 * half / (hs * hs))
     c, s, h = np.cos(et), np.sin(et), 0.5 * et
+    dx, dy, dt = dx[rows], dy[rows], dt[rows]
     cd, sd = np.cos(dt), np.sin(dt)
     # Ad(inverse(d)) moves the translation (sd dx - cd dy, sd dy + cd dx)
     # into the frame

@@ -29,10 +29,19 @@ are never touched and the graph always holds the last accepted iterate.
 The system pass builds each edge's blocks in adjoint form.  Ji = -Jj A
 with A = Ad(inverse(d)) and d = inverse(xi) xj, so Hjj = Jj'Omega Jj
 gives Hij = -A'Hjj and Hii = A'Hjj A, and g_j = Jj'Omega e gives
-g_i = -A'g_j.  No Ji is formed, and Omega is the edge's full 3x3
-information matrix.  The gradient rides along as a fourth column,
-Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], so four stacked products give
-every block and segment and one scatter adds them into H and b.
+g_i = -A'g_j.  No Ji is formed.  The gradient rides along as a fourth
+column, Jj'[Omega Jj | -Omega e] = [Hjj | -g_j].  The edges come in two
+classes, told apart by graph.fixed once per graph: every edge has its
+(j, j) block and b segment, and only an edge whose from node is free
+has (i, i) and (i, j) blocks, so A and its two products are formed for
+those edges alone; an edge from a fixed node (a fix edge of G1 and G2,
+an identity edge of G3) is a unary edge on its to node.  When no edge
+has an off-diagonal information entry, as in every graph builders.build()
+makes, Omega e and Omega Jj are elementwise products with Omega's
+diagonal, which give the matrix products' bits; a graph with any full
+Omega takes the matrix products.  One scatter adds every block and
+segment into H and b, each entry summing its edges' terms in the order
+(i, i), (j, j), (i, j).
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -111,12 +120,21 @@ def _chain_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     taken in ascending degree (then index); a node with no path to the
     earlier ones starts the next search.
     """
-    pairs = np.unique(np.concatenate((a * n + b, b * n + a)))
+    # the pair keys src n + dst, sorted, each pair once
+    pairs = np.sort(np.concatenate((a * n + b, b * n + a)))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     src, dst = np.divmod(pairs, n)
     degree = np.bincount(src, minlength=n)
-    by = np.lexsort((dst, degree[dst], src))
-    neighbours = dst[by].tolist()
-    start = np.searchsorted(src[by], np.arange(n + 1)).tolist()
+    # each node's place in (degree, index) order, so that one sort of
+    # src n + place[dst] orders the pairs by (src, degree[dst], dst).
+    # That key is below n^2, as the pair keys are: both fit in int64
+    # for n < 3e9 nodes, whose poses alone would fill 72 GB
+    by_degree = np.argsort(degree, kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[by_degree] = np.arange(n)
+    keys = np.sort(src * n + place[dst])
+    neighbours = by_degree[keys % n].tolist()
+    start = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
     seen = [False] * n
     order = []
     for root in range(n):
@@ -167,21 +185,28 @@ class SolveReport:
 class _PackedGraph:
     """A view of the graph's arrays, with the band layout of H.
 
-    The (n, 3) poses, indexed by node id, and the (m, 3, 3) information
-    stack are the graph's own; the from and to ids are stacked into one
-    (2, m) array `ends`, so one gather gives both endpoints, and the
-    (m, 3) measurements are kept only as their inverses' columns, `zinv`.
-    `free` lists the free node ids in chain (Cuthill-McKee) order, and
-    free[k] owns variables 3k..3k+2 of the reduced system.  The map from
-    each block entry to its slot in the (u + 1, n) upper band is built
-    once, so system() only fills values.
+    The (n, 3) poses, indexed by node id, are the graph's own; the from
+    and to ids are stacked into one (2, m) array `ends`, so one gather
+    gives both endpoints, and the (m, 3) measurements are kept only as
+    their inverses' columns, `zinv`.  `omega` is the (m, 3) diagonal of
+    the information stack when no edge has an off-diagonal entry, as on
+    every graph builders.build() makes, and the (m, 3, 3) stack itself
+    otherwise.  `free` lists the free node ids in chain (Cuthill-McKee)
+    order, and free[k] owns variables 3k..3k+2 of the reduced system.
+    `pair` lists the edges whose from node is free: only they have
+    (i, i) and (i, j) blocks, while an edge from a fixed node has its
+    (j, j) block alone.  The map from each block entry to its slot in
+    b and the (u + 1, n) upper band is built once, so system() only
+    fills values.
     """
 
     def __init__(self, graph: PoseGraph):
         self.poses = graph.poses
         self.ends = np.stack((graph.from_ids, graph.to_ids))
         self.zinv = inverse_columns(graph.measurements)
-        self.omega = graph.information
+        flat = graph.information.reshape(-1, 9)
+        full = flat[:, [1, 2, 3, 5, 6, 7]].any()
+        self.omega = graph.information if full else flat[:, ::4].copy()
         free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * free.size
 
@@ -197,33 +222,41 @@ class _PackedGraph:
         # half-bandwidth: the full 3x3 diagonal blocks, widened by the
         # farthest pair of free nodes that share an edge
         u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
+        self.pair = pair = np.flatnonzero(io >= 0)
+        i, j = io[pair], jo[pair]
+        p, m = pair.size, jo.size
 
-        # per edge, three 3x4 blocks [H block | b segment] in the order
-        # system() stores them: (i, i | i), (j, j | j), (i, j | none).
-        # Each H entry goes to its upper-triangle slot, band[u + r - c, c]
-        # for r <= c, and each b entry to slot (u + 1) n + its variable;
-        # the lower half of a diagonal block, any block or segment on a
-        # fixed node, and the last block's fourth column are dropped.
-        # Entry (a, k) of a block whose corner (r0, c0) has r0 <= c0 is
-        # at the corner's slot (u + r0 - c0) n + c0 plus offset[a, k];
-        # an (i, j) block below the diagonal is the transpose of one
-        # above it, so its entries take offset[k, a].
-        self.h_size = (u + 1) * n
-        # dropped entries land in one extra bin past the end of b
-        drop = self.h_size + n
+        # system() sums 3x4 blocks [H block | b segment] into one vector
+        # laid out as [b | band rows 0..u | two spare rows], in the order
+        # (i, i | i) of the pair edges, (j, j | j) of every edge, then
+        # (i, j | none) of the pair edges, each class in edge order, so
+        # that every entry of H and b sums its edges' terms in the order
+        # (i, i), (j, j), (i, j).  H entry (r, c), r <= c, is band[u + r
+        # - c, c], at n + (u + r - c) n + c, and b entry v at v.  So entry
+        # (a, k) of the diagonal block at variable v is at v + n + (u + a
+        # - k) n + k, its lower half (a > k) in the spare rows, and its
+        # b segment at v + a.  An (i, j) block above the diagonal (i < j)
+        # has entry (a, k) at its corner n + (u + i - j) n + j plus (a -
+        # k) n + k; one below is the transpose of the block above, so its
+        # entries take the transposed offsets.  A block on a fixed node
+        # and an (i, j) block's fourth column go to the last spare slot.
+        size = self.size = (u + 4) * n
+        drop = size - 1
         k = np.arange(3)
-        offset = (k[:, None] - k) * n + k
-        slot = np.full((3, len(io), 3, 4), drop, dtype=np.intp)
-        for blocks, v in zip(slot, (io, jo)):
-            on = v >= 0
-            corner = u * n + v[on, None, None]
-            blocks[on, :, :3] = np.where(k[:, None] <= k, corner + offset,
-                                         drop)
-            blocks[on, :, 3] = self.h_size + v[on, None] + k
-        i, j = io[both, None, None], jo[both, None, None]
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        slot[2, both, :, :3] = (u + lo - hi) * n + hi \
-            + np.where(i > j, offset.T, offset)
+        above = (k[:, None] - k) * n + k
+        diagonal = np.empty((3, 4), dtype=np.intp)
+        diagonal[:, :3] = n + u * n + above
+        diagonal[:, 3] = k
+        slot = np.empty((2 * p + m, 3, 4), dtype=np.intp)
+        ii, jj, ij = slot[:p], slot[p:p + m], slot[p + m:]
+        np.add(i[:, None, None], diagonal, out=ii)
+        np.add(jo[:, None, None], diagonal, out=jj)
+        jj[jo < 0] = drop
+        corner = n + (u - np.abs(i - j)) * n + np.maximum(i, j)
+        offset = np.stack((above, above.T))[(i > j).astype(np.intp)]
+        np.add(corner[:, None, None], offset, out=ij[..., :3])
+        ij[..., 3] = drop
+        ij[j < 0] = drop
         self.slot = slot.ravel()
 
     def residual(self, poses: np.ndarray):
@@ -236,7 +269,12 @@ class _PackedGraph:
         # np.take gathers rows faster than fancy indexing, same values
         xi, xj = np.take(poses, self.ends, axis=0)
         e, kernel = batch_edge_residuals(xi, xj, self.zinv)
-        oe = (self.omega @ e[:, :, None])[:, :, 0]
+        # a diagonal Omega has one non-zero term per entry of Omega e, so
+        # the elementwise product has the matrix product's bits
+        if self.omega.ndim == 2:
+            oe = self.omega * e
+        else:
+            oe = (self.omega @ e[:, :, None])[:, :, 0]
         return _dot(e, oe), (kernel, oe)
 
     def system(self, state):
@@ -244,7 +282,8 @@ class _PackedGraph:
         (u + 1, n) upper band and b = -sum J'Omega e, both in chain order,
         with each edge's blocks in adjoint form."""
         kernel, oe = state
-        Jj, A = batch_edge_jacobians(*kernel)
+        pair = self.pair
+        Jj, A = batch_edge_jacobians(kernel, pair)
         # Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], and A' times that is
         # [-Hij | g_i]: b's segments ride through the same products as a
         # fourth column, negated with Hij into b's segments.  One scatter
@@ -252,19 +291,23 @@ class _PackedGraph:
         # entry of b, like each of H, sums its edges' terms in the order
         # (i, i), (j, j), (i, j).
         X = np.empty(oe.shape + (4,))
-        np.matmul(self.omega, Jj, out=X[..., :3])
+        if self.omega.ndim == 2:
+            np.multiply(self.omega[:, :, None], Jj, out=X[..., :3])
+        else:
+            np.matmul(self.omega, Jj, out=X[..., :3])
         np.negative(oe, out=X[..., 3])
-        blocks = np.empty((3,) + X.shape)
-        ii, jj, ij = blocks
+        p, m = len(pair), len(oe)
+        blocks = np.empty((2 * p + m, 3, 4))
+        ii, jj, ij = blocks[:p], blocks[p:p + m], blocks[p + m:]
         np.matmul(Jj.transpose(0, 2, 1), X, out=jj)
-        np.matmul(A.transpose(0, 2, 1), jj, out=ij)
+        np.matmul(A.transpose(0, 2, 1), np.take(jj, pair, axis=0), out=ij)
         np.matmul(ij[..., :3], A, out=ii[..., :3])
         np.negative(ij, out=ij)
         ii[..., 3] = ij[..., 3]
         sums = np.bincount(self.slot, weights=blocks.ravel(),
-                           minlength=self.h_size + self.n + 1)
-        return (sums[:self.h_size].reshape(self.u + 1, self.n),
-                sums[self.h_size:-1])
+                           minlength=self.size)
+        n = self.n
+        return sums[n:(self.u + 2) * n].reshape(self.u + 1, n), sums[:n]
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is

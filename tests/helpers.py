@@ -10,6 +10,7 @@ are reused only where the primitive has its own independent oracle.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -353,28 +354,112 @@ def every_trial_optimize(graph, config=None, trace=None):
 
 
 def broadcast_slots(packed):
-    """The band slot of every block entry of a solver `_PackedGraph`,
-    found entry by entry: each entry's row and column, their min and max,
-    and a keep mask, all broadcast over (3, m, 3, 3).  Same layout as
-    `packed.slot`."""
+    """The slot of every block entry of a solver `_PackedGraph` in its
+    sums vector [b | band rows 0..u | two spare rows], found entry by
+    entry: each entry's row and column, their min and max, and a keep
+    mask, all broadcast over the blocks (i, i) of the edges whose from
+    node is free, (j, j) of every edge, then (i, j) of the edges whose
+    from node is free.  A dropped entry gets the drop value -1."""
     rank = np.full(len(packed.poses), -1, dtype=np.intp)
     rank[packed.free] = np.arange(packed.free.size)
     io, jo = 3 * rank[packed.ends]
+    pair = io >= 0
     u, n = packed.u, packed.n
-    r0 = np.stack((io, jo, io))[:, :, None, None]
-    c0 = np.stack((io, jo, jo))[:, :, None, None]
+    r0 = np.concatenate((io[pair], jo, io[pair]))[:, None, None]
+    c0 = np.concatenate((io[pair], jo, jo[pair]))[:, None, None]
     rows = r0 + np.arange(3)[:, None]
     cols = c0 + np.arange(3)
     r = np.minimum(rows, cols)
     c = np.maximum(rows, cols)
     keep = (r0 >= 0) & (c0 >= 0) & ((rows <= cols) | (r0 != c0))
-    h_size = (u + 1) * n
-    drop = h_size + n
-    slot = np.full((3, len(io), 3, 4), drop, dtype=np.intp)
-    slot[..., :3] = np.where(keep, (u + r - c) * n + c, drop)
-    slot[:2, :, :, 3] = np.where(r0[:2, :, :, 0] >= 0,
-                                 h_size + rows[:2, :, :, 0], drop)
+    slot = np.full((len(r0), 3, 4), -1, dtype=np.intp)
+    slot[..., :3] = np.where(keep, n + (u + r - c) * n + c, -1)
+    # only a diagonal block carries a b segment
+    diagonal = (r0 == c0)[:, :, 0] & (r0[:, :, 0] >= 0)
+    slot[..., 3] = np.where(diagonal, rows[..., 0], -1)
     return slot.ravel()
+
+
+def stacked_system(graph, packed):
+    """(chi2, Omega e, H, b) at the graph's poses with no edge classes and
+    no diagonal Omega: every edge through the full-Omega matrix products,
+    with A for every edge, three blocks per edge, and each entry of H and
+    b summed over the (i, i) blocks of all edges, then the (j, j), then
+    the (i, j), each in edge order, by np.add.at into dense arrays.  H is
+    returned in the band layout of `packed` (its chain order and width),
+    so the two compare bit for bit."""
+    from se2fusion.se2 import batch_edge_jacobians, batch_edge_residuals, \
+        inverse_columns
+
+    m = len(graph.from_ids)
+    e, kernel = batch_edge_residuals(graph.poses[graph.from_ids],
+                                     graph.poses[graph.to_ids],
+                                     inverse_columns(graph.measurements))
+    omega = graph.information
+    oe = (omega @ e[:, :, None])[:, :, 0]
+    chi = float((e * oe).sum())
+    Jj, A = batch_edge_jacobians(kernel, np.arange(m))
+    X = np.empty((m, 3, 4))
+    X[..., :3] = omega @ Jj
+    X[..., 3] = -oe
+    jj = Jj.transpose(0, 2, 1) @ X
+    ij = A.transpose(0, 2, 1) @ jj
+    ii = np.empty((m, 3, 4))
+    ii[..., :3] = ij[..., :3] @ A
+    ij = -ij
+    ii[..., 3] = ij[..., 3]
+
+    rank = np.full(len(graph.poses), -1, dtype=np.intp)
+    rank[packed.free] = np.arange(packed.free.size)
+    io, jo = 3 * rank[graph.from_ids], 3 * rank[graph.to_ids]
+    n = packed.n
+    H = np.zeros((n, n))
+    b = np.zeros(n)
+    for block, r0, c0 in ((ii, io, io), (jj, jo, jo), (ij, io, jo)):
+        rows = r0[:, None, None] + np.arange(3)[:, None]
+        cols = c0[:, None, None] + np.arange(3)
+        both = ((r0 >= 0) & (c0 >= 0))[:, None, None]
+        # the upper triangle of H, an (i, j) block below it transposed
+        keep = both & ((rows <= cols) | (r0 != c0)[:, None, None])
+        np.add.at(H, (np.minimum(rows, cols)[keep],
+                      np.maximum(rows, cols)[keep]), block[..., :3][keep])
+    for block, v in ((ii, io), (jj, jo)):
+        on = v >= 0
+        np.add.at(b, (v[on, None] + np.arange(3)).ravel(),
+                  block[on, :, 3].ravel())
+    u = packed.u
+    band = np.zeros((u + 1, n))
+    for k in range(u + 1):
+        band[u - k, k:] = np.diagonal(H, k)
+    return chi, oe, band, b
+
+
+def cuthill_mckee(n, a, b):
+    """Cuthill-McKee order of nodes 0..n-1 joined by the pairs (a, b),
+    node by node: each node's distinct neighbours, sorted by (degree,
+    index), join a first-in first-out queue when first seen; the lowest
+    node not yet seen starts the next search (oracle for the solver's
+    chain order)."""
+    neighbours = [set() for _ in range(n)]
+    for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    degree = [len(s) for s in neighbours]
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in sorted(neighbours[v], key=lambda w: (degree[w], w)):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return order
 
 
 # ---------------------------------------------------------------------------

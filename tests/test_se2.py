@@ -336,7 +336,7 @@ def test_batch_edge_linearization_matches_scalar():
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
         e, state = batch_edge_residuals(_rows(xi), _rows(xj),
                                         inverse_columns(_rows(z)))
-        Jj, A = batch_edge_jacobians(*state)
+        Jj, A = batch_edge_jacobians(state, np.arange(len(xi)))
         Ji = -(Jj @ A)
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
@@ -354,7 +354,8 @@ def test_batch_edge_linearization_matches_scalar():
 def test_split_edge_kernel_matches_scalar():
     """The residual pass gives edge_residual, its headings bit for bit
     (so a heading at +-pi is on the scalar's side of the cut); the
-    Jacobian pass gives Jj, and A = Ad(inverse(d)) with -Jj A = Ji."""
+    Jacobian pass gives Jj of every edge, and A = Ad(inverse(d)) with
+    -Jj A = Ji of the edges it is given, in their order."""
     for seed in (18, 19):
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
         r, state = batch_edge_residuals(_rows(xi), _rows(xj),
@@ -365,19 +366,23 @@ def test_split_edge_kernel_matches_scalar():
         assert np.any(np.abs(want[:, 2]) == math.pi)
         assert np.array_equal(r[:, 2], want[:, 2])
         np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)
-        Jj, A = batch_edge_jacobians(*state)
+        rows = np.random.default_rng(seed).permutation(len(xi))[:400]
+        Jj, A = batch_edge_jacobians(state, rows)
+        assert Jj.shape == (len(xi), 3, 3) and A.shape == (400, 3, 3)
         for k, (a, b, c) in enumerate(zip(xi, xj, z)):
-            want_i, want_j = edge_jacobians(a, b, c)
-            np.testing.assert_allclose(Jj[k], want_j, rtol=1e-12,
-                                       atol=1e-12)
-            np.testing.assert_allclose(-(Jj[k] @ A[k]), want_i, rtol=1e-12,
-                                       atol=1e-12)
+            np.testing.assert_allclose(Jj[k], edge_jacobians(a, b, c)[1],
+                                       rtol=1e-12, atol=1e-12)
+        for q, k in enumerate(rows):
+            a, b, c = xi[k], xj[k], z[k]
+            np.testing.assert_allclose(-(Jj[k] @ A[q]),
+                                       edge_jacobians(a, b, c)[0],
+                                       rtol=1e-12, atol=1e-12)
             # the adjoint of inverse(d), whose translation (x, y) enters
             # as (y, -x)
             d = inverse(compose(inverse(a), b))
             cd, sd = math.cos(d.theta), math.sin(d.theta)
             np.testing.assert_allclose(
-                A[k], [[cd, -sd, d.y], [sd, cd, -d.x], [0.0, 0.0, 1.0]],
+                A[q], [[cd, -sd, d.y], [sd, cd, -d.x], [0.0, 0.0, 1.0]],
                 rtol=1e-12, atol=1e-12)
 
 

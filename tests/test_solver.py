@@ -15,9 +15,10 @@ import se2fusion
 from se2fusion import solver
 
 from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
-    broadcast_slots, clone_graph, dense_optimize, dense_system, \
-    dense_to_band, dogleg_rootfind, every_trial_optimize, packed_evaluate, \
-    random_chain_graph, random_pose, set_pose, total_error
+    broadcast_slots, clone_graph, cuthill_mckee, dense_optimize, \
+    dense_system, dense_to_band, dogleg_rootfind, every_trial_optimize, \
+    packed_evaluate, random_chain_graph, random_pose, set_pose, \
+    stacked_system, total_error
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
@@ -214,19 +215,28 @@ def test_linear_system_matches_dense_assembly():
     assert np.allclose(b, bd, atol=1e-10)
 
 
+def _with_full_information(base, rng, edges):
+    """A copy of `base` whose edges at the ordinals `edges` carry a random
+    SPD information matrix with non-zero off-diagonal entries."""
+    g = PoseGraph()
+    for node in base.nodes:
+        add_node(g, node.pose, fixed=node.fixed)
+    for k, e in enumerate(base.edges):
+        info = e.information
+        if k in edges:
+            root = np.tril(rng.uniform(0.3, 2.0, (3, 3)))
+            info = root @ root.T
+        add_edge(g, Edge(e.from_id, e.to_id, e.measurement, info, e.kind))
+    return g
+
+
 def test_linear_system_matches_dense_assembly_with_full_information():
     """Every edge carries a random SPD information matrix with non-zero
     off-diagonal entries, so the adjoint-form blocks and the gradient
     take the full matrix through the band scatter."""
     rng = np.random.default_rng(54)
     base, _ = random_chain_graph(rng, 10, n_absolute=4)
-    g = PoseGraph()
-    for node in base.nodes:
-        add_node(g, node.pose, fixed=node.fixed)
-    for e in base.edges:
-        root = np.tril(rng.uniform(0.3, 2.0, (3, 3)))
-        add_edge(g, Edge(e.from_id, e.to_id, e.measurement,
-                         root @ root.T, e.kind))
+    g = _with_full_information(base, rng, range(len(base.edges)))
     upper = g.information[:, [0, 0, 1], [1, 2, 2]]
     assert np.all(upper != 0.0)
     assert np.all(np.linalg.eigvalsh(g.information) > 0.0)
@@ -831,10 +841,14 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
 
 
 def test_slot_map_equals_the_entry_by_entry_construction():
-    """The band slots built from each block's corner are the ones found
-    entry by entry: on built graphs of every strategy and node rate, on a
-    loop-closed chain (blocks below the diagonal) and on a chain with a
-    fixed node inside it (blocks dropped)."""
+    """The slots built from each block's corner are the ones found entry
+    by entry: every kept entry of H and b at its place in [b | band], and
+    every dropped one (a diagonal block's lower half, a block or segment
+    on a fixed node, an (i, j) block's fourth column) in the two spare
+    rows past the band, which system() discards.  On built graphs of
+    every strategy and node rate, on a loop-closed chain (blocks below
+    the diagonal) and on a chain with a fixed node inside it (edges into
+    and out of a fixed node)."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
@@ -847,7 +861,13 @@ def test_slot_map_equals_the_entry_by_entry_construction():
     below = False
     for g in graphs + [_loop_closed_chain(51), inner]:
         packed = _PackedGraph(g)
-        assert np.array_equal(packed.slot, broadcast_slots(packed))
+        want = broadcast_slots(packed)
+        kept = want >= 0
+        assert packed.slot.shape == want.shape
+        assert np.array_equal(packed.slot[kept], want[kept])
+        spare = packed.slot[~kept]
+        assert np.all(spare >= (packed.u + 2) * packed.n)
+        assert np.all(spare < packed.size)
         # an edge whose from node comes later in chain order than its to
         # node puts its (i, j) block below the diagonal
         rank = np.full(len(g.nodes), -1)
@@ -871,6 +891,147 @@ def test_linear_system_is_in_id_order_whatever_the_chain_order():
     assert np.allclose(solver._band_mul(band, x[at]), (Hd @ x)[at],
                        atol=1e-9)
     assert np.array_equal(b_chain, b[at])
+
+
+def test_chain_order_is_the_plain_cuthill_mckee_order():
+    """The chain order is the node-by-node Cuthill-McKee order of
+    helpers.cuthill_mckee on random multigraphs (two chains in shuffled
+    ids, the first closed into a loop, extra pairs, a third of the pairs
+    repeated as given and reversed, the rest of the nodes isolated), on
+    pair lists with no pair at all, and on the free-free pairs of the
+    graphs build() makes, at both node rates."""
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(3, 60))
+        ids = rng.permutation(n)
+        cut = int(rng.integers(3, n + 1))
+        end = int(rng.integers(cut, n + 1))
+        extra = rng.integers(0, cut, (2, int(rng.integers(0, n))))
+        extra = extra[:, extra[0] != extra[1]]
+        a = np.concatenate((ids[:cut - 1], ids[cut:end - 1], ids[:1],
+                            ids[extra[0]]))
+        b = np.concatenate((ids[1:cut], ids[cut + 1:end], ids[cut - 1:cut],
+                            ids[extra[1]]))
+        dup = rng.integers(0, a.size, a.size // 3 + 1)
+        a, b = np.concatenate((a, a[dup], b[dup])), \
+            np.concatenate((b, b[dup], a[dup]))
+        shuffle = rng.permutation(a.size)
+        a, b = a[shuffle], b[shuffle]
+        assert solver._chain_order(n, a, b).tolist() == \
+            cuthill_mckee(n, a, b)
+    none = np.array([], dtype=np.intp)
+    for n in (0, 1, 5):
+        assert solver._chain_order(n, none, none).tolist() == list(range(n))
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                            OdoErrorModel(0.011), 30.0)
+    for strategy in Strategy:
+        for rate in NodeRate:
+            g = build(ds.gnss, ds.odometry,
+                      BuilderConfig(strategy=strategy, node_rate=rate))
+            free = np.flatnonzero(~g.fixed)
+            rank = np.full(len(g.nodes), -1)
+            rank[free] = np.arange(free.size)
+            i, j = rank[g.from_ids], rank[g.to_ids]
+            both = (i >= 0) & (j >= 0)
+            want = cuthill_mckee(free.size, i[both], j[both])
+            assert solver._chain_order(free.size, i[both],
+                                       j[both]).tolist() == want
+            assert np.array_equal(_PackedGraph(g).free, free[want])
+
+
+@pytest.mark.parametrize("outlier_rate", [0.0, 0.1])
+def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
+    """Splitting the edges into classes and taking a diagonal Omega
+    elementwise moves no bit: chi2, Omega e, H and b equal, by
+    np.array_equal, those of helpers.stacked_system (every edge through
+    the full-Omega matrix products, three blocks per edge, each entry
+    summed in the order (i, i), (j, j), (i, j)) on the graphs of every
+    strategy at both node rates, at the seed and at perturbed poses,
+    with and without 10 % of the fixes jumping 50 m."""
+    ds = generate_synthetic(
+        0, TrajectoryProfile.URBAN_LOOP,
+        GnssErrorModel((0.3, 0.2), 0.95, 0.6, outlier_rate,
+                       50.0 if outlier_rate else 0.0),
+        OdoErrorModel(0.011), 60.0)
+    rng = np.random.default_rng(62)
+    for strategy in Strategy:
+        for rate in NodeRate:
+            g = build(ds.gnss, ds.odometry,
+                      BuilderConfig(strategy=strategy, node_rate=rate))
+            packed = _PackedGraph(g)
+            assert packed.omega.shape == (len(g.edges), 3)
+            for shake in (0.0, 0.3):
+                g.poses[packed.free] += rng.normal(0.0, shake,
+                                                   (packed.free.size, 3))
+                chi, oe, H, b = stacked_system(g, packed)
+                got_chi, state = packed.residual(g.poses)
+                got_H, got_b = packed.system(state)
+                assert got_chi == chi
+                assert np.array_equal(state[1], oe)
+                assert np.array_equal(got_H, H)
+                assert np.array_equal(got_b, b)
+
+
+def _edges_into_a_fixed_node(seed):
+    """A random chain whose node 6 is fixed, so the edge 5 -> 6 runs from
+    a free node into a fixed one, plus an edge from node 9 into the
+    anchor."""
+    rng = np.random.default_rng(seed)
+    g, truth = random_chain_graph(rng, 12, n_absolute=4)
+    g.fixed[6] = True
+    add_edge(g, Edge(9, 0, compose(inverse(truth[9]), truth[0]),
+                     np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
+    return g
+
+
+def _free_nodes_on_fixed_ones_only():
+    """Four free nodes, each tied to the fixed anchor alone: no edge has
+    a free from node, so there is no (i, i) or (i, j) block at all."""
+    g = PoseGraph()
+    anchor = add_node(g, IDENTITY, fixed=True)
+    for k in range(4):
+        add_node(g, Pose2(k, 0.5 * k, 0.1 * k))
+        add_edge(g, Edge(anchor, k + 1, Pose2(k + 0.3, 0.5 * k, 0.0),
+                         np.diag([1.0, 2.0, 0.5]), EdgeKind.GNSS_ABSOLUTE))
+    return g
+
+
+@pytest.mark.parametrize("case", ["every_full", "one_full", "into_fixed",
+                                  "no_pair"])
+def test_full_omega_and_fixed_node_edges_solve_as_dense(case):
+    """The matrix-product path, taken by a graph where every Omega has
+    off-diagonal entries and by one where a single such Omega sits among
+    diagonal ones, the edges from a free node into a fixed one, and a
+    graph with no free-free pair give the stacked form's bits, the dense
+    normal equations to 1e-10 and the dense solver's optimum to 1e-8."""
+    rng = np.random.default_rng(63)
+    if case == "into_fixed":
+        g = _edges_into_a_fixed_node(63)
+        assert np.any(~g.fixed[g.from_ids] & g.fixed[g.to_ids])
+    elif case == "no_pair":
+        g = _free_nodes_on_fixed_ones_only()
+    else:
+        base, _ = random_chain_graph(rng, 10, n_absolute=4)
+        edges = range(len(base.edges)) if case == "every_full" else [3]
+        g = _with_full_information(base, rng, edges)
+    packed = _PackedGraph(g)
+    assert packed.omega.ndim == (3 if case.endswith("full") else 2)
+    assert (packed.pair.size == 0) == (case == "no_pair")
+    chi, oe, H, b = stacked_system(g, packed)
+    got_chi, state = packed.residual(g.poses)
+    assert got_chi == chi and np.array_equal(state[1], oe)
+    got_H, got_b = packed.system(state)
+    assert np.array_equal(got_H, H) and np.array_equal(got_b, b)
+    H, b = _linear_system(g)
+    Hd, bd, chi_d, _ = dense_system(g)
+    assert np.allclose(H, Hd, atol=1e-10)
+    assert np.allclose(b, bd, atol=1e-10)
+    assert chi == pytest.approx(chi_d, rel=1e-12)
+    h = clone_graph(g)
+    assert optimize(g).converged
+    assert dense_optimize(h)
+    assert np.max(np.abs(g.poses - h.poses)) < 1e-8
 
 
 # one G2 solve of a 1800 s urban loop: 5.4k edges, so the solver's vector
