@@ -8,11 +8,11 @@ codebase:
     x (+) delta = compose(x, exp_map(delta))
 
 and the residual of an edge with measurement zij between poses xi, xj is
-
-    e = log_map(inverse(zij) * inverse(xi) * xj)
-
-Jacobians returned by edge_jacobians are consistent with that retraction,
-which is what the solver differentiates against.
+the (x, y, theta) of inverse(zij) * inverse(xi) * xj, taken as plain
+coordinates rather than through the log chart (g2o's EdgeSE2 convention),
+so a position residual weighs the same whichever way its pose points.
+Jacobians returned by edge_jacobians are consistent with the retraction
+above, which is what the solver differentiates against.
 """
 
 from __future__ import annotations
@@ -92,14 +92,6 @@ def _half_cot(t: float) -> float:
     return 0.5 * t / math.tan(0.5 * t)
 
 
-def _half_cot_prime(t: float) -> float:
-    # derivative of _half_cot, needed by the log-map Jacobian
-    if abs(t) < SMALL_ANGLE:
-        return -t / 6.0 - t * t * t / 180.0
-    hs = math.sin(0.5 * t)
-    return 0.5 / math.tan(0.5 * t) - 0.25 * t / (hs * hs)
-
-
 def exp_map(v: Tangent3) -> Pose2:
     """Exponential chart: map a body-frame increment onto the group."""
     dx = float(v[0])
@@ -127,19 +119,9 @@ def retract(x: Pose2, delta: Tangent3) -> Pose2:
 
 
 def edge_residual(xi: Pose2, xj: Pose2, zij: Pose2) -> Tangent3:
-    """Tangent-space mismatch between the measured and the implied relative pose."""
-    return log_map(compose(inverse(zij), compose(inverse(xi), xj)))
-
-
-def _log_jacobian(p: Pose2) -> np.ndarray:
-    # coordinate Jacobian of log_map at p
-    f = _half_cot(p.theta)
-    fp = _half_cot_prime(p.theta)
-    return np.array([
-        [f, 0.5 * p.theta, fp * p.x + 0.5 * p.y],
-        [-0.5 * p.theta, f, -0.5 * p.x + fp * p.y],
-        [0.0, 0.0, 1.0],
-    ])
+    """Mismatch between the measured and the implied relative pose: the
+    translation and heading of inverse(zij) * inverse(xi) * xj."""
+    return compose(inverse(zij), compose(inverse(xi), xj)).as_array()
 
 
 def edge_jacobians(xi: Pose2, xj: Pose2,
@@ -147,19 +129,18 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
     """Analytic derivatives of edge_residual w.r.t. right perturbations.
 
     Returns (d e / d xi, d e / d xj), both 3x3, for perturbations applied
-    as x <- compose(x, exp_map(delta)).  Derived by chaining the coordinate
-    Jacobians of the group product with the log-map Jacobian; verified
-    against central finite differences in the test suite.
+    as x <- compose(x, exp_map(delta)).  Jj is the rotation by the
+    residual's heading; verified against central finite differences in
+    the test suite.
     """
     d = compose(inverse(xi), xj)
-    e_group = compose(inverse(zij), d)
-    L = _log_jacobian(e_group)
+    e = compose(inverse(zij), d)
 
     # right-composition by exp(delta) at the identity rotates the increment
     # by the residual element's heading
-    ce = math.cos(e_group.theta)
-    se = math.sin(e_group.theta)
-    Jj = L @ np.array([[ce, -se, 0.0], [se, ce, 0.0], [0.0, 0.0, 1.0]])
+    ce = math.cos(e.theta)
+    se = math.sin(e.theta)
+    Jj = np.array([[ce, -se, 0.0], [se, ce, 0.0], [0.0, 0.0, 1.0]])
 
     # xi enters through inverse(xi): an increment delta on xi becomes
     # exp(-delta) left-multiplied onto d, then carried through inverse(zij)
@@ -167,7 +148,7 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
     sz = math.sin(zij.theta)
     rot_zinv = np.array([[cz, sz, 0.0], [-sz, cz, 0.0], [0.0, 0.0, 1.0]])
     shift = np.array([[1.0, 0.0, -d.y], [0.0, 1.0, d.x], [0.0, 0.0, 1.0]])
-    Ji = -(L @ rot_zinv @ shift)
+    Ji = -(rot_zinv @ shift)
     return Ji, Jj
 
 
@@ -175,10 +156,10 @@ def edge_jacobians(xi: Pose2, xj: Pose2,
 # Batched kernels: the formulas above over whole arrays, one row per pose or
 # edge, so a graph linearizes in a fixed number of numpy passes.  Poses are
 # (n, 3) arrays of (x, y, theta).  Retractions mirror their scalar
-# counterparts step for step; residuals take the scalar heading wraps and
-# SMALL_ANGLE switch, with translations formed straight from the columns;
-# the Jacobians are closed forms over the same group products.  The
-# scalar functions stay the reference the batched ones are tested against.
+# counterparts step for step; residuals take the scalar heading wraps,
+# with translations formed straight from the columns; the Jacobians are
+# closed forms over the same group products.  The scalar functions stay
+# the reference the batched ones are tested against.
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle onto (-pi, pi]."""
@@ -217,15 +198,6 @@ def _compose_cols(ax, ay, at, bx, by, bt):
     return ax + c * bx - s * by, ay + s * bx + c * by, wrap_angles(at + bt)
 
 
-def _half_cot_taylor(t):
-    t2 = t * t
-    return 1.0 - t2 / 12.0 - t2 * t2 / 720.0
-
-
-def _half_cot_prime_taylor(t):
-    return -t / 6.0 - t * t * t / 180.0
-
-
 def _sin_ratio_a_taylor(t):
     t2 = t * t
     return 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
@@ -235,18 +207,9 @@ def _sin_ratio_b_taylor(t):
     return 0.5 * t * (1.0 - t * t / 12.0)
 
 
-def _log_cols(ex, ey, et, f):
-    h = 0.5 * et
-    r = np.empty((et.size, 3))
-    r[:, 0] = f * ex + h * ey
-    r[:, 1] = f * ey - h * ex
-    r[:, 2] = et
-    return r
-
-
 def _frames(c, s, tx, ty) -> np.ndarray:
     """(m, 3, 3) stack of planar frames [[c, -s, tx], [s, c, ty], [0, 0, 1]]
-    from four length-m arrays."""
+    from length-m arrays c and s, and tx and ty that broadcast to them."""
     # filled in place: np.stack costs about 50 us more per
     # linearization, on graphs of a few hundred edges
     F = np.zeros(c.shape + (3, 3))
@@ -276,12 +239,10 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
 
     Row k equals edge_residual of edge k; zinv is inverse_columns of the
     measurements.  d = inverse(xi) xj and e = inverse(z) d are formed
-    straight from the columns.  The headings take the scalar products'
-    wraps, so a residual heading at +-pi lands on edge_residual's side
-    of the cut.  Returns (r, state) with state = (dx, dy, dt, ex, ey,
-    et, f, small, half, tan_half): the columns of d and e, the log map's
-    f(et), the SMALL_ANGLE mask of et, and the half angle and its tangent
-    that the direct form of f used.
+    straight from the columns, and e's columns are the residual.  The
+    headings take the scalar products' wraps, so a residual heading at
+    +-pi lands on edge_residual's side of the cut.  Returns (r, state)
+    with state = (dx, dy, dt, et): the columns of d and e's heading.
     """
     ix, iy, it, ic, is_ = zinv
     c, s = np.cos(xi[:, 2]), np.sin(xi[:, 2])
@@ -290,17 +251,11 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
     dx = c * wx + s * wy
     dy = c * wy - s * wx
     dt = wrap_angles(wrap_angles(-xi[:, 2]) + xj[:, 2])
-    ex = ix + ic * dx - is_ * dy
-    ey = iy + is_ * dx + ic * dy
-    et = wrap_angles(it + dt)
-    # f(et) = (et/2) / tan(et/2), its Taylor series below SMALL_ANGLE;
-    # the direct form never sees the small arguments, so 0/0 cannot occur
-    small = np.abs(et) < SMALL_ANGLE
-    half = 0.5 * np.where(small, 1.0, et)
-    tan_half = np.tan(half)
-    f = np.where(small, _half_cot_taylor(et), half / tan_half)
-    return _log_cols(ex, ey, et, f), (dx, dy, dt, ex, ey, et, f, small,
-                                      half, tan_half)
+    r = np.empty((dx.size, 3))
+    r[:, 0] = ix + ic * dx - is_ * dy
+    r[:, 1] = iy + is_ * dx + ic * dy
+    r[:, 2] = et = wrap_angles(it + dt)
+    return r, (dx, dy, dt, et)
 
 
 def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -308,24 +263,18 @@ def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
     of the edges at the k indices `rows`, from the state of
     batch_edge_residuals.
 
-    Jj is the log-map Jacobian times the residual's rotation, a planar
-    frame, and Ji = -Jj A (Sola et al., "A micro Lie theory for state
-    estimation in robotics", 2018), so a caller that wants Ji's products
-    can form them from Jj's.  An edge whose from node is held fixed has
-    no Ji, so a caller leaves it out of `rows`.
+    Jj is the rotation by the residual's heading, a planar frame with no
+    translation, and Ji = -Jj A (Sola et al., "A micro Lie theory for
+    state estimation in robotics", 2018), so a caller that wants Ji's
+    products can form them from Jj's.  An edge whose from node is held
+    fixed has no Ji, so a caller leaves it out of `rows`.
     """
-    dx, dy, dt, ex, ey, et, f, small, half, tan_half = state
-    # f'(et) from the mask, half angle and tangent that gave f(et)
-    hs = np.sin(half)
-    fp = np.where(small, _half_cot_prime_taylor(et),
-                  0.5 / tan_half - 0.5 * half / (hs * hs))
-    c, s, h = np.cos(et), np.sin(et), 0.5 * et
+    dx, dy, dt, et = state
     dx, dy, dt = dx[rows], dy[rows], dt[rows]
     cd, sd = np.cos(dt), np.sin(dt)
     # Ad(inverse(d)) moves the translation (sd dx - cd dy, sd dy + cd dx)
     # into the frame
-    return (_frames(f * c + h * s, f * s - h * c,
-                    fp * ex + 0.5 * ey, fp * ey - 0.5 * ex),
+    return (_frames(np.cos(et), np.sin(et), 0.0, 0.0),
             _frames(cd, -sd, sd * dx - cd * dy, sd * dy + cd * dx))
 
 

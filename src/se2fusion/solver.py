@@ -457,7 +457,8 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                         else Termination.STEP_TOL)
                 return SolveReport(it, initial, chi, done)
             trial = packed.retract(packed.poses, delta)
-            # chi(x (+) d) ~ chi - pred for this residual convention
+            # e(x (+) d) ~ e + J d to first order, so chi(x (+) d) ~
+            # chi - pred whatever chart the residual is taken in
             trial_chi, trial_state = packed.residual(trial)
             if trial_chi < chi and pred > 0.0:
                 rho = (chi - trial_chi) / pred

@@ -842,6 +842,21 @@ def twin_injected_indices(seed, profile, gnss_error, *args, **kwargs):
             if not np.array_equal(a.position, b.position)]
 
 
+def rotate_dataset(ds, angle):
+    """The drive with its fixes and truth rotated by `angle` about the
+    map origin, and its odometry, which is in the body frame, left
+    alone: the same drive seen in a map frame that points elsewhere."""
+    from dataclasses import replace
+
+    from se2fusion.dataset import TruthTrack
+
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    gnss = [replace(r, position=rot @ r.position) for r in ds.gnss]
+    truth = TruthTrack(ds.truth.timestamps, ds.truth.positions @ rot.T)
+    return replace(ds, gnss=gnss, truth=truth)
+
+
 # ---------------------------------------------------------------------------
 # One-row graph adders over the block adders, and a random-graph factory
 # shared by solver tests
@@ -875,7 +890,6 @@ def random_chain_graph(rng, n_nodes, n_absolute=3, noise=0.05,
     Returns (graph, truth_poses).
     """
     from se2fusion.graph import Edge, EdgeKind, PoseGraph
-    from se2fusion.se2 import log_map
 
     truth = [Pose2(0.0, 0.0, 0.0)]
     for _ in range(n_nodes - 1):

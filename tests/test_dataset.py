@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from helpers import loop_match_pps, oracle_csv, utm_krueger
+from helpers import loop_match_pps, oracle_csv, rotate_dataset, \
+    utm_krueger
 from se2fusion import dataset as dataset_module
 from se2fusion.builders import Strategy
 from se2fusion.dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
@@ -371,6 +372,28 @@ def test_bias_survives_but_dispersion_shrinks():
     # fusion smooths the noise but cannot observe the constant offset
     assert abs(fused.accuracy - raw.accuracy) < 0.05
     assert fused.precision < raw.precision
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("profile", list(TrajectoryProfile))
+def test_a_rotated_map_frame_moves_no_metric(profile, strategy):
+    """Fixes and truth turned about the origin, odometry as it was: the
+    same drive in a map frame that points elsewhere.  A fix's position
+    residual must weigh the same whichever way the vehicle heads, so the
+    fused track turns with the frame and every metric stays."""
+    g = GnssErrorModel(bias=(0.3, 0.2), ar1_rho=0.95, ar1_sigma=1.625)
+    o = OdoErrorModel(drift_fraction=0.011)
+    cfg = ExperimentConfig(strategy=strategy, outlier_rejection=False)
+    for seed in (0, 2):
+        ds = generate_synthetic(seed, profile, g, o, duration=600.0)
+        _, want, _, _ = run_experiment(ds, cfg)
+        for angle in (math.pi / 2.0, math.pi - 0.05, -2.0):
+            _, got, _, solve = run_experiment(rotate_dataset(ds, angle),
+                                              cfg)
+            assert solve.converged
+            for name in ("accuracy", "precision", "max_offset"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), abs=1e-6), (seed, angle, name)
 
 
 def test_rejection_strictly_helps_on_corrupted_data():

@@ -193,7 +193,7 @@ def test_edge_residual_matches_composition_definition():
     rng = np.random.default_rng(9)
     for _ in range(300):
         xi, xj, z = random_pose(rng), random_pose(rng), random_pose(rng)
-        expected = log_map(compose(inverse(z), compose(inverse(xi), xj)))
+        expected = compose(inverse(z), compose(inverse(xi), xj)).as_array()
         assert np.allclose(edge_residual(xi, xj, z), expected, atol=1e-12)
 
 
@@ -293,7 +293,8 @@ def test_pose_is_slotted_frozen_value():
 
 
 # Headings next to the Taylor switch on both sides, and next to +-pi on
-# both sides, so the batched kernels take every branch and every wrap.
+# both sides, so batch_retract takes both branches of its switch and the
+# residual pass takes every heading wrap.
 _EDGE_HEADINGS = tuple(sign * h for sign in (1.0, -1.0) for h in (
     0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, 1.001 * SMALL_ANGLE,
     2.0 * SMALL_ANGLE, math.pi - 1e-9, math.pi - 1e-3)) + (math.pi,)
