@@ -1,18 +1,18 @@
 """SE(2) pose algebra: composition, exp/log charts, edge residuals and Jacobians.
 
 A pose is (x, y, theta) with theta always stored in (-pi, pi].  Tangent
-vectors are length-3 numpy arrays (dx, dy, dtheta) expressed in the body
-frame.  Local perturbations are applied on the right throughout the
-codebase:
+vectors are length-3 numpy arrays (dx, dy, dtheta).  The solver steps a
+pose by plain addition, as g2o's VertexSE2::oplusImpl does:
 
-    x (+) delta = compose(x, exp_map(delta))
+    x (+) delta = (x + dx, y + dy, wrap(theta + dtheta))
 
 and the residual of an edge with measurement zij between poses xi, xj is
 the (x, y, theta) of inverse(zij) * inverse(xi) * xj, taken as plain
 coordinates rather than through the log chart (g2o's EdgeSE2 convention),
 so a position residual weighs the same whichever way its pose points.
-Jacobians returned by edge_jacobians are consistent with the retraction
-above, which is what the solver differentiates against.
+Jacobians returned by edge_jacobians are taken against that update
+(g2o's EdgeSE2::linearizeOplus).  exp_map and log_map, whose tangents
+are body-frame twists, are the group's charts; the solver uses neither.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ TWO_PI = 2.0 * math.pi
 SMALL_ANGLE = 1e-4
 
 Tangent3 = np.ndarray
-"""Body-frame increment (dx, dy, dtheta); plain length-3 float array."""
+"""Increment (dx, dy, dtheta); plain length-3 float array."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -114,52 +114,53 @@ def log_map(p: Pose2) -> Tangent3:
 
 
 def retract(x: Pose2, delta: Tangent3) -> Pose2:
-    """Apply a tangent increment on the right of x (the solver update)."""
-    return compose(x, exp_map(delta))
+    """The solver update: delta added to x's coordinates, the heading
+    wrapped (g2o's VertexSE2::oplusImpl)."""
+    return Pose2(x.x + delta[0], x.y + delta[1], x.theta + delta[2])
 
 
 def edge_residual(xi: Pose2, xj: Pose2, zij: Pose2) -> Tangent3:
     """Mismatch between the measured and the implied relative pose: the
-    translation and heading of inverse(zij) * inverse(xi) * xj."""
-    return compose(inverse(zij), compose(inverse(xi), xj)).as_array()
+    translation and heading of inverse(zij) * inverse(xi) * xj.
+
+    The world offset xj - xi is turned into xi's frame, less zij's
+    translation, and turned into zij's frame; the heading is
+    wrap(theta_j - theta_i - theta_z), wrapped once.
+    """
+    c, s = math.cos(xi.theta), math.sin(xi.theta)
+    wx, wy = xj.x - xi.x, xj.y - xi.y
+    dx = c * wx + s * wy - zij.x
+    dy = c * wy - s * wx - zij.y
+    cz, sz = math.cos(zij.theta), math.sin(zij.theta)
+    return np.array([cz * dx + sz * dy, cz * dy - sz * dx,
+                     wrap_angle(xj.theta - xi.theta - zij.theta)])
 
 
 def edge_jacobians(xi: Pose2, xj: Pose2,
                    zij: Pose2) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic derivatives of edge_residual w.r.t. right perturbations.
+    """Analytic derivatives of edge_residual w.r.t. the retract update.
 
-    Returns (d e / d xi, d e / d xj), both 3x3, for perturbations applied
-    as x <- compose(x, exp_map(delta)).  Jj is the rotation by the
-    residual's heading; verified against central finite differences in
-    the test suite.
+    Returns (d e / d xi, d e / d xj), both 3x3, in the form of g2o's
+    EdgeSE2::linearizeOplus: Jj is the rotation by -(theta_i + theta_z),
+    and Ji = -Jj B, where B = [[1, 0, yi - yj], [0, 1, xj - xi],
+    [0, 0, 1]] shears by the world offset between the poses.  Verified
+    against central finite differences in the test suite.
     """
-    d = compose(inverse(xi), xj)
-    e = compose(inverse(zij), d)
-
-    # right-composition by exp(delta) at the identity rotates the increment
-    # by the residual element's heading
-    ce = math.cos(e.theta)
-    se = math.sin(e.theta)
-    Jj = np.array([[ce, -se, 0.0], [se, ce, 0.0], [0.0, 0.0, 1.0]])
-
-    # xi enters through inverse(xi): an increment delta on xi becomes
-    # exp(-delta) left-multiplied onto d, then carried through inverse(zij)
-    cz = math.cos(zij.theta)
-    sz = math.sin(zij.theta)
-    rot_zinv = np.array([[cz, sz, 0.0], [-sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    shift = np.array([[1.0, 0.0, -d.y], [0.0, 1.0, d.x], [0.0, 0.0, 1.0]])
-    Ji = -(rot_zinv @ shift)
-    return Ji, Jj
+    c = math.cos(xi.theta + zij.theta)
+    s = math.sin(xi.theta + zij.theta)
+    Jj = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    B = np.array([[1.0, 0.0, xi.y - xj.y], [0.0, 1.0, xj.x - xi.x],
+                  [0.0, 0.0, 1.0]])
+    return -(Jj @ B), Jj
 
 
 # ---------------------------------------------------------------------------
 # Batched kernels: the formulas above over whole arrays, one row per pose or
 # edge, so a graph linearizes in a fixed number of numpy passes.  Poses are
-# (n, 3) arrays of (x, y, theta).  Retractions mirror their scalar
-# counterparts step for step; residuals take the scalar heading wraps,
-# with translations formed straight from the columns; the Jacobians are
-# closed forms over the same group products.  The scalar functions stay
-# the reference the batched ones are tested against.
+# (n, 3) arrays of (x, y, theta).  The retraction and the residuals take
+# their scalar counterparts' operations, heading wrap included; the
+# Jacobians are formed from the residual pass's columns.  The scalar
+# functions stay the reference the batched ones are tested against.
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Elementwise wrap_angle onto (-pi, pi]."""
@@ -198,99 +199,69 @@ def _compose_cols(ax, ay, at, bx, by, bt):
     return ax + c * bx - s * by, ay + s * bx + c * by, wrap_angles(at + bt)
 
 
-def _sin_ratio_a_taylor(t):
-    t2 = t * t
-    return 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
-
-
-def _sin_ratio_b_taylor(t):
-    return 0.5 * t * (1.0 - t * t / 12.0)
-
-
-def _frames(c, s, tx, ty) -> np.ndarray:
-    """(m, 3, 3) stack of planar frames [[c, -s, tx], [s, c, ty], [0, 0, 1]]
-    from length-m arrays c and s, and tx and ty that broadcast to them."""
-    # filled in place: np.stack costs about 50 us more per
-    # linearization, on graphs of a few hundred edges
-    F = np.zeros(c.shape + (3, 3))
-    F[:, 0, 0] = F[:, 1, 1] = c
-    F[:, 0, 1] = -s
-    F[:, 1, 0] = s
-    F[:, 0, 2] = tx
-    F[:, 1, 2] = ty
-    F[:, 2, 2] = 1.0
-    return F
-
-
-def inverse_columns(z: np.ndarray):
-    """inverse(z) of every row of a (m, 3) array, as the columns
+def measurement_columns(z: np.ndarray):
+    """The columns of a (m, 3) array of measurements that
     batch_edge_residuals reads: x, y, heading, and the heading's cosine
-    and sine.  A caller that evaluates one edge set many times inverts
-    its measurements once."""
-    c, s = np.cos(z[:, 2]), np.sin(z[:, 2])
-    t = wrap_angles(-z[:, 2])
-    return (-(c * z[:, 0] + s * z[:, 1]), s * z[:, 0] - c * z[:, 1], t,
-            np.cos(t), np.sin(t))
+    and sine.  A caller that evaluates one edge set many times takes
+    them once."""
+    x, y, t = z.T.copy()
+    return x, y, t, np.cos(t), np.sin(t)
 
 
-def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, zinv):
+def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, z):
     """Residuals (m, 3) of m edges, and the kernel columns their Jacobians
     reuse.
 
-    Row k equals edge_residual of edge k; zinv is inverse_columns of the
-    measurements.  d = inverse(xi) xj and e = inverse(z) d are formed
-    straight from the columns, and e's columns are the residual.  The
-    headings take the scalar products' wraps, so a residual heading at
-    +-pi lands on edge_residual's side of the cut.  Returns (r, state)
-    with state = (dx, dy, dt, et): the columns of d and e's heading.
+    Row k equals edge_residual of edge k, by the same operations; z is
+    measurement_columns of the measurements.  The headings are
+    edge_residual's bit for bit, so a residual heading at +-pi lands on
+    its side of the cut.  Returns (r, state) with state = (wx, wy, c, s,
+    cz, sz): the world offset xj - xi, cos and sin of xi's heading, and
+    cos and sin of the measurement's.
     """
-    ix, iy, it, ic, is_ = zinv
+    zx, zy, zt, cz, sz = z
     c, s = np.cos(xi[:, 2]), np.sin(xi[:, 2])
     w = xj - xi
     wx, wy = w[:, 0], w[:, 1]
-    dx = c * wx + s * wy
-    dy = c * wy - s * wx
-    dt = wrap_angles(wrap_angles(-xi[:, 2]) + xj[:, 2])
+    dx = c * wx + s * wy - zx
+    dy = c * wy - s * wx - zy
     r = np.empty((dx.size, 3))
-    r[:, 0] = ix + ic * dx - is_ * dy
-    r[:, 1] = iy + is_ * dx + ic * dy
-    r[:, 2] = et = wrap_angles(it + dt)
-    return r, (dx, dy, dt, et)
+    r[:, 0] = cz * dx + sz * dy
+    r[:, 1] = cz * dy - sz * dx
+    r[:, 2] = wrap_angles(w[:, 2] - zt)
+    return r, (wx, wy, c, s, cz, sz)
 
 
 def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Jj, (m, 3, 3), of every edge, and A = Ad(inverse(d)), (k, 3, 3),
-    of the edges at the k indices `rows`, from the state of
-    batch_edge_residuals.
+    """Jj, (m, 3, 3), of every edge, and B, (k, 3, 3), of the edges at the
+    k indices `rows`, from the state of batch_edge_residuals.
 
-    Jj is the rotation by the residual's heading, a planar frame with no
-    translation, and Ji = -Jj A (Sola et al., "A micro Lie theory for
-    state estimation in robotics", 2018), so a caller that wants Ji's
-    products can form them from Jj's.  An edge whose from node is held
-    fixed has no Ji, so a caller leaves it out of `rows`.
+    Jj is edge_jacobians' rotation by -(theta_i + theta_z), its cosine
+    and sine formed from the residual pass's, so no trigonometric
+    function is called here.  B is the shear by the world offset, and
+    Ji = -Jj B, so a caller that wants Ji's products can form them from
+    Jj's.  An edge whose from node is held fixed has no Ji, so a caller
+    leaves it out of `rows`.
     """
-    dx, dy, dt, et = state
-    dx, dy, dt = dx[rows], dy[rows], dt[rows]
-    cd, sd = np.cos(dt), np.sin(dt)
-    # Ad(inverse(d)) moves the translation (sd dx - cd dy, sd dy + cd dx)
-    # into the frame
-    return (_frames(np.cos(et), np.sin(et), 0.0, 0.0),
-            _frames(cd, -sd, sd * dx - cd * dy, sd * dy + cd * dx))
+    wx, wy, c, s, cz, sz = state
+    ct = c * cz - s * sz
+    st = s * cz + c * sz
+    # filled in place: np.stack costs about 50 us more per
+    # linearization, on graphs of a few hundred edges
+    Jj = np.zeros(ct.shape + (3, 3))
+    Jj[:, 0, 0] = Jj[:, 1, 1] = ct
+    Jj[:, 0, 1] = st
+    Jj[:, 1, 0] = -st
+    Jj[:, 2, 2] = 1.0
+    B = np.zeros((len(rows), 3, 3))
+    B[:, 0, 0] = B[:, 1, 1] = B[:, 2, 2] = 1.0
+    B[:, 0, 2] = -wy[rows]
+    B[:, 1, 2] = wx[rows]
+    return Jj, B
 
 
 def batch_retract(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """retract for every row: compose(x[k], exp_map(delta[k])).
-
-    The step heading's sine and cosine are taken once, under one
-    SMALL_ANGLE mask for both of exp_map's ratios.
-    """
-    dx, dy, dt = delta[:, 0], delta[:, 1], delta[:, 2]
-    small = np.abs(dt) < SMALL_ANGLE
-    t = np.where(small, 1.0, dt)
-    a = np.where(small, _sin_ratio_a_taylor(dt), np.sin(t) / t)
-    b = np.where(small, _sin_ratio_b_taylor(dt), (1.0 - np.cos(t)) / t)
-    out = np.empty_like(x)
-    out[:, 0], out[:, 1], out[:, 2] = _compose_cols(
-        x[:, 0], x[:, 1], x[:, 2], a * dx - b * dy, b * dx + a * dy,
-        wrap_angles(dt))
+    """retract for every row: x[k] + delta[k], the heading wrapped."""
+    out = x + delta
+    out[:, 2] = wrap_angles(out[:, 2])
     return out

@@ -26,16 +26,17 @@ optimize() views the graph's node and edge arrays in place; an accepted
 trial writes its free rows into the graph's pose array, so fixed poses
 are never touched and the graph always holds the last accepted iterate.
 
-The system pass builds each edge's blocks in adjoint form.  Ji = -Jj A
-with A = Ad(inverse(d)) and d = inverse(xi) xj, so Hjj = Jj'Omega Jj
-gives Hij = -A'Hjj and Hii = A'Hjj A, and g_j = Jj'Omega e gives
-g_i = -A'g_j.  No Ji is formed.  The gradient rides along as a fourth
+The system pass builds each edge's blocks in shear form.  Ji = -Jj B
+with B the shear by the world offset xj - xi, so Hjj = Jj'Omega Jj
+gives Hij = -B'Hjj and Hii = B'Hjj B, and g_j = Jj'Omega e gives
+g_i = -B'g_j.  No Ji is formed.  The gradient rides along as a fourth
 column, Jj'[Omega Jj | -Omega e] = [Hjj | -g_j].  The edges come in two
 classes, told apart by graph.fixed once per graph: every edge has its
 (j, j) block and b segment, and only an edge whose from node is free
-has (i, i) and (i, j) blocks, so A and its two products are formed for
+has (i, i) and (i, j) blocks, so B and its two products are formed for
 those edges alone; an edge from a fixed node (a fix edge of G1 and G2,
-an identity edge of G3) is a unary edge on its to node.  When no edge
+an identity edge of G3) is a unary edge on its to node, and on the
+graphs builders.build() makes its Jj is the identity.  When no edge
 has an off-diagonal information entry, as in every graph builders.build()
 makes, Omega e and Omega Jj are elementwise products with Omega's
 diagonal, which give the matrix products' bits; a graph with any full
@@ -60,8 +61,8 @@ retried with lambda*diag added to the diagonal, for lambda from 1e-9 to
 band products, not BLAS calls, so a solve gives the same bits whatever
 the BLAS thread count.
 
-Updates are applied on the right, pose <- compose(pose, exp_map(delta)),
-matching the Jacobians produced by the se2 module.
+A step is added to the poses, as se2.retract does (g2o's VertexSE2),
+which is the update the se2 module's Jacobians are taken against.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import numpy as np
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph, _fmt
 from .se2 import batch_edge_jacobians, batch_edge_residuals, \
-    batch_retract, inverse_columns
+    batch_retract, measurement_columns
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -187,23 +188,23 @@ class _PackedGraph:
 
     The (n, 3) poses, indexed by node id, are the graph's own; the from
     and to ids are stacked into one (2, m) array `ends`, so one gather
-    gives both endpoints, and the (m, 3) measurements are kept only as
-    their inverses' columns, `zinv`.  `omega` is the (m, 3) diagonal of
-    the information stack when no edge has an off-diagonal entry, as on
-    every graph builders.build() makes, and the (m, 3, 3) stack itself
-    otherwise.  `free` lists the free node ids in chain (Cuthill-McKee)
-    order, and free[k] owns variables 3k..3k+2 of the reduced system.
-    `pair` lists the edges whose from node is free: only they have
-    (i, i) and (i, j) blocks, while an edge from a fixed node has its
-    (j, j) block alone.  The map from each block entry to its slot in
-    b and the (u + 1, n) upper band is built once, so system() only
-    fills values.
+    gives both endpoints, and the (m, 3) measurements are kept as the
+    columns the residual pass reads, `z`.  `omega` is the (m, 3)
+    diagonal of the information stack when no edge has an off-diagonal
+    entry, as on every graph builders.build() makes, and the (m, 3, 3)
+    stack itself otherwise.  `free` lists the free node ids in chain
+    (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
+    reduced system.  `pair` lists the edges whose from node is free:
+    only they have (i, i) and (i, j) blocks, while an edge from a fixed
+    node has its (j, j) block alone.  The map from each block entry to
+    its slot in b and the (u + 1, n) upper band is built once, so
+    system() only fills values.
     """
 
     def __init__(self, graph: PoseGraph):
         self.poses = graph.poses
         self.ends = np.stack((graph.from_ids, graph.to_ids))
-        self.zinv = inverse_columns(graph.measurements)
+        self.z = measurement_columns(graph.measurements)
         flat = graph.information.reshape(-1, 9)
         full = flat[:, [1, 2, 3, 5, 6, 7]].any()
         self.omega = graph.information if full else flat[:, ::4].copy()
@@ -268,7 +269,7 @@ class _PackedGraph:
         """
         # np.take gathers rows faster than fancy indexing, same values
         xi, xj = np.take(poses, self.ends, axis=0)
-        e, kernel = batch_edge_residuals(xi, xj, self.zinv)
+        e, kernel = batch_edge_residuals(xi, xj, self.z)
         # a diagonal Omega has one non-zero term per entry of Omega e, so
         # the elementwise product has the matrix product's bits
         if self.omega.ndim == 2:
@@ -280,11 +281,11 @@ class _PackedGraph:
     def system(self, state):
         """Normal equations (H, b) from residual()'s state: H the
         (u + 1, n) upper band and b = -sum J'Omega e, both in chain order,
-        with each edge's blocks in adjoint form."""
+        with each edge's blocks in shear form."""
         kernel, oe = state
         pair = self.pair
-        Jj, A = batch_edge_jacobians(kernel, pair)
-        # Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], and A' times that is
+        Jj, B = batch_edge_jacobians(kernel, pair)
+        # Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], and B' times that is
         # [-Hij | g_i]: b's segments ride through the same products as a
         # fourth column, negated with Hij into b's segments.  One scatter
         # adds H and b; b's i segment is copied next to Hii so that each
@@ -300,8 +301,8 @@ class _PackedGraph:
         blocks = np.empty((2 * p + m, 3, 4))
         ii, jj, ij = blocks[:p], blocks[p:p + m], blocks[p + m:]
         np.matmul(Jj.transpose(0, 2, 1), X, out=jj)
-        np.matmul(A.transpose(0, 2, 1), np.take(jj, pair, axis=0), out=ij)
-        np.matmul(ij[..., :3], A, out=ii[..., :3])
+        np.matmul(B.transpose(0, 2, 1), np.take(jj, pair, axis=0), out=ij)
+        np.matmul(ij[..., :3], B, out=ii[..., :3])
         np.negative(ij, out=ij)
         ii[..., 3] = ij[..., 3]
         sums = np.bincount(self.slot, weights=blocks.ravel(),

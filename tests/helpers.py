@@ -15,7 +15,8 @@ from collections import deque
 import numpy as np
 
 from se2fusion.errors import InsufficientCoverageError
-from se2fusion.se2 import Pose2, compose, exp_map, inverse, edge_residual
+from se2fusion.se2 import Pose2, compose, exp_map, inverse, edge_residual, \
+    retract
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +40,11 @@ def fd_edge_jacobians(xi, xj, zij, h=1e-6):
     for k in range(3):
         d = np.zeros(3)
         d[k] = h
-        rp = edge_residual(compose(xi, exp_map(d)), xj, zij)
-        rm = edge_residual(compose(xi, exp_map(-d)), xj, zij)
+        rp = edge_residual(retract(xi, d), xj, zij)
+        rm = edge_residual(retract(xi, -d), xj, zij)
         Ji[:, k] = (rp - rm) / (2.0 * h)
-        rp = edge_residual(xi, compose(xj, exp_map(d)), zij)
-        rm = edge_residual(xi, compose(xj, exp_map(-d)), zij)
+        rp = edge_residual(xi, retract(xj, d), zij)
+        rm = edge_residual(xi, retract(xj, -d), zij)
         Jj[:, k] = (rp - rm) / (2.0 * h)
     return Ji, Jj
 
@@ -190,8 +191,8 @@ def _apply(graph, free, delta):
     saved = []
     for k, nid in enumerate(free):
         saved.append(graph.nodes[nid].pose)
-        set_pose(graph, nid, compose(graph.nodes[nid].pose,
-                                     exp_map(delta[3 * k:3 * k + 3])))
+        set_pose(graph, nid, retract(graph.nodes[nid].pose,
+                                     delta[3 * k:3 * k + 3]))
     return saved
 
 
@@ -383,29 +384,29 @@ def broadcast_slots(packed):
 def stacked_system(graph, packed):
     """(chi2, Omega e, H, b) at the graph's poses with no edge classes and
     no diagonal Omega: every edge through the full-Omega matrix products,
-    with A for every edge, three blocks per edge, and each entry of H and
+    with B for every edge, three blocks per edge, and each entry of H and
     b summed over the (i, i) blocks of all edges, then the (j, j), then
     the (i, j), each in edge order, by np.add.at into dense arrays.  H is
     returned in the band layout of `packed` (its chain order and width),
     so the two compare bit for bit."""
     from se2fusion.se2 import batch_edge_jacobians, batch_edge_residuals, \
-        inverse_columns
+        measurement_columns
 
     m = len(graph.from_ids)
     e, kernel = batch_edge_residuals(graph.poses[graph.from_ids],
                                      graph.poses[graph.to_ids],
-                                     inverse_columns(graph.measurements))
+                                     measurement_columns(graph.measurements))
     omega = graph.information
     oe = (omega @ e[:, :, None])[:, :, 0]
     chi = float((e * oe).sum())
-    Jj, A = batch_edge_jacobians(kernel, np.arange(m))
+    Jj, B = batch_edge_jacobians(kernel, np.arange(m))
     X = np.empty((m, 3, 4))
     X[..., :3] = omega @ Jj
     X[..., 3] = -oe
     jj = Jj.transpose(0, 2, 1) @ X
-    ij = A.transpose(0, 2, 1) @ jj
+    ij = B.transpose(0, 2, 1) @ jj
     ii = np.empty((m, 3, 4))
-    ii[..., :3] = ij[..., :3] @ A
+    ii[..., :3] = ij[..., :3] @ B
     ij = -ij
     ii[..., 3] = ij[..., 3]
 

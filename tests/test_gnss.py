@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import knot_screen, utm_krueger
+from helpers import knot_screen, meridian_arc_quad, utm_krueger
 from se2fusion import gnss
 from se2fusion.errors import NonMonotonicTimestampsError, OutOfUtmDomainError
 from se2fusion.gnss import GnssReading, gnss_information, latlon_to_utm, \
@@ -37,6 +37,20 @@ def test_matches_high_precision_oracle():
         oe, on = utm_krueger(lat, lon)
         assert easting == pytest.approx(oe, abs=0.01)
         assert northing == pytest.approx(on, abs=0.01)
+
+
+@pytest.mark.parametrize("lat", [0.5, 10.0, 30.0, 45.0, 60.0, 75.0, 84.0,
+                                 -30.0, -60.0])
+def test_central_meridian_northing_is_the_scaled_meridian_arc(lat):
+    """On a zone's central meridian (9 degrees east, zone 32) the easting
+    is the false easting and the northing is k0 M(|phi|), M the meridian
+    arc from the equator by adaptive quadrature; south of the equator it
+    is the 10,000 km false northing less that."""
+    easting, northing, _ = latlon_to_utm(lat, 9.0)
+    arc = 0.9996 * meridian_arc_quad(abs(lat))
+    assert easting == pytest.approx(500000.0, abs=1e-6)
+    assert northing == pytest.approx(arc if lat > 0.0 else 1e7 - arc,
+                                      abs=5e-3)
 
 
 def test_projection_is_deterministic():

@@ -1,12 +1,15 @@
 """Every name a package module imports is used in that module, every
-private function, class and method is used by the package, and every
-public module-level function and class is used by the package, exported
-by __init__.py or read by the benchmark.
+private function, class and method is used by the package, every public
+module-level function and class is used by the package, exported by
+__init__.py or read by the benchmark, and every module-level function
+and class of tests/helpers.py is read by a test module or another
+helper.
 
 A deletion that leaves an import behind (a class or helper whose last
 reader went) fails here, and so does code whose last caller outside the
-tests went, even if tests still call it.  __init__.py is skipped by the
-import check: its imports are the public API.
+tests went, even if tests still call it, and an oracle that no test
+reads.  __init__.py is skipped by the import check: its imports are the
+public API.
 """
 
 import ast
@@ -16,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "se2fusion"
+TESTS = ROOT / "tests"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -156,3 +160,43 @@ def test_no_dead_public_code():
     readers = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
     assert "__init__" in sources and "run" in readers
     assert dead_public_code(sources, readers) == []
+
+
+def dead_helpers(helpers: str, readers: dict) -> list:
+    """The module-level functions and classes of the helpers source that
+    no reader reads and no other statement of the helpers source reads
+    (a Name or an attribute of that name, as above; a helper's own body
+    and an import are not reads).
+
+    readers maps each test module's name to its text.
+    """
+    tree = ast.parse(helpers)
+    names, attrs = _reads(ast.parse(t) for t in readers.values())
+    dead = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        inner, inner_attrs = _reads(n for n in tree.body if n is not node)
+        if node.name not in names | attrs | inner | inner_attrs:
+            dead.append(node.name)
+    return sorted(dead)
+
+
+def test_the_guard_finds_a_dead_helper():
+    helpers = ("import math\n\ndef oracle():\n    return _inner()\n"
+               "\ndef _inner():\n    return math.pi\n\ndef unread():\n"
+               "    pass\n\ndef recursive():\n    return recursive()\n"
+               "\nclass Box:\n    pass\n\nDEFAULT = Box\n")
+    readers = {"test_a": ("from helpers import oracle, unread\n\n"
+                          "def test_x():\n    oracle()\n")}
+    # an import is not a read, and neither is a helper's call to itself
+    assert dead_helpers(helpers, readers) == ["recursive", "unread"]
+    readers["test_a"] = "import helpers\nhelpers.recursive()\n"
+    # a helper read by another helper is alive, even by a dead one
+    assert dead_helpers(helpers, readers) == ["oracle", "unread"]
+
+
+def test_no_dead_test_helpers():
+    readers = {p.stem: p.read_text() for p in TESTS.glob("test_*.py")}
+    assert "test_se2" in readers
+    assert dead_helpers((TESTS / "helpers.py").read_text(), readers) == []

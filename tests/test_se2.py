@@ -11,8 +11,8 @@ from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
     batch_edge_jacobians, batch_edge_residuals, batch_retract, compose, \
-    edge_jacobians, edge_residual, exp_map, inverse, inverse_columns, \
-    log_map, poses_from_rows, retract, wrap_angle, wrap_angles
+    edge_jacobians, edge_residual, exp_map, inverse, log_map, \
+    measurement_columns, poses_from_rows, retract, wrap_angle, wrap_angles
 
 
 def test_wrap_angle_range():
@@ -197,26 +197,36 @@ def test_edge_residual_matches_composition_definition():
         assert np.allclose(edge_residual(xi, xj, z), expected, atol=1e-12)
 
 
+def _turn(theta):
+    """The rotation by -theta, with the heading passed through: it takes
+    a world-frame step into the frame of a pose at heading theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_edge_jacobian_identity_chart():
     """At a satisfied identity measurement, d(residual)/d(xj) is the
-    identity and d(residual)/d(xi) its negative."""
+    rotation by -theta, which takes an added world step into the pose's
+    frame, and d(residual)/d(xi) its negative."""
     rng = np.random.default_rng(10)
     for _ in range(50):
         x = random_pose(rng)
         Ji, Jj = edge_jacobians(x, x, IDENTITY)
-        assert np.allclose(Jj, np.eye(3), atol=1e-12)
-        assert np.allclose(Ji, -np.eye(3), atol=1e-12)
+        assert np.allclose(Jj, _turn(x.theta), atol=1e-12)
+        assert np.allclose(Ji, -Jj, atol=1e-12)
 
 
-def _adjoint(p):
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    return np.array([[c, -s, p.y], [s, c, -p.x], [0.0, 0.0, 1.0]])
+def _shear(xi, xj):
+    """B = [[1, 0, yi - yj], [0, 1, xj - xi], [0, 0, 1]], the shear by the
+    world offset between two poses."""
+    return np.array([[1.0, 0.0, xi.y - xj.y], [0.0, 1.0, xj.x - xi.x],
+                     [0.0, 0.0, 1.0]])
 
 
 def test_edge_jacobian_xi_at_zero_residual_is_minus_adjoint():
-    """At zero residual a perturbation of xi reaches the residual only
-    through conjugation by the measurement, so d(residual)/d(xi) is
-    minus the adjoint of the inverse measurement."""
+    """At zero residual both Jacobians equal the finite differences taken
+    through retract; d(residual)/d(xj) is the rotation by -theta_j, and
+    d(residual)/d(xi) is -Jj B, B the shear by the world offset."""
     rng = np.random.default_rng(11)
     for _ in range(100):
         xi, z = random_pose(rng), random_pose(rng, span=3.0)
@@ -225,20 +235,19 @@ def test_edge_jacobian_xi_at_zero_residual_is_minus_adjoint():
         Fi, Fj = fd_edge_jacobians(xi, xj, z)
         assert np.allclose(Ji, Fi, atol=1e-6)
         assert np.allclose(Jj, Fj, atol=1e-6)
-        assert np.allclose(Jj, np.eye(3), atol=1e-12)
-        assert np.allclose(Ji, -_adjoint(inverse(z)), atol=1e-12)
+        assert np.allclose(Jj, _turn(xj.theta), atol=1e-12)
+        assert np.allclose(Ji, -Jj @ _shear(xi, xj), atol=1e-12)
 
 
 def test_edge_jacobian_xi_is_minus_jj_times_adjoint_at_any_residual():
-    """d(residual)/d(xi) = -d(residual)/d(xj) Ad(inverse(d)) with
-    d = inverse(xi) xj, the identity the batched kernel's closed form
-    rests on; at zero residual it reduces to the test above."""
+    """d(residual)/d(xi) = -d(residual)/d(xj) B with B the shear by the
+    world offset xj - xi, the identity the batched kernel's closed form
+    rests on."""
     rng = np.random.default_rng(14)
     for _ in range(300):
         xi, xj, z = random_pose(rng), random_pose(rng), random_pose(rng, 2.0)
         Ji, Jj = edge_jacobians(xi, xj, z)
-        d = compose(inverse(xi), xj)
-        want = -Jj @ _adjoint(inverse(d))
+        want = -Jj @ _shear(xi, xj)
         assert np.allclose(Ji, want, rtol=0.0, atol=1e-12)
 
 
@@ -257,13 +266,21 @@ def test_edge_jacobians_match_finite_differences():
 
 
 def test_retract_is_right_composition():
+    """retract adds the step to the coordinates, as g2o's VertexSE2 does,
+    and wraps the heading sum onto (-pi, pi]."""
     rng = np.random.default_rng(13)
+    crossed = 0
     for _ in range(200):
         p = random_pose(rng)
         d = rng.normal(0.0, 1.0, 3)
-        want = compose(p, exp_map(d))
         got = retract(p, d)
-        assert np.allclose(got.as_array(), want.as_array(), atol=1e-15)
+        turned = p.theta + d[2]
+        want = (p.x + d[0], p.y + d[1],
+                turned - math.copysign(2.0 * math.pi, turned)
+                if abs(turned) > math.pi else turned)
+        assert np.allclose(got.as_array(), want, atol=1e-15)
+        crossed += abs(turned) > math.pi
+    assert crossed > 0
 
 
 def test_operations_never_emit_nan():
@@ -292,9 +309,9 @@ def test_pose_is_slotted_frozen_value():
     assert len({p, Pose2(1.0, -2.0, 0.5)}) == 1
 
 
-# Headings next to the Taylor switch on both sides, and next to +-pi on
-# both sides, so batch_retract takes both branches of its switch and the
-# residual pass takes every heading wrap.
+# Headings near zero at the scale of SMALL_ANGLE on both sides of it, and
+# next to +-pi on both sides, so the retraction and the residual pass take
+# every heading wrap.
 _EDGE_HEADINGS = tuple(sign * h for sign in (1.0, -1.0) for h in (
     0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, 1.001 * SMALL_ANGLE,
     2.0 * SMALL_ANGLE, math.pi - 1e-9, math.pi - 1e-3)) + (math.pi,)
@@ -336,7 +353,7 @@ def test_batch_edge_linearization_matches_scalar():
     for seed in (15, 16):
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
         e, state = batch_edge_residuals(_rows(xi), _rows(xj),
-                                        inverse_columns(_rows(z)))
+                                        measurement_columns(_rows(z)))
         Jj, A = batch_edge_jacobians(state, np.arange(len(xi)))
         Ji = -(Jj @ A)
         want = np.array([edge_residual(a, b, c)
@@ -355,12 +372,12 @@ def test_batch_edge_linearization_matches_scalar():
 def test_split_edge_kernel_matches_scalar():
     """The residual pass gives edge_residual, its headings bit for bit
     (so a heading at +-pi is on the scalar's side of the cut); the
-    Jacobian pass gives Jj of every edge, and A = Ad(inverse(d)) with
-    -Jj A = Ji of the edges it is given, in their order."""
+    Jacobian pass gives Jj of every edge, and the shear B by the world
+    offset, with -Jj B = Ji, of the edges it is given, in their order."""
     for seed in (18, 19):
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
         r, state = batch_edge_residuals(_rows(xi), _rows(xj),
-                                        inverse_columns(_rows(z)))
+                                        measurement_columns(_rows(z)))
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
         assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
@@ -368,23 +385,18 @@ def test_split_edge_kernel_matches_scalar():
         assert np.array_equal(r[:, 2], want[:, 2])
         np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)
         rows = np.random.default_rng(seed).permutation(len(xi))[:400]
-        Jj, A = batch_edge_jacobians(state, rows)
-        assert Jj.shape == (len(xi), 3, 3) and A.shape == (400, 3, 3)
+        Jj, B = batch_edge_jacobians(state, rows)
+        assert Jj.shape == (len(xi), 3, 3) and B.shape == (400, 3, 3)
         for k, (a, b, c) in enumerate(zip(xi, xj, z)):
             np.testing.assert_allclose(Jj[k], edge_jacobians(a, b, c)[1],
                                        rtol=1e-12, atol=1e-12)
         for q, k in enumerate(rows):
             a, b, c = xi[k], xj[k], z[k]
-            np.testing.assert_allclose(-(Jj[k] @ A[q]),
+            np.testing.assert_allclose(-(Jj[k] @ B[q]),
                                        edge_jacobians(a, b, c)[0],
                                        rtol=1e-12, atol=1e-12)
-            # the adjoint of inverse(d), whose translation (x, y) enters
-            # as (y, -x)
-            d = inverse(compose(inverse(a), b))
-            cd, sd = math.cos(d.theta), math.sin(d.theta)
-            np.testing.assert_allclose(
-                A[q], [[cd, -sd, d.y], [sd, cd, -d.x], [0.0, 0.0, 1.0]],
-                rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(B[q], _shear(a, b), rtol=1e-12,
+                                       atol=1e-12)
 
 
 def test_batch_retract_matches_scalar():

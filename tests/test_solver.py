@@ -22,7 +22,8 @@ from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
 from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
-from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, compose, exp_map, \
+from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
+    batch_edge_jacobians, compose, edge_jacobians, edge_residual, exp_map, \
     inverse, retract
 from se2fusion.solver import SolveReport, SolverConfig, Termination, \
     _PackedGraph, optimize
@@ -258,8 +259,7 @@ def test_linear_model_predicts_small_step_decrease():
         chi0 = total_error(g)
         free = [n for n in g.nodes if not n.fixed]
         for k, node in enumerate(free):
-            set_pose(g, node.id,
-                     compose(node.pose, exp_map(delta[3 * k:3 * k + 3])))
+            set_pose(g, node.id, retract(node.pose, delta[3 * k:3 * k + 3]))
         actual = chi0 - total_error(g)
         assert predicted > 0.0
         assert actual == pytest.approx(predicted, rel=1e-2)
@@ -456,8 +456,9 @@ def test_report_error_bookkeeping():
 
 
 def _graph_near_branches(rng):
-    """Random chain whose node headings sit next to +-pi and the Taylor
-    switch, so chi-square and retraction cross every wrap and branch."""
+    """Random chain whose node headings sit next to +-pi, and near zero at
+    the scale of SMALL_ANGLE, so chi-square and retraction cross every
+    heading wrap."""
     g, _ = random_chain_graph(rng, 14, n_absolute=4, perturb=2.0)
     headings = (math.pi - 1e-9, -math.pi + 1e-9, math.pi,
                 0.999 * SMALL_ANGLE, -1.001 * SMALL_ANGLE)
@@ -816,6 +817,44 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
     assert sorted(packed.free.tolist()) == free
     want = _dense_solve(Hd, bd)[_in_chain_order(packed, free)]
     assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("rate", list(NodeRate))
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_fix_edges_are_linear(strategy, rate):
+    """Every edge from a fixed node (a fix edge of G1 and G2, an identity
+    edge of G3) runs from a pose at heading 0 with a measurement at
+    heading 0, so under the additive update its Jj is the identity, in
+    the batched kernel and the scalar alike, at the seed poses and at
+    shaken ones: its residual is p - p_fix, and its (j, j) block is its
+    Omega."""
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                            OdoErrorModel(0.011), 60.0)
+    g = build(ds.gnss, ds.odometry,
+              BuilderConfig(strategy=strategy, node_rate=rate))
+    packed = _PackedGraph(g)
+    fix = np.flatnonzero(g.fixed[g.from_ids])
+    assert fix.size == len(ds.gnss)
+    eye = np.broadcast_to(np.eye(3), (fix.size, 3, 3))
+    rng = np.random.default_rng(63)
+    for shake in (0.0, 0.3):
+        g.poses[packed.free] += rng.normal(0.0, shake,
+                                           (packed.free.size, 3))
+        xi, xj = g.poses[g.from_ids[fix]], g.poses[g.to_ids[fix]]
+        assert np.any(np.abs(xj[:, 2]) > 0.1)
+        kernel = packed.residual(g.poses)[1][0]
+        Jj = batch_edge_jacobians(kernel, packed.pair)[0][fix]
+        assert np.array_equal(Jj, eye)
+        omega = g.information[fix]
+        assert np.array_equal(Jj.transpose(0, 2, 1) @ omega @ Jj, omega)
+        for a, b, z in zip(xi, xj, g.measurements[fix]):
+            a, b, z = Pose2(*a), Pose2(*b), Pose2(*z)
+            assert np.array_equal(edge_jacobians(a, b, z)[1], np.eye(3))
+            np.testing.assert_allclose(
+                edge_residual(a, b, z)[:2],
+                (b.x - (a.x + z.x), b.y - (a.y + z.y)), rtol=0.0,
+                atol=1e-12)
 
 
 def _loop_closed_chain(seed):
