@@ -1,7 +1,7 @@
 """Pose-graph fusion of absolute GNSS fixes with relative vehicle
 odometry on SE(2)."""
 
-from .builders import BuilderConfig, NodeRate, Strategy, build, \
+from .builders import BuilderConfig, Strategy, build, \
     full_rate_trajectory, vehicle_trajectory
 from .dataset import Dataset, ExperimentConfig, TruthTrack, export_results, \
     load_dataset, run_batch, run_experiment, write_dataset

@@ -11,7 +11,7 @@ Three ways to wire the same information into a graph:
 
 All three share the odometry chain between consecutive vehicle nodes.
 The seed dead-reckons that chain from the origin, then moves it as one
-rigid body onto the fixes (the weighted least-squares fit of its fix
+rigid body onto the fixes (the weighted least-squares fit of its
 nodes), so odometry-edge residuals start at rounding level and the
 start heading rests on every fix rather than on the bearing between the
 first two.  G2's GNSS nodes start on their vehicle nodes, so the
@@ -50,30 +50,24 @@ class Strategy(enum.Enum):
     G3 = "g3"
 
 
-class NodeRate(enum.Enum):
-    PER_GNSS_FIX = "per_gnss_fix"
-    PER_ODOMETRY_SAMPLE = "per_odometry_sample"
-
-
 @dataclass
 class BuilderConfig:
     strategy: Strategy = Strategy.G2
-    node_rate: NodeRate = NodeRate.PER_GNSS_FIX
     identity_edge_strength: float = 1e6
 
     def __post_init__(self):
         # a member or its value; anything else raises ValueError
         self.strategy = Strategy(self.strategy)
-        self.node_rate = NodeRate(self.node_rate)
         if not 0.0 < self.identity_edge_strength < math.inf:
             raise ValueError("identity_edge_strength must lie in (0, inf)")
 
 
 def _accepted_fixes(readings, odo: OdometryStream):
     """The accepted readings and their times, checked as windows between
-    consecutive fixes (`check_windows`), which covers every node window:
-    each lies in a fix gap, `reach` never falls as a start moves later,
-    and the grid keeps the samples on both sides of any recording hole."""
+    consecutive fixes (`check_windows`).  These are the odometry edges'
+    windows, and they cover every re-chain window: each lies in a fix
+    gap, `reach` never falls as a start moves later, and the grid keeps
+    the samples on both sides of any recording hole."""
     kept = [r for r in readings if r.accepted]
     if len(kept) < 2:
         raise TooFewReadingsError(
@@ -84,7 +78,7 @@ def _accepted_fixes(readings, odo: OdometryStream):
 
 
 def _dead_reckon(stream: OdometryStream, times):
-    """Odometry deltas (k, 3) and arc lengths between consecutive node
+    """Odometry deltas (k, 3) and arc lengths between consecutive fix
     times, covered (`_accepted_fixes`) and priced by one `WindowEnds`,
     and the (k + 1, 3) poses chained through them from the origin at
     heading 0 as one prefix product, headings left unwrapped."""
@@ -100,15 +94,15 @@ def _dead_reckon(stream: OdometryStream, times):
     return deltas, arcs, poses
 
 
-def _fit_to_fixes(chain, at_fix, fixes, weights):
+def _fit_to_fixes(chain, fixes, weights):
     """The (k, 3) chain moved by the one rigid SE(2) motion that puts its
-    rows `at_fix` closest to the (m, 2) fixes in weighted least squares:
-    the closed-form 2-D Procrustes fit (Umeyama 1991).  The rotation is
-    the angle of the weighted cross-covariance of the centred point sets,
-    0 when the fix nodes coincide (a drive at a standstill); the motion
-    takes the chain's weighted centroid onto the fixes'."""
+    rows closest to the (k, 2) fixes in weighted least squares: the
+    closed-form 2-D Procrustes fit (Umeyama 1991).  The rotation is the
+    angle of the weighted cross-covariance of the centred point sets, 0
+    when the chain's points coincide (a drive at a standstill); the
+    motion takes the chain's weighted centroid onto the fixes'."""
     w = weights / np.sum(weights)
-    p = chain[at_fix, :2]
+    p = chain[:, :2].copy()  # `w @` a strided view rounds differently
     p_bar, q_bar = w @ p, w @ fixes
     (px, py), (qx, qy) = (p - p_bar).T, (fixes - q_bar).T
     phi = math.atan2(w @ (px * qy - py * qx), w @ (px * qx + py * qy))
@@ -118,12 +112,10 @@ def _fit_to_fixes(chain, at_fix, fixes, weights):
     return np.stack(_compose_cols(tx, ty, phi, *chain.T), axis=1)
 
 
-def _node_times(fix_t: np.ndarray, stream: OdometryStream, rate: NodeRate):
-    """Vehicle-node timestamps, sorted: every fix time (increasing) and,
-    per odometry sample, every raw sample strictly between the first and
-    the last fix.  The one definition of the odometry-rate grid."""
-    if rate is NodeRate.PER_GNSS_FIX:
-        return fix_t
+def _rechain_times(fix_t: np.ndarray, stream: OdometryStream):
+    """The re-chain's timestamps, sorted: every fix time (increasing) and
+    every raw odometry sample strictly between the first and the last
+    fix.  The one definition of the odometry-rate grid."""
     t = stream.timestamps
     return np.union1d(fix_t, t[(t > fix_t[0]) & (t < fix_t[-1])])
 
@@ -131,21 +123,18 @@ def _node_times(fix_t: np.ndarray, stream: OdometryStream, rate: NodeRate):
 def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     """Assemble the pose graph for the configured strategy.
 
-    Node order: fixed origin first, then one vehicle node per timestamp
-    (per accepted fix by default), then for G2/G3 one GNSS node per fix.
+    Node order: fixed origin first, then one vehicle node per accepted
+    fix, then for G2/G3 one GNSS node per fix.
     Edge order: odometry chain, then absolute GNSS edges, then identity
     edges.  Needs at least two accepted readings, in time order, and
     odometry covering every gap between them (`_accepted_fixes`).
     """
     cfg = config if config is not None else BuilderConfig()
     readings, fix_t = _accepted_fixes(readings, odo)
-    times = _node_times(fix_t, odo, cfg.node_rate)
-    deltas, arcs, chain = _dead_reckon(odo, times)
-    # every fix time is a node time, so its node is found exactly
-    at_fix = np.searchsorted(times, fix_t)
+    deltas, arcs, chain = _dead_reckon(odo, fix_t)
     fixes = np.array([(r.position[0], r.position[1], 0.0) for r in readings])
     info = gnss_information(readings)
-    poses = _fit_to_fixes(chain, at_fix, fixes[:, :2],
+    poses = _fit_to_fixes(chain, fixes[:, :2],
                           (info[:, 0, 0] + info[:, 1, 1]) / 2.0)
 
     graph = PoseGraph()
@@ -154,22 +143,21 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     graph.add_edges(vehicle[:-1], vehicle[1:], deltas, arc_information(arcs),
                     EdgeKind.ODOMETRY)
 
-    fix_node = vehicle.start + at_fix
     origin = np.zeros(len(readings), dtype=np.intp)
     identity = np.zeros_like(fixes)
     if cfg.strategy is Strategy.G1:
-        graph.add_edges(origin, fix_node, fixes, info, EdgeKind.GNSS_ABSOLUTE)
+        graph.add_edges(origin, vehicle, fixes, info, EdgeKind.GNSS_ABSOLUTE)
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
         tie = np.broadcast_to(np.diag([s, s, s]), info.shape)
         # each starts on its vehicle node, its identity edge at zero
-        gnss = graph.add_nodes(poses[at_fix])
+        gnss = graph.add_nodes(poses)
         graph.add_edges(origin, gnss, fixes, info, EdgeKind.GNSS_ABSOLUTE)
-        graph.add_edges(gnss, fix_node, identity, tie,
+        graph.add_edges(gnss, vehicle, identity, tie,
                         EdgeKind.VIRTUAL_IDENTITY)
     else:
         gnss = graph.add_nodes(fixes, fixed=True)
-        graph.add_edges(gnss, fix_node, identity, info,
+        graph.add_edges(gnss, vehicle, identity, info,
                         EdgeKind.VIRTUAL_IDENTITY)
     return graph
 
@@ -192,20 +180,20 @@ def vehicle_trajectory(graph: PoseGraph) -> list[Pose2]:
 def full_rate_trajectory(graph: PoseGraph, readings, odo: OdometryStream):
     """Re-chain odometry between optimized nodes for a dense trajectory.
 
-    The timestamps are the node grid of NodeRate.PER_ODOMETRY_SAMPLE
-    (`_node_times`).  Each sample on it gets the optimized node of the
-    last fix before it composed with the odometry integrated from that
-    fix, all windows priced by one `WindowEnds` over the grid, and node
-    poses appear unchanged at the fix times.  Returns (timestamps,
-    poses), the poses built in bulk by `poses_from_rows`.  Assumes the
-    graph was built per GNSS fix, so vehicle nodes pair up with accepted
-    readings one to one.
+    The timestamps are every accepted fix and every odometry sample
+    between the first and the last (`_rechain_times`).  Each sample gets
+    the optimized node of the last fix before it composed with the
+    odometry integrated from that fix, all windows priced by one
+    `WindowEnds` over the grid, and node poses appear unchanged at the
+    fix times.  Returns (timestamps,
+    poses), the poses built in bulk by `poses_from_rows`.  The graph's
+    vehicle nodes must pair up with the accepted readings one to one.
     """
     readings, fix_t = _accepted_fixes(readings, odo)
     nodes = _vehicle_poses(graph)
     if len(nodes) != len(readings):
         raise ValueError("graph vehicle nodes do not match accepted readings")
-    times = _node_times(fix_t, odo, NodeRate.PER_ODOMETRY_SAMPLE)
+    times = _rechain_times(fix_t, odo)
     # each grid time's gap (the last fix at or before it) and that fix's
     # grid index, which for a fix is its own
     gap = np.searchsorted(fix_t, times, side="right") - 1

@@ -23,7 +23,7 @@ import dataclasses
 import os
 import sys
 
-from .builders import NodeRate, Strategy
+from .builders import Strategy
 from .dataset import ExperimentConfig, _screen_and_build, export_results, \
     load_dataset, render_metrics_record, run_batch, run_experiment, \
     write_dataset
@@ -82,7 +82,6 @@ def _add_experiment_args(p: argparse.ArgumentParser, per_run: bool,
                        action="store_false", default=None)
     p.add_argument("--identity-strength", dest="identity_edge_strength",
                    type=float)
-    p.add_argument("--node-rate", choices=[x.value for x in NodeRate])
     if scored:
         p.add_argument("--metrics-literal", action="store_true", default=None)
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .builders import BuilderConfig, Strategy, _node_times, \
-    _vehicle_poses, build
+from .builders import BuilderConfig, Strategy, _vehicle_poses, build
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
     ParseError
@@ -78,9 +77,9 @@ class Dataset:
 
 @dataclass
 class ExperimentConfig(BuilderConfig):
-    """One experiment's settings: the graph settings of BuilderConfig,
-    plus the screen switch and the metric variant.  The solve runs with
-    the default SolverConfig."""
+    """One experiment's settings: the graph settings of BuilderConfig
+    (strategy, G2 tie stiffness), plus the screen switch and the metric
+    variant.  The solve runs with the default SolverConfig."""
     outlier_rejection: bool = True
     metrics_literal: bool = False
 
@@ -282,7 +281,8 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
     """Screen the fixes (when enabled) and build the unoptimized graph.
 
     Every reading's accepted flag is reset, then set by the screen.
-    Returns (rejection_rate, graph, node_times).
+    Returns (rejection_rate, graph, times), the times those of the
+    accepted fixes, one per vehicle node.
     """
     readings = list(dataset.gnss)
     for r in readings:
@@ -292,9 +292,7 @@ def _screen_and_build(dataset: Dataset, cfg: ExperimentConfig):
         rate = reject_outliers(readings, dataset.odometry).rejection_rate
     accepted = [r for r in readings if r.accepted]
     graph = build(accepted, dataset.odometry, cfg)
-    fix_t = np.array([r.timestamp for r in accepted], dtype=float)
-    times = _node_times(fix_t, dataset.odometry, cfg.node_rate).tolist()
-    return rate, graph, times
+    return rate, graph, [float(r.timestamp) for r in accepted]
 
 
 def _score(dataset: Dataset, what: str, est_t, est_xy, literal: bool,
@@ -322,12 +320,13 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     """Screen, build, optimize and score one dataset.
 
     Returns (trajectory, fused_report, raw_report, solve_report) where
-    trajectory is the list of (timestamp, Pose2) of every vehicle node:
-    one per accepted fix, or one per odometry sample with
-    NodeRate.PER_ODOMETRY_SAMPLE.  Raw GNSS metrics are computed over all
-    readings, accepted or not, since the comparison baseline is the
-    unfiltered receiver output; they are computed first, so a truth track
-    that matches fewer than two fixes stops the run before any work.
+    trajectory is the list of (timestamp, Pose2) of every vehicle node,
+    one per accepted fix; `full_rate_trajectory` on the kept graph gives
+    a pose at every odometry sample as well.  Raw GNSS metrics are
+    computed over all readings, accepted or not, since the comparison
+    baseline is the unfiltered receiver output; they are computed first,
+    so a truth track that matches fewer than two fixes stops the run
+    before any work.
     Non-convergence is reported in the SolveReport, not raised.  With
     keep_graph=True the optimized graph is appended as a fifth element.
     """

@@ -36,11 +36,12 @@ classes, told apart by graph.fixed once per graph: every edge has its
 has (i, i) and (i, j) blocks, so B and its two products are formed for
 those edges alone; an edge from a fixed node (a fix edge of G1 and G2,
 an identity edge of G3) is a unary edge on its to node, and on the
-graphs builders.build() makes its Jj is the identity.  When no edge
-has an off-diagonal information entry, as in every graph builders.build()
-makes, Omega e and Omega Jj are elementwise products with Omega's
-diagonal, which give the matrix products' bits; a graph with any full
-Omega takes the matrix products.  One scatter adds every block and
+graphs builders.build() makes its Jj is the identity.  Omega Jj is one
+stacked matrix product on every graph.  When no edge has an
+off-diagonal information entry, as in every graph builders.build()
+makes, chi2's Omega e is the elementwise product with Omega's diagonal,
+which gives the matrix product's bits; a graph with any full Omega
+takes the matrix product there too.  One scatter adds every block and
 segment into H and b, each entry summing its edges' terms in the order
 (i, i), (j, j), (i, j).
 
@@ -189,10 +190,10 @@ class _PackedGraph:
     The (n, 3) poses, indexed by node id, are the graph's own; the from
     and to ids are stacked into one (2, m) array `ends`, so one gather
     gives both endpoints, and the (m, 3) measurements are kept as the
-    columns the residual pass reads, `z`.  `omega` is the (m, 3)
-    diagonal of the information stack when no edge has an off-diagonal
-    entry, as on every graph builders.build() makes, and the (m, 3, 3)
-    stack itself otherwise.  `free` lists the free node ids in chain
+    columns the residual pass reads, `z`.  `omega` is the graph's
+    (m, 3, 3) information stack, and `diagonal` its (m, 3) diagonal when
+    no edge has an off-diagonal entry, as on every graph builders.build()
+    makes, or None otherwise.  `free` lists the free node ids in chain
     (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
     reduced system.  `pair` lists the edges whose from node is free:
     only they have (i, i) and (i, j) blocks, while an edge from a fixed
@@ -207,7 +208,8 @@ class _PackedGraph:
         self.z = measurement_columns(graph.measurements)
         flat = graph.information.reshape(-1, 9)
         full = flat[:, [1, 2, 3, 5, 6, 7]].any()
-        self.omega = graph.information if full else flat[:, ::4].copy()
+        self.omega = graph.information
+        self.diagonal = None if full else flat[:, ::4].copy()
         free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * free.size
 
@@ -272,8 +274,8 @@ class _PackedGraph:
         e, kernel = batch_edge_residuals(xi, xj, self.z)
         # a diagonal Omega has one non-zero term per entry of Omega e, so
         # the elementwise product has the matrix product's bits
-        if self.omega.ndim == 2:
-            oe = self.omega * e
+        if self.diagonal is not None:
+            oe = self.diagonal * e
         else:
             oe = (self.omega @ e[:, :, None])[:, :, 0]
         return _dot(e, oe), (kernel, oe)
@@ -292,10 +294,7 @@ class _PackedGraph:
         # entry of b, like each of H, sums its edges' terms in the order
         # (i, i), (j, j), (i, j).
         X = np.empty(oe.shape + (4,))
-        if self.omega.ndim == 2:
-            np.multiply(self.omega[:, :, None], Jj, out=X[..., :3])
-        else:
-            np.matmul(self.omega, Jj, out=X[..., :3])
+        np.matmul(self.omega, Jj, out=X[..., :3])
         np.negative(oe, out=X[..., 3])
         p, m = len(pair), len(oe)
         blocks = np.empty((2 * p + m, 3, 4))

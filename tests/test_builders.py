@@ -8,9 +8,9 @@ import pytest
 
 from helpers import integrate_fine, scan_rigid_fit, total_error, \
     window_pose
-from se2fusion.builders import BuilderConfig, NodeRate, Strategy, \
-    _vehicle_poses, build, full_rate_trajectory, vehicle_trajectory
-from se2fusion.dataset import Dataset, ExperimentConfig, run_experiment
+from se2fusion.builders import BuilderConfig, Strategy, _vehicle_poses, \
+    build, full_rate_trajectory, vehicle_trajectory
+from se2fusion.dataset import Dataset
 from se2fusion.errors import InsufficientCoverageError, \
     TooFewReadingsError
 from se2fusion.gnss import GnssReading, gnss_information
@@ -155,21 +155,17 @@ def _curved_drive():
 
 def test_odometry_residuals_start_at_zero():
     """The dead-reckoned seeds satisfy every odometry edge to rounding,
-    on a straight drive and on a curved one, at both node rates."""
+    on a straight drive and on a curved one."""
     for readings, stream in (_drive(8, noise=1.0, seed=4), _curved_drive()):
         for strategy in Strategy:
-            for rate in NodeRate:
-                graph = build(readings, stream,
-                              BuilderConfig(strategy=strategy,
-                                            node_rate=rate))
-                odometry = [e for e in graph.edges
-                            if e.kind is EdgeKind.ODOMETRY]
-                assert len(odometry) >= len(readings) - 1
-                for e in odometry:
-                    r = edge_residual(graph.nodes[e.from_id].pose,
-                                      graph.nodes[e.to_id].pose,
-                                      e.measurement)
-                    assert np.abs(r).max() <= 1e-9
+            graph = build(readings, stream, BuilderConfig(strategy=strategy))
+            odometry = [e for e in graph.edges
+                        if e.kind is EdgeKind.ODOMETRY]
+            assert len(odometry) >= len(readings) - 1
+            for e in odometry:
+                r = edge_residual(graph.nodes[e.from_id].pose,
+                                  graph.nodes[e.to_id].pose, e.measurement)
+                assert np.abs(r).max() <= 1e-9
 
 
 def _weighted_drive(seed, duration=120.0):
@@ -207,16 +203,13 @@ def _fit_gap(graph):
 
 
 def test_seeds_are_the_weighted_rigid_fit_of_the_chain_to_the_fixes():
-    """At both node rates the fix nodes start where the oracle's weighted
-    rigid fit of the dead-reckoned chain puts them, on a drive that turns,
-    with noisy and unequally accurate fixes, and on a two-fix drive."""
+    """The fix nodes start where the oracle's weighted rigid fit of the
+    dead-reckoned chain puts them, on a drive that turns, with noisy and
+    unequally accurate fixes, and on a two-fix drive."""
     for readings, stream in (_weighted_drive(3), _drive(2, noise=1.0)):
-        for rate in NodeRate:
-            graph = build(readings, stream,
-                          BuilderConfig(strategy=Strategy.G1,
-                                        node_rate=rate))
-            assert np.all(np.isfinite(graph.poses))
-            assert _fit_gap(graph) <= 1e-9
+        graph = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
+        assert np.all(np.isfinite(graph.poses))
+        assert _fit_gap(graph) <= 1e-9
 
 
 def test_a_fix_of_negligible_weight_barely_moves_the_seeds():
@@ -255,21 +248,18 @@ def test_a_drive_at_a_standstill_seeds_the_fixes_centroid_unturned():
 def test_g2_gnss_nodes_start_on_their_vehicle_nodes():
     """Every GNSS node of G2 starts on its vehicle node's row, so its
     identity edge starts at zero residual (to rounding), and the vehicle
-    seeds are G1's, at both node rates."""
+    seeds are G1's."""
     readings, stream = _weighted_drive(4)
-    for rate in NodeRate:
-        g2 = build(readings, stream, BuilderConfig(strategy=Strategy.G2,
-                                                   node_rate=rate))
-        ties = [e for e in g2.edges if e.kind is TIE]
-        assert len(ties) == len(readings)
-        for e in ties:
-            assert np.array_equal(g2.poses[e.from_id], g2.poses[e.to_id])
-            r = edge_residual(g2.nodes[e.from_id].pose,
-                              g2.nodes[e.to_id].pose, e.measurement)
-            assert np.abs(r).max() <= 1e-12
-        g1 = build(readings, stream, BuilderConfig(strategy=Strategy.G1,
-                                                   node_rate=rate))
-        assert np.array_equal(_vehicle_poses(g2), _vehicle_poses(g1))
+    g2 = build(readings, stream, BuilderConfig(strategy=Strategy.G2))
+    ties = [e for e in g2.edges if e.kind is TIE]
+    assert len(ties) == len(readings)
+    for e in ties:
+        assert np.array_equal(g2.poses[e.from_id], g2.poses[e.to_id])
+        r = edge_residual(g2.nodes[e.from_id].pose,
+                          g2.nodes[e.to_id].pose, e.measurement)
+        assert np.abs(r).max() <= 1e-12
+    g1 = build(readings, stream, BuilderConfig(strategy=Strategy.G1))
+    assert np.array_equal(_vehicle_poses(g2), _vehicle_poses(g1))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -382,36 +372,15 @@ def test_g3_identity_edges_carry_fix_information():
         assert np.array_equal(e.measurement.as_array(), np.zeros(3))
 
 
-def test_per_odometry_sample_node_rate():
-    readings, stream = _drive(3)
-    cfg = BuilderConfig(strategy=Strategy.G1,
-                        node_rate=NodeRate.PER_ODOMETRY_SAMPLE)
-    graph = build(readings, stream, cfg)
-    t = stream.timestamps
-    merged = np.union1d(np.array([0.0, 1.0, 2.0]),
-                        t[(t > 0.0) & (t < 2.0)])
-    n_vehicle = len(_vehicle_poses(graph))
-    assert n_vehicle == merged.size
-    assert n_vehicle > 40
-    nodes, edges = _kinds(graph)
-    assert nodes == ["origin"] + ["vehicle"] * n_vehicle
-    assert np.array_equal(_vehicle_poses(graph), graph.poses[1:])
-    assert edges.count(EdgeKind.ODOMETRY) == n_vehicle - 1
-    assert edges.count(EdgeKind.GNSS_ABSOLUTE) == 3
-
-
-@pytest.mark.parametrize("rate", list(NodeRate))
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_a_reloaded_dump_is_the_graph_it_came_from(tmp_path, strategy,
-                                                   rate):
+def test_a_reloaded_dump_is_the_graph_it_came_from(tmp_path, strategy):
     """load(save(g)) equals g in every column the graph stores and saves
     to the same bytes, and the reloaded graph gives the same vehicle
-    track and, per fix, the same re-chain."""
+    track and the same re-chain."""
     ds = generate_synthetic(4, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel(ar1_rho=0.9, ar1_sigma=1.0),
                             OdoErrorModel(0.011), duration=30.0)
-    graph = build(ds.gnss, ds.odometry,
-                  BuilderConfig(strategy=strategy, node_rate=rate))
+    graph = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
     optimize(graph)
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     save(graph, first)
@@ -426,10 +395,9 @@ def test_a_reloaded_dump_is_the_graph_it_came_from(tmp_path, strategy,
     assert second.read_bytes() == first.read_bytes()
     track = vehicle_trajectory(loaded)
     assert track == vehicle_trajectory(graph)
-    assert (len(track) == 30) is (rate is NodeRate.PER_GNSS_FIX)
-    if rate is NodeRate.PER_GNSS_FIX:
-        assert full_rate_trajectory(loaded, ds.gnss, ds.odometry) == \
-            full_rate_trajectory(graph, ds.gnss, ds.odometry)
+    assert len(track) == 30
+    assert full_rate_trajectory(loaded, ds.gnss, ds.odometry) == \
+        full_rate_trajectory(graph, ds.gnss, ds.odometry)
 
 
 def test_full_rate_trajectory_interpolates():
@@ -489,10 +457,10 @@ def test_full_rate_trajectory_equals_per_sample_preintegration():
 
 @pytest.mark.parametrize("on_grid", [True, False])
 def test_full_rate_trajectory_is_on_the_per_sample_node_grid(on_grid):
-    """The re-chain's timestamps are exactly the vehicle-node times of a
-    graph built per odometry sample, whether the fixes fall on odometry
-    samples or between them, and a fix time that is also a sample time
-    appears once."""
+    """The re-chain's timestamps are exactly the fix times joined with
+    the odometry samples strictly between the first and the last fix,
+    whether the fixes fall on odometry samples or between them, and a fix
+    time that is also a sample time appears once."""
     if on_grid:
         ds = generate_synthetic(1, TrajectoryProfile.URBAN_LOOP,
                                 duration=40.0)
@@ -502,13 +470,10 @@ def test_full_rate_trajectory_is_on_the_per_sample_node_grid(on_grid):
     samples = ds.odometry.timestamps
     on_samples = np.isin(fix_t, samples)
     assert on_samples.all() if on_grid else not on_samples.any()
-    cfg = ExperimentConfig(node_rate=NodeRate.PER_ODOMETRY_SAMPLE,
-                           outlier_rejection=False)
-    per_sample = [tau for tau, _ in run_experiment(ds, cfg)[0]]
+    inside = samples[(samples > fix_t[0]) & (samples < fix_t[-1])]
     graph = build(ds.gnss, ds.odometry, BuilderConfig(strategy=Strategy.G1))
     out_t, _ = full_rate_trajectory(graph, ds.gnss, ds.odometry)
-    assert out_t == per_sample
-    inside = samples[(samples > fix_t[0]) & (samples < fix_t[-1])]
+    assert out_t == np.union1d(fix_t, inside).tolist()
     assert len(out_t) == len(set(out_t)) == \
         len(fix_t) + inside.size - np.isin(inside, fix_t).sum()
 
@@ -533,19 +498,17 @@ def test_full_rate_trajectory_refuses_an_uncovered_fix_gap(hole):
     with pytest.raises(InsufficientCoverageError, match="odometry gap") \
             as rechain:
         full_rate_trajectory(graph, readings, gappy)
-    # the build checks the same fix gaps, at either node rate
-    for rate in NodeRate:
-        with pytest.raises(InsufficientCoverageError) as built:
-            build(readings, gappy, BuilderConfig(node_rate=rate))
-        assert str(built.value) == str(rechain.value)
+    # the build checks the same fix gaps
+    with pytest.raises(InsufficientCoverageError) as built:
+        build(readings, gappy)
+    assert str(built.value) == str(rechain.value)
 
 
-@pytest.mark.parametrize("rate", list(NodeRate), ids=lambda r: r.value)
-def test_build_refuses_readings_out_of_time_order(rate):
+def test_build_refuses_readings_out_of_time_order():
     readings, stream = _drive(5)
     readings[2], readings[3] = readings[3], readings[2]
     with pytest.raises(ValueError, match="^need t_start < t_end$"):
-        build(readings, stream, BuilderConfig(node_rate=rate))
+        build(readings, stream)
 
 
 def test_build_work_does_not_grow_with_the_drive(monkeypatch):
@@ -581,19 +544,16 @@ def test_build_work_does_not_grow_with_the_drive(monkeypatch):
 
 
 def test_config_takes_a_member_or_its_value():
-    """A strategy or node rate given by its value builds the same graph as
-    its member; any other value is refused instead of falling through to
-    another wiring."""
+    """A strategy given by its value builds the same graph as its member;
+    any other value is refused instead of falling through to another
+    wiring."""
     readings, stream = _drive(3)
-    by_value = BuilderConfig(strategy="g1", node_rate="per_odometry_sample")
+    by_value = BuilderConfig(strategy="g1")
     assert by_value.strategy is Strategy.G1
-    assert by_value.node_rate is NodeRate.PER_ODOMETRY_SAMPLE
-    by_member = BuilderConfig(strategy=Strategy.G1,
-                              node_rate=NodeRate.PER_ODOMETRY_SAMPLE)
+    by_member = BuilderConfig(strategy=Strategy.G1)
     assert _kinds(build(readings, stream, by_value)) == \
         _kinds(build(readings, stream, by_member))
-    for bad in (dict(strategy="G1"), dict(strategy="g4"),
-                dict(strategy=1), dict(node_rate="per_second")):
+    for bad in (dict(strategy="G1"), dict(strategy="g4"), dict(strategy=1)):
         with pytest.raises(ValueError):
             BuilderConfig(**bad)
     with pytest.raises(ValueError):

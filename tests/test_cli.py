@@ -349,8 +349,7 @@ SYNTHETIC_FLAGS = [
     ["--outlier-rate", "0.2", "--outlier-magnitude", "30"],
     ["--drift", "0.02"], ["--standstill", "10,3"]]
 PER_RUN_FLAGS = [["--strategy", "g1"], ["--no-outlier-rejection"]]
-GRAPH_FLAGS = [["--identity-strength", "10"],
-               ["--node-rate", "per_odometry_sample"]]
+GRAPH_FLAGS = [["--identity-strength", "10"]]
 
 
 def _flag_cases(verb, csv):
@@ -420,6 +419,8 @@ def test_every_flag_a_verb_takes_changes_its_output(verb, tmp_path, capsys):
     (["graph-dump", "--truth", "t.csv"], "--truth"),
     (["synth", "--gnss", "g.csv"], "--gnss"),
     (["synth", "--strategy", "g1"], "--strategy"),
+    *[([verb, "--node-rate", "per_odometry_sample"], "--node-rate")
+      for verb in ("run", "batch", "synth", "graph-dump")],
 ])
 def test_flags_a_verb_would_ignore_are_usage_errors(argv, flag, tmp_path,
                                                     capsys):

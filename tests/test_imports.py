@@ -1,15 +1,16 @@
 """Every name a package module imports is used in that module, every
 private function, class and method is used by the package, every public
 module-level function and class is used by the package, exported by
-__init__.py or read by the benchmark, and every module-level function
+__init__.py or read by the benchmark, every field of a config class is
+read by the package outside that class, and every module-level function
 and class of tests/helpers.py is read by a test module or another
 helper.
 
 A deletion that leaves an import behind (a class or helper whose last
 reader went) fails here, and so does code whose last caller outside the
-tests went, even if tests still call it, and an oracle that no test
-reads.  __init__.py is skipped by the import check: its imports are the
-public API.
+tests went, even if tests still call it, a setting whose last reader
+went, and an oracle that no test reads.  __init__.py is skipped by the
+import check: its imports are the public API.
 """
 
 import ast
@@ -160,6 +161,59 @@ def test_no_dead_public_code():
     readers = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
     assert "__init__" in sources and "run" in readers
     assert dead_public_code(sources, readers) == []
+
+
+CONFIGS = ("BuilderConfig", "ExperimentConfig", "SolverConfig",
+           "GnssErrorModel", "OdoErrorModel")
+
+
+def dead_config_fields(sources: dict, classes) -> list:
+    """The annotated fields of the named classes that no source reads as
+    an attribute (`x.field` in a load) outside that class's own body, so
+    a check in its __post_init__ or a write is not a read.
+
+    sources maps a package module name to its text.
+    """
+    trees = [ast.parse(text) for text in sources.values()]
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in classes):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            read = {n.attr for t in trees for n in ast.walk(t)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+            dead += [f"{node.name}.{f.target.id}" for f in node.body
+                     if isinstance(f, ast.AnnAssign)
+                     and isinstance(f.target, ast.Name)
+                     and f.target.id not in read]
+    return sorted(dead)
+
+
+def test_the_guard_finds_a_dead_config_field():
+    sources = {
+        "a": ("class Cfg:\n    used: int = 1\n    checked: int = 2\n"
+              "    written: int = 3\n    other: int = 4\n\n"
+              "    def __post_init__(self):\n        if self.checked < 0:\n"
+              "            raise ValueError\n\n"
+              "class Unlisted:\n    lone: int = 0\n\n"
+              "def run(cfg):\n    cfg.written = 5\n    return cfg.used\n"),
+    }
+    # a read inside the class and a write are not reads, and a class
+    # not named is not checked
+    assert dead_config_fields(sources, ("Cfg",)) == \
+        ["Cfg.checked", "Cfg.other", "Cfg.written"]
+    sources["b"] = "def f(x):\n    return x.other + x.checked\n"
+    assert dead_config_fields(sources, ("Cfg",)) == ["Cfg.written"]
+
+
+def test_no_dead_config_fields():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    defined = {n.name for text in sources.values()
+               for n in ast.parse(text).body if isinstance(n, ast.ClassDef)}
+    assert set(CONFIGS) <= defined
+    assert dead_config_fields(sources, CONFIGS) == []
 
 
 def dead_helpers(helpers: str, readers: dict) -> list:

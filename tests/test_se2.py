@@ -223,7 +223,7 @@ def _shear(xi, xj):
                      [0.0, 0.0, 1.0]])
 
 
-def test_edge_jacobian_xi_at_zero_residual_is_minus_adjoint():
+def test_edge_jacobian_xi_at_zero_residual_is_minus_jj_times_shear():
     """At zero residual both Jacobians equal the finite differences taken
     through retract; d(residual)/d(xj) is the rotation by -theta_j, and
     d(residual)/d(xi) is -Jj B, B the shear by the world offset."""
@@ -239,7 +239,7 @@ def test_edge_jacobian_xi_at_zero_residual_is_minus_adjoint():
         assert np.allclose(Ji, -Jj @ _shear(xi, xj), atol=1e-12)
 
 
-def test_edge_jacobian_xi_is_minus_jj_times_adjoint_at_any_residual():
+def test_edge_jacobian_xi_is_minus_jj_times_shear_at_any_residual():
     """d(residual)/d(xi) = -d(residual)/d(xj) B with B the shear by the
     world offset xj - xi, the identity the batched kernel's closed form
     rests on."""
@@ -265,7 +265,7 @@ def test_edge_jacobians_match_finite_differences():
     assert worst < 1e-5
 
 
-def test_retract_is_right_composition():
+def test_retract_adds_the_step():
     """retract adds the step to the coordinates, as g2o's VertexSE2 does,
     and wraps the heading sum onto (-pi, pi]."""
     rng = np.random.default_rng(13)
@@ -348,14 +348,15 @@ def _straddling_edges(rng, m=600):
 
 
 def test_batch_edge_linearization_matches_scalar():
-    """The residual pass, then the Jacobian pass with Ji = -Jj A, give
-    edge_residual and edge_jacobians of every edge."""
+    """The residual pass, then the Jacobian pass with Ji = -Jj B, B the
+    shear by the world offset, give edge_residual and edge_jacobians of
+    every edge."""
     for seed in (15, 16):
         xi, xj, z = _straddling_edges(np.random.default_rng(seed))
         e, state = batch_edge_residuals(_rows(xi), _rows(xj),
                                         measurement_columns(_rows(z)))
-        Jj, A = batch_edge_jacobians(state, np.arange(len(xi)))
-        Ji = -(Jj @ A)
+        Jj, B = batch_edge_jacobians(state, np.arange(len(xi)))
+        Ji = -(Jj @ B)
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
         assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)

@@ -19,7 +19,7 @@ from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
     dense_system, dense_to_band, dogleg_rootfind, every_trial_optimize, \
     packed_evaluate, random_chain_graph, random_pose, set_pose, \
     stacked_system, total_error
-from se2fusion.builders import BuilderConfig, NodeRate, Strategy, build
+from se2fusion.builders import BuilderConfig, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
 from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
@@ -233,7 +233,7 @@ def _with_full_information(base, rng, edges):
 
 def test_linear_system_matches_dense_assembly_with_full_information():
     """Every edge carries a random SPD information matrix with non-zero
-    off-diagonal entries, so the adjoint-form blocks and the gradient
+    off-diagonal entries, so the shear-form blocks and the gradient
     take the full matrix through the band scatter."""
     rng = np.random.default_rng(54)
     base, _ = random_chain_graph(rng, 10, n_absolute=4)
@@ -796,19 +796,17 @@ def test_skipped_trials_leave_every_solve_bit_identical(config):
         assert g.poses.tobytes() == other.poses.tobytes()
 
 
-@pytest.mark.parametrize("rate", list(NodeRate))
 @pytest.mark.parametrize("strategy, width", [(Strategy.G1, 5),
                                              (Strategy.G2, 8),
                                              (Strategy.G3, 5)])
-def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
+def test_built_graphs_pack_into_a_narrow_band(strategy, width):
     """build() makes chains: in Cuthill-McKee order the half-bandwidth is
     one node's neighbour (G1, G3) or two, with each GNSS node between two
     vehicle nodes (G2), and the banded step is the dense one."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
-    g = build(ds.gnss, ds.odometry,
-              BuilderConfig(strategy=strategy, node_rate=rate))
+    g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
     packed = _PackedGraph(g)
     assert packed.u == width
     H, b = packed_evaluate(packed, packed.poses)[1:]
@@ -819,9 +817,8 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width, rate):
     assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("rate", list(NodeRate))
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_fix_edges_are_linear(strategy, rate):
+def test_fix_edges_are_linear(strategy):
     """Every edge from a fixed node (a fix edge of G1 and G2, an identity
     edge of G3) runs from a pose at heading 0 with a measurement at
     heading 0, so under the additive update its Jj is the identity, in
@@ -831,8 +828,7 @@ def test_fix_edges_are_linear(strategy, rate):
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 60.0)
-    g = build(ds.gnss, ds.odometry,
-              BuilderConfig(strategy=strategy, node_rate=rate))
+    g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
     packed = _PackedGraph(g)
     fix = np.flatnonzero(g.fixed[g.from_ids])
     assert fix.size == len(ds.gnss)
@@ -885,15 +881,14 @@ def test_slot_map_equals_the_entry_by_entry_construction():
     every dropped one (a diagonal block's lower half, a block or segment
     on a fixed node, an (i, j) block's fourth column) in the two spare
     rows past the band, which system() discards.  On built graphs of
-    every strategy and node rate, on a loop-closed chain (blocks below
+    every strategy, on a loop-closed chain (blocks below
     the diagonal) and on a chain with a fixed node inside it (edges into
     and out of a fixed node)."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
-    graphs = [build(ds.gnss, ds.odometry,
-                    BuilderConfig(strategy=strategy, node_rate=rate))
-              for strategy in Strategy for rate in NodeRate]
+    graphs = [build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
+              for strategy in Strategy]
     inner, _ = random_chain_graph(np.random.default_rng(54), 12,
                                   n_absolute=4)
     inner.fixed[6] = True
@@ -938,7 +933,7 @@ def test_chain_order_is_the_plain_cuthill_mckee_order():
     ids, the first closed into a loop, extra pairs, a third of the pairs
     repeated as given and reversed, the rest of the nodes isolated), on
     pair lists with no pair at all, and on the free-free pairs of the
-    graphs build() makes, at both node rates."""
+    graphs build() makes."""
     rng = np.random.default_rng(61)
     for _ in range(40):
         n = int(rng.integers(3, 60))
@@ -965,29 +960,27 @@ def test_chain_order_is_the_plain_cuthill_mckee_order():
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 30.0)
     for strategy in Strategy:
-        for rate in NodeRate:
-            g = build(ds.gnss, ds.odometry,
-                      BuilderConfig(strategy=strategy, node_rate=rate))
-            free = np.flatnonzero(~g.fixed)
-            rank = np.full(len(g.nodes), -1)
-            rank[free] = np.arange(free.size)
-            i, j = rank[g.from_ids], rank[g.to_ids]
-            both = (i >= 0) & (j >= 0)
-            want = cuthill_mckee(free.size, i[both], j[both])
-            assert solver._chain_order(free.size, i[both],
-                                       j[both]).tolist() == want
-            assert np.array_equal(_PackedGraph(g).free, free[want])
+        g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
+        free = np.flatnonzero(~g.fixed)
+        rank = np.full(len(g.nodes), -1)
+        rank[free] = np.arange(free.size)
+        i, j = rank[g.from_ids], rank[g.to_ids]
+        both = (i >= 0) & (j >= 0)
+        want = cuthill_mckee(free.size, i[both], j[both])
+        assert solver._chain_order(free.size, i[both],
+                                   j[both]).tolist() == want
+        assert np.array_equal(_PackedGraph(g).free, free[want])
 
 
 @pytest.mark.parametrize("outlier_rate", [0.0, 0.1])
 def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
-    """Splitting the edges into classes and taking a diagonal Omega
+    """Splitting the edges into classes and taking chi2's diagonal Omega
     elementwise moves no bit: chi2, Omega e, H and b equal, by
     np.array_equal, those of helpers.stacked_system (every edge through
     the full-Omega matrix products, three blocks per edge, each entry
     summed in the order (i, i), (j, j), (i, j)) on the graphs of every
-    strategy at both node rates, at the seed and at perturbed poses,
-    with and without 10 % of the fixes jumping 50 m."""
+    strategy, at the seed and at perturbed poses, with and without 10 %
+    of the fixes jumping 50 m."""
     ds = generate_synthetic(
         0, TrajectoryProfile.URBAN_LOOP,
         GnssErrorModel((0.3, 0.2), 0.95, 0.6, outlier_rate,
@@ -995,21 +988,19 @@ def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
         OdoErrorModel(0.011), 60.0)
     rng = np.random.default_rng(62)
     for strategy in Strategy:
-        for rate in NodeRate:
-            g = build(ds.gnss, ds.odometry,
-                      BuilderConfig(strategy=strategy, node_rate=rate))
-            packed = _PackedGraph(g)
-            assert packed.omega.shape == (len(g.edges), 3)
-            for shake in (0.0, 0.3):
-                g.poses[packed.free] += rng.normal(0.0, shake,
-                                                   (packed.free.size, 3))
-                chi, oe, H, b = stacked_system(g, packed)
-                got_chi, state = packed.residual(g.poses)
-                got_H, got_b = packed.system(state)
-                assert got_chi == chi
-                assert np.array_equal(state[1], oe)
-                assert np.array_equal(got_H, H)
-                assert np.array_equal(got_b, b)
+        g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
+        packed = _PackedGraph(g)
+        assert packed.diagonal.shape == (len(g.edges), 3)
+        for shake in (0.0, 0.3):
+            g.poses[packed.free] += rng.normal(0.0, shake,
+                                               (packed.free.size, 3))
+            chi, oe, H, b = stacked_system(g, packed)
+            got_chi, state = packed.residual(g.poses)
+            got_H, got_b = packed.system(state)
+            assert got_chi == chi
+            assert np.array_equal(state[1], oe)
+            assert np.array_equal(got_H, H)
+            assert np.array_equal(got_b, b)
 
 
 def _edges_into_a_fixed_node(seed):
@@ -1055,7 +1046,7 @@ def test_full_omega_and_fixed_node_edges_solve_as_dense(case):
         edges = range(len(base.edges)) if case == "every_full" else [3]
         g = _with_full_information(base, rng, edges)
     packed = _PackedGraph(g)
-    assert packed.omega.ndim == (3 if case.endswith("full") else 2)
+    assert (packed.diagonal is None) == case.endswith("full")
     assert (packed.pair.size == 0) == (case == "no_pair")
     chi, oe, H, b = stacked_system(g, packed)
     got_chi, state = packed.residual(g.poses)
