@@ -56,7 +56,8 @@ class GnssReading:
         self.position = np.asarray(self.position, dtype=float)
         if self.position.shape != (2,):
             raise ValueError("position must be a 2-vector (utm_x, utm_y)")
-        if not np.all(np.isfinite(self.position)):
+        x, y = self.position.tolist()
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("position must be finite")
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")

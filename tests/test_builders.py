@@ -456,7 +456,7 @@ def test_full_rate_trajectory_equals_per_sample_preintegration():
 
 
 @pytest.mark.parametrize("on_grid", [True, False])
-def test_full_rate_trajectory_is_on_the_per_sample_node_grid(on_grid):
+def test_full_rate_trajectory_is_on_the_rechain_grid(on_grid):
     """The re-chain's timestamps are exactly the fix times joined with
     the odometry samples strictly between the first and the last fix,
     whether the fixes fall on odometry samples or between them, and a fix

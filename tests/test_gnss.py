@@ -142,6 +142,20 @@ def test_reading_validation():
             GnssReading(t, (0.0, 0.0), epx=epx, epy=epy, epv=epv)
     # the loader takes a negative epv, so a reading does too
     assert GnssReading(0.0, (0.0, 0.0), 1.0, 1.0, epv=-3.0).epv == -3.0
+    for position in ((math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf),
+                     (0.0, -math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="^position must be finite$"):
+            GnssReading(0.0, position, epx=1.0, epy=1.0)
+    for shape in ((1, 2), (2, 1), (2, 2)):
+        with pytest.raises(ValueError, match=r"^position must be a 2-vector "
+                                             r"\(utm_x, utm_y\)$"):
+            GnssReading(0.0, np.zeros(shape), epx=1.0, epy=1.0)
+    r = GnssReading(0.0, (3, -4), epx=1.0, epy=1.0)
+    assert r.position.dtype == np.float64
+    assert r.position.tolist() == [3.0, -4.0]
+    # a row of a larger float array is kept as it is, not copied
+    row = np.arange(6.0).reshape(3, 2)[1]
+    assert GnssReading(0.0, row, epx=1.0, epy=1.0).position is row
 
 
 def _straight_drive(n_fixes, speed=10.0):
