@@ -136,7 +136,7 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
         truth_times[np.minimum(after, last)] - est_times), np.inf)
     later = dt_after < dt_before
     nearest = np.where(later, after, before)
-    keep = ~(np.where(later, dt_after, dt_before) > tolerance)
+    keep = np.where(later, dt_after, dt_before) <= tolerance
     pairs = np.column_stack((est_times[keep], est_positions[keep],
                              truth_positions[nearest[keep]])).tolist()
     return pairs, int(est_times.size - len(pairs))

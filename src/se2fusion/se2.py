@@ -24,10 +24,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Below this heading magnitude the sin(t)/t style ratios switch to their
-# 4th-order Taylor expansions; direct evaluation loses digits to cancellation.
-SMALL_ANGLE = 1e-4
-
 Tangent3 = np.ndarray
 """Increment (dx, dy, dtheta); plain length-3 float array."""
 
@@ -76,40 +72,28 @@ def inverse(a: Pose2) -> Pose2:
     return Pose2(-(c * a.x + s * a.y), s * a.x - c * a.y, -a.theta)
 
 
-def _sin_ratios(t: float) -> tuple[float, float]:
-    # A = sin(t)/t, B = (1 - cos(t))/t
-    if abs(t) < SMALL_ANGLE:
-        t2 = t * t
-        return 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), 0.5 * t * (1.0 - t2 / 12.0)
-    return math.sin(t) / t, (1.0 - math.cos(t)) / t
-
-
-def _half_cot(t: float) -> float:
-    # f(t) = (t/2) / tan(t/2), the diagonal of the inverse translation factor
-    if abs(t) < SMALL_ANGLE:
-        t2 = t * t
-        return 1.0 - t2 / 12.0 - t2 * t2 / 720.0
-    return 0.5 * t / math.tan(0.5 * t)
-
-
 def exp_map(v: Tangent3) -> Pose2:
-    """Exponential chart: map a body-frame increment onto the group."""
-    dx = float(v[0])
-    dy = float(v[1])
-    dt = float(v[2])
-    a, b = _sin_ratios(dt)
+    """Exponential chart: map a body-frame increment onto the group.
+
+    The translation is V(t) @ (dx, dy), V = [[A, -B], [B, A]] with
+    A = sin(t)/t and B = (1 - cos(t))/t, taken as sin(h) * (sin(h)/h),
+    h = t/2, which does not cancel.  Where h is zero, A = 1 and B = 0.
+    """
+    dx, dy, dt = float(v[0]), float(v[1]), float(v[2])
+    h = 0.5 * dt
+    a, b = 1.0, 0.0
+    if h != 0.0:
+        sh = math.sin(h)
+        a, b = math.sin(dt) / dt, sh * (sh / h)
     return Pose2(a * dx - b * dy, b * dx + a * dy, dt)
 
 
 def log_map(p: Pose2) -> Tangent3:
-    """Logarithm chart, the exact inverse of exp_map on (-pi, pi].
-
-    The translation part is V(theta)^-1 @ (x, y) where V is the usual
-    SE(2) translation factor; its inverse has the closed form
-    [[f, t/2], [-t/2, f]] with f = (t/2)/tan(t/2).
-    """
-    f = _half_cot(p.theta)
+    """Logarithm chart, the exact inverse of exp_map on (-pi, pi]: the
+    translation is V(t)^-1 @ (x, y) = [[f, h], [-h, f]] @ (x, y), with
+    h = t/2 and f = h/tan(h), which is 1 where h is zero."""
     h = 0.5 * p.theta
+    f = h / math.tan(h) if h != 0.0 else 1.0
     return np.array([f * p.x + h * p.y, -h * p.x + f * p.y, p.theta])
 
 

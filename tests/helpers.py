@@ -797,7 +797,7 @@ def loop_match_pps(est_times, est_positions, truth_times, truth_positions,
                 dt = abs(float(truth_times[j] - t))
                 if best is None or dt < best[0]:
                     best = (dt, j)
-        if best is None or best[0] > tolerance:
+        if best is None or not best[0] <= tolerance:
             dropped += 1
             continue
         j = best[1]

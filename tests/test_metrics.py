@@ -220,6 +220,25 @@ def test_match_pps_empty_inputs_and_estimates_off_the_truth_span():
         (-0.04, [0.0, 0.0]), (10.03, [10.0, -10.0])]
 
 
+def test_match_pps_pairs_no_nan_time_or_nan_tolerance():
+    tru_t = [0.0, 1.0, 2.0]
+    tru_p = [(5.0, 5.0), (6.0, 6.0), (7.0, 7.0)]
+    # a NaN estimate time has no nearest truth sample: it is dropped
+    assert _assert_matches_loop([math.nan], [(0.0, 0.0)], [0.0],
+                                [(5.0, 5.0)]) == ([], 1)
+    pairs, dropped = _assert_matches_loop(
+        [0.0, math.nan, 2.0], [(0.0, 0.0)] * 3, tru_t, tru_p)
+    assert [p[0] for p in pairs] == [0.0, 2.0] and dropped == 1
+    # no distance is within a NaN tolerance
+    assert _assert_matches_loop([0.0, 1.0], [(0.0, 0.0)] * 2, tru_t, tru_p,
+                                tolerance=math.nan) == ([], 2)
+    # infinitely far from every truth sample, at any finite tolerance
+    for tolerance in (0.05, 1e300):
+        assert _assert_matches_loop([-math.inf, math.inf],
+                                    [(0.0, 0.0)] * 2, tru_t, tru_p,
+                                    tolerance=tolerance) == ([], 2)
+
+
 def test_match_pps_equals_the_loop_on_random_tracks():
     rng = np.random.default_rng(30)
     for _ in range(30):

@@ -9,10 +9,13 @@ import pytest
 
 from helpers import fd_edge_jacobians, from_homogeneous, homogeneous, \
     random_pose
-from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
-    batch_edge_jacobians, batch_edge_residuals, batch_retract, compose, \
-    edge_jacobians, edge_residual, exp_map, inverse, log_map, \
-    measurement_columns, poses_from_rows, retract, wrap_angle, wrap_angles
+from se2fusion.se2 import IDENTITY, Pose2, batch_edge_jacobians, \
+    batch_edge_residuals, batch_retract, compose, edge_jacobians, \
+    edge_residual, exp_map, inverse, log_map, measurement_columns, \
+    poses_from_rows, retract, wrap_angle, wrap_angles
+
+# A heading scale near zero; the cases below sit on both sides of it.
+SMALL_ANGLE = 1e-4
 
 
 def test_wrap_angle_range():
@@ -144,28 +147,40 @@ def test_log_exp_roundtrip_tangents():
     assert np.allclose(log_map(exp_map(v)), v, atol=1e-10)
 
 
-def test_exp_map_small_angles_match_extended_precision():
-    """The Taylor branch must agree with 50-digit evaluation of the
-    closed form, on both sides of the series switch."""
+def _chart_factors(theta):
+    """A = sin(t)/t, B = (1 - cos(t))/t and f = h/tan(h), h = t/2, to 50
+    digits, written so that each takes its limit at t = 0 and none
+    cancels."""
     mpmath.mp.dps = 50
-    for theta in [1e-9, 1e-7, 1e-5, 9e-5, 1.1e-4, 1e-3, -1e-5, -1.1e-4]:
-        dx, dy = 1.25, -0.75
-        t = mpmath.mpf(theta)
-        s = mpmath.sin(t) / t
-        c = (1 - mpmath.cos(t)) / t
-        ex = float(s * dx - c * dy)
-        ey = float(c * dx + s * dy)
+    h = mpmath.mpf(theta) / 2
+    return (mpmath.sinc(2 * h), h * mpmath.sinc(h) ** 2,
+            mpmath.cos(h) / mpmath.sinc(h), h)
+
+
+def test_exp_map_small_angles_match_extended_precision():
+    """exp_map and log_map agree with 50-digit evaluation of their closed
+    forms to 1e-15 in x and y, from theta = 0 through tiny and small
+    headings to pi.  Half the smallest subnormal heading rounds to 0."""
+    dx, dy = 1.25, -0.75
+    for theta in [0.0, math.ulp(0.0), 1e-300, 1e-9, 1e-7, 1e-5, -1e-5,
+                  9e-5, 1.1e-4, -1.1e-4, 3e-4, 1e-3, 0.1, 1.0, 3.0, -3.0,
+                  math.pi]:
+        a, b, _, _ = _chart_factors(theta)
         p = exp_map(np.array([dx, dy, theta]))
-        # the Taylor branch is exact to the ulp; the closed form above
-        # the switch keeps the (1 - cos)/theta cancellation, which is
-        # what bounds its accuracy near the threshold
-        tol = 1e-14 if abs(theta) < 1e-4 else 1e-11
-        assert p.x == pytest.approx(ex, abs=tol)
-        assert p.y == pytest.approx(ey, abs=tol)
-        assert p.theta == pytest.approx(theta, abs=1e-15)
+        assert p.x == pytest.approx(float(a * dx - b * dy), abs=1e-15)
+        assert p.y == pytest.approx(float(b * dx + a * dy), abs=1e-15)
+        assert p.theta == wrap_angle(theta)
+        # a pose stores its heading wrapped, so a heading below about
+        # 1e-16 reaches log_map as 0
+        q = Pose2(dx, dy, theta)
+        _, _, f, h = _chart_factors(q.theta)
+        v = log_map(q)
+        assert v[0] == pytest.approx(float(f * dx + h * dy), abs=1e-15)
+        assert v[1] == pytest.approx(float(-h * dx + f * dy), abs=1e-15)
+        assert v[2] == q.theta
 
 
-def test_exp_map_continuous_across_series_switch():
+def test_exp_map_continuous_across_a_small_heading():
     lo = exp_map(np.array([1.0, 1.0, 1e-4 * (1.0 - 1e-9)]))
     hi = exp_map(np.array([1.0, 1.0, 1e-4 * (1.0 + 1e-9)]))
     assert np.allclose(lo.as_array(), hi.as_array(), atol=1e-12)
@@ -309,9 +324,9 @@ def test_pose_is_slotted_frozen_value():
     assert len({p, Pose2(1.0, -2.0, 0.5)}) == 1
 
 
-# Headings near zero at the scale of SMALL_ANGLE on both sides of it, and
-# next to +-pi on both sides, so the retraction and the residual pass take
-# every heading wrap.
+# Headings near zero on both sides of SMALL_ANGLE, and next to +-pi on
+# both sides, so the retraction and the residual pass take every heading
+# wrap.
 _EDGE_HEADINGS = tuple(sign * h for sign in (1.0, -1.0) for h in (
     0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, 1.001 * SMALL_ANGLE,
     2.0 * SMALL_ANGLE, math.pi - 1e-9, math.pi - 1e-3)) + (math.pi,)

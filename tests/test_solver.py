@@ -22,13 +22,15 @@ from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
 from se2fusion.builders import BuilderConfig, Strategy, build
 from se2fusion.errors import GaugeUnderconstrainedError, SingularSystemError
 from se2fusion.graph import Edge, EdgeKind, PoseGraph
-from se2fusion.se2 import IDENTITY, SMALL_ANGLE, Pose2, \
-    batch_edge_jacobians, compose, edge_jacobians, edge_residual, exp_map, \
-    inverse, retract
+from se2fusion.se2 import IDENTITY, Pose2, batch_edge_jacobians, compose, \
+    edge_jacobians, edge_residual, exp_map, inverse, retract
 from se2fusion.solver import SolveReport, SolverConfig, Termination, \
     _PackedGraph, optimize
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
+
+# A heading scale near zero; the cases below sit on both sides of it.
+SMALL_ANGLE = 1e-4
 
 
 def _two_node_graph():
@@ -456,8 +458,8 @@ def test_report_error_bookkeeping():
 
 
 def _graph_near_branches(rng):
-    """Random chain whose node headings sit next to +-pi, and near zero at
-    the scale of SMALL_ANGLE, so chi-square and retraction cross every
+    """Random chain whose node headings sit next to +-pi, and near zero on
+    both sides of SMALL_ANGLE, so chi-square and retraction cross every
     heading wrap."""
     g, _ = random_chain_graph(rng, 14, n_absolute=4, perturb=2.0)
     headings = (math.pi - 1e-9, -math.pi + 1e-9, math.pi,
