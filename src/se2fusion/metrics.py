@@ -126,7 +126,9 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
     est_positions = np.asarray(est_positions, dtype=float)
     truth_positions = np.asarray(truth_positions, dtype=float)
     # the truth samples either side of each estimate; a side past the
-    # end of the truth track is infinitely far
+    # end of the truth track is infinitely far, and an estimate before the
+    # first sample takes the one after it even when both distances are
+    # infinite
     after = np.searchsorted(truth_times, est_times)
     before = after - 1
     last = truth_times.size - 1
@@ -134,7 +136,7 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
         truth_times[np.maximum(before, 0)] - est_times), np.inf)
     dt_after = np.where(after <= last, np.abs(
         truth_times[np.minimum(after, last)] - est_times), np.inf)
-    later = dt_after < dt_before
+    later = (dt_after < dt_before) | (before < 0)
     nearest = np.where(later, after, before)
     keep = np.where(later, dt_after, dt_before) <= tolerance
     pairs = np.column_stack((est_times[keep], est_positions[keep],

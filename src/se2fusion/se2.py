@@ -216,6 +216,13 @@ def batch_edge_residuals(xi: np.ndarray, xj: np.ndarray, z):
     return r, (wx, wy, c, s, cz, sz)
 
 
+def batch_edge_rotations(c, s, cz, sz):
+    """Cosine and sine of theta_i + theta_z of every edge, from those of
+    the two angles by the angle-sum formulas (no trigonometric call):
+    Jj is the rotation by minus that angle."""
+    return c * cz - s * sz, s * cz + c * sz
+
+
 def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
     """Jj, (m, 3, 3), of every edge, and B, (k, 3, 3), of the edges at the
     k indices `rows`, from the state of batch_edge_residuals.
@@ -227,9 +234,8 @@ def batch_edge_jacobians(state, rows) -> tuple[np.ndarray, np.ndarray]:
     Jj's.  An edge whose from node is held fixed has no Ji, so a caller
     leaves it out of `rows`.
     """
-    wx, wy, c, s, cz, sz = state
-    ct = c * cz - s * sz
-    st = s * cz + c * sz
+    wx, wy = state[:2]
+    ct, st = batch_edge_rotations(*state[2:])
     # filled in place: np.stack costs about 50 us more per
     # linearization, on graphs of a few hundred edges
     Jj = np.zeros(ct.shape + (3, 3))

@@ -26,24 +26,36 @@ optimize() views the graph's node and edge arrays in place; an accepted
 trial writes its free rows into the graph's pose array, so fixed poses
 are never touched and the graph always holds the last accepted iterate.
 
-The system pass builds each edge's blocks in shear form.  Ji = -Jj B
-with B the shear by the world offset xj - xi, so Hjj = Jj'Omega Jj
-gives Hij = -B'Hjj and Hii = B'Hjj B, and g_j = Jj'Omega e gives
-g_i = -B'g_j.  No Ji is formed.  The gradient rides along as a fourth
-column, Jj'[Omega Jj | -Omega e] = [Hjj | -g_j].  The edges come in two
-classes, told apart by graph.fixed once per graph: every edge has its
-(j, j) block and b segment, and only an edge whose from node is free
-has (i, i) and (i, j) blocks, so B and its two products are formed for
-those edges alone; an edge from a fixed node (a fix edge of G1 and G2,
-an identity edge of G3) is a unary edge on its to node, and on the
-graphs builders.build() makes its Jj is the identity.  Omega Jj is one
-stacked matrix product on every graph.  When no edge has an
-off-diagonal information entry, as in every graph builders.build()
-makes, chi2's Omega e is the elementwise product with Omega's diagonal,
-which gives the matrix product's bits; a graph with any full Omega
-takes the matrix product there too.  One scatter adds every block and
-segment into H and b, each entry summing its edges' terms in the order
-(i, i), (j, j), (i, j).
+The system pass writes each edge's blocks in shear form.  Ji = -Jj B
+with B the shear by the world offset (wx, wy) = xj - xi, so Hjj =
+Jj'Omega Jj gives Hij = -B'Hjj and Hii = B'Hjj B, and g_j = Jj'Omega e
+gives g_i = -B'g_j.  No Ji is formed.  Every edge has its (j, j) block
+and b segment; only an edge whose from node is free has (i, i) and (i,
+j) blocks, and an edge from a fixed node (a fix edge of G1 and G2, an
+identity edge of G3) is a unary edge on its to node.
+
+On every graph builders.build() makes, Omega is diagonal and each edge's
+Hjj is Omega itself, the closed form: its position block is isotropic
+(the odometry windows, G2's ties), which the rotation Jj leaves as it
+is, or it runs from a fixed node with Jj the identity (the fix edges,
+G3's identity edges).  With Omega = diag(a, a, t), Hij = -B'Omega and
+Hii = B'Omega B differ from -Omega and Omega only in Hii's last column
+(-wy a, wx a, (wx^2 + wy^2) a + t) and Hij's last row (wy a, -wx a, -t).
+So the pose-independent entries (Omega on the (i, i) and (j, j) blocks,
+-Omega on the (i, j) blocks) are summed into a constant band once per
+graph, and a system pass scatters only what depends on the poses: b's
+segments, g_j being Omega e's first two columns rotated, and five H
+entries per edge from a free node.  No Jacobian and no 3x3 product is
+formed.  A graph off the closed form (any full Omega, or an anisotropic
+diagonal one on an edge whose Jj is not the identity, as a loaded or
+hand-built graph may have) takes stacked 3x3 products instead: the
+gradient rides along as a fourth column, Jj'[Omega Jj | -Omega e] =
+[Hjj | -g_j], B and its two products are formed for the edges from a
+free node alone, and one scatter adds every block and segment into H and
+b, each entry summing its edges' terms in the order (i, i), (j, j), (i,
+j).  The choice is made once per graph, when it is packed.  When no edge
+has an off-diagonal information entry, chi2's Omega e is the elementwise
+product with Omega's diagonal, which gives the matrix product's bits.
 
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
@@ -77,7 +89,7 @@ import numpy as np
 from .errors import GaugeUnderconstrainedError, SingularSystemError
 from .graph import PoseGraph, _fmt
 from .se2 import batch_edge_jacobians, batch_edge_residuals, \
-    batch_retract, measurement_columns
+    batch_edge_rotations, batch_retract, measurement_columns
 
 # regularization ladder for near-singular normal equations
 _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -197,9 +209,13 @@ class _PackedGraph:
     (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
     reduced system.  `pair` lists the edges whose from node is free:
     only they have (i, i) and (i, j) blocks, while an edge from a fixed
-    node has its (j, j) block alone.  The map from each block entry to
-    its slot in b and the (u + 1, n) upper band is built once, so
-    system() only fills values.
+    node has its (j, j) block alone.  On a graph in the closed form,
+    `constant` is the (u + 1, n) band of H's pose-independent entries,
+    `a` the position information of each pair edge, and `slot` the place
+    in [b | band] of each pose-dependent entry; off it, `constant` is
+    None and `slot` places every entry of each edge's 3x4 blocks [H
+    block | b segment].  Both are built once, so system() only fills
+    values.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -229,38 +245,86 @@ class _PackedGraph:
         i, j = io[pair], jo[pair]
         p, m = pair.size, jo.size
 
-        # system() sums 3x4 blocks [H block | b segment] into one vector
-        # laid out as [b | band rows 0..u | two spare rows], in the order
-        # (i, i | i) of the pair edges, (j, j | j) of every edge, then
-        # (i, j | none) of the pair edges, each class in edge order, so
-        # that every entry of H and b sums its edges' terms in the order
-        # (i, i), (j, j), (i, j).  H entry (r, c), r <= c, is band[u + r
-        # - c, c], at n + (u + r - c) n + c, and b entry v at v.  So entry
-        # (a, k) of the diagonal block at variable v is at v + n + (u + a
-        # - k) n + k, its lower half (a > k) in the spare rows, and its
-        # b segment at v + a.  An (i, j) block above the diagonal (i < j)
-        # has entry (a, k) at its corner n + (u + i - j) n + j plus (a -
-        # k) n + k; one below is the transpose of the block above, so its
-        # entries take the transposed offsets.  A block on a fixed node
-        # and an (i, j) block's fourth column go to the last spare slot.
-        size = self.size = (u + 4) * n
+        # Every entry of H and b has a slot in one vector laid out as [b |
+        # band rows 0..u | two spare rows | one drop slot], so that one
+        # bincount sums them.  H entry (r, c), r <= c, is band[u + r - c,
+        # c], at n + (u + r - c) n + c, and b entry v at v: H(v, v) is at
+        # `diagonal` + v, and the (i, j) block's first entry H(min(i, j),
+        # max(i, j)) at `corner`.  An entry on a fixed node goes to the
+        # drop slot.
+        size = self.size = (u + 4) * n + 1
         drop = size - 1
-        k = np.arange(3)
-        above = (k[:, None] - k) * n + k
-        diagonal = np.empty((3, 4), dtype=np.intp)
-        diagonal[:, :3] = n + u * n + above
-        diagonal[:, 3] = k
-        slot = np.empty((2 * p + m, 3, 4), dtype=np.intp)
-        ii, jj, ij = slot[:p], slot[p:p + m], slot[p + m:]
-        np.add(i[:, None, None], diagonal, out=ii)
-        np.add(jo[:, None, None], diagonal, out=jj)
-        jj[jo < 0] = drop
+        diagonal = n + u * n
         corner = n + (u - np.abs(i - j)) * n + np.maximum(i, j)
-        offset = np.stack((above, above.T))[(i > j).astype(np.intp)]
-        np.add(corner[:, None, None], offset, out=ij[..., :3])
-        ij[..., 3] = drop
-        ij[j < 0] = drop
-        self.slot = slot.ravel()
+        k = np.arange(3)[:, None]
+
+        if self._closed_form(io):
+            # the pose-independent entries, on the blocks' diagonals, are
+            # summed once: Omega on every (i, i) and (j, j) block, -Omega
+            # on every (i, j) block
+            d = self.diagonal
+            dp = np.take(d, pair, axis=0)
+            self.a = dp[:, 0].copy()
+            first = np.concatenate((diagonal + i, diagonal + jo, corner))
+            on = np.concatenate((i >= 0, jo >= 0, j >= 0))
+            sums = np.bincount(np.where(on, first + k, drop).ravel(),
+                               np.concatenate((dp, d, -dp)).T.ravel(), size)
+            self.constant = sums[n:(u + 2) * n].reshape(u + 1, n)
+            # the slots system() fills, in its order: b's (j, j) segment
+            # of every edge, then of the pair edges b's (i, i) segment,
+            # Hii's last column (r, 2) and Hij's last row (2, c), c < 2,
+            # which lies below the diagonal when i > j
+            c = k[:2]
+            last_row = np.where(i > j, (c - 2) * n + 2, (2 - c) * n + c)
+            self.slot = np.concatenate((
+                np.where(jo >= 0, jo + k, drop), i + k,
+                diagonal + i + 2 + (k - 2) * n,
+                np.where(j >= 0, corner + last_row, drop)), axis=None)
+        else:
+            # system() sums 3x4 blocks [H block | b segment]: (i, i | i)
+            # of the pair edges, (j, j | j) of every edge, then (i, j |
+            # none) of the pair edges, each class in edge order, so that
+            # every entry of H and b sums its edges' terms in the order
+            # (i, i), (j, j), (i, j).  Entry (a, c) of the diagonal block
+            # at variable v is at diagonal + v + (a - c) n + c, its lower
+            # half (a > c) in the spare rows, and its b segment at v + a.
+            # An (i, j) block above the diagonal (i < j) has entry (a, c)
+            # at corner + (a - c) n + c; one below is the transpose of the
+            # block above, so its entries take the transposed offsets.  An
+            # (i, j) block's fourth column goes to the drop slot.
+            self.constant = None
+            above = (k - k.T) * n + k.T
+            block = np.empty((3, 4), dtype=np.intp)
+            block[:, :3] = diagonal + above
+            block[:, 3] = k[:, 0]
+            slot = np.empty((2 * p + m, 3, 4), dtype=np.intp)
+            ii, jj, ij = slot[:p], slot[p:p + m], slot[p + m:]
+            np.add(i[:, None, None], block, out=ii)
+            np.add(jo[:, None, None], block, out=jj)
+            jj[jo < 0] = drop
+            offset = np.stack((above, above.T))[(i > j).astype(np.intp)]
+            np.add(corner[:, None, None], offset, out=ij[..., :3])
+            ij[..., 3] = drop
+            ij[j < 0] = drop
+            self.slot = slot.ravel()
+
+    def _closed_form(self, io: np.ndarray) -> bool:
+        """Whether every edge's Jj'Omega Jj is its Omega, so that system()
+        takes the closed form: every Omega is diagonal, and each edge's
+        position block is isotropic or the edge runs from a fixed node
+        with Jj the identity (a fixed pose and its measurement give a
+        constant Jj).  io is each edge's first from-node variable,
+        negative on a fixed node."""
+        d = self.diagonal
+        if d is None:
+            return False
+        rows = np.flatnonzero(io < 0)
+        theta = self.poses[self.ends[0, rows], 2]
+        ct, st = batch_edge_rotations(np.cos(theta), np.sin(theta),
+                                      self.z[3][rows], self.z[4][rows])
+        unrotated = np.zeros(len(d), dtype=bool)
+        unrotated[rows] = (ct == 1.0) & (st == 0.0)
+        return bool(np.all((d[:, 0] == d[:, 1]) | unrotated))
 
     def residual(self, poses: np.ndarray):
         """Total error at `poses`, and the state system() builds its
@@ -282,9 +346,44 @@ class _PackedGraph:
 
     def system(self, state):
         """Normal equations (H, b) from residual()'s state: H the
-        (u + 1, n) upper band and b = -sum J'Omega e, both in chain order,
-        with each edge's blocks in shear form."""
+        (u + 1, n) upper band and b = -sum J'Omega e, both in chain
+        order."""
         kernel, oe = state
+        if self.constant is None:
+            return self._stacked_system(kernel, oe)
+        ct, st = batch_edge_rotations(*kernel[2:])
+        pair, a = self.pair, self.a
+        m, p = len(oe), len(pair)
+        values = np.empty(3 * m + 8 * p)
+        bj = values[:3 * m].reshape(3, m)
+        v = values[3 * m:].reshape(8, p)
+        # b's (j, j) segment -g_j = -Jj'Omega e rotates Omega e's first
+        # two columns, and its (i, i) segment -g_i = B'g_j is -B' times
+        # the (j, j) one
+        oe0, oe1, oe2 = oe.T
+        np.subtract(st * oe1, ct * oe0, out=bj[0])
+        np.subtract(-st * oe0, ct * oe1, out=bj[1])
+        np.negative(oe2, out=bj[2])
+        bp = np.take(bj, pair, axis=1)
+        np.negative(bp[:2], out=v[:2])
+        wx, wy = kernel[0][pair], kernel[1][pair]
+        np.subtract(wy * bp[0] - wx * bp[1], bp[2], out=v[2])
+        # H's pose-dependent entries: Hii's last column (-wy a, wx a,
+        # (wx^2 + wy^2) a), whose last entry adds to the constant t, and
+        # the first two of Hij's last row, (wy a, -wx a)
+        ax, ay = np.multiply(a, wx, out=v[4]), np.multiply(a, wy, out=v[6])
+        np.negative(ay, out=v[3])
+        np.add(ax * wx, ay * wy, out=v[5])
+        np.negative(ax, out=v[7])
+        sums = np.bincount(self.slot, values, self.size)
+        n = self.n
+        H = sums[n:(self.u + 2) * n].reshape(self.u + 1, n)
+        H += self.constant
+        return H, sums[:n]
+
+    def _stacked_system(self, kernel, oe):
+        """system() for a graph off the closed form, each edge's blocks in
+        shear form."""
         pair = self.pair
         Jj, B = batch_edge_jacobians(kernel, pair)
         # Jj'[Omega Jj | -Omega e] = [Hjj | -g_j], and B' times that is

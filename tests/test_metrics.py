@@ -237,6 +237,16 @@ def test_match_pps_pairs_no_nan_time_or_nan_tolerance():
         assert _assert_matches_loop([-math.inf, math.inf],
                                     [(0.0, 0.0)] * 2, tru_t, tru_p,
                                     tolerance=tolerance) == ([], 2)
+    # and within an infinite one of the track's nearer end: -inf pairs
+    # with the first truth sample, +inf with the last
+    pairs, dropped = _assert_matches_loop([-math.inf, math.inf],
+                                          [(0.0, 0.0)] * 2, tru_t, tru_p,
+                                          tolerance=math.inf)
+    assert [p[3:] for p in pairs] == [[5.0, 5.0], [7.0, 7.0]]
+    assert dropped == 0
+    assert _assert_matches_loop([-math.inf], [(0.0, 0.0)], [0.0],
+                                [(5.0, 5.0)], tolerance=math.inf)[0][0][3:] \
+        == [5.0, 5.0]
 
 
 def test_match_pps_equals_the_loop_on_random_tracks():

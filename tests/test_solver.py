@@ -877,15 +877,21 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
     assert np.max(np.abs(g.poses - h.poses)) < 1e-8
 
 
-def test_slot_map_equals_the_entry_by_entry_construction():
-    """The slots built from each block's corner are the ones found entry
-    by entry: every kept entry of H and b at its place in [b | band], and
-    every dropped one (a diagonal block's lower half, a block or segment
-    on a fixed node, an (i, j) block's fourth column) in the two spare
-    rows past the band, which system() discards.  On built graphs of
-    every strategy, on a loop-closed chain (blocks below
-    the diagonal) and on a chain with a fixed node inside it (edges into
-    and out of a fixed node)."""
+def _isotropic(base):
+    """A copy of `base` whose information matrices are diag(a, a, t), a
+    the mean of each one's two position entries, so that it packs in the
+    closed form."""
+    g = clone_graph(base)
+    xy = g.information[:, [0, 1], [0, 1]]
+    g.information[:, [0, 1], [0, 1]] = xy.mean(axis=1)[:, None]
+    return g
+
+
+def _slot_cases():
+    """Built graphs of every strategy (closed form), a loop-closed chain
+    (blocks below the diagonal) and a chain with a fixed node inside it
+    (edges into and out of a fixed node), each as drawn (stacked form)
+    and made isotropic (closed form)."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
@@ -894,10 +900,40 @@ def test_slot_map_equals_the_entry_by_entry_construction():
     inner, _ = random_chain_graph(np.random.default_rng(54), 12,
                                   n_absolute=4)
     inner.fixed[6] = True
-    below = False
-    for g in graphs + [_loop_closed_chain(51), inner]:
+    loop = _loop_closed_chain(51)
+    return graphs + [loop, inner, _isotropic(loop), _isotropic(inner)]
+
+
+def test_slot_map_equals_the_entry_by_entry_construction():
+    """The slots built from each block's corner are the ones found entry
+    by entry (helpers.broadcast_slots).  On the stacked form every kept
+    entry of H and b is at its place in [b | band], and every dropped one
+    (a diagonal block's lower half, a block or segment on a fixed node,
+    an (i, j) block's fourth column) past the band, which system()
+    discards.  On the closed form each pose-dependent slot is the
+    oracle's for the same block, row and column (b's (j, j) and (i, i)
+    segments, Hii's last column, Hij's last row), and the constant band
+    is the oracle's block diagonals summed with Omega on the (i, i) and
+    (j, j) blocks and -Omega on the (i, j) blocks."""
+    below = {True: False, False: False}
+    for g in _slot_cases():
         packed = _PackedGraph(g)
+        closed = packed.constant is not None
         want = broadcast_slots(packed)
+        if closed:
+            p, m = packed.pair.size, len(g.edges)
+            want = want.reshape(-1, 3, 4)
+            ii, jj, ij = want[:p], want[p:p + m], want[p + m:]
+            want = np.concatenate((jj[..., 3].T, ii[..., 3].T, ii[..., 2].T,
+                                   ij[:, 2, :2].T), axis=None)
+            d = g.information[:, [0, 1, 2], [0, 1, 2]]
+            dp = d[packed.pair]
+            band = np.zeros((packed.u + 2) * packed.n)
+            for block, omega in ((ii, dp), (jj, d), (ij, -dp)):
+                at = block[:, [0, 1, 2], [0, 1, 2]]
+                np.add.at(band, at[at >= 0], omega[at >= 0])
+            assert np.array_equal(packed.constant,
+                                  band[packed.n:].reshape(packed.u + 1, -1))
         kept = want >= 0
         assert packed.slot.shape == want.shape
         assert np.array_equal(packed.slot[kept], want[kept])
@@ -909,8 +945,8 @@ def test_slot_map_equals_the_entry_by_entry_construction():
         rank = np.full(len(g.nodes), -1)
         rank[packed.free] = np.arange(packed.free.size)
         i, j = rank[packed.ends]
-        below |= bool(np.any((i > j) & (j >= 0)))
-    assert below
+        below[closed] |= bool(np.any((i > j) & (j >= 0) & (i >= 0)))
+    assert below == {True: True, False: True}
 
 
 def test_linear_system_is_in_id_order_whatever_the_chain_order():
@@ -975,14 +1011,14 @@ def test_chain_order_is_the_plain_cuthill_mckee_order():
 
 
 @pytest.mark.parametrize("outlier_rate", [0.0, 0.1])
-def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
-    """Splitting the edges into classes and taking chi2's diagonal Omega
-    elementwise moves no bit: chi2, Omega e, H and b equal, by
-    np.array_equal, those of helpers.stacked_system (every edge through
-    the full-Omega matrix products, three blocks per edge, each entry
-    summed in the order (i, i), (j, j), (i, j)) on the graphs of every
-    strategy, at the seed and at perturbed poses, with and without 10 %
-    of the fixes jumping 50 m."""
+def test_system_pass_equals_the_stacked_form(outlier_rate):
+    """Every graph build() makes packs in the closed form, whose chi2 and
+    Omega e equal, by np.array_equal, those of helpers.stacked_system
+    (every edge through the full-Omega matrix products, three blocks per
+    edge), and whose H and b equal its H and b to 1e-14 of their largest
+    entry: the closed form sums Omega's own entry where the products
+    give a (c^2 + s^2).  On the graphs of every strategy, at the seed and
+    at perturbed poses, with and without 10 % of the fixes jumping 50 m."""
     ds = generate_synthetic(
         0, TrajectoryProfile.URBAN_LOOP,
         GnssErrorModel((0.3, 0.2), 0.95, 0.6, outlier_rate,
@@ -993,6 +1029,7 @@ def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
         g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
         packed = _PackedGraph(g)
         assert packed.diagonal.shape == (len(g.edges), 3)
+        assert packed.constant is not None
         for shake in (0.0, 0.3):
             g.poses[packed.free] += rng.normal(0.0, shake,
                                                (packed.free.size, 3))
@@ -1001,8 +1038,109 @@ def test_system_pass_is_bit_identical_to_the_stacked_form(outlier_rate):
             got_H, got_b = packed.system(state)
             assert got_chi == chi
             assert np.array_equal(state[1], oe)
-            assert np.array_equal(got_H, H)
-            assert np.array_equal(got_b, b)
+            assert np.max(np.abs(got_H - H)) <= 1e-14 * np.max(np.abs(H))
+            assert np.max(np.abs(got_b - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+def _one_ulp_anisotropic(g):
+    """`g` with one pair edge's Omega_yy moved up by one ulp."""
+    e = int(np.flatnonzero(~g.fixed[g.from_ids])[3])
+    g.information[e, 1, 1] = np.nextafter(g.information[e, 1, 1], np.inf)
+    return g
+
+
+def _rotated_fixed_edge(info):
+    """A free chain with isotropic edges, anchored by edges from a fixed
+    node at heading 0.3, whose Jj is not the identity."""
+    g = PoseGraph()
+    anchor = add_node(g, Pose2(0.5, -0.2, 0.3), fixed=True)
+    for k in range(4):
+        add_node(g, Pose2(k, 0.5 * k, 0.1 * k))
+    for k in range(1, 4):
+        add_edge(g, Edge(k, k + 1, Pose2(1.1, 0.4, 0.1),
+                         np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
+    for k in (1, 3):
+        add_edge(g, Edge(anchor, k, Pose2(k, 0.3, -0.1), info,
+                         EdgeKind.GNSS_ABSOLUTE))
+    return g
+
+
+@pytest.mark.parametrize("case", ["random_chain", "full", "one_ulp",
+                                  "rotated_fixed_edge"])
+def test_graphs_off_the_closed_form_keep_the_stacked_bits(case):
+    """A graph takes the stacked products, and gives helpers
+    stacked_system's chi2, Omega e, H and b bit for bit, when any edge
+    has a full Omega, an anisotropic diagonal Omega on an edge from a
+    free node (a random chain; a built graph with one Omega_yy moved by
+    one ulp), or an anisotropic one on an edge from a fixed node whose
+    Jj is not the identity.  The same rotated edge with an isotropic
+    Omega takes the closed form."""
+    rng = np.random.default_rng(64)
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
+                            OdoErrorModel(0.011), 30.0)
+    g = {"random_chain": lambda: random_chain_graph(rng, 10)[0],
+         "full": lambda: _with_full_information(
+             random_chain_graph(rng, 10)[0], rng, [2]),
+         "one_ulp": lambda: _one_ulp_anisotropic(
+             build(ds.gnss, ds.odometry, BuilderConfig(Strategy.G2))),
+         "rotated_fixed_edge": lambda: _rotated_fixed_edge(
+             np.diag([1.0, 2.0, 0.5]))}[case]()
+    packed = _PackedGraph(g)
+    assert packed.constant is None
+    for shake in (0.0, 0.2):
+        g.poses[packed.free] += rng.normal(0.0, shake, (packed.free.size, 3))
+        chi, oe, H, b = stacked_system(g, packed)
+        got_chi, state = packed.residual(g.poses)
+        assert got_chi == chi and np.array_equal(state[1], oe)
+        got_H, got_b = packed.system(state)
+        assert np.array_equal(got_H, H) and np.array_equal(got_b, b)
+    if case == "rotated_fixed_edge":
+        g = _rotated_fixed_edge(np.diag([2.0, 2.0, 0.5]))
+        assert _PackedGraph(g).constant is not None
+        Hd, bd = dense_system(g)[:2]
+        H, b = _linear_system(g)
+        assert np.allclose(H, Hd, atol=1e-12)
+        assert np.allclose(b, bd, atol=1e-12)
+
+
+def test_isotropic_loops_and_inner_fixed_nodes_solve_as_dense():
+    """The closed form on graphs build() does not make: a loop-closed
+    chain, whose blocks fall on both sides of the diagonal, and a chain
+    with a fixed node inside it, whose edges run into and out of a fixed
+    node.  Their normal equations equal the dense assembly to 1e-10 and
+    their optimum the dense solver's to 1e-8."""
+    inner = _edges_into_a_fixed_node(65)
+    for g in (_isotropic(_loop_closed_chain(51)), _isotropic(inner)):
+        assert _PackedGraph(g).constant is not None
+        H, b = _linear_system(g)
+        Hd, bd = dense_system(g)[:2]
+        assert np.allclose(H, Hd, atol=1e-10)
+        assert np.allclose(b, bd, atol=1e-10)
+        h = clone_graph(g)
+        assert optimize(g).converged
+        assert dense_optimize(h)
+        assert np.max(np.abs(g.poses - h.poses)) < 1e-8
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_the_pipeline_takes_the_closed_form(monkeypatch, strategy):
+    """run_experiment solves every strategy, screened and unscreened,
+    without the stacked products' Jacobian kernel: a builder change that
+    left the closed form would fall back to the slower path silently."""
+    from se2fusion import ExperimentConfig, run_experiment
+
+    def refused(*args):
+        raise AssertionError("the stacked system pass ran")
+
+    monkeypatch.setattr(solver, "batch_edge_jacobians", refused)
+    ds = generate_synthetic(5, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 0.6, 0.1, 50.0),
+                            OdoErrorModel(0.011), 60.0)
+    for screen in (True, False):
+        solve = run_experiment(ds, ExperimentConfig(
+            strategy=strategy, outlier_rejection=screen))[3]
+        assert solve.iterations > 0
 
 
 def _edges_into_a_fixed_node(seed):
@@ -1036,7 +1174,10 @@ def test_full_omega_and_fixed_node_edges_solve_as_dense(case):
     off-diagonal entries and by one where a single such Omega sits among
     diagonal ones, the edges from a free node into a fixed one, and a
     graph with no free-free pair give the stacked form's bits, the dense
-    normal equations to 1e-10 and the dense solver's optimum to 1e-8."""
+    normal equations to 1e-10 and the dense solver's optimum to 1e-8.
+    The graph with no pair takes the closed form (its edges run from a
+    fixed node at heading 0 with measurements at heading 0, so Jj is the
+    identity), and keeps the bits, since each entry has one term."""
     rng = np.random.default_rng(63)
     if case == "into_fixed":
         g = _edges_into_a_fixed_node(63)
@@ -1050,6 +1191,7 @@ def test_full_omega_and_fixed_node_edges_solve_as_dense(case):
     packed = _PackedGraph(g)
     assert (packed.diagonal is None) == case.endswith("full")
     assert (packed.pair.size == 0) == (case == "no_pair")
+    assert (packed.constant is None) == (case != "no_pair")
     chi, oe, H, b = stacked_system(g, packed)
     got_chi, state = packed.residual(g.poses)
     assert got_chi == chi and np.array_equal(state[1], oe)
