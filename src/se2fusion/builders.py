@@ -52,6 +52,16 @@ class Strategy(enum.Enum):
 
 @dataclass
 class BuilderConfig:
+    """How build() wires the graph.
+
+    identity_edge_strength is the stiffness s of G2's fix-to-vehicle
+    identity edges, any value in (0, inf).  Measured on 18 drives of
+    300 s (the three profiles, seeds 0-2, sigma 0.3 and 1.625 m): G2
+    matches G1's fused precision to 4 digits for s >= 1e4 (the default
+    is 1e6), and at s = 1e10 every sigma 1.625 m solve ends at max_iter,
+    which the metrics record shows as `converged: False`.
+    """
+
     strategy: Strategy = Strategy.G2
     identity_edge_strength: float = 1e6
 

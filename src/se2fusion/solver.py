@@ -60,19 +60,21 @@ product with Omega's diagonal, which gives the matrix product's bits.
 The reduced normal equations are a symmetric band.  Once per graph the
 free nodes are put in Cuthill-McKee order: breadth first from the first
 free node, each node's neighbours in ascending degree.  On the chains
-that builders.build() makes this gives a half-bandwidth of 5 (G1, G3)
-or 8 (G2, where each GNSS node lands next to its vehicle node).  Each
-system pass scatters the upper blocks of H straight into LAPACK's upper
-band storage, and the step is solved by banded Cholesky, LAPACK's
-dpbtrf and dpbtrs called directly.  It is exact at any bandwidth u and
-costs O(n u^2), so a graph with loop closures solves too, only more
-slowly.  A matrix that is not finite is refused outright.  A solve
-whose factorization finds the matrix not positive definite, or whose
-solution is not finite or leaves a residual above 1e-6 (|b| + 1), is
-retried with lambda*diag added to the diagonal, for lambda from 1e-9 to
-1e-3, before SingularSystemError is raised.  Products with H are numpy
-band products, not BLAS calls, so a solve gives the same bits whatever
-the BLAS thread count.
+that builders.build() makes this gives a half-bandwidth of 5 (G1, G3) or
+8 (G2, where each GNSS node lands next to its vehicle node).  Each
+system pass scatters H straight into LAPACK's upper band storage, every
+entry by one rule: (r, c) goes to band[u + lo - hi, hi], with lo, hi =
+min(r, c), max(r, c), so an entry below the diagonal lands on its
+mirror, and an entry on a fixed node is dropped.  The step is solved by
+banded Cholesky, LAPACK's dpbtrf and dpbtrs called directly.  It is
+exact at any bandwidth u and costs O(n u^2), so a graph with loop
+closures solves too, only more slowly.  A matrix that is not finite is
+refused outright.  A solve whose factorization finds the matrix not
+positive definite, or whose solution is not finite or leaves a residual
+above 1e-6 (|b| + 1), is retried with lambda*diag added to the diagonal,
+for lambda from 1e-9 to 1e-3, before SingularSystemError is raised.
+Products with H are numpy band products, not BLAS calls, so a solve
+gives the same bits whatever the BLAS thread count.
 
 A step is added to the poses, as se2.retract does (g2o's VertexSE2),
 which is the update the se2 module's Jacobians are taken against.
@@ -209,13 +211,16 @@ class _PackedGraph:
     (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
     reduced system.  `pair` lists the edges whose from node is free:
     only they have (i, i) and (i, j) blocks, while an edge from a fixed
-    node has its (j, j) block alone.  On a graph in the closed form,
-    `constant` is the (u + 1, n) band of H's pose-independent entries,
-    `a` the position information of each pair edge, and `slot` the place
-    in [b | band] of each pose-dependent entry; off it, `constant` is
-    None and `slot` places every entry of each edge's 3x4 blocks [H
-    block | b segment].  Both are built once, so system() only fills
-    values.
+    node has its (j, j) block alone.  `slot` is the place of each value
+    system() sums in the vector [b | band rows 0..u | one drop slot],
+    b entry v at v and H entry (r, c) at band[u + lo - hi, hi], lo, hi
+    = min(r, c), max(r, c), with any entry on a fixed node in the drop
+    slot.  On a graph in the closed form, `constant` is the (u + 1, n)
+    band of H's pose-independent entries, `a` the position information
+    of each pair edge, and `slot` places each pose-dependent entry; off
+    it, `constant` is None and `slot` places every entry of each edge's
+    3x4 blocks [H block | b segment].  Both are built once, so system()
+    only fills values.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -245,18 +250,19 @@ class _PackedGraph:
         i, j = io[pair], jo[pair]
         p, m = pair.size, jo.size
 
-        # Every entry of H and b has a slot in one vector laid out as [b |
-        # band rows 0..u | two spare rows | one drop slot], so that one
-        # bincount sums them.  H entry (r, c), r <= c, is band[u + r - c,
-        # c], at n + (u + r - c) n + c, and b entry v at v: H(v, v) is at
-        # `diagonal` + v, and the (i, j) block's first entry H(min(i, j),
-        # max(i, j)) at `corner`.  An entry on a fixed node goes to the
-        # drop slot.
-        size = self.size = (u + 4) * n + 1
+        # one bincount sums every entry into [b | band rows 0..u | drop],
+        # H entry (r, c) at n + (u + lo - hi) n + hi
+        size = self.size = (u + 2) * n + 1
         drop = size - 1
-        diagonal = n + u * n
-        corner = n + (u - np.abs(i - j)) * n + np.maximum(i, j)
+
+        def at(r, c):
+            lo, hi = np.minimum(r, c), np.maximum(r, c)
+            return np.where(lo >= 0, n + (u + lo - hi) * n + hi, drop)
+
         k = np.arange(3)[:, None]
+        bj = np.where(jo >= 0, jo + k, drop)
+        # the first row and column of the (i, i), (j, j) and (i, j) blocks
+        r, c = np.concatenate((i, jo, i)), np.concatenate((i, jo, j))
 
         if self._closed_form(io):
             # the pose-independent entries, on the blocks' diagonals, are
@@ -265,48 +271,26 @@ class _PackedGraph:
             d = self.diagonal
             dp = np.take(d, pair, axis=0)
             self.a = dp[:, 0].copy()
-            first = np.concatenate((diagonal + i, diagonal + jo, corner))
-            on = np.concatenate((i >= 0, jo >= 0, j >= 0))
-            sums = np.bincount(np.where(on, first + k, drop).ravel(),
+            sums = np.bincount(at(r + k, c + k).ravel(),
                                np.concatenate((dp, d, -dp)).T.ravel(), size)
-            self.constant = sums[n:(u + 2) * n].reshape(u + 1, n)
+            self.constant = sums[n:-1].reshape(u + 1, n)
             # the slots system() fills, in its order: b's (j, j) segment
             # of every edge, then of the pair edges b's (i, i) segment,
-            # Hii's last column (r, 2) and Hij's last row (2, c), c < 2,
-            # which lies below the diagonal when i > j
-            c = k[:2]
-            last_row = np.where(i > j, (c - 2) * n + 2, (2 - c) * n + c)
-            self.slot = np.concatenate((
-                np.where(jo >= 0, jo + k, drop), i + k,
-                diagonal + i + 2 + (k - 2) * n,
-                np.where(j >= 0, corner + last_row, drop)), axis=None)
+            # Hii's last column and the first two entries of Hij's last row
+            self.slot = np.concatenate((bj, i + k, at(i + k, i + 2),
+                                        at(i + 2, j + k[:2])), axis=None)
         else:
             # system() sums 3x4 blocks [H block | b segment]: (i, i | i)
             # of the pair edges, (j, j | j) of every edge, then (i, j |
             # none) of the pair edges, each class in edge order, so that
             # every entry of H and b sums its edges' terms in the order
-            # (i, i), (j, j), (i, j).  Entry (a, c) of the diagonal block
-            # at variable v is at diagonal + v + (a - c) n + c, its lower
-            # half (a > c) in the spare rows, and its b segment at v + a.
-            # An (i, j) block above the diagonal (i < j) has entry (a, c)
-            # at corner + (a - c) n + c; one below is the transpose of the
-            # block above, so its entries take the transposed offsets.  An
-            # (i, j) block's fourth column goes to the drop slot.
+            # (i, i), (j, j), (i, j).  A diagonal block's lower half (its
+            # upper half's mirror) is dropped.
             self.constant = None
-            above = (k - k.T) * n + k.T
-            block = np.empty((3, 4), dtype=np.intp)
-            block[:, :3] = diagonal + above
-            block[:, 3] = k[:, 0]
-            slot = np.empty((2 * p + m, 3, 4), dtype=np.intp)
-            ii, jj, ij = slot[:p], slot[p:p + m], slot[p + m:]
-            np.add(i[:, None, None], block, out=ii)
-            np.add(jo[:, None, None], block, out=jj)
-            jj[jo < 0] = drop
-            offset = np.stack((above, above.T))[(i > j).astype(np.intp)]
-            np.add(corner[:, None, None], offset, out=ij[..., :3])
-            ij[..., 3] = drop
-            ij[j < 0] = drop
-            self.slot = slot.ravel()
+            h = at(r[:, None, None] + k, c[:, None, None] + k.T)
+            h[:p + m, k > k.T] = drop
+            b = np.concatenate((i + k, bj, np.full((3, p), drop)), axis=1)
+            self.slot = np.concatenate((h, b.T[..., None]), axis=2).ravel()
 
     def _closed_form(self, io: np.ndarray) -> bool:
         """Whether every edge's Jj'Omega Jj is its Omega, so that system()
@@ -377,7 +361,7 @@ class _PackedGraph:
         np.negative(ax, out=v[7])
         sums = np.bincount(self.slot, values, self.size)
         n = self.n
-        H = sums[n:(self.u + 2) * n].reshape(self.u + 1, n)
+        H = sums[n:-1].reshape(self.u + 1, n)
         H += self.constant
         return H, sums[:n]
 
@@ -406,7 +390,7 @@ class _PackedGraph:
         sums = np.bincount(self.slot, weights=blocks.ravel(),
                            minlength=self.size)
         n = self.n
-        return sums[n:(self.u + 2) * n].reshape(self.u + 1, n), sums[:n]
+        return sums[n:-1].reshape(self.u + 1, n), sums[:n]
 
     def retract(self, poses: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """A copy of `poses` with the free rows moved by `delta`, which is

@@ -61,6 +61,9 @@ class GnssErrorModel:
     outlier_magnitude: float = 0.0
 
     def __post_init__(self):
+        if np.shape(self.bias) != (2,) or not np.isfinite(self.bias).all():
+            raise ValueError("bias must be a finite (x, y) pair, got "
+                             f"{self.bias!r}")
         # |rho| = 1 is a constant or alternating offset, still bounded
         if not -1.0 <= self.ar1_rho <= 1.0:
             raise ValueError(
@@ -203,6 +206,8 @@ def _generate(seed, profile, gnss_error, odo_error, duration, standstill,
     if not 2.0 <= duration < math.inf:
         raise ValueError("duration must be finite and allow at least 2 GNSS "
                          f"fixes, got {duration}")
+    if speed is not None and not math.isfinite(speed):
+        raise ValueError(f"speed must be finite, got {speed}")
     n_fix = int(math.floor(duration))
     fix_t = np.arange(n_fix, dtype=float)
     n_odo = int(round(duration / _ODO_PERIOD))

@@ -356,7 +356,7 @@ def every_trial_optimize(graph, config=None, trace=None):
 
 def broadcast_slots(packed):
     """The slot of every block entry of a solver `_PackedGraph` in its
-    sums vector [b | band rows 0..u | two spare rows], found entry by
+    sums vector [b | band rows 0..u | one drop slot], found entry by
     entry: each entry's row and column, their min and max, and a keep
     mask, all broadcast over the blocks (i, i) of the edges whose from
     node is free, (j, j) of every edge, then (i, j) of the edges whose

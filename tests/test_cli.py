@@ -174,6 +174,8 @@ def test_bad_pair_flag_message():
       "50"], "outlier_magnitude 50.0 needs a positive outlier_rate"),
     (["--synth", "straight", "--duration", "30", "--outlier-rate", "0.1",
       "--outlier-magnitude", "nan"], "outlier_magnitude must be finite"),
+    (["--synth", "straight", "--duration", "30", "--bias", "inf,0"],
+     "bias must be a finite"),
 ])
 def test_bad_synthetic_dataset_is_a_one_line_exit(flags, why):
     """A value the generator or an error model rejects ends the verb with

@@ -1,4 +1,5 @@
 """Every name a package module imports is used in that module, every
+local name a package function binds is read in that function, every
 private function, class and method is used by the package, every public
 module-level function and class is used by the package, exported by
 __init__.py or read by the benchmark, every field of a config class is
@@ -7,10 +8,11 @@ and class of tests/helpers.py is read by a test module or another
 helper.
 
 A deletion that leaves an import behind (a class or helper whose last
-reader went) fails here, and so does code whose last caller outside the
-tests went, even if tests still call it, a setting whose last reader
-went, and an oracle that no test reads.  __init__.py is skipped by the
-import check: its imports are the public API.
+reader went) fails here, and so does a local left over from a rewrite,
+code whose last caller outside the tests went, even if tests still call
+it, a setting whose last reader went, and an oracle that no test
+reads.  __init__.py is skipped by the import check: its imports are the
+public API.
 """
 
 import ast
@@ -50,6 +52,74 @@ def test_the_guard_finds_an_unused_import():
 def test_no_unused_imports(path):
     assert MODULES
     assert unused_imports(path.read_text()) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, not entering a nested scope."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [c for c in ast.iter_child_nodes(node)
+                 if not isinstance(c, _SCOPES)]
+
+
+def unused_locals(source: str) -> list:
+    """The names each function binds by assignment, tuple unpacking, or
+    as a loop or `with` target, and reads neither in its own body nor in
+    a function nested in it, as "function.name".
+
+    A name that starts with _ is exempt, and so is one the function
+    declares global or nonlocal.
+    """
+    unused = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        targets, outer = [], set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                targets += node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.For)):
+                targets.append(node.target)
+            elif isinstance(node, ast.withitem) and node.optional_vars:
+                targets.append(node.optional_vars)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+        bound = {n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{fn.name}.{name}" for name in bound - read - outer
+                   if not name.startswith("_")]
+    return sorted(unused)
+
+
+def test_the_guard_finds_an_unused_local():
+    source = ("def f(xs, path):\n    a, (b, *c) = xs\n    d: int = 1\n"
+              "    e = g = 2\n    for k, v in xs:\n        pass\n"
+              "    with open(path) as fh:\n        pass\n"
+              "    _skip, kept = xs\n    self_attr = xs\n"
+              "    self_attr.x = 3\n    nested_reads = 4\n\n"
+              "    def inner():\n        late = 5\n"
+              "        return nested_reads\n\n"
+              "    return b + g + inner() + kept + [late for late in xs]\n"
+              "\n\ndef h():\n    global glob\n    glob = 1\n"
+              "    total = 0\n    total += 1\n    return lambda: total\n")
+    # a name read by a nested function is used, a name bound in the
+    # nested function is that function's own, and a comprehension's
+    # target is its own scope's
+    assert unused_locals(source) == ["f.a", "f.c", "f.d", "f.e", "f.fh",
+                                     "f.k", "f.v", "inner.late"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_locals(path):
+    assert MODULES
+    assert unused_locals(path.read_text()) == []
 
 
 def _private(name: str) -> bool:

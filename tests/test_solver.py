@@ -905,16 +905,18 @@ def _slot_cases():
 
 
 def test_slot_map_equals_the_entry_by_entry_construction():
-    """The slots built from each block's corner are the ones found entry
-    by entry (helpers.broadcast_slots).  On the stacked form every kept
+    """The slots placed by the (row, column) rule are the ones found
+    entry by entry (helpers.broadcast_slots).  The sums vector is [b |
+    band rows 0..u | one drop slot].  On the stacked form every kept
     entry of H and b is at its place in [b | band], and every dropped one
     (a diagonal block's lower half, a block or segment on a fixed node,
-    an (i, j) block's fourth column) past the band, which system()
-    discards.  On the closed form each pose-dependent slot is the
-    oracle's for the same block, row and column (b's (j, j) and (i, i)
-    segments, Hii's last column, Hij's last row), and the constant band
-    is the oracle's block diagonals summed with Omega on the (i, i) and
-    (j, j) blocks and -Omega on the (i, j) blocks."""
+    an (i, j) block's fourth column) in the drop slot, the vector's last
+    entry, which system() discards.  On the closed form each
+    pose-dependent slot is the oracle's for the same block, row and
+    column (b's (j, j) and (i, i) segments, Hii's last column, Hij's last
+    row), and the constant band is the oracle's block diagonals summed
+    with Omega on the (i, i) and (j, j) blocks and -Omega on the (i, j)
+    blocks."""
     below = {True: False, False: False}
     for g in _slot_cases():
         packed = _PackedGraph(g)
@@ -935,11 +937,13 @@ def test_slot_map_equals_the_entry_by_entry_construction():
             assert np.array_equal(packed.constant,
                                   band[packed.n:].reshape(packed.u + 1, -1))
         kept = want >= 0
+        assert packed.size == (packed.u + 2) * packed.n + 1
         assert packed.slot.shape == want.shape
         assert np.array_equal(packed.slot[kept], want[kept])
         spare = packed.slot[~kept]
         assert np.all(spare >= (packed.u + 2) * packed.n)
         assert np.all(spare < packed.size)
+        assert np.all(spare == packed.size - 1)
         # an edge whose from node comes later in chain order than its to
         # node puts its (i, j) block below the diagonal
         rank = np.full(len(g.nodes), -1)

@@ -142,6 +142,13 @@ def test_speed_override():
     assert np.all(ds.odometry.velocities == 5.0)
 
 
+def test_non_finite_speed_rejected():
+    for speed in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="speed must be finite"):
+            generate_synthetic(0, TrajectoryProfile.STRAIGHT, duration=60.0,
+                               speed=speed)
+
+
 def test_urban_loop_turns_by_quarters():
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP, duration=100.0)
     w = ds.odometry.yaw_rates
@@ -226,6 +233,16 @@ def test_gnss_error_setting_that_cannot_act_alone_rejected(settings,
     magnitude without the other, would leave the drive unchanged."""
     with pytest.raises(ValueError, match=f"needs a positive {partner}"):
         GnssErrorModel(**settings)
+
+
+def test_bad_bias_rejected():
+    """A bias is a finite (x, y) pair: three entries, a scalar or a
+    non-finite entry is refused by the model, naming the field."""
+    for bias in ((1.0, 2.0, 3.0), (1.0,), 5.0, ((1.0, 2.0),),
+                 (float("inf"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="bias must be a finite"):
+            GnssErrorModel(bias=bias)
+    assert GnssErrorModel(bias=(1, -2)).bias == (1, -2)
 
 
 def test_invalid_drift_fraction_rejected():
