@@ -76,6 +76,10 @@ def latlon_to_utm(latitude: float, longitude: float):
     false northing.  Standard transverse Mercator series, good to well
     under a centimeter inside the zone.
     """
+    # NaN would pass the range test below and land in the south
+    for name, value in (("latitude", latitude), ("longitude", longitude)):
+        if not math.isfinite(value):
+            raise OutOfUtmDomainError(f"{name} {value:g} is not finite")
     if abs(latitude) > 84.0:
         raise OutOfUtmDomainError(
             f"latitude {latitude:g} outside the UTM domain (|lat| <= 84)")

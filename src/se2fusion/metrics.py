@@ -125,6 +125,12 @@ def match_pps(est_times, est_positions, truth_times, truth_positions,
         return [], int(est_times.size)
     est_positions = np.asarray(est_positions, dtype=float)
     truth_positions = np.asarray(truth_positions, dtype=float)
+    for name, times, positions in (("estimate", est_times, est_positions),
+                                   ("truth", truth_times, truth_positions)):
+        if positions.shape != (times.size, 2):
+            raise ValueError(f"{name} positions must have shape "
+                             f"({times.size}, 2), one (x, y) per time, "
+                             f"got {positions.shape}")
     # the truth samples either side of each estimate; a side past the
     # end of the truth track is infinitely far, and an estimate before the
     # first sample takes the one after it even when both distances are

@@ -11,17 +11,14 @@ and accepts it or halves the radius and proposes again.  Every radius
 at or above |g|, the norm of the Gauss-Newton point g, proposes g, so a
 rejected g is not evaluated again: the radius halves on, unevaluated,
 until it is below |g| or has collapsed.  A trial pays for its
-retraction and chi-square only.  Its model decrease pred = 2 b'd - d'Hd
-is a closed form per branch, since every step is s b + tau g: b'g on
-the Gauss-Newton branch, 2a b'b - a^2 b'Hb on the gradient branch
-(a = radius/|b|), and the expanded quadratic in b'b, b'Hb, b'Hg and g'Hg
-on the blend.  b'b and b'g are computed once per iteration, b'Hb and the
-Cauchy point only in an iteration that proposes a step other than g.
-When the solve took a rung of the ladder below, (H + lambda D) g = b, so
-g'Hg = b'g - lambda g'Dg and b'Hg = b'b - lambda b'Dg, and the
-Gauss-Newton branch gives b'g + lambda g'Dg.  An accepted trial's system
-pass gives the next iteration's system, so no pass runs twice on one
-pose set.
+retraction and chi-square only.  Every step is s b + tau g, so its
+model decrease pred = 2 b'd - d'Hd is one quadratic in b'b, b'g, b'Hb,
+b'Hg and g'Hg.  The solve returns H g, for the undamped H, from the
+product its residual check forms, so the ladder below stays inside it.
+b'b, b'g and g'Hg are computed once per iteration, b'Hb, b'Hg and the
+Cauchy point only in one that proposes a step other than g.  An accepted
+trial's system pass gives the next iteration's system, so no pass runs
+twice on one pose set.
 optimize() views the graph's node and edge arrays in place; an accepted
 trial writes its free rows into the graph's pose array, so fixed poses
 are never touched and the graph always holds the last accepted iterate.
@@ -405,9 +402,9 @@ def _solve_normal(H: np.ndarray, b: np.ndarray):
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure.
 
-    Returns (x, lam, damp): the rung's lambda and damping vector, so that
-    (H + lam diag(damp)) x = b, with lam 0 and damp None when H itself
-    solved.
+    Returns (x, Hx) with the undamped H: the residual check's product
+    less the rung's diagonal times x, so that product itself when H
+    solved without a rung.
     """
     # the package's only scipy use, loaded by the first solve
     from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -433,9 +430,9 @@ def _solve_normal(H: np.ndarray, b: np.ndarray):
         x, info = dpbtrs(factor, b)
         if info != 0 or not np.isfinite(x).all():
             continue
-        resid = _norm(_band_mul(M, x) - b)
-        if resid <= 1e-6 * (bnorm + 1.0):
-            return x, lam, damp
+        Mx = _band_mul(M, x)
+        if _norm(Mx - b) <= 1e-6 * (bnorm + 1.0):
+            return x, Mx - (M[-1] - H[-1]) * x
     raise SingularSystemError(
         "normal equations could not be factorized even with "
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
@@ -447,53 +444,46 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
 
     The Gauss-Newton point g, the Cauchy point and their norms do not
     depend on the radius, so every trial radius only combines them.  The
-    step returns (delta, pred), pred being the model decrease
-    2 b'delta - delta'H delta.  Every step is a combination of b and g,
-    and (H + lam D) g = b on the rung that solved, so g'Hg and b'Hg are
-    b'g - lam g'Dg and b'b - lam b'Dg, and pred needs no product with H.
-    Any radius at or above |g| gives g, whose pred needs only b'g and the
-    rung's terms; b'Hb (with the undamped H), the Cauchy point and its
-    norm are computed by the first call with a smaller radius and kept.
+    step returns (delta, pred), delta = s b + tau g and pred the model
+    decrease 2 b'delta - delta'H delta, one quadratic in (s, tau): (0, 1)
+    at g, (radius/|b|, 0) on the gradient branch, ((1 - tau) alpha, tau)
+    on the blend.  Any radius at or above |g| gives g, priced with the
+    solve's H g; b'Hb, b'Hg, the Cauchy point and its norm are computed
+    by the first call with a smaller radius and kept.
     """
-    gn, lam, damp = _solve_normal(H, b)
+    gn, Hg = _solve_normal(H, b)
     gn_norm = _norm(gn)
     bb = _dot(b, b)
     bg = _dot(b, gn)
-    # the rung's damping terms g'Dg and b'Dg, zero without a rung
-    gDg = bDg = 0.0
-    if damp is not None:
-        Dg = damp * gn
-        gDg, bDg = _dot(gn, Dg), _dot(b, Dg)
-    gHg = bg - lam * gDg
-    bHg = bb - lam * bDg
+    gHg = _dot(gn, Hg)
     bnorm = math.sqrt(bb)
-    # b'Hb and the Cauchy point, priced by the first step that is not g
+    # b'Hb, b'Hg and the Cauchy point, for the first step other than g
     cached = []
 
     def step(radius: float):
         if gn_norm <= radius:
-            return gn, bg + lam * gDg
+            return gn, 2.0 * bg - gHg
         if not cached:
             bHb = _dot(b, _band_mul(H, b))
             alpha = bb / bHb if bHb > 0.0 else 0.0
             cauchy = alpha * b
-            cached.extend((bHb, alpha, cauchy, _norm(cauchy)))
-        bHb, alpha, cauchy, c_norm = cached
+            cached.extend((bHb, _dot(b, Hg), alpha, cauchy, _norm(cauchy)))
+        bHb, bHg, alpha, cauchy, c_norm = cached
         if c_norm >= radius:
-            a = radius / bnorm
-            return a * b, 2.0 * a * bb - a * a * bHb
-        # walk from the Cauchy point toward the Gauss-Newton point until
-        # the trust-region boundary: ||cauchy + tau*(gn - cauchy)|| = radius
-        d = gn - cauchy
-        a = _dot(d, d)
-        bq = 2.0 * _dot(cauchy, d)
-        c = c_norm * c_norm - radius * radius
-        tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
-        # the step is s b + tau g
-        s = (1.0 - tau) * alpha
-        pred = 2.0 * (s * bb + tau * bg) \
+            s, tau = radius / bnorm, 0.0
+            delta = s * b
+        else:
+            # walk from the Cauchy point toward g until the trust-region
+            # boundary: ||cauchy + tau*(gn - cauchy)|| = radius
+            d = gn - cauchy
+            a = _dot(d, d)
+            bq = 2.0 * _dot(cauchy, d)
+            c = c_norm * c_norm - radius * radius
+            tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
+            s = (1.0 - tau) * alpha
+            delta = cauchy + tau * d
+        return delta, 2.0 * (s * bb + tau * bg) \
             - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
-        return cauchy + tau * d, pred
 
     return step, gn_norm
 

@@ -64,6 +64,10 @@ class GnssErrorModel:
         if np.shape(self.bias) != (2,) or not np.isfinite(self.bias).all():
             raise ValueError("bias must be a finite (x, y) pair, got "
                              f"{self.bias!r}")
+        # two floats keep the frozen model a value: an ndarray bias would
+        # make it unhashable and its == ambiguous, a list one unhashable
+        x, y = self.bias
+        object.__setattr__(self, "bias", (float(x), float(y)))
         # |rho| = 1 is a constant or alternating offset, still bounded
         if not -1.0 <= self.ar1_rho <= 1.0:
             raise ValueError(

@@ -271,17 +271,13 @@ def every_trial_optimize(graph, config=None, trace=None):
     dot, norm = solver._dot, solver._norm
 
     def dogleg_steps(H, b):
-        gn, lam, damp = solver._solve_normal(H, b)
+        gn, Hg = solver._solve_normal(H, b)
         gn_norm = norm(gn)
         bb = dot(b, b)
         bHb = dot(b, solver._band_mul(H, b))
         bg = dot(b, gn)
-        gDg = bDg = 0.0
-        if damp is not None:
-            Dg = damp * gn
-            gDg, bDg = dot(gn, Dg), dot(b, Dg)
-        gHg = bg - lam * gDg
-        bHg = bb - lam * bDg
+        gHg = dot(gn, Hg)
+        bHg = dot(b, Hg)
         alpha = bb / bHb if bHb > 0.0 else 0.0
         cauchy = alpha * b
         c_norm = norm(cauchy)
@@ -289,19 +285,20 @@ def every_trial_optimize(graph, config=None, trace=None):
 
         def step(radius):
             if gn_norm <= radius:
-                return gn, bg + lam * gDg
+                return gn, 2.0 * bg - gHg
             if c_norm >= radius:
-                a = radius / bnorm
-                return a * b, 2.0 * a * bb - a * a * bHb
-            d = gn - cauchy
-            a = dot(d, d)
-            bq = 2.0 * dot(cauchy, d)
-            c = c_norm * c_norm - radius * radius
-            tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
-            s = (1.0 - tau) * alpha
-            pred = 2.0 * (s * bb + tau * bg) \
+                s, tau = radius / bnorm, 0.0
+                delta = s * b
+            else:
+                d = gn - cauchy
+                a = dot(d, d)
+                bq = 2.0 * dot(cauchy, d)
+                c = c_norm * c_norm - radius * radius
+                tau = (-bq + math.sqrt(bq * bq - 4.0 * a * c)) / (2.0 * a)
+                s = (1.0 - tau) * alpha
+                delta = cauchy + tau * d
+            return delta, 2.0 * (s * bb + tau * bg) \
                 - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
-            return cauchy + tau * d, pred
 
         return step
 

@@ -68,6 +68,17 @@ def test_polar_latitudes_rejected():
     latlon_to_utm(-84.0, 10.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(value):
+    """A non-finite latitude or longitude is refused by name, before NaN
+    could slip past the range test into the southern hemisphere."""
+    with pytest.raises(OutOfUtmDomainError, match="^latitude .* not finite"):
+        latlon_to_utm(value, 0.0)
+    with pytest.raises(OutOfUtmDomainError,
+                       match="^longitude .* not finite"):
+        latlon_to_utm(0.0, value)
+
+
 def test_zone_identifiers():
     assert latlon_to_utm(52.5, 13.4)[2] == "33N"
     assert latlon_to_utm(-33.9, 18.4)[2] == "34S"

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, every
 local name a package function binds is read in that function, every
+parameter a package function or lambda takes is read by it, every
 private function, class and method is used by the package, every public
 module-level function and class is used by the package, exported by
 __init__.py or read by the benchmark, every field of a config class is
@@ -9,10 +10,10 @@ helper.
 
 A deletion that leaves an import behind (a class or helper whose last
 reader went) fails here, and so does a local left over from a rewrite,
-code whose last caller outside the tests went, even if tests still call
-it, a setting whose last reader went, and an oracle that no test
-reads.  __init__.py is skipped by the import check: its imports are the
-public API.
+a parameter its function no longer reads, code whose last caller
+outside the tests went, even if tests still call it, a setting whose
+last reader went, and an oracle that no test reads.  __init__.py is
+skipped by the import check: its imports are the public API.
 """
 
 import ast
@@ -120,6 +121,52 @@ def test_the_guard_finds_an_unused_local():
 def test_no_unused_locals(path):
     assert MODULES
     assert unused_locals(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list:
+    """The parameters each function, nested function or lambda takes and
+    never reads, in its own body or in a function nested in it, as
+    "function.name" ("lambda.name" for a lambda).
+
+    Positional, keyword-only, *args and **kwargs parameters count; self,
+    cls and a name that starts with _ are exempt.
+    """
+    unused = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "lambda")
+        unused += [f"{name}.{p}" for p in params
+                   if p not in read and p not in ("self", "cls")
+                   and not p.startswith("_")]
+    return sorted(unused)
+
+
+def test_the_guard_finds_an_unused_parameter():
+    source = ("def f(a, b, /, c, *args, d, e=1, **kw):\n"
+              "    def inner(x, y):\n        return b + x\n"
+              "    return inner(c, kw) + (lambda p, q: p)(d, 0)\n"
+              "\n\nclass C:\n    def m(self, _unused, z):\n"
+              "        return 1\n\n    @classmethod\n"
+              "    def k(cls, *, w):\n        return w\n"
+              "\n\ndef g(t=lambda s: 0):\n    return t\n")
+    # a parameter read by a nested function is used; self, cls and _
+    # names are exempt; a lambda is checked like a def
+    assert unused_parameters(source) == ["f.a", "f.args", "f.e",
+                                         "inner.y", "lambda.q",
+                                         "lambda.s", "m.z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_parameters(path):
+    assert MODULES
+    assert unused_parameters(path.read_text()) == []
 
 
 def _private(name: str) -> bool:

@@ -220,6 +220,25 @@ def test_match_pps_empty_inputs_and_estimates_off_the_truth_span():
         (-0.04, [0.0, 0.0]), (10.03, [10.0, -10.0])]
 
 
+def test_match_pps_refuses_positions_that_do_not_fit_their_times():
+    """Each positions array is one (x, y) per time: a truth track short of
+    a position, an estimate track with one too many, or a flat array, is
+    refused by name rather than paired or failing inside numpy."""
+    for args, name in (
+            (([0, 1], [(0, 0)], [0, 1], [(0, 0), (1, 1)]), "estimate"),
+            (([0], [(0, 0)], [0, 1], [(0, 0)]), "truth"),
+            (([0], [(0, 0), (1, 1)], [0], [(0, 0)]), "estimate"),
+            (([0], [0, 0], [0], [(0, 0)]), "estimate"),
+            (([0], [(0, 0)], [0, 1], [(0, 0, 0), (1, 1, 1)]), "truth")):
+        with pytest.raises(ValueError, match=f"^{name} positions must"):
+            match_pps(*args)
+    # the empty-input return stands, and the pairs stay a poolable list
+    assert match_pps([], [], [0], [(0, 0)]) == ([], 0)
+    pairs, _ = match_pps([0], [(1, 2)], [0], [(3, 4)])
+    pairs += match_pps([1], [(5, 6)], [1], [(7, 8)])[0]
+    assert pairs == [[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 5.0, 6.0, 7.0, 8.0]]
+
+
 def test_match_pps_pairs_no_nan_time_or_nan_tolerance():
     tru_t = [0.0, 1.0, 2.0]
     tru_p = [(5.0, 5.0), (6.0, 6.0), (7.0, 7.0)]

@@ -337,16 +337,38 @@ def test_dogleg_step_regularizes_plain_rank_deficiency():
     assert np.linalg.norm(step) <= 10.0 + 1e-9
 
 
+def test_solve_returns_the_undamped_product():
+    """The solve's second value is H x with H itself, not the damped
+    matrix of the rung that solved: for random SPD systems, where H x is
+    b to the residual gate, and for one that needs a rung, where it is
+    far from b."""
+    from scipy.linalg.lapack import dpbtrf
+    rng = np.random.default_rng(56)
+    systems = [(_random_spd(rng, 6), rng.normal(size=6)) for _ in range(20)]
+    rung = (np.diag([1.0, 1.0, 0.0]), np.ones(3))
+    assert dpbtrf(dense_to_band(rung[0]))[1] != 0
+    for H, b in systems + [rung]:
+        x, Hx = solver._solve_normal(dense_to_band(H), b)
+        want = H @ x
+        assert np.linalg.norm(Hx - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(Hx - rung[1]) > 0.5
+
+
 def test_dogleg_pred_is_the_dense_model_decrease_on_every_branch():
     """Each step's pred is 2 b'd - d'Hd with the undamped H, on the
     Gauss-Newton, the gradient and the blend branch: for random SPD
-    systems, and for one whose solve needs a rung of the ladder, where
-    the Gauss-Newton point solves (H + lam D) g = b instead."""
+    systems, and for two whose solve needs a rung of the ladder, where
+    the Gauss-Newton point solves (H + lam D) g = b instead.  On the
+    second the Cauchy step is long (b'b / b'Hb = 1500), so the blend's
+    b'Hg, which the rung moves off b'b, weighs above the tolerance."""
+    from scipy.linalg.lapack import dpbtrf
     rng = np.random.default_rng(55)
     systems = [(_random_spd(rng, 6), rng.normal(size=6)) for _ in range(20)]
-    rung = (np.diag([1.0, 1.0, 0.0]), np.ones(3))
-    assert solver._solve_normal(dense_to_band(rung[0]), rung[1])[1] > 0.0
-    for H, b in systems + [rung]:
+    rungs = [(np.diag([1.0, 1.0, 0.0]), np.ones(3)),
+             (np.diag([1e-3, 1e-3, 0.0]), np.ones(3))]
+    for H, _ in rungs:
+        assert dpbtrf(dense_to_band(H))[1] != 0
+    for H, b in systems + rungs:
         band = dense_to_band(H)
         gn = solver._solve_normal(band, b)[0]
         gn_norm = np.linalg.norm(gn)

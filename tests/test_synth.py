@@ -245,6 +245,22 @@ def test_bad_bias_rejected():
     assert GnssErrorModel(bias=(1, -2)).bias == (1, -2)
 
 
+def test_a_model_is_a_value_whatever_holds_its_bias():
+    """A tuple, a list, an ndarray and an int pair give one model: equal,
+    with one hash and one repr, its bias a tuple of two floats."""
+    models = [GnssErrorModel(bias=bias, ar1_sigma=0.5)
+              for bias in ((1.0, -2.0), [1.0, -2.0], np.array([1.0, -2.0]),
+                           (1, -2))]
+    for model in models:
+        assert model == models[0]
+        assert hash(model) == hash(models[0])
+        assert repr(model) == repr(models[0])
+        assert type(model.bias) is tuple
+        assert [type(v) for v in model.bias] == [float, float]
+    assert len(set(models)) == 1
+    assert GnssErrorModel(bias=[1.0, -2.5]) != models[0]
+
+
 def test_invalid_drift_fraction_rejected():
     for drift in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="drift_fraction"):
