@@ -14,7 +14,10 @@ one: the GNSS displacement must agree with the odometry arc length
 within 15 m and the GNSS bearing change (needing two prior accepted
 fixes) must agree with the integrated yaw within 1.5 degrees.  The
 odometry of every fix is looked up once, so a candidate costs the same
-however far back the last accepted fix lies.
+however far back the last accepted fix lies: a few float operations on
+plain lists, and no numpy call unless its window holds no raw odometry
+sample.  The last accepted leg's length and bearing are measured once,
+when its end fix is accepted.
 """
 
 from __future__ import annotations
@@ -163,8 +166,9 @@ def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
     the odometry does not cover, are rejected and counted separately in
     the result.
 
-    The readings' accepted flags are set in place; the result carries the
-    same list plus the rejection rate in percent.
+    The readings' accepted flags are set in place; the result carries a
+    new list of the same reading objects, the rejection rate in percent
+    and the uncovered count.
     """
     readings = list(readings)
     ts = [r.timestamp for r in readings]
@@ -173,11 +177,18 @@ def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
             "GNSS timestamps must be strictly increasing")
 
     heading_tol = math.radians(HEADING_TOLERANCE_DEG)
-    # every fix as a window end once; a candidate window is then O(1)
+    displacement_tol = DISPLACEMENT_TOLERANCE_M
+    # every fix as a window end once, read as plain floats: a candidate
+    # then costs a few float operations and no numpy call
     ends = WindowEnds(odo, ts)
+    start_heading, start_arc = ends.start[:2].tolist()
+    end_heading, end_arc = ends.end[:2].tolist()
+    lo, hi = ends.lo.tolist(), ends.hi.tolist()
     reach = odo.reach(ts).tolist()
+    xs, ys = np.reshape([r.position for r in readings], (-1, 2)).T.tolist()
     prev = None
-    prevprev = None
+    # the last accepted leg's length and bearing, once there is one
+    prior_disp = prior_bearing = None
     rejected = 0
     uncovered = 0
     for k, reading in enumerate(readings):
@@ -190,23 +201,28 @@ def reject_outliers(readings, odo: OdometryStream) -> RejectionResult:
             rejected += 1
             uncovered += 1
             continue
-        heading_change, arc_length = ends.heading_and_arc(prev, k)
-        leg = reading.position - readings[prev].position
-        disp = float(np.hypot(leg[0], leg[1]))
-        ok = abs(disp - arc_length) < DISPLACEMENT_TOLERANCE_M
-        if ok and prevprev is not None:
-            prior = readings[prev].position - readings[prevprev].position
-            prior_disp = float(np.hypot(prior[0], prior[1]))
-            if prior_disp >= STANDSTILL_DISPLACEMENT_M \
-                    and disp >= STANDSTILL_DISPLACEMENT_M:
-                bearing_change = math.atan2(leg[1], leg[0]) \
-                    - math.atan2(prior[1], prior[0])
-                err = wrap_angle(bearing_change - heading_change)
-                ok = abs(err) < heading_tol
+        if lo[prev] < hi[k]:
+            # raw samples inside: the difference of the two ends' rows
+            heading_change = end_heading[k] - start_heading[prev]
+            arc_length = end_arc[k] - start_arc[prev]
+        else:
+            _, _, heading, arc = ends.windows(prev, k)
+            heading_change, arc_length = float(heading), float(arc)
+        dx = xs[k] - xs[prev]
+        dy = ys[k] - ys[prev]
+        disp = math.hypot(dx, dy)
+        ok = abs(disp - arc_length) < displacement_tol
+        if ok and prior_disp is not None \
+                and prior_disp >= STANDSTILL_DISPLACEMENT_M \
+                and disp >= STANDSTILL_DISPLACEMENT_M:
+            err = wrap_angle(math.atan2(dy, dx) - prior_bearing
+                             - heading_change)
+            ok = abs(err) < heading_tol
         reading.accepted = ok
         if ok:
-            prevprev = prev
             prev = k
+            prior_disp = disp
+            prior_bearing = math.atan2(dy, dx)
         else:
             rejected += 1
     rate = 100.0 * rejected / len(readings) if readings else 0.0

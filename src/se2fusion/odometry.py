@@ -185,14 +185,6 @@ class WindowEnds:
                 np.where(single, dth, heading),
                 np.where(single, np.abs(seg), arc))
 
-    def heading_and_arc(self, i: int, j: int):
-        """Heading change and arc length from times[i] to times[j]."""
-        if self.lo[i] < self.hi[j]:
-            return (float(self.end[0, j] - self.start[0, i]),
-                    float(self.end[1, j] - self.start[1, i]))
-        _, _, heading, arc = self.windows(i, j)
-        return float(heading), float(arc)
-
 
 def arc_information(arc) -> np.ndarray:
     """Information matrices (m, 3, 3) of windows with these arc lengths.

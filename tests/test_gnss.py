@@ -10,7 +10,7 @@ from se2fusion import gnss
 from se2fusion.errors import NonMonotonicTimestampsError, OutOfUtmDomainError
 from se2fusion.gnss import GnssReading, gnss_information, latlon_to_utm, \
     reject_outliers
-from se2fusion.odometry import OdometryStream
+from se2fusion.odometry import OdometryStream, WindowEnds
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
 
@@ -368,6 +368,89 @@ def test_screen_matches_knots_across_recording_gaps():
                            odo.velocities[keep])
     result = _assert_screen_matches_knots(ds.gnss, holed)
     assert result.uncovered > 10
+
+
+def _outrunning_drive():
+    """4 Hz fixes along +x with 1 cm noise on a 2 Hz odometry stream of a
+    gently weaving 5 m/s drive: no window between consecutive fixes holds
+    a raw sample."""
+    t = np.arange(0.0, 30.25, 0.5)
+    stream = OdometryStream(t, 0.02 * np.sin(t / 5.0), np.full_like(t, 5.0))
+    rng = np.random.default_rng(0)
+    fix_t = np.arange(0.0, 30.1, 0.25)
+    xy = np.column_stack((5.0 * fix_t, np.zeros_like(fix_t)))
+    xy += rng.normal(0.0, 0.01, xy.shape)
+    readings = [GnssReading(float(a), p, 2.0, 2.0) for a, p in zip(fix_t, xy)]
+    return readings, stream
+
+
+def test_screen_matches_knots_when_fixes_outrun_the_odometry():
+    readings, stream = _outrunning_drive()
+    result = _assert_screen_matches_knots(readings, stream)
+    # 1 cm of noise turns a 1.25 m leg's bearing by about 0.5 degrees,
+    # and the fixes ignore the weave: most miss the 1.5 degree gate
+    assert 50.0 < result.rejection_rate < 90.0
+    assert result.uncovered == 0
+
+
+def test_screen_matches_knots_on_a_straight_g1_drive():
+    """The benchmark's straight-g1 drive shape: the bearing gate rejects
+    most fixes, so the candidate windows grow long."""
+    gnss_error = GnssErrorModel((0.495, 0.495), 0.95, 1.625)
+    ds = generate_synthetic(3, TrajectoryProfile.STRAIGHT, gnss_error,
+                            OdoErrorModel(0.011), duration=200.0, speed=5.0)
+    result = _assert_screen_matches_knots(ds.gnss, ds.odometry)
+    assert result.rejection_rate > 80.0
+
+
+def _windows_priced(monkeypatch, readings, stream):
+    """The screen's result, and the (start, end) fix index pairs of the
+    windows it priced through WindowEnds.windows."""
+    priced = []
+    windows = WindowEnds.windows
+
+    def counted(self, i, j):
+        priced.append((int(i), int(j)))
+        return windows(self, i, j)
+
+    monkeypatch.setattr(WindowEnds, "windows", counted)
+    result = reject_outliers(readings, stream)
+    monkeypatch.undo()
+    return result, priced
+
+
+def _empty_candidate_windows(result, stream):
+    """The (last accepted, candidate) index pairs of the covered
+    candidate windows that hold no raw sample, replayed from the flags."""
+    t = stream.timestamps
+    ts = [r.timestamp for r in result.readings]
+    reach = stream.reach(ts)
+    empty = []
+    prev = None
+    for k, r in enumerate(result.readings):
+        if prev is not None and ts[k] <= reach[prev] \
+                and not np.any((t > ts[prev]) & (t < ts[k])):
+            empty.append((prev, k))
+        if r.accepted:
+            prev = k
+    return empty
+
+
+def test_screen_prices_only_the_empty_windows_through_windows(monkeypatch):
+    # 1 Hz fixes on 25 Hz odometry: every candidate window holds samples
+    readings, stream = _straight_drive(60)
+    for k in (7, 23, 41):
+        readings[k] = GnssReading(float(k), (10.0 * k, 50.0), 2.0, 2.0)
+    result, priced = _windows_priced(monkeypatch, readings, stream)
+    assert sum(not r.accepted for r in result.readings) == 3
+    assert priced == []
+    # 4 Hz fixes on 2 Hz odometry: each window without a sample inside
+    # is priced by windows(), once, and no other window is
+    readings, stream = _outrunning_drive()
+    result, priced = _windows_priced(monkeypatch, readings, stream)
+    empty = _empty_candidate_windows(result, stream)
+    assert len(empty) > 20
+    assert priced == empty
 
 
 def test_screen_cost_does_not_grow_with_the_rejected_stretch(monkeypatch):

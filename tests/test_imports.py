@@ -3,17 +3,19 @@ local name a package function binds is read in that function, every
 parameter a package function or lambda takes is read by it, every
 private function, class and method is used by the package, every public
 module-level function and class is used by the package, exported by
-__init__.py or read by the benchmark, every field of a config class is
-read by the package outside that class, and every module-level function
-and class of tests/helpers.py is read by a test module or another
-helper.
+__init__.py or read by the benchmark, every public method of a class
+that __init__.py does not export is read by the package, every field of
+a config class is read by the package outside that class, and every
+module-level function and class of tests/helpers.py is read by a test
+module or another helper.
 
 A deletion that leaves an import behind (a class or helper whose last
 reader went) fails here, and so does a local left over from a rewrite,
 a parameter its function no longer reads, code whose last caller
-outside the tests went, even if tests still call it, a setting whose
-last reader went, and an oracle that no test reads.  __init__.py is
-skipped by the import check: its imports are the public API.
+outside the tests went, even if tests still call it, a method whose
+last caller in the package was rewritten, a setting whose last reader
+went, and an oracle that no test reads.  __init__.py is skipped by the
+import check: its imports are the public API.
 """
 
 import ast
@@ -234,6 +236,12 @@ def test_no_dead_private_code():
     assert dead_private_code(sources) == []
 
 
+def _exported(init) -> set:
+    """The names the __init__ tree imports from the package modules."""
+    return {a.name for n in ast.walk(init) if isinstance(n, ast.ImportFrom)
+            for a in n.names}
+
+
 def dead_public_code(sources: dict, readers: dict) -> list:
     """The module-level public functions and classes that no package
     source reads (a Name or an attribute of that name, as above), that
@@ -246,8 +254,7 @@ def dead_public_code(sources: dict, readers: dict) -> list:
     trees = {name: ast.parse(text) for name, text in sources.items()}
     names, attrs = _reads([*trees.values(),
                            *(ast.parse(t) for t in readers.values())])
-    exported = {a.name for n in ast.walk(trees["__init__"])
-                if isinstance(n, ast.ImportFrom) for a in n.names}
+    exported = _exported(trees["__init__"])
     return sorted(f"{module}.{node.name}"
                   for module, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -278,6 +285,52 @@ def test_no_dead_public_code():
     readers = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
     assert "__init__" in sources and "run" in readers
     assert dead_public_code(sources, readers) == []
+
+
+def dead_public_methods(sources: dict) -> list:
+    """The public methods of the classes __init__.py does not import
+    that no package source reads as an attribute, as
+    "module.Class.method".
+
+    sources maps a package module name to its text, "__init__" included.
+    A method's def statement is not a read, and neither is a plain Name.
+    Private classes count too; their private methods are
+    dead_private_code's.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    _, attrs = _reads(trees.values())
+    exported = _exported(trees["__init__"])
+    return sorted(f"{module}.{node.name}.{m.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name not in exported
+                  for m in node.body if isinstance(m, ast.FunctionDef)
+                  and not m.name.startswith("_") and m.name not in attrs)
+
+
+def test_the_guard_finds_a_dead_public_method():
+    sources = {
+        "__init__": "from .a import Api\n",
+        "a": ("class Api:\n    def untouched(self):\n        pass\n"
+              "\nclass Ends:\n    def windows(self):\n        pass\n"
+              "    def left(self):\n        return self.windows()\n"
+              "    def _own(self):\n        pass\n"
+              "\nclass _Box:\n    def rows(self):\n        pass\n"
+              "    def spare(self):\n        pass\n"),
+        "b": "from .a import Ends, _Box\nEnds().left()\nspare = _Box\n",
+    }
+    # an exported class's methods are the API, a read inside the class
+    # counts, and a Name is not an attribute read
+    assert dead_public_methods(sources) == ["a._Box.rows", "a._Box.spare"]
+    sources["b"] = "from .a import Ends\n"
+    assert dead_public_methods(sources) == ["a.Ends.left", "a._Box.rows",
+                                            "a._Box.spare"]
+
+
+def test_no_dead_public_methods():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert "odometry" in sources and "__init__" in sources
+    assert dead_public_methods(sources) == []
 
 
 CONFIGS = ("BuilderConfig", "ExperimentConfig", "SolverConfig",
