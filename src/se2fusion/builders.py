@@ -27,6 +27,9 @@ The G2 identity edges weight heading as well as position.  With a free
 heading the auxiliary nodes could rotate to wherever their absolute edge
 is cheapest, which measurably moves the G2 optimum away from G1/G3; tying
 the heading keeps the three strategies' minima coincident.
+
+G2's GNSS nodes eliminate exactly (`reduce_g2`, `fill_g2`), and the
+pipeline solves G2 so; build() still returns the G2 graph.
 """
 
 from __future__ import annotations
@@ -55,11 +58,14 @@ class BuilderConfig:
     """How build() wires the graph.
 
     identity_edge_strength is the stiffness s of G2's fix-to-vehicle
-    identity edges, any value in (0, inf).  Measured on 18 drives of
-    300 s (the three profiles, seeds 0-2, sigma 0.3 and 1.625 m): G2
-    matches G1's fused precision to 4 digits for s >= 1e4 (the default
-    is 1e6), and at s = 1e10 every sigma 1.625 m solve ends at max_iter,
-    which the metrics record shows as `converged: False`.
+    identity edges, any value in (0, inf).  G2 is exactly G1 with each
+    fix's variance raised by 1/s (`reduce_g2`).  Measured on 18 drives of 300 s (the three profiles, seeds
+    0-2, sigma 0.3 and 1.625 m, rho 0.95, screen off): G2's fused
+    precision is G1's to 5e-5 relative at s = 1e4, 5e-7 at the default
+    1e6 and 5e-11 at 1e10, and every solve converges in 3 to 6
+    iterations, as G1's do.  At s = 1 it differs by up to 19 %.  A
+    direct optimize() of the G2 graph itself meets the stiff ties: at
+    s = 1e10 it ends at max_iter on all 9 sigma 1.625 m drives.
     """
 
     strategy: Strategy = Strategy.G2
@@ -170,6 +176,62 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
         graph.add_edges(gnss, vehicle, identity, info,
                         EdgeKind.VIRTUAL_IDENTITY)
     return graph
+
+
+def _g2_layout(graph: PoseGraph):
+    """k, the fix edges and the ties of a G2 graph in build()'s layout:
+    the origin, k vehicle nodes and k GNSS nodes; k - 1 odometry edges,
+    then k fix edges and k ties, the k-th of each on the k-th GNSS
+    node."""
+    k = (len(graph.poses) - 1) // 2
+    return k, slice(k - 1, 2 * k - 1), slice(2 * k - 1, 3 * k - 1)
+
+
+def reduce_g2(graph: PoseGraph) -> PoseGraph:
+    """The G1 graph that a G2 graph of build() reduces to exactly.
+
+    A GNSS node g has two edges: its fix, origin -> g with z and Omega =
+    diag(a, b, 0), and its tie g -> v with s I.  Only the tie holds
+    theta_g, so theta_g = theta_v at the optimum, and the tie's position
+    block is isotropic, so minimizing over p_g is a quadratic problem
+    (variable elimination; Triggs et al. 1999, 6.1).  It leaves the fix
+    edge origin -> v with Omega_eff = diag((1/a + 1/s)^-1, (1/b +
+    1/s)^-1, 0), for the nonlinear problem, not only its linear step.
+    The reduced graph keeps the origin, the vehicle nodes and the
+    odometry edges, and runs each fix edge to its vehicle node with
+    Omega_eff.  Its chi2 at any vehicle poses is G2's with every GNSS
+    node at its conditional optimum (`fill_g2`), so both graphs have
+    one minimum and it is G2's.
+    """
+    k, fix, tie = _g2_layout(graph)
+    omega = graph.information[fix]
+    s = graph.information[tie][:, :1, :1]
+    reduced = PoseGraph()
+    reduced.add_nodes(graph.poses[:k + 1], graph.fixed[:k + 1])
+    odometry = slice(0, k - 1)
+    reduced.add_edges(graph.from_ids[odometry], graph.to_ids[odometry],
+                      graph.measurements[odometry],
+                      graph.information[odometry], EdgeKind.ODOMETRY)
+    # Omega is diagonal, so Omega_eff is its entries' (1/a + 1/s)^-1
+    reduced.add_edges(graph.from_ids[fix], graph.to_ids[tie],
+                      graph.measurements[fix], omega * s / (omega + s),
+                      EdgeKind.GNSS_ABSOLUTE)
+    return reduced
+
+
+def fill_g2(graph: PoseGraph, reduced: PoseGraph) -> None:
+    """Move a G2 graph onto the poses of its reduction (`reduce_g2`): the
+    vehicle rows are copied, and each GNSS node goes to its conditional
+    optimum, p_g = (Omega + s I)^-1 (Omega z + s p_v) and theta_g =
+    theta_v."""
+    k, fix, tie = _g2_layout(graph)
+    vehicle = reduced.poses[1:]
+    omega = np.diagonal(graph.information[fix], axis1=1, axis2=2)[:, :2]
+    s = graph.information[tie][:, :1, 0]
+    graph.poses[1:k + 1] = vehicle
+    graph.poses[k + 1:, :2] = ((omega * graph.measurements[fix][:, :2]
+                                + s * vehicle[:, :2]) / (omega + s))
+    graph.poses[k + 1:, 2] = vehicle[:, 2]
 
 
 def _vehicle_poses(graph: PoseGraph) -> np.ndarray:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .builders import BuilderConfig, Strategy, _vehicle_poses, build
+from .builders import BuilderConfig, Strategy, _vehicle_poses, build, \
+    fill_g2, reduce_g2
 from .errors import DivisionByZeroMetricError, EmptyInputError, \
     MixedUtmZonesError, NeedTwoPosesError, NonMonotonicTimestampsError, \
     ParseError
@@ -329,6 +330,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
     before any work.
     Non-convergence is reported in the SolveReport, not raised.  With
     keep_graph=True the optimized graph is appended as a fifth element.
+    A G2 graph is solved as its G1 reduction (`reduce_g2`), so the
+    report, its initial chi2 and any trace are the reduced solve's; the
+    kept graph is the G2 graph, moved onto that solve (`fill_g2`).
     """
     cfg = config if config is not None else ExperimentConfig()
     fused_metrics = raw_metrics = None
@@ -339,8 +343,10 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
                              cfg.metrics_literal, 0.0)
         raw_metrics.offsets = None  # only the fused scatter is exported
     rate, graph, times = _screen_and_build(dataset, cfg)
-    report = optimize(graph, trace=trace)
-    vehicle = _vehicle_poses(graph)
+    # G2's GNSS nodes eliminate exactly: solve its G1 reduction instead
+    solved = reduce_g2(graph) if cfg.strategy is Strategy.G2 else graph
+    report = optimize(solved, trace=trace)
+    vehicle = _vehicle_poses(solved)
     trajectory = list(zip(times, poses_from_rows(vehicle)))
 
     if dataset.truth is not None:
@@ -353,6 +359,8 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None,
             # perfect raw GNSS: improvement percentages are undefined
             fused_metrics.improvement_vs_gnss = None
     if keep_graph:
+        if solved is not graph:
+            fill_g2(graph, solved)
         return trajectory, fused_metrics, raw_metrics, report, graph
     return trajectory, fused_metrics, raw_metrics, report
 

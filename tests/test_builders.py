@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import integrate_fine, scan_rigid_fit, total_error, \
-    window_pose
+from helpers import dense_system, integrate_fine, scan_rigid_fit, \
+    total_error, window_pose
 from se2fusion.builders import BuilderConfig, Strategy, _vehicle_poses, \
-    build, full_rate_trajectory, vehicle_trajectory
+    build, fill_g2, full_rate_trajectory, reduce_g2, vehicle_trajectory
 from se2fusion.dataset import Dataset
 from se2fusion.errors import InsufficientCoverageError, \
     TooFewReadingsError
@@ -293,6 +293,73 @@ def test_strategies_share_the_optimum():
             assert a.x == pytest.approx(b.x, abs=1e-4)
             assert a.y == pytest.approx(b.y, abs=1e-4)
             assert a.theta == pytest.approx(b.theta, abs=1e-4)
+
+
+def _g2_drives():
+    """Drives of 120 s, seed 0, rho 0.95, bias (0.3, 0.2) m, drift 0.011,
+    on the three profiles at sigma 0.3 and 1.625 m."""
+    for profile in TrajectoryProfile:
+        for sigma in (0.3, 1.625):
+            yield generate_synthetic(
+                0, profile, GnssErrorModel((0.3, 0.2), 0.95, sigma),
+                OdoErrorModel(0.011), duration=120.0)
+
+
+def _pose_gap(a, b):
+    """Largest position or heading difference between two pose arrays."""
+    return max(np.abs(a[:, :2] - b[:, :2]).max(),
+               np.abs(wrap_angles(a[:, 2] - b[:, 2])).max())
+
+
+def test_the_g2_reduction_solves_to_the_direct_g2_solve():
+    # criterion 05's solver settings
+    tight = SolverConfig(max_iterations=200, abs_error_tol=1e-18,
+                         rel_error_tol=1e-12, step_tol=1e-12)
+    default = BuilderConfig().identity_edge_strength
+    for ds in _g2_drives():
+        for s in (1.0, 1e4, default):
+            cfg = BuilderConfig(Strategy.G2, s)
+            graph = build(ds.gnss, ds.odometry, cfg)
+            reduced = reduce_g2(graph)
+            got = optimize(reduced, tight)
+            fill_g2(graph, reduced)
+            direct = build(ds.gnss, ds.odometry, cfg)
+            want = optimize(direct, tight)
+            assert total_error(graph) == pytest.approx(got.final_error,
+                                                       rel=1e-12)
+            if s == default:
+                assert (got.iterations, got.termination) == \
+                    (want.iterations, want.termination)
+            if s >= 1e4:
+                assert _pose_gap(graph.poses, direct.poses) < 1e-8
+            else:
+                # G2 at s = 1 has a slow tail: the direct solve meets
+                # rel_tol up to 2.9e-6 m short of the optimum, at a chi2
+                # no lower than the reduced solve's
+                assert got.final_error <= want.final_error * (1 + 1e-13)
+                assert _pose_gap(graph.poses, direct.poses) < 1e-5
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e6])
+def test_the_g2_fill_puts_each_gnss_node_at_its_conditional_optimum(s):
+    for ds in _g2_drives():
+        graph = build(ds.gnss, ds.odometry, BuilderConfig(Strategy.G2, s))
+        seed = graph.poses.copy()
+        reduced = reduce_g2(graph)
+        assert np.array_equal(reduced.poses, seed[:len(reduced.poses)])
+        fill_g2(graph, reduced)
+        assert np.array_equal(graph.poses[:len(reduced.poses)],
+                              reduced.poses)
+        # at the seed, the reduced chi2 is G2's with every GNSS node at
+        # its optimum given the vehicle nodes: G2's own gradient in the
+        # GNSS coordinates vanishes, a Newton step there moving them by
+        # no more than rounding
+        H, b, chi, _ = dense_system(graph)
+        k = len(reduced.poses) - 1
+        assert chi == pytest.approx(total_error(reduced), rel=1e-12)
+        assert np.abs(b[3 * k:] / np.diag(H)[3 * k:]).max() < 1e-11
+        assert chi <= total_error(build(ds.gnss, ds.odometry,
+                                        BuilderConfig(Strategy.G2, s)))
 
 
 def test_g3_gnss_nodes_never_move():

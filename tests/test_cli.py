@@ -285,7 +285,10 @@ def test_graph_dump_variants(tmp_path, capsys):
 
 def test_graph_dump_writes_the_graph_the_experiment_solves(tmp_path,
                                                            capsys):
-    flags = ["--synth", "straight", "--duration", "60", "--seed", "5",
+    """The dump has the wiring of the graph the experiment returns.  On
+    G2 that is the built G2 graph, GNSS nodes and ties included: the run
+    solves its G1 reduction and moves the G2 graph onto that solve."""
+    flags =["--synth", "straight", "--duration", "60", "--seed", "5",
              "--strategy", "g2", "--ar1-sigma", "1.0", "--ar1-rho", "0.9",
              "--outlier-rate", "0.1", "--outlier-magnitude", "50"]
     ds = generate_synthetic(

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from helpers import loop_match_pps, oracle_csv, rotate_dataset, \
-    utm_krueger
+    total_error, utm_krueger
 from se2fusion import dataset as dataset_module
-from se2fusion.builders import Strategy
+from se2fusion import solver as solver_module
+from se2fusion.builders import Strategy, vehicle_trajectory
 from se2fusion.dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
     Dataset, ExperimentConfig, export_results, load_dataset, \
     render_metrics_record, render_table, run_batch, run_experiment, \
@@ -19,6 +20,7 @@ from se2fusion.dataset import GNSS_UTM_HEADER, ODO_HEADER, TRUTH_HEADER, \
 from se2fusion.errors import EmptyInputError, MixedUtmZonesError, \
     NeedTwoPosesError, NonMonotonicTimestampsError, OutOfUtmDomainError, \
     ParseError
+from se2fusion.graph import EDGE_KINDS, EdgeKind
 from se2fusion.graph import load as load_graph
 from se2fusion.metrics import MetricsReport, compute_metrics, match_pps
 from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
@@ -423,6 +425,57 @@ def test_keep_graph_returns_the_graph():
     assert len(out) == 5
     graph = out[4]
     assert len(graph.nodes) == 31
+
+
+def _drive_set():
+    """Drives of 120 s on the three profiles, seed 1, sigma 1.625 m, rho
+    0.95, bias (0.3, 0.2) m, drift 0.011."""
+    return [generate_synthetic(1, profile,
+                               GnssErrorModel((0.3, 0.2), 0.95, 1.625),
+                               OdoErrorModel(0.011), duration=120.0)
+            for profile in TrajectoryProfile]
+
+
+def test_g3_fuses_as_g1_bit_for_bit():
+    """A G3 identity edge from a fixed node at (z, 0) has the residual of
+    G1's fix edge from the origin with measurement z, so the two solves
+    are one solve."""
+    for ds in _drive_set():
+        for screen in (True, False):
+            (t1, _, _, r1), (t3, _, _, r3) = (
+                run_experiment(ds, ExperimentConfig(
+                    strategy=strategy, outlier_rejection=screen))
+                for strategy in (Strategy.G1, Strategy.G3))
+            assert (r1.iterations, r1.initial_error, r1.final_error) == \
+                (r3.iterations, r3.initial_error, r3.final_error)
+            assert t1 == t3
+
+
+def test_a_g2_run_solves_its_reduction_and_keeps_the_g2_graph(monkeypatch):
+    packed = solver_module._PackedGraph
+    solved = []
+
+    def spy(graph):
+        solved.append(graph)
+        return packed(graph)
+
+    monkeypatch.setattr(solver_module, "_PackedGraph", spy)
+    tie = EDGE_KINDS.index(EdgeKind.VIRTUAL_IDENTITY)
+    for ds in _drive_set():
+        for screen in (True, False):
+            trajectory, _, _, report, graph = run_experiment(
+                ds, ExperimentConfig(strategy=Strategy.G2,
+                                     outlier_rejection=screen),
+                keep_graph=True)
+            assert tie not in solved[-1].edge_kinds
+            assert report.final_error == pytest.approx(
+                total_error(solved[-1]), rel=1e-12)
+            # the kept graph is G2's, moved onto the reduced solve
+            assert tie in graph.edge_kinds
+            assert np.array_equal(graph.poses[:len(solved[-1].poses)],
+                                  solved[-1].poses)
+            assert [p for _, p in trajectory] == vehicle_trajectory(graph)
+    assert len(solved) == 6
 
 
 def _no_work(monkeypatch):
