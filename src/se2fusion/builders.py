@@ -28,6 +28,12 @@ heading the auxiliary nodes could rotate to wherever their absolute edge
 is cheapest, which measurably moves the G2 optimum away from G1/G3; tying
 the heading keeps the three strategies' minima coincident.
 
+build() numbers the nodes along the chain: the fixed origin, then the
+vehicle nodes in time order, with each G2 GNSS node right after its
+vehicle node.  The solver takes the free nodes in id order, so this
+numbering is what gives its band a half-bandwidth of 5 (G1, G3) or 8
+(G2).
+
 G2's GNSS nodes eliminate exactly (`reduce_g2`, `fill_g2`), and the
 pipeline solves G2 so; build() still returns the G2 graph.
 """
@@ -140,7 +146,10 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     """Assemble the pose graph for the configured strategy.
 
     Node order: fixed origin first, then one vehicle node per accepted
-    fix, then for G2/G3 one GNSS node per fix.
+    fix; G2 puts each fix's GNSS node right after its vehicle node
+    (vehicle i is node 2i + 1, GNSS i node 2i + 2), G3 appends its fixed
+    GNSS nodes after the vehicle nodes.  So the free nodes in id order
+    run along the chain, the order the solver's band takes them in.
     Edge order: odometry chain, then absolute GNSS edges, then identity
     edges.  Needs at least two accepted readings, in time order, and
     odometry covering every gap between them (`_accepted_fixes`).
@@ -155,7 +164,13 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
 
     graph = PoseGraph()
     graph.add_nodes([(0.0, 0.0, 0.0)], fixed=True)
-    vehicle = graph.add_nodes(poses)
+    if cfg.strategy is Strategy.G2:
+        # each GNSS node right after its vehicle node, starting on it so
+        # that its identity edge starts at zero
+        nodes = graph.add_nodes(np.repeat(poses, 2, axis=0))
+        vehicle, gnss = nodes[::2], nodes[1::2]
+    else:
+        vehicle = graph.add_nodes(poses)
     graph.add_edges(vehicle[:-1], vehicle[1:], deltas, arc_information(arcs),
                     EdgeKind.ODOMETRY)
 
@@ -166,8 +181,6 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
     elif cfg.strategy is Strategy.G2:
         s = cfg.identity_edge_strength
         tie = np.broadcast_to(np.diag([s, s, s]), info.shape)
-        # each starts on its vehicle node, its identity edge at zero
-        gnss = graph.add_nodes(poses)
         graph.add_edges(origin, gnss, fixes, info, EdgeKind.GNSS_ABSOLUTE)
         graph.add_edges(gnss, vehicle, identity, tie,
                         EdgeKind.VIRTUAL_IDENTITY)
@@ -180,9 +193,9 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
 
 def _g2_layout(graph: PoseGraph):
     """k, the fix edges and the ties of a G2 graph in build()'s layout:
-    the origin, k vehicle nodes and k GNSS nodes; k - 1 odometry edges,
-    then k fix edges and k ties, the k-th of each on the k-th GNSS
-    node."""
+    the origin, then k vehicle nodes (rows 1::2) each followed by its
+    GNSS node (rows 2::2); k - 1 odometry edges, then k fix edges and k
+    ties, the k-th of each on the k-th GNSS node."""
     k = (len(graph.poses) - 1) // 2
     return k, slice(k - 1, 2 * k - 1), slice(2 * k - 1, 3 * k - 1)
 
@@ -197,7 +210,8 @@ def reduce_g2(graph: PoseGraph) -> PoseGraph:
     (variable elimination; Triggs et al. 1999, 6.1).  It leaves the fix
     edge origin -> v with Omega_eff = diag((1/a + 1/s)^-1, (1/b +
     1/s)^-1, 0), for the nonlinear problem, not only its linear step.
-    The reduced graph keeps the origin, the vehicle nodes and the
+    The reduced graph keeps the origin, the vehicle nodes (node 2i + 1
+    becomes node i + 1, so every id maps to (id + 1) // 2) and the
     odometry edges, and runs each fix edge to its vehicle node with
     Omega_eff.  Its chi2 at any vehicle poses is G2's with every GNSS
     node at its conditional optimum (`fill_g2`), so both graphs have
@@ -207,13 +221,14 @@ def reduce_g2(graph: PoseGraph) -> PoseGraph:
     omega = graph.information[fix]
     s = graph.information[tie][:, :1, :1]
     reduced = PoseGraph()
-    reduced.add_nodes(graph.poses[:k + 1], graph.fixed[:k + 1])
+    keep = np.r_[0, 1:2 * k:2]
+    reduced.add_nodes(graph.poses[keep], graph.fixed[keep])
+    ends = (np.stack((graph.from_ids, graph.to_ids)) + 1) // 2
     odometry = slice(0, k - 1)
-    reduced.add_edges(graph.from_ids[odometry], graph.to_ids[odometry],
-                      graph.measurements[odometry],
+    reduced.add_edges(*ends[:, odometry], graph.measurements[odometry],
                       graph.information[odometry], EdgeKind.ODOMETRY)
     # Omega is diagonal, so Omega_eff is its entries' (1/a + 1/s)^-1
-    reduced.add_edges(graph.from_ids[fix], graph.to_ids[tie],
+    reduced.add_edges(ends[0, fix], ends[1, tie],
                       graph.measurements[fix], omega * s / (omega + s),
                       EdgeKind.GNSS_ABSOLUTE)
     return reduced
@@ -224,14 +239,14 @@ def fill_g2(graph: PoseGraph, reduced: PoseGraph) -> None:
     vehicle rows are copied, and each GNSS node goes to its conditional
     optimum, p_g = (Omega + s I)^-1 (Omega z + s p_v) and theta_g =
     theta_v."""
-    k, fix, tie = _g2_layout(graph)
+    _, fix, tie = _g2_layout(graph)
     vehicle = reduced.poses[1:]
     omega = np.diagonal(graph.information[fix], axis1=1, axis2=2)[:, :2]
     s = graph.information[tie][:, :1, 0]
-    graph.poses[1:k + 1] = vehicle
-    graph.poses[k + 1:, :2] = ((omega * graph.measurements[fix][:, :2]
-                                + s * vehicle[:, :2]) / (omega + s))
-    graph.poses[k + 1:, 2] = vehicle[:, 2]
+    graph.poses[1::2] = vehicle
+    graph.poses[2::2, :2] = ((omega * graph.measurements[fix][:, :2]
+                              + s * vehicle[:, :2]) / (omega + s))
+    graph.poses[2::2, 2] = vehicle[:, 2]
 
 
 def _vehicle_poses(graph: PoseGraph) -> np.ndarray:

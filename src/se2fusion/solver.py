@@ -54,22 +54,23 @@ j).  The choice is made once per graph, when it is packed.  When no edge
 has an off-diagonal information entry, chi2's Omega e is the elementwise
 product with Omega's diagonal, which gives the matrix product's bits.
 
-The reduced normal equations are a symmetric band.  Once per graph the
-free nodes are put in Cuthill-McKee order: breadth first from the first
-free node, each node's neighbours in ascending degree.  On the chains
-that builders.build() makes this gives a half-bandwidth of 5 (G1, G3) or
-8 (G2, where each GNSS node lands next to its vehicle node).  Each
-system pass scatters H straight into LAPACK's upper band storage, every
-entry by one rule: (r, c) goes to band[u + lo - hi, hi], with lo, hi =
-min(r, c), max(r, c), so an entry below the diagonal lands on its
-mirror, and an entry on a fixed node is dropped.  The step is solved by
-banded Cholesky, LAPACK's dpbtrf and dpbtrs called directly.  It is
-exact at any bandwidth u and costs O(n u^2), so a graph with loop
-closures solves too, only more slowly.  A matrix that is not finite is
-refused outright.  A solve whose factorization finds the matrix not
-positive definite, or whose solution is not finite or leaves a residual
-above 1e-6 (|b| + 1), is retried with lambda*diag added to the diagonal,
-for lambda from 1e-9 to 1e-3, before SingularSystemError is raised.
+The reduced normal equations are a symmetric band.  The free nodes are
+taken in id order, so the graph's own numbering sets the bandwidth:
+builders.build() numbers along the chain, which gives a half-bandwidth
+of 5 (G1, G3) or 8 (G2, where each GNSS node comes right after its
+vehicle node).  Each system pass scatters H straight into LAPACK's
+upper band storage, every entry by one rule: (r, c) goes to band[u +
+lo - hi, hi], with lo, hi = min(r, c), max(r, c), so an entry below
+the diagonal lands on its mirror, and an entry on a fixed node is
+dropped.  The step is solved by banded Cholesky, LAPACK's dpbtrf and
+dpbtrs called directly.  It is exact at any bandwidth u and costs
+O(n u^2), so a graph numbered off its chain (a G2 dump in another
+layout, a loop closure) solves to the same optimum at its own, wider
+bandwidth.  A matrix that is not finite is refused outright.  A solve
+whose factorization finds the matrix not positive definite, or whose
+solution is not finite or leaves a residual above 1e-6 (|b| + 1), is
+retried with lambda*diag added to the diagonal, for lambda from 1e-9 to
+1e-3, before SingularSystemError is raised.
 Products with H are numpy band products, not BLAS calls, so a solve
 gives the same bits whatever the BLAS thread count.
 
@@ -126,46 +127,6 @@ def _band_mul(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _chain_order(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cuthill-McKee order of nodes 0..n-1 joined by the pairs (a, b).
-
-    Breadth first from the lowest unvisited node, each node's neighbours
-    taken in ascending degree (then index); a node with no path to the
-    earlier ones starts the next search.
-    """
-    # the pair keys src n + dst, sorted, each pair once
-    pairs = np.sort(np.concatenate((a * n + b, b * n + a)))
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    src, dst = np.divmod(pairs, n)
-    degree = np.bincount(src, minlength=n)
-    # each node's place in (degree, index) order, so that one sort of
-    # src n + place[dst] orders the pairs by (src, degree[dst], dst).
-    # That key is below n^2, as the pair keys are: both fit in int64
-    # for n < 3e9 nodes, whose poses alone would fill 72 GB
-    by_degree = np.argsort(degree, kind="stable")
-    place = np.empty(n, dtype=np.intp)
-    place[by_degree] = np.arange(n)
-    keys = np.sort(src * n + place[dst])
-    neighbours = by_degree[keys % n].tolist()
-    start = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
-    seen = [False] * n
-    order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        head = len(order) - 1
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in neighbours[start[v]:start[v + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-    return np.array(order, dtype=np.intp)
-
-
 class Termination(enum.Enum):
     ABS_TOL = "abs_tol"
     REL_TOL = "rel_tol"
@@ -204,11 +165,11 @@ class _PackedGraph:
     columns the residual pass reads, `z`.  `omega` is the graph's
     (m, 3, 3) information stack, and `diagonal` its (m, 3) diagonal when
     no edge has an off-diagonal entry, as on every graph builders.build()
-    makes, or None otherwise.  `free` lists the free node ids in chain
-    (Cuthill-McKee) order, and free[k] owns variables 3k..3k+2 of the
-    reduced system.  `pair` lists the edges whose from node is free:
-    only they have (i, i) and (i, j) blocks, while an edge from a fixed
-    node has its (j, j) block alone.  `slot` is the place of each value
+    makes, or None otherwise.  `free` lists the free node ids in
+    ascending order, and free[k] owns variables 3k..3k+2 of the reduced
+    system.  `pair` lists the edges whose from node is free: only they
+    have (i, i) and (i, j) blocks, while an edge from a fixed node has
+    its (j, j) block alone.  `slot` is the place of each value
     system() sums in the vector [b | band rows 0..u | one drop slot],
     b entry v at v and H entry (r, c) at band[u + lo - hi, hi], lo, hi
     = min(r, c), max(r, c), with any entry on a fixed node in the drop
@@ -228,20 +189,16 @@ class _PackedGraph:
         full = flat[:, [1, 2, 3, 5, 6, 7]].any()
         self.omega = graph.information
         self.diagonal = None if full else flat[:, ::4].copy()
-        free = np.flatnonzero(~graph.fixed)
+        free = self.free = np.flatnonzero(~graph.fixed)
         n = self.n = 3 * free.size
 
         rank = np.full(len(self.poses), -1, dtype=np.intp)
         rank[free] = np.arange(free.size)
-        ri, rj = rank[self.ends]
-        both = (ri >= 0) & (rj >= 0)
-        order = _chain_order(free.size, ri[both], rj[both])
-        self.free = free[order]
-        rank[self.free] = np.arange(free.size)
         # first variable of each endpoint, negative on a fixed node
         io, jo = 3 * rank[self.ends]
         # half-bandwidth: the full 3x3 diagonal blocks, widened by the
         # farthest pair of free nodes that share an edge
+        both = (io >= 0) & (jo >= 0)
         u = self.u = 2 + int(np.max(np.abs(io - jo)[both], initial=0))
         self.pair = pair = np.flatnonzero(io >= 0)
         i, j = io[pair], jo[pair]

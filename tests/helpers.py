@@ -10,7 +10,6 @@ are reused only where the primitive has its own independent oracle.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -384,8 +383,8 @@ def stacked_system(graph, packed):
     with B for every edge, three blocks per edge, and each entry of H and
     b summed over the (i, i) blocks of all edges, then the (j, j), then
     the (i, j), each in edge order, by np.add.at into dense arrays.  H is
-    returned in the band layout of `packed` (its chain order and width),
-    so the two compare bit for bit."""
+    returned in the band layout of `packed` (its width, the free nodes in
+    id order), so the two compare bit for bit."""
     from se2fusion.se2 import batch_edge_jacobians, batch_edge_residuals, \
         measurement_columns
 
@@ -430,34 +429,6 @@ def stacked_system(graph, packed):
     for k in range(u + 1):
         band[u - k, k:] = np.diagonal(H, k)
     return chi, oe, band, b
-
-
-def cuthill_mckee(n, a, b):
-    """Cuthill-McKee order of nodes 0..n-1 joined by the pairs (a, b),
-    node by node: each node's distinct neighbours, sorted by (degree,
-    index), join a first-in first-out queue when first seen; the lowest
-    node not yet seen starts the next search (oracle for the solver's
-    chain order)."""
-    neighbours = [set() for _ in range(n)]
-    for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
-        neighbours[x].add(y)
-        neighbours[y].add(x)
-    degree = [len(s) for s in neighbours]
-    seen = [False] * n
-    order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(neighbours[v], key=lambda w: (degree[w], w)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order
 
 
 # ---------------------------------------------------------------------------

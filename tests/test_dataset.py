@@ -472,8 +472,9 @@ def test_a_g2_run_solves_its_reduction_and_keeps_the_g2_graph(monkeypatch):
                 total_error(solved[-1]), rel=1e-12)
             # the kept graph is G2's, moved onto the reduced solve
             assert tie in graph.edge_kinds
-            assert np.array_equal(graph.poses[:len(solved[-1].poses)],
-                                  solved[-1].poses)
+            assert np.array_equal(
+                graph.poses[np.r_[0, 1:len(graph.poses):2]],
+                solved[-1].poses)
             assert [p for _, p in trajectory] == vehicle_trajectory(graph)
     assert len(solved) == 6
 

@@ -15,7 +15,7 @@ import se2fusion
 from se2fusion import solver
 
 from helpers import _dense_solve, add_edge, add_node, band_to_dense, \
-    broadcast_slots, clone_graph, cuthill_mckee, dense_optimize, \
+    broadcast_slots, clone_graph, dense_optimize, \
     dense_system, dense_to_band, dogleg_rootfind, every_trial_optimize, \
     packed_evaluate, random_chain_graph, random_pose, set_pose, \
     stacked_system, total_error
@@ -169,19 +169,12 @@ def test_trace_lines_carry_iteration_chi_step_and_radius():
         assert chi >= 0.0 and step >= 0.0 and radius > 0.0
 
 
-def _in_chain_order(packed, free):
-    # indices into an id-ordered vector, in the packed chain order
-    return (3 * np.searchsorted(free, packed.free)[:, None]
-            + np.arange(3)).ravel()
-
-
 def _linear_system(g):
     """(H, b) of the normal equations the solver assembles at the graph's
     poses, H dense, with the free nodes in id order."""
     packed = _PackedGraph(g)
     band, b = packed_evaluate(packed, packed.poses)[1:]
-    by_id = np.argsort(_in_chain_order(packed, sorted(packed.free.tolist())))
-    return band_to_dense(band)[np.ix_(by_id, by_id)], b[by_id]
+    return band_to_dense(band), b
 
 
 def test_linear_system_zero_residual_gives_zero_gradient():
@@ -824,9 +817,9 @@ def test_skipped_trials_leave_every_solve_bit_identical(config):
                                              (Strategy.G2, 8),
                                              (Strategy.G3, 5)])
 def test_built_graphs_pack_into_a_narrow_band(strategy, width):
-    """build() makes chains: in Cuthill-McKee order the half-bandwidth is
-    one node's neighbour (G1, G3) or two, with each GNSS node between two
-    vehicle nodes (G2), and the banded step is the dense one."""
+    """build() numbers along its chains: in id order the half-bandwidth
+    is one node's neighbour (G1, G3) or two, with each GNSS node between
+    two vehicle nodes (G2), and the banded step is the dense one."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
@@ -836,9 +829,23 @@ def test_built_graphs_pack_into_a_narrow_band(strategy, width):
     H, b = packed_evaluate(packed, packed.poses)[1:]
     step = solver._solve_normal(H, b)[0]
     Hd, bd, _, free = dense_system(g)
-    assert sorted(packed.free.tolist()) == free
-    want = _dense_solve(Hd, bd)[_in_chain_order(packed, free)]
+    assert packed.free.tolist() == free
+    want = _dense_solve(Hd, bd)
     assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_a_long_g2_drive_packs_into_the_g2_band():
+    """On a drive long enough that a Cuthill-McKee seed of least degree
+    can land on a GNSS leaf mid-chain (scipy's order gives u = 14 from
+    300 s on), build()'s numbering still packs G2 at u = 8, the free
+    nodes taken in id order."""
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.3, 0.2), 0.95, 1.625),
+                            OdoErrorModel(0.011), 300.0)
+    g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=Strategy.G2))
+    packed = _PackedGraph(g)
+    assert packed.u == 8
+    assert np.array_equal(packed.free, np.flatnonzero(~g.fixed))
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -877,12 +884,14 @@ def test_fix_edges_are_linear(strategy):
                 atol=1e-12)
 
 
-def _loop_closed_chain(seed):
-    """A random chain plus one edge from node 2 to node 11, so the free
-    nodes form a cycle and the chain order is not the id order."""
+def _loop_closed_chain(seed, ends=(2, 11)):
+    """A random chain plus one edge between nodes 2 and 11 (from the
+    first of `ends` to the second), so the free nodes form a cycle and
+    the id order is off the chain."""
     rng = np.random.default_rng(seed)
     g, truth = random_chain_graph(rng, 14, n_absolute=3)
-    add_edge(g, Edge(2, 11, compose(inverse(truth[2]), truth[11]),
+    a, b = ends
+    add_edge(g, Edge(a, b, compose(inverse(truth[a]), truth[b]),
                      np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
     return g
 
@@ -891,7 +900,6 @@ def test_a_loop_closure_widens_the_band_and_keeps_the_optimum():
     g = _loop_closed_chain(51)
     packed = _PackedGraph(g)
     assert packed.u > 5
-    assert packed.free.tolist() != sorted(packed.free.tolist())
     h = clone_graph(g)
     report = optimize(g)
     assert report.converged
@@ -910,10 +918,12 @@ def _isotropic(base):
 
 
 def _slot_cases():
-    """Built graphs of every strategy (closed form), a loop-closed chain
-    (blocks below the diagonal) and a chain with a fixed node inside it
-    (edges into and out of a fixed node), each as drawn (stacked form)
-    and made isotropic (closed form)."""
+    """Built graphs of every strategy (closed form; G2's ties run from a
+    later node to an earlier one, so their (i, j) blocks lie below the
+    diagonal), a loop-closed chain and a chain with a fixed node inside
+    it (edges into and out of a fixed node), each as drawn (stacked form)
+    and made isotropic (closed form), and the loop closed from the later
+    node (stacked form, a block below the diagonal)."""
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 12.0)
@@ -923,7 +933,8 @@ def _slot_cases():
                                   n_absolute=4)
     inner.fixed[6] = True
     loop = _loop_closed_chain(51)
-    return graphs + [loop, inner, _isotropic(loop), _isotropic(inner)]
+    return graphs + [loop, inner, _isotropic(loop), _isotropic(inner),
+                     _loop_closed_chain(51, (11, 2))]
 
 
 def test_slot_map_equals_the_entry_by_entry_construction():
@@ -966,7 +977,7 @@ def test_slot_map_equals_the_entry_by_entry_construction():
         assert np.all(spare >= (packed.u + 2) * packed.n)
         assert np.all(spare < packed.size)
         assert np.all(spare == packed.size - 1)
-        # an edge whose from node comes later in chain order than its to
+        # an edge whose from node comes later in id order than its to
         # node puts its (i, j) block below the diagonal
         rank = np.full(len(g.nodes), -1)
         rank[packed.free] = np.arange(packed.free.size)
@@ -976,64 +987,16 @@ def test_slot_map_equals_the_entry_by_entry_construction():
 
 
 def test_linear_system_is_in_id_order_whatever_the_chain_order():
+    """A loop closure numbers the graph off its chain; H and b are still
+    the dense system's in id order, and the band's product is H's."""
     g = _loop_closed_chain(52)
     packed = _PackedGraph(g)
-    band, b_chain = packed_evaluate(packed, packed.poses)[1:]
-    H, b = _linear_system(g)
-    Hd, bd, _, free = dense_system(g)
-    assert np.allclose(H, Hd, atol=1e-10)
+    band, b = packed_evaluate(packed, packed.poses)[1:]
+    Hd, bd = dense_system(g)[:2]
+    assert np.allclose(band_to_dense(band), Hd, atol=1e-10)
     assert np.allclose(b, bd, atol=1e-10)
-    # the band and its product are the same matrix in chain order
-    at = _in_chain_order(packed, free)
     x = np.random.default_rng(53).normal(size=b.size)
-    assert np.allclose(solver._band_mul(band, x[at]), (Hd @ x)[at],
-                       atol=1e-9)
-    assert np.array_equal(b_chain, b[at])
-
-
-def test_chain_order_is_the_plain_cuthill_mckee_order():
-    """The chain order is the node-by-node Cuthill-McKee order of
-    helpers.cuthill_mckee on random multigraphs (two chains in shuffled
-    ids, the first closed into a loop, extra pairs, a third of the pairs
-    repeated as given and reversed, the rest of the nodes isolated), on
-    pair lists with no pair at all, and on the free-free pairs of the
-    graphs build() makes."""
-    rng = np.random.default_rng(61)
-    for _ in range(40):
-        n = int(rng.integers(3, 60))
-        ids = rng.permutation(n)
-        cut = int(rng.integers(3, n + 1))
-        end = int(rng.integers(cut, n + 1))
-        extra = rng.integers(0, cut, (2, int(rng.integers(0, n))))
-        extra = extra[:, extra[0] != extra[1]]
-        a = np.concatenate((ids[:cut - 1], ids[cut:end - 1], ids[:1],
-                            ids[extra[0]]))
-        b = np.concatenate((ids[1:cut], ids[cut + 1:end], ids[cut - 1:cut],
-                            ids[extra[1]]))
-        dup = rng.integers(0, a.size, a.size // 3 + 1)
-        a, b = np.concatenate((a, a[dup], b[dup])), \
-            np.concatenate((b, b[dup], a[dup]))
-        shuffle = rng.permutation(a.size)
-        a, b = a[shuffle], b[shuffle]
-        assert solver._chain_order(n, a, b).tolist() == \
-            cuthill_mckee(n, a, b)
-    none = np.array([], dtype=np.intp)
-    for n in (0, 1, 5):
-        assert solver._chain_order(n, none, none).tolist() == list(range(n))
-    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
-                            GnssErrorModel((0.3, 0.2), 0.95, 0.6),
-                            OdoErrorModel(0.011), 30.0)
-    for strategy in Strategy:
-        g = build(ds.gnss, ds.odometry, BuilderConfig(strategy=strategy))
-        free = np.flatnonzero(~g.fixed)
-        rank = np.full(len(g.nodes), -1)
-        rank[free] = np.arange(free.size)
-        i, j = rank[g.from_ids], rank[g.to_ids]
-        both = (i >= 0) & (j >= 0)
-        want = cuthill_mckee(free.size, i[both], j[both])
-        assert solver._chain_order(free.size, i[both],
-                                   j[both]).tolist() == want
-        assert np.array_equal(_PackedGraph(g).free, free[want])
+    assert np.allclose(solver._band_mul(band, x), Hd @ x, atol=1e-9)
 
 
 @pytest.mark.parametrize("outlier_rate", [0.0, 0.1])
