@@ -192,11 +192,22 @@ def build(readings, odo, config: BuilderConfig | None = None) -> PoseGraph:
 
 
 def _g2_layout(graph: PoseGraph):
-    """k, the fix edges and the ties of a G2 graph in build()'s layout:
-    the origin, then k vehicle nodes (rows 1::2) each followed by its
-    GNSS node (rows 2::2); k - 1 odometry edges, then k fix edges and k
-    ties, the k-th of each on the k-th GNSS node."""
-    k = (len(graph.poses) - 1) // 2
+    """k, the fix edges and the ties of a G2 graph in build()'s layout,
+    or ValueError for any other graph: the origin, then k vehicle nodes
+    (rows 1::2) each followed by its GNSS node (rows 2::2); k - 1
+    odometry edges along the vehicle nodes, then k fixes, fix i from the
+    origin to node 2i + 2, and k ties, tie i from it to node 2i + 1."""
+    n = len(graph.poses)
+    k = (n - 1) // 2
+    v, g = np.arange(1, n, 2), np.arange(2, n + 1, 2)
+    # EDGE_KINDS codes the kinds in build()'s edge order
+    if k < 1 or n != 2 * k + 1 or not np.array_equal(
+            (graph.from_ids, graph.to_ids, graph.edge_kinds),
+            (np.concatenate((v[:-1], np.zeros_like(g), g)),
+             np.concatenate((v[1:], g, v)),
+             np.repeat(np.arange(3), (k - 1, k, k)))):
+        raise ValueError("not a G2 graph in build()'s layout: vehicle i "
+                         "at node 2i + 1, its GNSS node at 2i + 2")
     return k, slice(k - 1, 2 * k - 1), slice(2 * k - 1, 3 * k - 1)
 
 

@@ -34,18 +34,19 @@ identity edge of G3) is a unary edge on its to node.
 On every graph builders.build() makes, Omega is diagonal and each edge's
 Hjj is Omega itself, the closed form: its position block is isotropic
 (the odometry windows, G2's ties), which the rotation Jj leaves as it
-is, or it runs from a fixed node with Jj the identity (the fix edges,
-G3's identity edges).  With Omega = diag(a, a, t), Hij = -B'Omega and
-Hii = B'Omega B differ from -Omega and Omega only in Hii's last column
-(-wy a, wx a, (wx^2 + wy^2) a + t) and Hij's last row (wy a, -wx a, -t).
-So the pose-independent entries (Omega on the (i, i) and (j, j) blocks,
--Omega on the (i, j) blocks) are summed into a constant band once per
-graph, and a system pass scatters only what depends on the poses: b's
+is, or it runs from a fixed node at heading 0 with a measurement at
+heading 0, so Jj is the identity (the fix edges, G3's identity edges).
+With Omega = diag(a, a, t), Hij = -B'Omega and Hii = B'Omega B differ
+from -Omega and Omega only in Hii's last column (-wy a, wx a, (wx^2 +
+wy^2) a + t) and Hij's last row (wy a, -wx a, -t).  So the
+pose-independent entries (Omega on the (i, i) and (j, j) blocks, -Omega
+on the (i, j) blocks) are summed into a constant band once per graph,
+and a system pass scatters only what depends on the poses: b's
 segments, g_j being Omega e's first two columns rotated, and five H
 entries per edge from a free node.  No Jacobian and no 3x3 product is
 formed.  A graph off the closed form (any full Omega, or an anisotropic
-diagonal one on an edge whose Jj is not the identity, as a loaded or
-hand-built graph may have) takes stacked 3x3 products instead: the
+diagonal one on an edge off that wiring, as a loaded or hand-built
+graph may have) takes stacked 3x3 products instead: the
 gradient rides along as a fourth column, Jj'[Omega Jj | -Omega e] =
 [Hjj | -g_j], B and its two products are formed for the edges from a
 free node alone, and one scatter adds every block and segment into H and
@@ -218,11 +219,16 @@ class _PackedGraph:
         # the first row and column of the (i, i), (j, j) and (i, j) blocks
         r, c = np.concatenate((i, jo, i)), np.concatenate((i, jo, j))
 
-        if self._closed_form(io):
+        # the closed form, Jj'Omega Jj = Omega: every Omega diagonal, and
+        # each edge's position block isotropic or Jj the identity, the edge
+        # running from a fixed node at heading 0, measured at heading 0
+        d = self.diagonal
+        if d is not None and np.all((d[:, 0] == d[:, 1]) | (
+                (io < 0) & (self.poses[self.ends[0], 2] == 0.0)
+                & (self.z[2] == 0.0))):
             # the pose-independent entries, on the blocks' diagonals, are
             # summed once: Omega on every (i, i) and (j, j) block, -Omega
             # on every (i, j) block
-            d = self.diagonal
             dp = np.take(d, pair, axis=0)
             self.a = dp[:, 0].copy()
             sums = np.bincount(at(r + k, c + k).ravel(),
@@ -245,24 +251,6 @@ class _PackedGraph:
             h[:p + m, k > k.T] = drop
             b = np.concatenate((i + k, bj, np.full((3, p), drop)), axis=1)
             self.slot = np.concatenate((h, b.T[..., None]), axis=2).ravel()
-
-    def _closed_form(self, io: np.ndarray) -> bool:
-        """Whether every edge's Jj'Omega Jj is its Omega, so that system()
-        takes the closed form: every Omega is diagonal, and each edge's
-        position block is isotropic or the edge runs from a fixed node
-        with Jj the identity (a fixed pose and its measurement give a
-        constant Jj).  io is each edge's first from-node variable,
-        negative on a fixed node."""
-        d = self.diagonal
-        if d is None:
-            return False
-        rows = np.flatnonzero(io < 0)
-        theta = self.poses[self.ends[0, rows], 2]
-        ct, st = batch_edge_rotations(np.cos(theta), np.sin(theta),
-                                      self.z[3][rows], self.z[4][rows])
-        unrotated = np.zeros(len(d), dtype=bool)
-        unrotated[rows] = (ct == 1.0) & (st == 0.0)
-        return bool(np.all((d[:, 0] == d[:, 1]) | unrotated))
 
     def residual(self, poses: np.ndarray):
         """Total error at `poses`, and the state system() builds its

@@ -365,6 +365,63 @@ def test_the_g2_fill_puts_each_gnss_node_at_its_conditional_optimum(s):
                                         BuilderConfig(Strategy.G2, s)))
 
 
+def _old_g2_layout(graph):
+    """`graph`, a G2 graph of build(), renumbered to the layout written
+    before each GNSS node followed its vehicle node: the origin, the k
+    vehicle nodes, then the k GNSS nodes; the edges in the same order."""
+    order = np.r_[0, 1:len(graph.poses):2, 2:len(graph.poses):2]
+    renumber = np.argsort(order)
+    old = PoseGraph()
+    old.add_nodes(graph.poses[order], graph.fixed[order])
+    for code, kind in enumerate(EdgeKind):
+        rows = graph.edge_kinds == code
+        old.add_edges(renumber[graph.from_ids[rows]],
+                      renumber[graph.to_ids[rows]], graph.measurements[rows],
+                      graph.information[rows], kind)
+    return old
+
+
+@pytest.mark.parametrize("case", ["g1", "g3", "old_g2_layout"])
+def test_the_g2_reduction_refuses_a_graph_off_the_g2_layout(case):
+    """reduce_g2 and fill_g2 read the G2 layout build() makes, and refuse
+    a G1 graph, a G3 graph and a G2 graph in the old layout (vehicle
+    nodes 1..k, then the GNSS nodes) by naming that layout."""
+    readings, stream = _drive(5, noise=0.5, seed=3)
+    g2 = build(readings, stream, BuilderConfig(Strategy.G2))
+    graph = {"g1": lambda: build(readings, stream,
+                                 BuilderConfig(Strategy.G1)),
+             "g3": lambda: build(readings, stream,
+                                 BuilderConfig(Strategy.G3)),
+             "old_g2_layout": lambda: _old_g2_layout(g2)}[case]()
+    if case == "old_g2_layout":
+        assert len(graph.poses) == len(g2.poses)
+        assert graph.edge_kinds.tolist() == g2.edge_kinds.tolist()
+    reduced = reduce_g2(g2)
+    refusal = "not a G2 graph in build\\(\\)'s layout"
+    with pytest.raises(ValueError, match=refusal):
+        reduce_g2(graph)
+    with pytest.raises(ValueError, match=refusal):
+        fill_g2(graph, reduced)
+
+
+def test_a_reloaded_g2_dump_reduces_bit_for_bit(tmp_path):
+    """A G2 graph of build() and its save/load round trip reduce to the
+    same graph, and fill from its solve to the same poses, bit for
+    bit."""
+    ds = next(_g2_drives())
+    graph = build(ds.gnss, ds.odometry, BuilderConfig(Strategy.G2))
+    save(graph, tmp_path / "g2.txt")
+    loaded = load(tmp_path / "g2.txt")
+    reduced, again = reduce_g2(graph), reduce_g2(loaded)
+    for name in ("poses", "fixed", "from_ids", "to_ids", "measurements",
+                 "information", "edge_kinds"):
+        assert np.array_equal(getattr(reduced, name), getattr(again, name))
+    optimize(reduced)
+    fill_g2(graph, reduced)
+    fill_g2(loaded, reduced)
+    assert np.array_equal(graph.poses, loaded.poses)
+
+
 def test_g3_gnss_nodes_never_move():
     readings, stream = _drive(6, noise=1.5, seed=2)
     graph = build(readings, stream, BuilderConfig(strategy=Strategy.G3))

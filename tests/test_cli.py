@@ -418,6 +418,37 @@ def test_every_flag_a_verb_takes_changes_its_output(verb, tmp_path, capsys):
         assert runs[tuple(flags)] != runs[tuple(baseline)], flags
 
 
+def _readme_flags():
+    """verb -> the flags README.md's CLI table names for it, the row's
+    "synthetic flags" read from the sentence that lists them."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    synthetic = re.search(r"The synthetic flags are (.*?)\.", text,
+                          re.DOTALL).group(1)
+    flags = {}
+    for verb, rest in re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", text,
+                                 re.MULTILINE):
+        if "synthetic flags" in rest:
+            rest += synthetic
+        flags[verb] = set(re.findall(r"--[a-z0-9-]+", rest))
+    return flags
+
+
+def test_readme_cli_table_names_every_flag_each_verb_registers(capsys):
+    """README's verb table, with its list of synthetic flags, names for
+    each verb exactly the option strings that verb's parser registers,
+    less --help: a flag added or removed without a README edit fails."""
+    flags = _readme_flags()
+    assert sorted(flags) == ["batch", "graph-dump", "run", "synth"]
+    for verb, named in flags.items():
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        registered = set(re.findall(r"--[a-z0-9-]+",
+                                    capsys.readouterr().out))
+        assert named == registered - {"--help"}, verb
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["graph-dump", "--trace"], "--trace"),
     (["graph-dump", "--metrics-literal"], "--metrics-literal"),

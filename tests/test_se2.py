@@ -15,7 +15,7 @@ from se2fusion.se2 import IDENTITY, Pose2, batch_edge_jacobians, \
     poses_from_rows, retract, wrap_angle, wrap_angles
 
 # A heading scale near zero; the cases below sit on both sides of it.
-SMALL_ANGLE = 1e-4
+NEAR_ZERO_HEADING = 1e-4
 
 
 def test_wrap_angle_range():
@@ -324,12 +324,13 @@ def test_pose_is_slotted_frozen_value():
     assert len({p, Pose2(1.0, -2.0, 0.5)}) == 1
 
 
-# Headings near zero on both sides of SMALL_ANGLE, and next to +-pi on
-# both sides, so the retraction and the residual pass take every heading
-# wrap.
+# Headings near zero on both sides of NEAR_ZERO_HEADING, and next to
+# +-pi on both sides, so the retraction and the residual pass take every
+# heading wrap.
 _EDGE_HEADINGS = tuple(sign * h for sign in (1.0, -1.0) for h in (
-    0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, 1.001 * SMALL_ANGLE,
-    2.0 * SMALL_ANGLE, math.pi - 1e-9, math.pi - 1e-3)) + (math.pi,)
+    0.0, 0.5 * NEAR_ZERO_HEADING, 0.999 * NEAR_ZERO_HEADING,
+    1.001 * NEAR_ZERO_HEADING, 2.0 * NEAR_ZERO_HEADING, math.pi - 1e-9,
+    math.pi - 1e-3)) + (math.pi,)
 
 
 def _heading(rng):
@@ -362,7 +363,7 @@ def _straddling_edges(rng, m=600):
     return xi, xj, z
 
 
-def test_batch_edge_linearization_matches_scalar():
+def test_batch_edge_residuals_and_jacobians_match_scalar():
     """The residual pass, then the Jacobian pass with Ji = -Jj B, B the
     shear by the world offset, give edge_residual and edge_jacobians of
     every edge."""
@@ -374,7 +375,7 @@ def test_batch_edge_linearization_matches_scalar():
         Ji = -(Jj @ B)
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
-        assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
+        assert np.any(np.abs(want[:, 2]) < NEAR_ZERO_HEADING)
         assert np.any(np.abs(want[:, 2]) > math.pi - 1e-6)
         np.testing.assert_allclose(e, want, rtol=1e-12, atol=1e-12)
         for k, (a, b, c) in enumerate(zip(xi, xj, z)):
@@ -396,7 +397,7 @@ def test_split_edge_kernel_matches_scalar():
                                         measurement_columns(_rows(z)))
         want = np.array([edge_residual(a, b, c)
                          for a, b, c in zip(xi, xj, z)])
-        assert np.any(np.abs(want[:, 2]) < SMALL_ANGLE)
+        assert np.any(np.abs(want[:, 2]) < NEAR_ZERO_HEADING)
         assert np.any(np.abs(want[:, 2]) == math.pi)
         assert np.array_equal(r[:, 2], want[:, 2])
         np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)

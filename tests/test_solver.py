@@ -30,7 +30,7 @@ from se2fusion.synth import GnssErrorModel, OdoErrorModel, \
     TrajectoryProfile, generate_synthetic
 
 # A heading scale near zero; the cases below sit on both sides of it.
-SMALL_ANGLE = 1e-4
+NEAR_ZERO_HEADING = 1e-4
 
 
 def _two_node_graph():
@@ -347,6 +347,31 @@ def test_solve_returns_the_undamped_product():
     assert np.linalg.norm(Hx - rung[1]) > 0.5
 
 
+@pytest.mark.parametrize("H, b", [
+    (np.array([[1e-300]]), np.array([1e10])),
+    (np.array([[0.0, 0.0], [1e-300, 1e-300]]), np.array([1e10, 1e10]))],
+    ids=["one_node", "zero_superdiagonal"])
+def test_a_solution_that_overflows_climbs_every_rung(monkeypatch, H, b):
+    """H = 1e-300 I factors at every rung, but 1e10 / 1e-300 overflows to
+    inf, so each rung's solution is refused as not finite: the solve
+    factors once unregularized and once per rung of the ladder, then
+    raises SingularSystemError, with no numpy warning on the way, not
+    even from the zero superdiagonal times inf of a residual check."""
+    from scipy.linalg import lapack
+    factor = lapack.dpbtrf
+    calls = []
+
+    def counted(M):
+        calls.append(M.copy())
+        return factor(M)
+
+    monkeypatch.setattr(lapack, "dpbtrf", counted)
+    with pytest.raises(SingularSystemError):
+        solver._solve_normal(H, b)
+    assert len(calls) == 1 + len(solver._LAMBDA_LADDER) == 8
+    assert all(factor(M)[1] == 0 for M in calls)
+
+
 def test_dogleg_pred_is_the_dense_model_decrease_on_every_branch():
     """Each step's pred is 2 b'd - d'Hd with the undamped H, on the
     Gauss-Newton, the gradient and the blend branch: for random SPD
@@ -474,11 +499,11 @@ def test_report_error_bookkeeping():
 
 def _graph_near_branches(rng):
     """Random chain whose node headings sit next to +-pi, and near zero on
-    both sides of SMALL_ANGLE, so chi-square and retraction cross every
-    heading wrap."""
+    both sides of NEAR_ZERO_HEADING, so chi-square and retraction cross
+    every heading wrap."""
     g, _ = random_chain_graph(rng, 14, n_absolute=4, perturb=2.0)
     headings = (math.pi - 1e-9, -math.pi + 1e-9, math.pi,
-                0.999 * SMALL_ANGLE, -1.001 * SMALL_ANGLE)
+                0.999 * NEAR_ZERO_HEADING, -1.001 * NEAR_ZERO_HEADING)
     for k, node in enumerate(g.nodes[1::2]):
         p = node.pose
         set_pose(g, node.id,
@@ -504,7 +529,7 @@ def test_packed_retraction_matches_scalar_retract():
         packed = _PackedGraph(g)
         free = [n for n in g.nodes if not n.fixed]
         delta = rng.normal(0.0, 0.5, 3 * len(free))
-        delta[2::6] = 1.001 * SMALL_ANGLE
+        delta[2::6] = 1.001 * NEAR_ZERO_HEADING
         delta[5::6] = 1e-3
         moved = packed.retract(packed.poses, delta)
         for k, node in enumerate(free):
@@ -1038,43 +1063,54 @@ def _one_ulp_anisotropic(g):
     return g
 
 
-def _rotated_fixed_edge(info):
+def _rotated_fixed_edge(info, anchor=0.3, heading=-0.1):
     """A free chain with isotropic edges, anchored by edges from a fixed
-    node at heading 0.3, whose Jj is not the identity."""
+    node at heading `anchor` measured at heading `heading`: unless both
+    are 0, Jj is not the identity, or is only by cancelling."""
     g = PoseGraph()
-    anchor = add_node(g, Pose2(0.5, -0.2, 0.3), fixed=True)
+    fixed = add_node(g, Pose2(0.5, -0.2, anchor), fixed=True)
     for k in range(4):
         add_node(g, Pose2(k, 0.5 * k, 0.1 * k))
     for k in range(1, 4):
         add_edge(g, Edge(k, k + 1, Pose2(1.1, 0.4, 0.1),
                          np.diag([2.0, 2.0, 1.0]), EdgeKind.ODOMETRY))
     for k in (1, 3):
-        add_edge(g, Edge(anchor, k, Pose2(k, 0.3, -0.1), info,
+        add_edge(g, Edge(fixed, k, Pose2(k, 0.3, heading), info,
                          EdgeKind.GNSS_ABSOLUTE))
     return g
 
 
 @pytest.mark.parametrize("case", ["random_chain", "full", "one_ulp",
-                                  "rotated_fixed_edge"])
+                                  "rotated_fixed_edge", "rotated_anchor",
+                                  "rotated_measurement",
+                                  "cancelling_fixed_edge"])
 def test_graphs_off_the_closed_form_keep_the_stacked_bits(case):
     """A graph takes the stacked products, and gives helpers
     stacked_system's chi2, Omega e, H and b bit for bit, when any edge
     has a full Omega, an anisotropic diagonal Omega on an edge from a
     free node (a random chain; a built graph with one Omega_yy moved by
-    one ulp), or an anisotropic one on an edge from a fixed node whose
-    Jj is not the identity.  The same rotated edge with an isotropic
-    Omega takes the closed form."""
+    one ulp), or an anisotropic one on an edge from a fixed node that is
+    not at heading 0 or whose measurement is not: either heading or
+    both, or the two cancelling, so that Jj is the identity without
+    either being 0.  The same rotated edge with an isotropic Omega takes
+    the closed form."""
     rng = np.random.default_rng(64)
     ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
                             GnssErrorModel((0.3, 0.2), 0.95, 0.6),
                             OdoErrorModel(0.011), 30.0)
+    anisotropic = np.diag([1.0, 2.0, 0.5])
     g = {"random_chain": lambda: random_chain_graph(rng, 10)[0],
          "full": lambda: _with_full_information(
              random_chain_graph(rng, 10)[0], rng, [2]),
          "one_ulp": lambda: _one_ulp_anisotropic(
              build(ds.gnss, ds.odometry, BuilderConfig(Strategy.G2))),
-         "rotated_fixed_edge": lambda: _rotated_fixed_edge(
-             np.diag([1.0, 2.0, 0.5]))}[case]()
+         "rotated_fixed_edge": lambda: _rotated_fixed_edge(anisotropic),
+         "rotated_anchor": lambda: _rotated_fixed_edge(anisotropic,
+                                                       heading=0.0),
+         "rotated_measurement": lambda: _rotated_fixed_edge(anisotropic,
+                                                            anchor=0.0),
+         "cancelling_fixed_edge": lambda: _rotated_fixed_edge(
+             anisotropic, heading=-0.3)}[case]()
     packed = _PackedGraph(g)
     assert packed.constant is None
     for shake in (0.0, 0.2):
