@@ -64,14 +64,19 @@ upper band storage, every entry by one rule: (r, c) goes to band[u +
 lo - hi, hi], with lo, hi = min(r, c), max(r, c), so an entry below
 the diagonal lands on its mirror, and an entry on a fixed node is
 dropped.  The step is solved by banded Cholesky, LAPACK's dpbtrf and
-dpbtrs called directly.  It is exact at any bandwidth u and costs
-O(n u^2), so a graph numbered off its chain (a G2 dump in another
-layout, a loop closure) solves to the same optimum at its own, wider
-bandwidth.  A matrix that is not finite is refused outright.  A solve
-whose factorization finds the matrix not positive definite, or whose
-solution is not finite or leaves a residual above 1e-6 (|b| + 1), is
-retried with lambda*diag added to the diagonal, for lambda from 1e-9 to
-1e-3, before SingularSystemError is raised.
+dpbtrs called directly.  They come from scipy's compiled LAPACK
+wrapper, scipy.linalg._flapack, which the first solve loads by its
+file, so no scipy.linalg package module is imported; only when that
+file is not found is scipy.linalg.lapack imported instead.  The banded
+Cholesky is exact at any bandwidth u and costs O(n u^2), so a graph
+numbered off its chain (a G2 dump in another layout, a loop closure)
+solves to the same optimum at its own, wider bandwidth.  A matrix that
+is not finite is refused outright.  A solve whose factorization finds
+the matrix not positive definite, or whose solution is not finite or
+leaves a residual above 1e-6 (|b| + 1), is retried with lambda*diag
+added to the diagonal, for lambda from 1e-9 to 1e-3, before
+SingularSystemError is raised.  The report keeps the largest lambda any
+step's solve took.
 Products with H are numpy band products, not BLAS calls, so a solve
 gives the same bits whatever the BLAS thread count.
 
@@ -83,7 +88,12 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import import_module
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -98,6 +108,8 @@ _LAMBDA_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 # collapsed
 _TRUST_RADIUS_INIT = 1e4
 _MIN_TRUST_RADIUS = 1e-12
+# scipy's compiled LAPACK wrapper, the package's only scipy module
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,6 +162,9 @@ class SolveReport:
     initial_error: float
     final_error: float
     termination: Termination
+    # the largest lambda of the regularization ladder that any step's
+    # solve took, 0.0 when every solve went without one
+    regularization: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -343,16 +358,41 @@ class _PackedGraph:
         return out
 
 
+def _lapack():
+    """scipy's LAPACK extension module, whose dpbtrf and dpbtrs every
+    solve calls, loaded once per process by the first solve.
+
+    The module's file is found without importing scipy and loaded by its
+    extension loader, so no scipy.linalg package module runs: importing
+    scipy.linalg would load some 85 scipy modules and numpy.f2py for two
+    routines.  It is registered in sys.modules under its own name, so a
+    later import of scipy.linalg reuses it, and an earlier one is reused
+    here: scipy.linalg.lapack's dpbtrf and dpbtrs are this module's in
+    either order.  When the file is not found, scipy.linalg.lapack is
+    imported, which loads the same module.
+    """
+    if _FLAPACK not in sys.modules:
+        scipy = find_spec("scipy")
+        spec = scipy and PathFinder.find_spec(_FLAPACK, [
+            os.path.join(p, "linalg")
+            for p in scipy.submodule_search_locations])
+        if spec is None:
+            import_module("scipy.linalg.lapack")
+        else:
+            module = sys.modules[_FLAPACK] = module_from_spec(spec)
+            spec.loader.exec_module(module)
+    return sys.modules[_FLAPACK]
+
+
 def _solve_normal(H: np.ndarray, b: np.ndarray):
     """Solve H x = b for H in upper band storage, by banded Cholesky with
     escalating diagonal regularization on failure.
 
-    Returns (x, Hx) with the undamped H: the residual check's product
-    less the rung's diagonal times x, so that product itself when H
-    solved without a rung.
+    Returns (x, Hx, lam) with Hx for the undamped H: the residual check's
+    product less the rung's diagonal times x, so that product itself when
+    H solved without a rung.  lam is the rung's lambda, 0.0 without one.
     """
-    # the package's only scipy use, loaded by the first solve
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    lapack = _lapack()
     bnorm = _norm(b)
     # LAPACK does not refuse a matrix that is not finite, so it is
     # refused here, before any rung
@@ -368,16 +408,16 @@ def _solve_normal(H: np.ndarray, b: np.ndarray):
             # the diagonal is the band's last row
             M = H.copy()
             M[-1] += lam * damp
-        factor, info = dpbtrf(M)
+        factor, info = lapack.dpbtrf(M)
         if info != 0:
             # not positive definite
             continue
-        x, info = dpbtrs(factor, b)
+        x, info = lapack.dpbtrs(factor, b)
         if info != 0 or not np.isfinite(x).all():
             continue
         Mx = _band_mul(M, x)
         if _norm(Mx - b) <= 1e-6 * (bnorm + 1.0):
-            return x, Mx - (M[-1] - H[-1]) * x
+            return x, Mx - (M[-1] - H[-1]) * x, lam
     raise SingularSystemError(
         "normal equations could not be factorized even with "
         f"regularization up to {_LAMBDA_LADDER[-1]:g}")
@@ -385,7 +425,7 @@ def _solve_normal(H: np.ndarray, b: np.ndarray):
 
 def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     """Solve once; return the dogleg step as a function of the radius,
-    and |g|.
+    |g| and the solve's rung lambda.
 
     The Gauss-Newton point g, the Cauchy point and their norms do not
     depend on the radius, so every trial radius only combines them.  The
@@ -396,7 +436,7 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
     solve's H g; b'Hb, b'Hg, the Cauchy point and its norm are computed
     by the first call with a smaller radius and kept.
     """
-    gn, Hg = _solve_normal(H, b)
+    gn, Hg, lam = _solve_normal(H, b)
     gn_norm = _norm(gn)
     bb = _dot(b, b)
     bg = _dot(b, gn)
@@ -430,7 +470,7 @@ def _dogleg_steps(H: np.ndarray, b: np.ndarray):
         return delta, 2.0 * (s * bb + tau * bg) \
             - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
 
-    return step, gn_norm
+    return step, gn_norm, lam
 
 
 def optimize(graph: PoseGraph, config: SolverConfig | None = None,
@@ -459,13 +499,18 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
         return SolveReport(0, initial, initial, Termination.STEP_TOL)
     H, b = packed.system(state)
     radius = _TRUST_RADIUS_INIT
+    rung = 0.0
+
+    def report(it: int, chi_now: float, done: Termination) -> SolveReport:
+        return SolveReport(it, initial, chi_now, done, rung)
 
     def emit(it: int, chi_now: float, step: float) -> None:
         if sink is not None:
             sink(f"{it} {_fmt(chi_now)} {_fmt(step)} {_fmt(radius)}\n")
 
     for it in range(1, cfg.max_iterations + 1):
-        step, gn_norm = _dogleg_steps(H, b)
+        step, gn_norm, lam = _dogleg_steps(H, b)
+        rung = max(rung, lam)
         while True:
             delta, pred = step(radius)
             step_norm = _norm(delta)
@@ -473,7 +518,7 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                 emit(it, chi, step_norm)
                 done = (Termination.ABS_TOL if chi <= cfg.abs_error_tol
                         else Termination.STEP_TOL)
-                return SolveReport(it, initial, chi, done)
+                return report(it, chi, done)
             trial = packed.retract(packed.poses, delta)
             # e(x (+) d) ~ e + J d to first order, so chi(x (+) d) ~
             # chi - pred whatever chart the residual is taken in
@@ -492,18 +537,16 @@ def _minimize(packed: _PackedGraph, cfg: SolverConfig, sink) -> SolveReport:
                 radius *= 0.5
             if radius < _MIN_TRUST_RADIUS:
                 emit(it, chi, step_norm)
-                return SolveReport(it, initial, chi,
-                                   Termination.TRUST_REGION_COLLAPSE)
+                return report(it, chi, Termination.TRUST_REGION_COLLAPSE)
 
         packed.poses[packed.free] = trial[packed.free]
         emit(it, trial_chi, step_norm)
         if trial_chi <= cfg.abs_error_tol:
-            return SolveReport(it, initial, trial_chi, Termination.ABS_TOL)
+            return report(it, trial_chi, Termination.ABS_TOL)
         if chi - trial_chi <= cfg.rel_error_tol * chi:
-            return SolveReport(it, initial, trial_chi, Termination.REL_TOL)
+            return report(it, trial_chi, Termination.REL_TOL)
         # the accepted trial's system is the next iteration's
         chi = trial_chi
         H, b = packed.system(trial_state)
 
-    return SolveReport(max(cfg.max_iterations, 0), initial, chi,
-                       Termination.MAX_ITER)
+    return report(max(cfg.max_iterations, 0), chi, Termination.MAX_ITER)

@@ -270,7 +270,7 @@ def every_trial_optimize(graph, config=None, trace=None):
     dot, norm = solver._dot, solver._norm
 
     def dogleg_steps(H, b):
-        gn, Hg = solver._solve_normal(H, b)
+        gn, Hg, lam = solver._solve_normal(H, b)
         gn_norm = norm(gn)
         bb = dot(b, b)
         bHb = dot(b, solver._band_mul(H, b))
@@ -299,7 +299,7 @@ def every_trial_optimize(graph, config=None, trace=None):
             return delta, 2.0 * (s * bb + tau * bg) \
                 - (s * s * bHb + 2.0 * s * tau * bHg + tau * tau * gHg)
 
-        return step
+        return step, lam
 
     chi, state = packed.residual(packed.poses)
     initial = chi
@@ -308,6 +308,10 @@ def every_trial_optimize(graph, config=None, trace=None):
                                   solver.Termination.STEP_TOL)
     H, b = packed.system(state)
     radius = solver._TRUST_RADIUS_INIT
+    rung = 0.0
+
+    def report(it, chi_now, end):
+        return solver.SolveReport(it, initial, chi_now, end, rung)
 
     def emit(it, chi_now, step_norm):
         if trace is not None:
@@ -315,7 +319,8 @@ def every_trial_optimize(graph, config=None, trace=None):
 
     done = solver.Termination
     for it in range(1, cfg.max_iterations + 1):
-        step = dogleg_steps(H, b)
+        step, lam = dogleg_steps(H, b)
+        rung = max(rung, lam)
         while True:
             delta, pred = step(radius)
             step_norm = norm(delta)
@@ -323,7 +328,7 @@ def every_trial_optimize(graph, config=None, trace=None):
                 emit(it, chi, step_norm)
                 end = (done.ABS_TOL if chi <= cfg.abs_error_tol
                        else done.STEP_TOL)
-                return solver.SolveReport(it, initial, chi, end)
+                return report(it, chi, end)
             trial = packed.retract(packed.poses, delta)
             trial_chi, trial_state = packed.residual(trial)
             if trial_chi < chi and pred > 0.0:
@@ -336,18 +341,16 @@ def every_trial_optimize(graph, config=None, trace=None):
             radius *= 0.5
             if radius < solver._MIN_TRUST_RADIUS:
                 emit(it, chi, step_norm)
-                return solver.SolveReport(it, initial, chi,
-                                          done.TRUST_REGION_COLLAPSE)
+                return report(it, chi, done.TRUST_REGION_COLLAPSE)
         packed.poses[packed.free] = trial[packed.free]
         emit(it, trial_chi, step_norm)
         if trial_chi <= cfg.abs_error_tol:
-            return solver.SolveReport(it, initial, trial_chi, done.ABS_TOL)
+            return report(it, trial_chi, done.ABS_TOL)
         if chi - trial_chi <= cfg.rel_error_tol * chi:
-            return solver.SolveReport(it, initial, trial_chi, done.REL_TOL)
+            return report(it, trial_chi, done.REL_TOL)
         chi = trial_chi
         H, b = packed.system(trial_state)
-    return solver.SolveReport(max(cfg.max_iterations, 0), initial, chi,
-                              done.MAX_ITER)
+    return report(max(cfg.max_iterations, 0), chi, done.MAX_ITER)
 
 
 def broadcast_slots(packed):

@@ -122,7 +122,8 @@ def test_a_step_below_step_tol_ends_the_solve_as_step_tol():
 
 def test_converged_follows_from_the_termination():
     assert [f.name for f in dataclasses.fields(SolveReport)] == \
-        ["iterations", "initial_error", "final_error", "termination"]
+        ["iterations", "initial_error", "final_error", "termination",
+         "regularization"]
     stopped = {Termination.ABS_TOL, Termination.REL_TOL, Termination.STEP_TOL}
     for termination in Termination:
         report = SolveReport(1, 1.0, 0.5, termination)
@@ -271,8 +272,9 @@ def test_dogleg_step_large_radius_equals_gauss_newton():
         H = _random_spd(rng, 6)
         b = rng.normal(size=6)
         gn = np.linalg.solve(H, b)
-        step, gn_norm = solver._dogleg_steps(dense_to_band(H), b)
+        step, gn_norm, lam = solver._dogleg_steps(dense_to_band(H), b)
         assert np.allclose(step(1e12)[0], gn, atol=1e-12)
+        assert lam == 0.0
         assert gn_norm == pytest.approx(np.linalg.norm(gn), rel=1e-12)
 
 
@@ -341,9 +343,10 @@ def test_solve_returns_the_undamped_product():
     rung = (np.diag([1.0, 1.0, 0.0]), np.ones(3))
     assert dpbtrf(dense_to_band(rung[0]))[1] != 0
     for H, b in systems + [rung]:
-        x, Hx = solver._solve_normal(dense_to_band(H), b)
+        x, Hx, lam = solver._solve_normal(dense_to_band(H), b)
         want = H @ x
         assert np.linalg.norm(Hx - want) <= 1e-12 * np.linalg.norm(want)
+        assert (lam > 0.0) == (H is rung[0])
     assert np.linalg.norm(Hx - rung[1]) > 0.5
 
 
@@ -356,8 +359,9 @@ def test_a_solution_that_overflows_climbs_every_rung(monkeypatch, H, b):
     inf, so each rung's solution is refused as not finite: the solve
     factors once unregularized and once per rung of the ladder, then
     raises SingularSystemError, with no numpy warning on the way, not
-    even from the zero superdiagonal times inf of a residual check."""
-    from scipy.linalg import lapack
+    even from the zero superdiagonal times inf of a residual check.  The
+    calls are counted on the LAPACK module the solve itself calls."""
+    lapack = solver._lapack()
     factor = lapack.dpbtrf
     calls = []
 
@@ -371,6 +375,50 @@ def test_a_solution_that_overflows_climbs_every_rung(monkeypatch, H, b):
     assert len(calls) == 1 + len(solver._LAMBDA_LADDER) == 8
     assert all(factor(M)[1] == 0 for M in calls)
 
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_drive_at_standstill_reports_the_rung_its_first_solve_took(
+        monkeypatch, seed):
+    """A 60 s drive that stands still for 59 s gives its fixes no heading
+    to observe, so the track's heading is a gauge freedom and H is
+    singular along it: the first solve takes the ladder's first rung,
+    and the report keeps it, screened and unscreened, though the run
+    still reports converged."""
+    from se2fusion import ExperimentConfig, run_experiment
+    solve = solver._solve_normal
+    rungs = []
+
+    def recorded(H, b):
+        out = solve(H, b)
+        rungs.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_solve_normal", recorded)
+    ds = generate_synthetic(seed, TrajectoryProfile.STRAIGHT,
+                            GnssErrorModel((0.0, 0.0), 0.9, 1.0),
+                            OdoErrorModel(0.01), 60.0, standstill=(0, 59))
+    for screen in (True, False):
+        rungs.clear()
+        report = run_experiment(ds, ExperimentConfig(
+            strategy=Strategy.G1, outlier_rejection=screen))[3]
+        assert rungs[0] == solver._LAMBDA_LADDER[0] == 1e-9
+        assert report.regularization == max(rungs) == 1e-9
+        assert report.converged
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_drive_that_observes_its_heading_reports_no_rung(strategy):
+    """A clean 120 s urban loop solves without the ladder, every strategy,
+    screened and unscreened."""
+    from se2fusion import ExperimentConfig, run_experiment
+    ds = generate_synthetic(0, TrajectoryProfile.URBAN_LOOP,
+                            GnssErrorModel((0.0, 0.0), 0.9, 1.0),
+                            duration=120.0)
+    for screen in (True, False):
+        report = run_experiment(ds, ExperimentConfig(
+            strategy=strategy, outlier_rejection=screen))[3]
+        assert report.regularization == 0.0
+        assert report.iterations > 0
 
 def test_dogleg_pred_is_the_dense_model_decrease_on_every_branch():
     """Each step's pred is 2 b'd - d'Hd with the undamped H, on the
@@ -625,9 +673,9 @@ def _trace_with_trials(monkeypatch, graph, config):
         return residual(self, poses)
 
     def recorded(H, b):
-        step, gn_norm = dogleg(H, b)
+        step, gn_norm, lam = dogleg(H, b)
         gn_norms.append(gn_norm)
-        return step, gn_norm
+        return step, gn_norm, lam
 
     monkeypatch.setattr(_PackedGraph, "residual", counted)
     monkeypatch.setattr(solver, "_dogleg_steps", recorded)
@@ -754,9 +802,9 @@ def test_band_products_run_once_per_solve_and_once_per_cauchy_point(
 
     def counted_dogleg(H, b):
         events.append("F")
-        step, gn_norm = dogleg(H, b)
+        step, gn_norm, lam = dogleg(H, b)
         points.append(step(math.inf)[0])
-        return step, gn_norm
+        return step, gn_norm, lam
 
     def counted_trial(self, poses, delta):
         # G: the iteration's Gauss-Newton point, S: any other step
@@ -1250,16 +1298,91 @@ print([(t, p.x, p.y, p.theta) for t, p in trajectory])
 """
 
 
-def test_solve_is_independent_of_the_blas_thread_count():
+def _fresh_python(script: str, **env) -> str:
+    """The stdout of `script` run by a fresh interpreter on this
+    checkout's package, with `env` added to the environment."""
     src = os.path.dirname(os.path.dirname(se2fusion.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", _THREADED_SOLVE],
-                              capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0].count(b"\n") > 10
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_solve_is_independent_of_the_blas_thread_count():
+    outputs = [_fresh_python(_THREADED_SOLVE, OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert outputs[0].count("\n") > 10
     assert outputs[0] == outputs[1]
+
+
+_LOADED_ROUTINES = """
+import sys
+import numpy as np
+{first}
+from se2fusion import solver
+solver._solve_normal(np.array([[2.0]]), np.array([1.0]))
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+from scipy.linalg import lapack
+handle = solver._lapack()
+print(handle is sys.modules['scipy.linalg._flapack'],
+      lapack.dpbtrf is handle.dpbtrf, lapack.dpbtrs is handle.dpbtrs)
+"""
+
+
+@pytest.mark.parametrize("first", ["", "import scipy.linalg"],
+                         ids=["solve_first", "scipy_linalg_first"])
+def test_the_solve_calls_the_routines_scipy_linalg_exports(first):
+    """The first solve loads scipy's LAPACK extension and nothing else of
+    scipy; an import of scipy.linalg after it, or before it, gives the
+    very dpbtrf and dpbtrs the solve calls."""
+    loaded, same = _fresh_python(
+        _LOADED_ROUTINES.format(first=first)).splitlines()
+    if first:
+        assert "'scipy.linalg.lapack'" in loaded
+    else:
+        assert loaded == "['scipy.linalg._flapack']"
+    assert same == "True True True"
+
+
+_BAND_SOLVES = """
+import hashlib, sys
+import numpy as np
+from se2fusion import solver
+if {fallback}:
+    class NoFinder:
+        @staticmethod
+        def find_spec(name, path):
+            return None
+    solver.PathFinder = NoFinder
+rng = np.random.default_rng(57)
+digest = hashlib.sha256()
+for _ in range(20):
+    n = int(rng.integers(3, 40))
+    u = int(rng.integers(1, min(n, 9)))
+    # H = L L' with L lower triangular of bandwidth u: SPD, bandwidth u
+    L = np.tril(np.triu(rng.normal(size=(n, n)), -u))
+    np.fill_diagonal(L, np.abs(np.diag(L)) + 1.0)
+    H = L @ L.T
+    band = np.array([np.concatenate((np.zeros(u - r), np.diagonal(H, u - r)))
+                     for r in range(u + 1)])
+    x, Hx, lam = solver._solve_normal(band, rng.normal(size=n))
+    assert lam == 0.0
+    digest.update(x.tobytes() + Hx.tobytes())
+print('scipy.linalg.lapack' in sys.modules,
+      solver._lapack() is sys.modules['scipy.linalg._flapack'])
+print(digest.hexdigest())
+"""
+
+
+def test_without_the_extension_file_the_solve_imports_scipy_linalg_lapack():
+    """When the extension's file is not found, the solve imports
+    scipy.linalg.lapack, which loads the same extension, so 20 random
+    SPD bands solve to the same bits (x and H x) on both routes."""
+    by_file, imported = (_fresh_python(_BAND_SOLVES.format(fallback=route))
+                         .splitlines() for route in (False, True))
+    assert by_file[0] == "False True"
+    assert imported[0] == "True True"
+    assert by_file[1] == imported[1]

@@ -339,12 +339,14 @@ def test_datasets_match_the_scipy_generator_bit_for_bit(monkeypatch):
     assert arrays() == ours
 
 
-def test_import_loads_no_scipy_signal_or_integrate(tmp_path):
-    """A fresh import loads none of scipy.signal, scipy.integrate,
-    scipy.sparse and scipy.linalg.  `synth` and `graph-dump` leave them
-    unloaded too; `run` solves, so it loads scipy.linalg, but still no
-    scipy.sparse module: the solver takes build()'s numbering and needs
-    no library ordering."""
+def test_no_verb_loads_a_scipy_linalg_sparse_signal_or_integrate_module(
+        tmp_path):
+    """A fresh import loads no module of scipy.linalg, scipy.sparse,
+    scipy.signal or scipy.integrate, and neither do `synth`,
+    `graph-dump`, nor `run` and `batch`, which solve: the solver loads
+    scipy's LAPACK extension, scipy.linalg._flapack, by its file, and
+    that is the one scipy module a solving process holds.  The solver
+    takes build()'s numbering, so no library ordering is loaded."""
     src = os.path.dirname(os.path.dirname(se2fusion.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -356,7 +358,8 @@ from se2fusion.cli import main
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith((
-        'scipy.signal', 'scipy.integrate', 'scipy.sparse', 'scipy.linalg')))
+        'scipy.signal', 'scipy.integrate', 'scipy.sparse', 'scipy.linalg'))
+        and m != 'scipy.linalg._flapack')
 
 drive = ['--synth', 'straight', '--duration', '20']
 print(loaded())
@@ -366,10 +369,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     main(['run', *drive])
-print('scipy.linalg' in sys.modules)
-print([m for m in loaded() if m.startswith('scipy.sparse')])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['batch', *drive, '--out', {str(tmp_path / "batch")!r}])
+print(loaded())
+print([m for m in sys.modules if m.startswith('scipy')])
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", "True", "[]", ""]
+    assert proc.stdout.split("\n") == [
+        "[]", "[]", "[]", "[]", "['scipy.linalg._flapack']", ""]
